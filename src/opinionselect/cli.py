@@ -111,10 +111,7 @@ def _moments_for(args, g: SocialGraph):
     ops = normalize(g)
     noise = _sigma2_from_args(args, g)
     u = np.full(len(ops.stubborn), getattr(args, "u", 0.0))
-    mom = equilibrium.moments(
-        ops, noise, u,
-        lyapunov_tol=getattr(args, "tol_lyapunov", None) or 1e-12,
-        sym_tol=getattr(args, "tol_sym", None) or 1e-10)
+    mom = equilibrium.moments(ops, noise, u, sym_tol=args.tol_sym)
     return ops, noise, mom
 
 
@@ -257,7 +254,7 @@ def _suite_moments(args) -> dict:
     ops = normalize(g)
     noise = NoiseModel.uniform(ops.n_regular, 1.0)
     u = np.linspace(0.0, 1.0, len(ops.stubborn))
-    mom = equilibrium.moments(ops, noise, u, prefer_closed_form=False)
+    mom = equilibrium.moments(ops, noise, u)
     worst = 0.0
     ok = True
     for family in NOISE_FAMILIES:
@@ -372,8 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'uniform:VALUE' or a 'node sigma2' file")
         p.add_argument("--u", type=float, default=0.0,
                        help="constant stubborn opinion")
-        p.add_argument("--tol-lyapunov", type=float, default=None)
-        p.add_argument("--tol-sym", type=float, default=None)
+        p.add_argument("--tol-sym", type=float,
+                       default=equilibrium.DEFAULT_SYMMETRY_TOL,
+                       help="relative asymmetry of A*Sigma below which the "
+                            "instance is reported as closed-form")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output file (atomic write)")
 

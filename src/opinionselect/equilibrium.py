@@ -1,19 +1,25 @@
 """Equilibrium mean and covariance of the noisy averaging dynamics.
 
 The covariance is defined by the discrete-time Lyapunov equation
-C = A C A' + Sigma, solved here with a doubling fixed-point iteration.
-The textbook shortcut C = Sigma (I - A^2)^{-1} is kept as a fast path but is
-only trusted when it is both symmetric and an actual solution of the Lyapunov
-equation; on graphs with heterogeneous degrees it generally is not, even when
-it happens to be symmetric (see README notes on the closed-form regime).
-With noise inversely proportional to degree, A Sigma is symmetric and the
-exact direct form is the other ordering, (I - A^2)^{-1} Sigma; on irregular
-graphs the candidate Sigma (I - A^2)^{-1} is then asymmetric and is rejected.
+C = A C A' + Sigma. ``moments`` solves it exactly from the eigendecomposition
+that ``normalize`` stores: A = D^-1/2 S D^1/2 with S = Q diag(lam) Q'
+symmetric, so C = D^-1/2 Q [Q' (D Sigma) Q / (1 - lam lam')] Q' D^-1/2.
+The doubling solver ``covariance_lyapunov`` and the guarded direct formula
+``covariance_closed_form`` stay as independent oracles for the tests.
+
+The direct formula Sigma (I - A^2)^{-1} is only trusted when it is both
+symmetric and an actual solution of the Lyapunov equation; on graphs with
+heterogeneous degrees it generally is not, even when it happens to be
+symmetric (see README notes on the closed-form regime). When A Sigma is
+symmetric, for example with noise inversely proportional to degree, the exact
+direct form is the other ordering, (I - A^2)^{-1} Sigma; ``moments`` tags that
+regime "closed-form".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -64,11 +70,22 @@ class ClosedFormResult:
 
 @dataclass(frozen=True)
 class EquilibriumMoments:
+    """Equilibrium mean and covariance, with the regime ``C`` falls in.
+
+    ``method_tag`` is "closed-form" when A Sigma is symmetric, the regime
+    where C = (I - A^2)^{-1} Sigma holds exactly, and "lyapunov" otherwise.
+    ``C`` comes from the same spectral solve either way.
+    """
+
     mu: np.ndarray
     C: np.ndarray
-    H: np.ndarray
     rho: float
     method_tag: str  # "lyapunov" or "closed-form"
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """Precision C^{-1}, factorized on first read."""
+        return precision(self.C)
 
 
 def spectral_radius(A: np.ndarray, tol: float = 1e-10,
@@ -173,21 +190,26 @@ def precision_direct(A: np.ndarray, noise: NoiseModel) -> np.ndarray:
 
 
 def moments(ops: NetworkOperators, noise: NoiseModel, u: np.ndarray,
-            lyapunov_tol: float = DEFAULT_LYAPUNOV_TOL,
-            sym_tol: float = DEFAULT_SYMMETRY_TOL,
-            prefer_closed_form: bool = True) -> EquilibriumMoments:
-    """Full equilibrium moments; uses the closed form only when accepted."""
+            sym_tol: float = DEFAULT_SYMMETRY_TOL) -> EquilibriumMoments:
+    """Full equilibrium moments from the spectrum of ``ops``.
+
+    ``sym_tol`` bounds the relative asymmetry of A Sigma under which the
+    instance is tagged "closed-form"; it does not change C.
+    """
     if len(noise.sigma2) != ops.n_regular:
         raise ValueError("noise model size must equal the number of regular nodes")
+    if not sym_tol >= 0:
+        raise ValueError(f"symmetry tolerance must be nonnegative, got {sym_tol}")
     mu = mean(ops, u)
-    method = "lyapunov"
-    C = None
-    if prefer_closed_form:
-        cf = covariance_closed_form(ops.A, noise, sym_tol=sym_tol)
-        if cf.accepted:
-            C = cf.covariance
-            method = "closed-form"
-    if C is None:
-        C = covariance_lyapunov(ops.A, noise, tol=lyapunov_tol)
-    H = precision(C)
-    return EquilibriumMoments(mu=mu, C=C, H=H, rho=ops.rho, method_tag=method)
+    lam, Q = ops.eigvals, ops.eigvecs
+    d = ops.w[list(ops.regular)]
+    noise_t = (Q.T * (d * noise.sigma2)) @ Q       # Q' (D Sigma) Q
+    X = Q @ (noise_t / (1.0 - np.outer(lam, lam))) @ Q.T
+    scale = 1.0 / np.sqrt(d)
+    C = scale[:, None] * X * scale[None, :]
+    C = (C + C.T) / 2.0
+    A_sigma = ops.A * noise.sigma2[None, :]
+    asym = np.linalg.norm(A_sigma - A_sigma.T)
+    method = ("closed-form" if asym <= sym_tol * np.linalg.norm(A_sigma)
+              else "lyapunov")
+    return EquilibriumMoments(mu=mu, C=C, rho=ops.rho, method_tag=method)

@@ -1,13 +1,13 @@
 """Weighted undirected social graphs with a stubborn/regular node partition.
 
 A graph is stored as a dense symmetric weight matrix plus the set of stubborn
-node indices. Normalization derives the row-stochastic interaction matrix P
-and its regular/stubborn blocks A and B used by the equilibrium computations.
+node indices. Normalization derives the row-stochastic interaction matrix P,
+its regular/stubborn blocks A and B used by the equilibrium computations, and
+the eigendecomposition of the symmetric matrix similar to A.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
@@ -68,7 +68,14 @@ class SocialGraph:
 
 @dataclass(frozen=True)
 class NetworkOperators:
-    """Row-stochastic P and its regular/stubborn blocks A = P_RR, B = P_RS."""
+    """Row-stochastic P and its regular/stubborn blocks A = P_RR, B = P_RS.
+
+    With D = diag(w_R) the strengths of the regular nodes (edges to stubborn
+    nodes included), A = D^-1 W_RR is similar to the symmetric matrix
+    S = D^-1/2 W_RR D^-1/2 = Q diag(eigvals) Q'. ``eigvals`` (ascending) and
+    the orthonormal ``eigvecs`` Q are that decomposition, and ``rho`` is
+    max |eigvals|.
+    """
 
     P: np.ndarray
     A: np.ndarray
@@ -77,9 +84,11 @@ class NetworkOperators:
     regular: tuple[int, ...]
     stubborn: tuple[int, ...]
     rho: float
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
 
     def __post_init__(self):
-        for name in ("P", "A", "B", "w"):
+        for name in ("P", "A", "B", "w", "eigvals", "eigvecs"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -113,10 +122,12 @@ def validate_reachability(g: SocialGraph) -> ReachabilityReport:
 
 
 def normalize(g: SocialGraph, rho_margin: float = 1e-10) -> NetworkOperators:
-    """Derive P = diag(w)^-1 W and the blocks A, B; asserts Schur stability of A."""
-    # Spectral radius is imported lazily to avoid a module cycle.
-    from .equilibrium import spectral_radius
+    """Derive P = diag(w)^-1 W, the blocks A, B and the spectrum of A.
 
+    One symmetric eigendecomposition of D^-1/2 W_RR D^-1/2 gives the
+    eigenpairs stored on the result and the spectral radius of A; raises
+    unless A is Schur stable.
+    """
     report = validate_reachability(g)
     if not report.ok:
         raise ReachabilityError(report.message)
@@ -135,11 +146,15 @@ def normalize(g: SocialGraph, rho_margin: float = 1e-10) -> NetworkOperators:
     S = list(g.stubborn)
     A = P[np.ix_(R, R)] if R else np.zeros((0, 0))
     B = P[np.ix_(R, S)] if R else np.zeros((0, len(S)))
-    rho = spectral_radius(A) if R else 0.0
+    scale = 1.0 / np.sqrt(w[R])
+    eigvals, eigvecs = np.linalg.eigh(
+        scale[:, None] * g.weights[np.ix_(R, R)] * scale[None, :])
+    rho = float(np.max(np.abs(eigvals))) if R else 0.0
     if rho >= 1.0 - rho_margin:
         raise ReachabilityError(f"spectral radius of A is {rho:.12f}, expected < 1")
     return NetworkOperators(P=P, A=A, B=B, w=w, regular=tuple(R),
-                            stubborn=tuple(S), rho=rho)
+                            stubborn=tuple(S), rho=rho, eigvals=eigvals,
+                            eigvecs=eigvecs)
 
 
 def two_hop_graph(g: SocialGraph) -> SocialGraph:
@@ -226,15 +241,6 @@ def save_graph(g: SocialGraph, edges_path: str | Path,
     if stubborn_path is not None:
         stub = "\n".join(str(g.labels[i]) for i in g.stubborn)
         Path(stubborn_path).write_text(stub + "\n", encoding="utf-8")
-
-
-def graph_to_text(g: SocialGraph) -> str:
-    buf = io.StringIO()
-    for i in range(g.n_nodes):
-        for j in range(i + 1, g.n_nodes):
-            if g.weights[i, j] > 0:
-                buf.write(f"{g.labels[i]} {g.labels[j]} {g.weights[i, j]:.12g}\n")
-    return buf.getvalue()
 
 
 def generate_watts_strogatz(n: int, k: int, beta: float, seed: int,

@@ -10,9 +10,10 @@ direct covariance formula is provably valid (symmetric averaging operator,
 commuting noise).  The second covers irregular graphs: with noise
 proportional to degree the candidate Sigma (I - A^2)^{-1} is symmetric but
 not the stationary covariance, and the test asserts that the guard rejects it
-and the solver falls back to Lyapunov; with noise inversely proportional to
-degree the direct form (I - A^2)^{-1} Sigma is exact, and the test asserts it
-against the stationary solver (see test body).
+and that moments() still returns the stationary covariance; with noise
+inversely proportional to degree the direct form (I - A^2)^{-1} Sigma is
+exact, and the test asserts it and moments() against the stationary solver
+(see test body).
 """
 
 import itertools
@@ -98,16 +99,18 @@ def test_criterion_02_closed_form_noise_proportional_to_degree_irregular():
     # Sigma (I - A^2)^{-1} = c D^{1/2} (I - S^2)^{-1} D^{1/2} is exactly
     # symmetric, but it does not satisfy C = A C A' + Sigma unless D commutes
     # with S.  The candidate is a trap: the guard must reject it on its
-    # Lyapunov residual and moments() must fall back to the doubling solver.
+    # Lyapunov residual, and moments() must tag the instance "lyapunov" and
+    # return the stationary covariance, not the candidate.
     #
     # Noise inversely proportional to degree, sigma_i^2 = c / w_i (per-edge
     # transmission errors averaged over an unweighted neighbourhood): here
     # A Sigma = c D^{-1} W_RR D^{-1} is symmetric, so A Sigma A' = A^2 Sigma
-    # and C = (I - A^2)^{-1} Sigma exactly.  This is not the fast path's
-    # ordering Sigma (I - A^2)^{-1}, which is asymmetric here; it may only be
-    # accepted if it is right.
+    # and C = (I - A^2)^{-1} Sigma exactly; moments() tags this regime
+    # "closed-form".  This is not the fast path's ordering
+    # Sigma (I - A^2)^{-1}, which is asymmetric here; it may only be accepted
+    # if it is right.
     min_residual = min_rel = np.inf
-    worst_direct = 0.0
+    worst_direct = worst_moments = 0.0
     accepted_inverse = 0
     for seed in range(20):
         g = generate_random_reachable(12, 2, seed)
@@ -128,7 +131,11 @@ def test_criterion_02_closed_form_noise_proportional_to_degree_irregular():
         assert rel > 1e-2, f"relative error {rel:.3e} (seed={seed})"
         m = moments(ops, noise, u)
         assert m.method_tag == "lyapunov"
-        np.testing.assert_array_equal(m.C, C)
+        rel_m = np.linalg.norm(m.C - C) / np.linalg.norm(C)
+        assert rel_m <= 1e-12, (
+            f"moments() is not the stationary covariance: relative error "
+            f"{rel_m:.3e} (seed={seed})")
+        worst_moments = max(worst_moments, rel_m)
         min_residual = min(min_residual, cf.lyapunov_residual)
         min_rel = min(min_rel, rel)
 
@@ -141,6 +148,12 @@ def test_criterion_02_closed_form_noise_proportional_to_degree_irregular():
             f"(I - A^2)^-1 Sigma is not the stationary covariance under "
             f"inverse-degree noise: relative error {rel:.3e} (seed={seed})")
         worst_direct = max(worst_direct, rel)
+        m = moments(ops, noise, u)
+        assert m.method_tag == "closed-form", f"regime not tagged (seed={seed})"
+        rel_m = np.linalg.norm(m.C - direct) / np.linalg.norm(direct)
+        assert rel_m <= 1e-8, (
+            f"moments() differs from (I - A^2)^-1 Sigma: relative error "
+            f"{rel_m:.3e} (seed={seed})")
         cf = covariance_closed_form(ops.A, noise)
         if cf.accepted:
             accepted_inverse += 1
@@ -148,9 +161,10 @@ def test_criterion_02_closed_form_noise_proportional_to_degree_irregular():
                     <= 1e-8), f"accepted a wrong candidate (seed={seed})"
     print("PASS criterion 2 (irregular): sigma^2 ~ w candidate symmetric but "
           f"rejected on 20/20 (min residual {min_residual:.2e}, min relative "
-          f"error {min_rel:.2e}), Lyapunov fallback used; sigma^2 ~ 1/w "
-          f"(I - A^2)^-1 Sigma matches <= {worst_direct:.2e} rel, fast path "
-          f"accepted on {accepted_inverse}/20")
+          f"error {min_rel:.2e}), moments() matches the stationary solver "
+          f"<= {worst_moments:.2e} rel; sigma^2 ~ 1/w (I - A^2)^-1 Sigma "
+          f"matches <= {worst_direct:.2e} rel and moments() is tagged "
+          f"closed-form, fast path accepted on {accepted_inverse}/20")
 
 
 def test_criterion_03_conservation():

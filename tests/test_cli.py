@@ -101,6 +101,26 @@ def test_select_validation_errors(ws_files, tmp_path):
                     "--k", "2", "--sigma2", str(bad)]) == 2
 
 
+def test_select_tol_sym_passed_through(ws_files, tmp_path, monkeypatch):
+    from opinionselect import equilibrium
+    seen = []
+    real = equilibrium.moments
+
+    def spy(ops, noise, u, sym_tol=equilibrium.DEFAULT_SYMMETRY_TOL):
+        seen.append(sym_tol)
+        return real(ops, noise, u, sym_tol=sym_tol)
+
+    monkeypatch.setattr(equilibrium, "moments", spy)
+    edges, stub = ws_files
+    base = ["select", "--graph", edges, "--stubborn-file", stub, "--k", "2",
+            "--out", str(tmp_path / "sel.json")]
+    assert run_cli(base) == 0
+    assert run_cli(base + ["--tol-sym", "0"]) == 0
+    assert seen == [equilibrium.DEFAULT_SYMMETRY_TOL, 0.0]
+    monkeypatch.setattr(equilibrium, "moments", real)
+    assert run_cli(base + ["--tol-sym", "-0.001"]) == 2
+
+
 def test_select_seeded_reproducible(ws_files, tmp_path):
     edges, stub = ws_files
     docs = []

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from opinionselect import (NoiseModel, covariance_closed_form,
-                           covariance_lyapunov, generate_random_reachable,
-                           generate_random_regular, mean, moments, normalize,
-                           precision, precision_direct, spectral_radius)
+from opinionselect import (NoiseModel, SocialGraph, covariance_closed_form,
+                           covariance_lyapunov, generate_cycle,
+                           generate_random_reachable, generate_random_regular,
+                           mean, moments, normalize, precision,
+                           precision_direct, spectral_radius)
 from conftest import random_instance, series_covariance
 
 
@@ -190,3 +191,42 @@ def test_moments_convenience_method_tags():
     mom2 = moments(ops2, noise2, np.zeros(len(ops2.stubborn)))
     assert mom2.method_tag == "lyapunov"
     assert np.linalg.norm(mom2.H @ mom2.C - np.eye(mom2.C.shape[0])) < 1e-8
+
+
+def _path_instance(n):
+    """Path of n unit edges with a stubborn node at one end."""
+    W = np.zeros((n + 1, n + 1))
+    for i in range(n):
+        W[i, i + 1] = W[i + 1, i] = 1.0
+    return normalize(SocialGraph(weights=W, stubborn=(0,)))
+
+
+def test_moments_spectral_solve_matches_oracles():
+    cases = []
+    for seed in range(10):
+        ops, noise, C_ly = random_instance(seed, n=12, n_stubborn=2)
+        cases.append((ops, noise, C_ly, series_covariance(ops.A, noise.sigma2)))
+    # bipartite regular block: the path left by one stubborn node on a cycle
+    ops = normalize(generate_cycle(12, 1))
+    assert abs(ops.eigvals[0] + ops.rho) <= 1e-12  # lambda = -rho
+    noise = NoiseModel(np.linspace(0.5, 2.0, ops.n_regular))
+    C_ly = covariance_lyapunov(ops.A, noise)
+    cases.append((ops, noise, C_ly, series_covariance(ops.A, noise.sigma2)))
+    # near-unit spectral radius: long path hanging off one stubborn node
+    ops = _path_instance(60)
+    assert 1.0 - ops.rho < 1e-3
+    noise = NoiseModel(np.random.default_rng(0).uniform(0.5, 2.0, ops.n_regular))
+    cases.append((ops, noise, covariance_lyapunov(ops.A, noise), None))
+
+    for ops, noise, C_ly, C_series in cases:
+        rho = np.max(np.abs(np.linalg.eigvals(ops.A)))
+        assert abs(ops.rho - rho) <= 1e-12
+        mom = moments(ops, noise, np.zeros(len(ops.stubborn)))
+        C = mom.C
+        assert np.linalg.norm(C - C_ly) <= 1e-10 * np.linalg.norm(C_ly)
+        if C_series is not None:
+            assert (np.linalg.norm(C - C_series)
+                    <= 1e-10 * np.linalg.norm(C_series))
+        res = np.linalg.norm(C - ops.A @ C @ ops.A.T - noise.matrix)
+        assert res <= 1e-10 * np.linalg.norm(C)
+        np.testing.assert_array_equal(mom.H, precision(C))
