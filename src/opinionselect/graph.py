@@ -1,9 +1,10 @@
 """Weighted undirected social graphs with a stubborn/regular node partition.
 
 A graph is stored as a dense symmetric weight matrix plus the set of stubborn
-node indices. Normalization derives the row-stochastic interaction matrix P,
-its regular/stubborn blocks A and B used by the equilibrium computations, and
-the eigendecomposition of the symmetric matrix similar to A.
+node indices. Normalization derives the regular rows of the row-stochastic
+interaction matrix diag(w)^-1 W, split into the regular/stubborn blocks A and
+B used by the equilibrium computations, and the eigendecomposition of the
+symmetric matrix similar to A.
 """
 
 from __future__ import annotations
@@ -68,16 +69,15 @@ class SocialGraph:
 
 @dataclass(frozen=True)
 class NetworkOperators:
-    """Row-stochastic P and its regular/stubborn blocks A = P_RR, B = P_RS.
+    """Regular rows A = D^-1 W_RR, B = D^-1 W_RS of the row-stochastic matrix.
 
-    With D = diag(w_R) the strengths of the regular nodes (edges to stubborn
-    nodes included), A = D^-1 W_RR is similar to the symmetric matrix
-    S = D^-1/2 W_RR D^-1/2 = Q diag(eigvals) Q'. ``eigvals`` (ascending) and
-    the orthonormal ``eigvecs`` Q are that decomposition, and ``rho`` is
-    max |eigvals|.
+    D = diag(w_R) holds the strengths of the regular nodes (edges to stubborn
+    nodes included), so every row of [A | B] sums to one. A is similar to the
+    symmetric matrix S = D^-1/2 W_RR D^-1/2 = Q diag(eigvals) Q'.
+    ``eigvals`` (ascending) and the orthonormal ``eigvecs`` Q are that
+    decomposition, and ``rho`` is max |eigvals|.
     """
 
-    P: np.ndarray
     A: np.ndarray
     B: np.ndarray
     w: np.ndarray
@@ -88,7 +88,7 @@ class NetworkOperators:
     eigvecs: np.ndarray
 
     def __post_init__(self):
-        for name in ("P", "A", "B", "w", "eigvals", "eigvecs"):
+        for name in ("A", "B", "w", "eigvals", "eigvecs"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -122,7 +122,7 @@ def validate_reachability(g: SocialGraph) -> ReachabilityReport:
 
 
 def normalize(g: SocialGraph, rho_margin: float = 1e-10) -> NetworkOperators:
-    """Derive P = diag(w)^-1 W, the blocks A, B and the spectrum of A.
+    """Derive the blocks A = W_RR / w_R, B = W_RS / w_R and the spectrum of A.
 
     One symmetric eigendecomposition of D^-1/2 W_RR D^-1/2 gives the
     eigenpairs stored on the result and the spectral radius of A; raises
@@ -136,23 +136,18 @@ def normalize(g: SocialGraph, rho_margin: float = 1e-10) -> NetworkOperators:
     if any(w[i] == 0 for i in regular):
         isolated = [i for i in regular if w[i] == 0]
         raise GraphError(f"isolated regular node(s): {isolated}")
-    P = np.zeros_like(g.weights)
-    for i in range(g.n_nodes):
-        if w[i] > 0:
-            P[i] = g.weights[i] / w[i]
-        else:
-            P[i, i] = 1.0  # isolated stubborn node: absorbing row
     R = list(regular)
     S = list(g.stubborn)
-    A = P[np.ix_(R, R)] if R else np.zeros((0, 0))
-    B = P[np.ix_(R, S)] if R else np.zeros((0, len(S)))
+    W_RR = g.weights[np.ix_(R, R)]
+    w_R = w[R][:, None]
+    A = W_RR / w_R
+    B = g.weights[np.ix_(R, S)] / w_R
     scale = 1.0 / np.sqrt(w[R])
-    eigvals, eigvecs = np.linalg.eigh(
-        scale[:, None] * g.weights[np.ix_(R, R)] * scale[None, :])
+    eigvals, eigvecs = np.linalg.eigh(scale[:, None] * W_RR * scale[None, :])
     rho = float(np.max(np.abs(eigvals))) if R else 0.0
     if rho >= 1.0 - rho_margin:
         raise ReachabilityError(f"spectral radius of A is {rho:.12f}, expected < 1")
-    return NetworkOperators(P=P, A=A, B=B, w=w, regular=tuple(R),
+    return NetworkOperators(A=A, B=B, w=w, regular=tuple(R),
                             stubborn=tuple(S), rho=rho, eigvals=eigvals,
                             eigvecs=eigvecs)
 

@@ -1,9 +1,10 @@
 """Exact and greedy observation-subset selection.
 
-The greedy path never re-inverts: it maintains M = (C_KK)^-1 and extends it
-one row/column at a time through the Schur complement, so each marginal-gain
-evaluation costs O(|K|^2). Exact selection enumerates all subsets and doubles
-as the oracle for the greedy guarantee and for the incremental algebra.
+The greedy path keeps the covariance conditioned on the chosen set K, so the
+gain of candidate i is r_i^2 / d_i with r = (C|K)1, d = diag(C|K), and each
+pick is one rank-1 downdate in O(|K| n). Exact selection enumerates all
+subsets and doubles as the oracle for the greedy guarantee and for the
+incremental algebra.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import itertools
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +25,22 @@ SCHUR_GUARD = 1e-12
 
 @dataclass
 class GreedyState:
-    """Incrementally maintained state of one greedy run."""
+    """C|K = C - L'L of one greedy run through r = (C|K)1 and d = diag(C|K);
+    row t of L is the pivoted-Cholesky column of the t-th chosen node."""
 
-    chosen: list[int] = field(default_factory=list)
-    M: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))  # (C1)_K
+    chosen: list[int]
+    r: np.ndarray
+    d: np.ndarray
+    L: np.ndarray
     f_current: float = 0.0
     eval_count: int = 0
+
+    @classmethod
+    def start(cls, C: np.ndarray) -> GreedyState:
+        """The empty-set state: r = C1, d = diag C."""
+        n = C.shape[0]
+        return cls(chosen=[], r=C @ np.ones(n), d=np.diag(C).copy(),
+                   L=np.zeros((0, n)))
 
 
 @dataclass(frozen=True)
@@ -45,48 +55,34 @@ class SelectionResult:
     method: str
 
 
-def _gain_parts(state: GreedyState, C: np.ndarray, i: int, c1: np.ndarray):
-    b = C[state.chosen, i]
-    schur = float(C[i, i] - b @ (state.M @ b))
-    z = float(c1[i])
-    num = z - float(b @ (state.M @ state.v))
-    return b, schur, num
-
-
-def marginal_gain(state: GreedyState, C: np.ndarray, i: int,
-                  c1: np.ndarray | None = None) -> float:
-    """F(K + i) - F(K) without touching the state. Raises on degenerate Schur."""
-    if i in state.chosen:
-        raise ValueError(f"candidate {i} already chosen")
-    if c1 is None:
-        c1 = C @ np.ones(C.shape[0])
-    _, schur, num = _gain_parts(state, C, i, c1)
+def _schur(state: GreedyState, C: np.ndarray, i: int) -> float:
+    """d_i = (C|K)_ii; raises when it is degenerate relative to C_ii."""
+    schur = float(state.d[i])
     if schur <= SCHUR_GUARD * C[i, i]:
         raise NumericalError(
             f"degenerate Schur complement {schur:.3e} for candidate {i}")
-    return num * num / schur
+    return schur
 
 
-def extend_inverse(state: GreedyState, C: np.ndarray, i: int,
-                   c1: np.ndarray | None = None) -> GreedyState:
-    """Return the state with node i inserted; M grows by the block formula."""
-    if c1 is None:
-        c1 = C @ np.ones(C.shape[0])
-    b, schur, num = _gain_parts(state, C, i, c1)
-    if schur <= SCHUR_GUARD * C[i, i]:
-        raise NumericalError(
-            f"degenerate Schur complement {schur:.3e} for node {i}")
-    k = len(state.chosen)
-    Mb = state.M @ b
-    M_new = np.empty((k + 1, k + 1))
-    M_new[:k, :k] = state.M + np.outer(Mb, Mb) / schur
-    M_new[:k, k] = -Mb / schur
-    M_new[k, :k] = -Mb / schur
-    M_new[k, k] = 1.0 / schur
+def marginal_gain(state: GreedyState, C: np.ndarray, i: int) -> float:
+    """F(K + i) - F(K) without touching the state. Raises on degenerate Schur."""
+    if i in state.chosen:
+        raise ValueError(f"candidate {i} already chosen")
+    r_i = float(state.r[i])
+    return r_i * r_i / _schur(state, C, i)
+
+
+def extend_inverse(state: GreedyState, C: np.ndarray, i: int) -> GreedyState:
+    """Return the state with node i inserted: one rank-1 downdate of C|K."""
+    schur = _schur(state, C, i)
+    root = math.sqrt(schur)
+    r_i = float(state.r[i])
+    col = (C[i] - state.L[:, i] @ state.L) / root
     return GreedyState(chosen=state.chosen + [int(i)],
-                       M=M_new,
-                       v=np.append(state.v, c1[i]),
-                       f_current=state.f_current + num * num / schur,
+                       r=state.r - col * (r_i / root),
+                       d=state.d - col * col,
+                       L=np.vstack([state.L, col]),
+                       f_current=state.f_current + r_i * r_i / schur,
                        eval_count=state.eval_count)
 
 
@@ -96,9 +92,8 @@ def greedy_select(C: np.ndarray, s: int) -> SelectionResult:
     if not (0 <= s <= n):
         raise ValueError(f"cardinality s={s} out of range for {n} regular nodes")
     t0 = time.perf_counter()
-    c1 = C @ np.ones(n)
     vy = var_y(C)
-    state = GreedyState()
+    state = GreedyState.start(C)
     gains: list[float] = []
     f_values = [0.0]
     for _ in range(s):
@@ -108,7 +103,7 @@ def greedy_select(C: np.ndarray, s: int) -> SelectionResult:
                 continue
             state.eval_count += 1
             try:
-                gain = marginal_gain(state, C, i, c1)
+                gain = marginal_gain(state, C, i)
             except NumericalError as exc:
                 warnings.warn(f"skipping candidate {i}: {exc}")
                 continue
@@ -116,7 +111,7 @@ def greedy_select(C: np.ndarray, s: int) -> SelectionResult:
                 best_gain, best_i = gain, i
         if best_i < 0:
             raise NumericalError("all candidates degenerate in this round")
-        state = extend_inverse(state, C, best_i, c1)
+        state = extend_inverse(state, C, best_i)
         gains.append(best_gain)
         f_values.append(state.f_current)
     wall = time.perf_counter() - t0

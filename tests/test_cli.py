@@ -200,17 +200,22 @@ def test_curve_max_k_zero(ws_files, tmp_path):
     assert float(lines[1].split(",")[2]) == pytest.approx(100.0)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def test_validate_suites_pass(tmp_path):
-    assert run_cli(["validate", "--suite", "incremental", "--trials", "5",
-                    "--seed", "0"]) == 0
-    assert run_cli(["validate", "--suite", "greedy-guarantee", "--trials", "5",
-                    "--seed", "0"]) == 0
-    out = tmp_path / "sub.json"
-    assert run_cli(["validate", "--suite", "submodularity", "--trials", "10",
-                    "--max-r", "6", "--seed", "0", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["validation"]["ok"] is True
+    for suite, extra in [("incremental", ["--trials", "5"]),
+                         ("greedy-guarantee", ["--trials", "5"]),
+                         ("submodularity", ["--trials", "10", "--max-r", "6"])]:
+        out = tmp_path / f"{suite}.json"
+        assert run_cli(["validate", "--suite", suite, *extra, "--seed", "0",
+                        "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
+        assert doc["validation"]["ok"] is True
     assert doc["validation"]["min_slack_f"] >= -1e-9
+    # regular graphs with uniform noise are all closed-form: no rejected class
+    assert doc["validation"]["min_slack_rejected_instances"] is None
 
 
 def test_validate_moments_small(tmp_path):

@@ -13,10 +13,10 @@ from conftest import naive_best_subset, naive_f, random_instance
 
 def test_marginal_gain_from_empty_equals_single_node_score():
     _, _, C = random_instance(0, n=8)
-    state = GreedyState()
+    state = GreedyState.start(C)
     c1 = C @ np.ones(C.shape[0])
     for i in range(C.shape[0]):
-        gain = marginal_gain(state, C, i, c1)
+        gain = marginal_gain(state, C, i)
         assert gain == pytest.approx(c1[i] ** 2 / C[i, i], rel=1e-12)
         assert gain == pytest.approx(f_score(C, [i]), rel=1e-10)
 
@@ -24,8 +24,7 @@ def test_marginal_gain_from_empty_equals_single_node_score():
 def test_marginal_gain_diagonal_independent_of_state():
     sigma2 = np.array([1.0, 3.0, 2.0, 0.5])
     C = np.diag(sigma2)
-    state = GreedyState()
-    state = extend_inverse(state, C, 1)
+    state = extend_inverse(GreedyState.start(C), C, 1)
     for i in (0, 2, 3):
         assert marginal_gain(state, C, i) == pytest.approx(sigma2[i])
 
@@ -35,7 +34,7 @@ def test_marginal_gain_matches_direct_evaluation_exhaustive():
     for seed in range(10):
         _, _, C = random_instance(seed, n=8, n_stubborn=2)
         n = C.shape[0]
-        state = GreedyState()
+        state = GreedyState.start(C)
         for _ in range(n):
             f_here = f_score(C, state.chosen)
             best_i, best_gain = -1, -np.inf
@@ -56,7 +55,7 @@ def test_marginal_gain_random_larger_instances():
         n = int(rng.integers(10, 40))
         _, _, C = random_instance(trial, n=n + 3, n_stubborn=3)
         m = C.shape[0]
-        state = GreedyState()
+        state = GreedyState.start(C)
         for _ in range(min(5, m)):
             i = int(rng.choice([j for j in range(m) if j not in state.chosen]))
             gain = marginal_gain(state, C, i)
@@ -67,7 +66,7 @@ def test_marginal_gain_random_larger_instances():
 
 def test_marginal_gain_rejects_chosen_candidate():
     _, _, C = random_instance(1, n=6)
-    state = extend_inverse(GreedyState(), C, 2)
+    state = extend_inverse(GreedyState.start(C), C, 2)
     with pytest.raises(ValueError):
         marginal_gain(state, C, 2)
 
@@ -80,20 +79,22 @@ def test_marginal_gain_degenerate_schur():
     C[2, :2] = base[0]
     C[:2, 2] = base[0]
     C[2, 2] = base[0, 0]
-    state = extend_inverse(GreedyState(), C, 0)
+    state = extend_inverse(GreedyState.start(C), C, 0)
     with pytest.raises(NumericalError, match="Schur"):
         marginal_gain(state, C, 2)
 
 
 def test_extend_inverse_first_insertion_and_identity():
     _, _, C = random_instance(2, n=9)
-    state = extend_inverse(GreedyState(), C, 4)
-    assert np.allclose(state.M, [[1.0 / C[4, 4]]])
-    for i in (0, 6, 2, 5):
+    ones = np.ones(C.shape[0])
+    state = GreedyState.start(C)
+    for i in (4, 0, 6, 2, 5):
         state = extend_inverse(state, C, i)
         K = state.chosen
-        CKK = C[np.ix_(K, K)]
-        assert np.linalg.norm(state.M @ CKK - np.eye(len(K))) < 1e-8
+        # C|K = C - C_:K C_KK^-1 C_K: through an explicit inverse
+        cond = C - C[:, K] @ np.linalg.inv(C[np.ix_(K, K)]) @ C[K]
+        assert np.linalg.norm(state.r - cond @ ones) < 1e-8
+        assert np.linalg.norm(state.d - np.diag(cond)) < 1e-8
         assert state.f_current == pytest.approx(f_score(C, K), rel=1e-8)
 
 
@@ -102,6 +103,26 @@ def test_greedy_diagonal_picks_largest_variances():
     res = greedy_select(C, 2)
     assert res.chosen == (1, 2)
     assert res.gains == pytest.approx((5.0, 3.0))
+
+
+def test_greedy_skips_degenerate_twin():
+    # node n duplicates node j: once j is chosen, (C|K)_nn = 0 and greedy
+    # skips the twin with a warning in every later round
+    _, _, C0 = random_instance(3, n=12, n_stubborn=2)
+    n = C0.shape[0]
+    j = greedy_select(C0, 1).chosen[0]
+    idx = list(range(n)) + [j]
+    C = C0[np.ix_(idx, idx)]
+    with pytest.warns(UserWarning) as record:
+        res = greedy_select(C, n)
+    skips = [w for w in record
+             if f"skipping candidate {n}: degenerate Schur" in str(w.message)]
+    assert sorted(res.chosen) == list(range(n))   # the twin is never picked
+    assert len(skips) == n - 1 - res.chosen.index(j) > 0
+    assert res.eval_count == (n + 1) * n - n * (n - 1) // 2
+    for t in range(n + 1):
+        assert res.f_values[t] == pytest.approx(f_score(C, res.chosen[:t]),
+                                                rel=1e-8, abs=1e-12)
 
 
 def test_greedy_eval_count_law():
