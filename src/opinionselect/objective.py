@@ -3,6 +3,12 @@
 All quantities are carried at the unnormalized scale F(K) = (C1)_K' (C_KK)^-1
 (C1)_K; dividing by |R|^2 recovers the probabilistic variances but changes no
 argmax. F and G always satisfy F(K) + G(K) = 1'C1.
+
+Every F, G and estimator evaluation ends in one small symmetric positive
+definite solve, a single LAPACK ``dposv`` call (Cholesky factor and both
+triangular solves) between a finiteness check that LAPACK does not make and
+a degenerate-pivot check. Per subset, exact selection pays that call, the
+product C1 and a gather of C_KK.
 """
 
 from __future__ import annotations
@@ -11,9 +17,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dposv
 
 from .errors import NumericalError
+
+SCHUR_GUARD = 1e-12
 
 
 def _check_set(K: Sequence[int], n: int) -> list[int]:
@@ -26,10 +34,30 @@ def _check_set(K: Sequence[int], n: int) -> list[int]:
 
 
 def _spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return cho_solve(cho_factor(M), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("principal submatrix not positive definite") from exc
+    """x with M x = rhs for a symmetric positive definite block M.
+
+    The squared Cholesky pivot U_jj^2 is the Schur complement of the j-th
+    index given those before it; as in greedy selection, one at or below
+    SCHUR_GUARD * M_jj counts as singular. Rounding leaves a tiny positive
+    pivot on some exactly singular blocks, and the solve is garbage there.
+    """
+    # LAPACK does not check its inputs: NaN passes through with info == 0
+    if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    U, x, info = dposv(M, rhs)
+    # a Python loop: on blocks of a few nodes it beats four NumPy calls
+    if info != 0 or any(u * u <= SCHUR_GUARD * m for u, m in
+                        zip(U.diagonal().tolist(), M.diagonal().tolist())):
+        raise NumericalError("principal submatrix not positive definite")
+    return x
+
+
+def _gather(C: np.ndarray, K: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(C1)_K and C_KK."""
+    # (C1)_K is read from the full product, not summed from the rows C[K]:
+    # BLAS sums a block of a few rows in another order, which would move F
+    # in its last bits with |K| and the position of each node in K.
+    return (C @ np.ones(C.shape[0])).take(K), C.take(K, 0).take(K, 1)
 
 
 @dataclass(frozen=True)
@@ -56,8 +84,7 @@ def f_score(C: np.ndarray, K: Sequence[int]) -> float:
     K = _check_set(K, C.shape[0])
     if not K:
         return 0.0
-    v = (C @ np.ones(C.shape[0]))[K]
-    CKK = C[np.ix_(K, K)]
+    v, CKK = _gather(C, K)
     return float(v @ _spd_solve(CKK, v))
 
 
@@ -96,8 +123,8 @@ def estimator_coefficients(C: np.ndarray, K: Sequence[int],
     ybar = float(np.sum(mu)) / n
     if not K:
         return np.zeros(0), ybar
-    rhs = (C @ np.ones(n) / n)[K]
-    alpha = _spd_solve(C[np.ix_(K, K)], rhs)
+    c1, CKK = _gather(C, K)
+    alpha = _spd_solve(CKK, c1 / n)
     intercept = ybar - float(alpha @ np.asarray(mu)[K])
     return alpha, intercept
 

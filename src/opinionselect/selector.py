@@ -13,20 +13,19 @@ import itertools
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BudgetExceededError, NumericalError
-from .objective import f_score, g_score, var_y
-
-SCHUR_GUARD = 1e-12
+from .objective import SCHUR_GUARD, f_score, g_score, var_y
 
 
 @dataclass
 class GreedyState:
     """C|K = C - L'L of one greedy run through r = (C|K)1 and d = diag(C|K);
-    row t of L is the pivoted-Cholesky column of the t-th chosen node."""
+    row t of L is the pivoted-Cholesky column of the t-th chosen node.
+    ``members`` is ``chosen`` as a set, for O(1) membership tests."""
 
     chosen: list[int]
     r: np.ndarray
@@ -34,6 +33,10 @@ class GreedyState:
     L: np.ndarray
     f_current: float = 0.0
     eval_count: int = 0
+    members: frozenset[int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.members = frozenset(self.chosen)
 
     @classmethod
     def start(cls, C: np.ndarray) -> GreedyState:
@@ -66,7 +69,7 @@ def _schur(state: GreedyState, C: np.ndarray, i: int) -> float:
 
 def marginal_gain(state: GreedyState, C: np.ndarray, i: int) -> float:
     """F(K + i) - F(K) without touching the state. Raises on degenerate Schur."""
-    if i in state.chosen:
+    if i in state.members:
         raise ValueError(f"candidate {i} already chosen")
     r_i = float(state.r[i])
     return r_i * r_i / _schur(state, C, i)
@@ -99,7 +102,7 @@ def greedy_select(C: np.ndarray, s: int) -> SelectionResult:
     for _ in range(s):
         best_i, best_gain = -1, -np.inf
         for i in range(n):
-            if i in state.chosen:
+            if i in state.members:
                 continue
             state.eval_count += 1
             try:
@@ -230,13 +233,12 @@ def submodularity_audit(C: np.ndarray, H: np.ndarray | None = None,
             continue
         A = [i for i in B if rng.random() < 0.5]
         k = int(rng.choice([i for i in range(n) if i not in B]))
-        dF = (f_score(C, A + [k]) - f_score(C, A)) \
-            - (f_score(C, B + [k]) - f_score(C, B))
-        dG = (g_score(H, B + [k]) - g_score(H, B)) \
-            - (g_score(H, A + [k]) - g_score(H, A))
-        if dF < -tol * (1.0 + abs(f_score(C, B + [k]))):
+        f_Bk, g_Bk = f_score(C, B + [k]), g_score(H, B + [k])
+        dF = (f_score(C, A + [k]) - f_score(C, A)) - (f_Bk - f_score(C, B))
+        dG = (g_Bk - g_score(H, B)) - (g_score(H, A + [k]) - g_score(H, A))
+        if dF < -tol * (1.0 + abs(f_Bk)):
             viol_f += 1
-        if dG < -tol * (1.0 + abs(g_score(H, B + [k]))):
+        if dG < -tol * (1.0 + abs(g_Bk)):
             viol_g += 1
         min_f = min(min_f, dF)
         min_g = min(min_g, dG)

@@ -166,3 +166,61 @@ def test_single_node_reduction_formula_on_accepted_instances():
         for k in range(ops.n_regular):
             assert f_score(cf.covariance, [k]) == pytest.approx(
                 s2 * eta[k], rel=1e-10)
+
+
+def _spd(seed, n):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, n))
+    return X @ X.T + n * np.eye(n)
+
+
+@pytest.mark.parametrize("b", range(1, 9))
+def test_solve_helper_matches_explicit_inverse(b):
+    # F and the estimator on a b-node block B of C, G on the b-node block
+    # B of H, each against an explicit inverse of that block
+    n = 10
+    C = _spd(b, n)
+    H = np.linalg.inv(C)
+    rng = np.random.default_rng(100 + b)
+    for _ in range(5):
+        B = sorted(rng.choice(n, size=b, replace=False).tolist())
+        rest = [i for i in range(n) if i not in B]
+        assert f_score(C, B) == pytest.approx(naive_f(C, B), rel=1e-12)
+        ones = np.ones(b)
+        g_oracle = ones @ np.linalg.inv(H[np.ix_(B, B)]) @ ones
+        assert g_score(H, rest) == pytest.approx(g_oracle, rel=1e-12)
+        alpha, _ = estimator_coefficients(C, B)
+        a_oracle = np.linalg.inv(C[np.ix_(B, B)]) @ (C @ np.ones(n))[B] / n
+        assert np.linalg.norm(alpha - a_oracle) <= 1e-12 * np.linalg.norm(a_oracle)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_raise_value_error(bad):
+    # K = [1, 3]: (3, 1) lies in the triangle the Cholesky factor never
+    # reads, and (1, 0) reaches F and the estimator only through (C1)_K
+    K, rest = [1, 3], [0, 2, 4, 5]
+    for pos in [(1, 1), (3, 1), (1, 0)]:
+        M = _spd(0, 6)
+        M[pos] = bad
+        with pytest.raises(ValueError):
+            f_score(M, K)
+        with pytest.raises(ValueError):
+            estimator_coefficients(M, K)
+        if pos != (1, 0):
+            with pytest.raises(ValueError):
+                g_score(M, rest)
+
+
+def test_twin_block_raises_numerical_error():
+    # node n copies node j, so a block holding both is singular; rounding
+    # can leave its last Cholesky pivot tiny but positive
+    for seed in range(10):
+        _, _, C0 = random_instance(seed, n=10, n_stubborn=2)
+        H0 = precision(C0)
+        n = C0.shape[0]
+        for j in range(n):
+            idx = list(range(n)) + [j]
+            with pytest.raises(NumericalError):
+                f_score(C0[np.ix_(idx, idx)], [j, n])
+            with pytest.raises(NumericalError):
+                g_score(H0[np.ix_(idx, idx)], [])

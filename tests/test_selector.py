@@ -182,6 +182,31 @@ def test_exact_matches_independent_brute_force():
             assert tuple(sorted(res.chosen)) == K_oracle
 
 
+@pytest.fixture
+def f_score_calls(monkeypatch):
+    """The list of the sets K that selector passes to f_score."""
+    import opinionselect.selector as selector
+    calls = []
+
+    def spy(C, K):
+        calls.append(K)
+        return f_score(C, K)
+
+    monkeypatch.setattr(selector, "f_score", spy)
+    return calls
+
+
+def test_exact_f_score_count_law(f_score_calls):
+    # one f_score call per size-s subset, then one per prefix of the optimum
+    for seed, (n, s) in enumerate([(5, 0), (6, 1), (8, 3), (9, 4), (7, 7)]):
+        _, _, C = random_instance(seed, n=n + 2, n_stubborn=2)
+        assert C.shape[0] == n
+        f_score_calls.clear()
+        res = exact_select(C, s)
+        assert res.eval_count == math.comb(n, s)
+        assert len(f_score_calls) == math.comb(n, s) + s + 1
+
+
 def test_exact_budget_guard():
     C = np.eye(40)
     with pytest.raises(BudgetExceededError):
@@ -254,9 +279,10 @@ def test_audit_heterogeneous_instances_recorded_only():
     assert seen_violation  # at least one genuine counterexample in this batch
 
 
-def test_audit_sampled_mode():
+def test_audit_sampled_mode(f_score_calls):
     _, _, C = random_instance(0, n=14, n_stubborn=3)
     rep = submodularity_audit(C, budget=8, n_samples=200, seed=1)
     assert not rep.exhaustive
     assert rep.n_checks == 200
+    assert len(f_score_calls) <= 4 * rep.n_checks   # F(A), F(A+k), F(B), F(B+k)
     assert np.isfinite(rep.min_slack_f) and np.isfinite(rep.min_slack_g)
