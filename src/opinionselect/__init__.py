@@ -19,6 +19,7 @@ from .selector import (AuditReport, GreedyState, GuaranteeReport,
                        greedy_select, guarantee_check, marginal_gain,
                        submodularity_audit)
 from .centrality import (NodeScores, RankingReport, bonacich, eta_scores,
-                         intercentrality, ranking_report, var_reduction_scores)
+                         intercentrality, kendall_tau_b, ranking_report,
+                         var_reduction_scores)
 from .simulate import (EmpiricalMoments, SimConfig, empirical_moments,
                        horizon_for, simulate)

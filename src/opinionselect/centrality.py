@@ -2,6 +2,8 @@
 
 The eta score of the regular-block operator coincides with the Ballester-style
 intercentrality computed on the weighted 2-hop operator A^2 with attenuation 1.
+Rankings are compared by Kendall's tau-b, computed here in O(n log n) with
+numpy alone (Knight 1966), so that scoring does not load ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .errors import NumericalError
 from .equilibrium import spectral_radius
@@ -69,6 +70,83 @@ def intercentrality(G: np.ndarray, a: float) -> NodeScores:
     return NodeScores(scores=b * b / np.diag(M), measure="intercentrality")
 
 
+def _dense_ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks 0, 1, ... of the distinct values of a, equal values sharing one."""
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    ranks = np.empty(a.size, dtype=np.intp)
+    ranks[order] = np.cumsum(np.r_[False, s[1:] != s[:-1]])
+    return ranks
+
+
+def _tied_pairs(sorted_keys: np.ndarray) -> int:
+    """Pairs sharing a value, given the values in sorted order."""
+    bounds = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1], True])
+    runs = np.diff(bounds).astype(np.int64)
+    return int((runs * (runs - 1) // 2).sum())
+
+
+def _inversions(a: np.ndarray) -> int:
+    """Pairs i < j with a[i] > a[j] in an array of nonnegative integers.
+
+    Bottom-up merge sort: at width w the array is a run of sorted blocks of
+    length w. Each block pair gets its own value range (offset p * stride), so
+    one searchsorted over all left blocks counts, for every right entry, the
+    left entries not above it, and gives its place in the merged block.
+    """
+    size = 1 << max(a.size - 1, 0).bit_length()
+    stride = int(a.max()) + 2 if a.size else 1
+    # padding sits at the end and above every value: it adds no inversion
+    a = np.concatenate([a, np.full(size - a.size, stride - 1, dtype=a.dtype)])
+    inversions = 0
+    width = 1
+    while width < size:
+        pairs = size // (2 * width)
+        offset = np.repeat(np.arange(pairs) * stride, width)
+        blocks = a.reshape(pairs, 2, width)
+        left = blocks[:, 0].ravel() + offset
+        right = blocks[:, 1].ravel() + offset
+        start = np.repeat(np.arange(pairs) * width, width)
+        left_le = np.searchsorted(left, right, side="right") - start
+        right_lt = np.searchsorted(right, left, side="left") - start
+        inversions += int(right.size * width - left_le.sum())
+        local = np.tile(np.arange(width), pairs)
+        merged = np.empty_like(a)
+        merged[2 * start + local + right_lt] = blocks[:, 0].ravel()
+        merged[2 * start + local + left_le] = blocks[:, 1].ravel()
+        a = merged
+        width *= 2
+    return inversions
+
+
+def kendall_tau_b(x, y) -> float:
+    """Kendall's tau-b of two equal-length vectors, in O(n log n).
+
+    Knight's (1966) method: sort the pairs by (x, y), count the tied pairs
+    from run lengths and the discordant pairs as the inversions of y in that
+    order. NaN when either vector is constant, shorter than 2 or holds a NaN.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.size != y.size:
+        raise ValueError("Kendall tau needs vectors of equal length")
+    n = x.size
+    tot = n * (n - 1) // 2
+    if n < 2 or np.isnan(x).any() or np.isnan(y).any():
+        return float("nan")
+    rx, ry = _dense_ranks(x), _dense_ranks(y)
+    order = np.lexsort((ry, rx))
+    rx, ry = rx[order], ry[order]
+    x_tie = _tied_pairs(rx)
+    y_tie = _tied_pairs(np.sort(ry))
+    if x_tie == tot or y_tie == tot:
+        return float("nan")
+    joint_tie = _tied_pairs(rx * (int(ry.max()) + 1) + ry)
+    con_minus_dis = tot - x_tie - y_tie + joint_tie - 2 * _inversions(ry)
+    tau = con_minus_dis / np.sqrt(tot - x_tie) / np.sqrt(tot - y_tie)
+    return float(min(1.0, max(-1.0, tau)))
+
+
 @dataclass(frozen=True)
 class RankingReport:
     measures: tuple[str, ...]
@@ -78,15 +156,15 @@ class RankingReport:
 
 
 def ranking_report(scores: list[NodeScores]) -> RankingReport:
-    """Side-by-side normalized scores, per-measure argmax, pairwise Kendall tau."""
+    """Side-by-side normalized scores, per-measure argmax, pairwise Kendall tau-b
+    (NaN for a pair where either vector is constant)."""
     sizes = {len(s.scores) for s in scores}
     if len(sizes) != 1:
         raise ValueError("score vectors cover different node sets")
     table = np.vstack([s.normalized for s in scores])
     taus = {}
     for s1, s2 in combinations(scores, 2):
-        tau, _ = kendalltau(s1.scores, s2.scores)
-        taus[(s1.measure, s2.measure)] = float(tau)
+        taus[(s1.measure, s2.measure)] = kendall_tau_b(s1.scores, s2.scores)
     return RankingReport(measures=tuple(s.measure for s in scores),
                          normalized=table,
                          argmax={s.measure: s.argmax for s in scores},

@@ -199,7 +199,9 @@ def cmd_score(args) -> int:
         "scores": {s.measure: list(s.scores) for s in scores},
         "normalized_scores": {s.measure: list(s.normalized) for s in scores},
         "argmax": {m: regular_labels[i] for m, i in rep.argmax.items()},
-        "kendall_tau": {f"{a}|{b}": v for (a, b), v in rep.kendall_tau.items()},
+        # null, not NaN, where tau is undefined (a constant score vector)
+        "kendall_tau": {f"{a}|{b}": None if math.isnan(v) else v
+                        for (a, b), v in rep.kendall_tau.items()},
         "regular_labels": regular_labels,
         "notes": ["single-node variance reduction follows the quadratic-form "
                   "objective, i.e. sigma_k^2 * eta_k on accepted closed-form "

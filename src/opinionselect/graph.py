@@ -5,6 +5,11 @@ node indices. Normalization derives the regular rows of the row-stochastic
 interaction matrix diag(w)^-1 W, split into the regular/stubborn blocks A and
 B used by the equilibrium computations, and the eigendecomposition of the
 symmetric matrix similar to A.
+
+Reachability is a breadth-first search over the dense adjacency. networkx is
+imported only inside the two generators that draw from it (Watts-Strogatz and
+random regular), so loading, normalizing and validating a graph need numpy
+alone.
 """
 
 from __future__ import annotations
@@ -13,9 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
-import networkx as nx
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import GraphError, ReachabilityError
 
@@ -103,18 +106,35 @@ class ReachabilityReport:
     message: str
 
 
+def _reach(adj: np.ndarray, start: np.ndarray, unseen: np.ndarray) -> np.ndarray:
+    """Breadth-first search from ``start``; marks and returns the nodes reached."""
+    found = [start]
+    unseen[start] = False
+    frontier = start
+    while frontier.size:
+        frontier = np.flatnonzero(adj[frontier].any(axis=0) & unseen)
+        unseen[frontier] = False
+        found.append(frontier)
+    return np.concatenate(found)
+
+
 def validate_reachability(g: SocialGraph) -> ReachabilityReport:
-    """Check that every component containing a regular node has a stubborn node."""
+    """Check that every component containing a regular node has a stubborn node.
+
+    One search starts from all stubborn nodes at once; each regular node it
+    leaves unseen then starts an orphan component of its own, so orphans come
+    ordered by their smallest member. O(n^2) on the dense adjacency.
+    """
     if not g.regular:
         return ReachabilityReport(True, (), "no regular agents (vacuously reachable)")
-    adj = (g.weights > 0).astype(np.int8)
-    n_comp, comp = connected_components(adj, directed=False)
-    stub = set(g.stubborn)
+    adj = g.weights > 0
+    unseen = np.ones(g.n_nodes, dtype=bool)
+    _reach(adj, np.array(g.stubborn, dtype=np.intp), unseen)
     orphans = []
-    for c in range(n_comp):
-        members = np.flatnonzero(comp == c)
-        if stub.isdisjoint(members) and len(members) > 0:
-            orphans.append(tuple(int(i) for i in members))
+    for i in g.regular:
+        if unseen[i]:
+            members = np.sort(_reach(adj, np.array([i]), unseen))
+            orphans.append(tuple(int(m) for m in members))
     if orphans:
         msg = f"{len(orphans)} component(s) contain regular nodes but no stubborn node"
         return ReachabilityReport(False, tuple(orphans), msg)
@@ -253,6 +273,8 @@ def generate_watts_strogatz(n: int, k: int, beta: float, seed: int,
         raise GraphError("beta must lie in [0, 1]")
     if not (0 <= n_stubborn < n):
         raise GraphError("require 0 <= n_stubborn < n")
+    import networkx as nx
+
     gnx = nx.connected_watts_strogatz_graph(n, k, beta, tries=1000, seed=int(seed))
     W = np.zeros((n, n))
     for i, j in gnx.edges:
@@ -309,6 +331,8 @@ def generate_random_regular(n: int, degree: int, seed: int,
     """
     if n_stubborn >= n:
         raise GraphError("require n_stubborn < n")
+    import networkx as nx
+
     for attempt in range(100):
         gnx = nx.random_regular_graph(degree, n, seed=int(seed) + attempt * 7919)
         if nx.is_connected(gnx):

@@ -3,8 +3,9 @@
 The greedy path keeps the covariance conditioned on the chosen set K, so the
 gain of candidate i is r_i^2 / d_i with r = (C|K)1, d = diag(C|K), and each
 pick is one rank-1 downdate in O(|K| n). Exact selection enumerates all
-subsets and doubles as the oracle for the greedy guarantee and for the
-incremental algebra.
+subsets, skipping degenerate ones as greedy skips degenerate candidates, and
+doubles as the oracle for the greedy guarantee and for the incremental
+algebra.
 """
 
 from __future__ import annotations
@@ -127,7 +128,12 @@ def greedy_select(C: np.ndarray, s: int) -> SelectionResult:
 
 def exact_select(C: np.ndarray, s: int, max_subsets: int = 10 ** 7,
                  max_nodes: int = 25) -> SelectionResult:
-    """Enumerate all size-s subsets; ties go to the lexicographically smallest."""
+    """Enumerate all size-s subsets; ties go to the lexicographically smallest.
+
+    A subset whose block is degenerate is skipped with a warning, as greedy
+    skips such a candidate; only when every subset is degenerate does this
+    raise ``NumericalError``.
+    """
     n = C.shape[0]
     if not (0 <= s <= n):
         raise ValueError(f"cardinality s={s} out of range for {n} regular nodes")
@@ -142,9 +148,15 @@ def exact_select(C: np.ndarray, s: int, max_subsets: int = 10 ** 7,
     count = 0
     for K in itertools.combinations(range(n), s):
         count += 1
-        f = f_score(C, K)
+        try:
+            f = f_score(C, K)
+        except NumericalError as exc:
+            warnings.warn(f"skipping subset {K}: {exc}")
+            continue
         if f > best_f:
             best_f, best_K = f, K
+    if len(best_K) < s:
+        raise NumericalError(f"all {count} subsets of size {s} degenerate")
     f_values = [f_score(C, best_K[:t]) for t in range(s + 1)]
     wall = time.perf_counter() - t0
     return SelectionResult(chosen=best_K,

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import kendalltau
 
 from opinionselect import (NoiseModel, bonacich, covariance_lyapunov,
                            eta_scores, f_score, generate_cycle,
-                           intercentrality, normalize, ranking_report,
-                           var_reduction_scores)
+                           intercentrality, kendall_tau_b, normalize,
+                           ranking_report, var_reduction_scores)
 from opinionselect.errors import NumericalError
 from conftest import random_instance
 
@@ -114,3 +117,44 @@ def test_ws15_var_reduction_vs_bonacich_recorded(ws15_instance):
     rep = ranking_report([var_reduction_scores(C), bonacich(ops.A, 1.0)])
     assert set(rep.argmax) == {"var_reduction", "bonacich"}
     assert -1.0 <= rep.kendall_tau[("var_reduction", "bonacich")] <= 1.0
+
+
+def _scipy_tau(x, y):
+    """scipy.stats.kendalltau, the oracle; it warns on samples below 2."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return float(kendalltau(x, y)[0])
+
+
+def _tau_cases():
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 5, 17, 64, 300):
+        yield rng.random(n), rng.random(n)                     # distinct
+        yield (rng.integers(0, 3, n).astype(float),            # heavy ties
+               rng.integers(0, 2, n).astype(float))
+        x = rng.random(n)
+        yield x, -x                                            # reversed
+        yield x, x.copy()                                      # identical
+        y = np.round(x, 1)
+        yield x, y[::-1]                                       # ties in y only
+    yield np.array([1.0, 2.0]), np.array([2.0, 1.0])           # n = 2
+    yield np.array([1.0, 1.0]), np.array([1.0, 2.0])           # constant x
+    yield np.ones(6), np.arange(6.0)
+    yield np.arange(6.0), np.full(6, 3.0)
+    yield np.array([1.0]), np.array([2.0])                     # n = 1
+    yield np.array([]), np.array([])
+    yield np.array([1.0, np.nan, 3.0]), np.array([1.0, 2.0, 3.0])
+    yield np.array([0.0, -0.0, np.inf, -np.inf]), np.array([3.0, 1.0, 2.0, 0.0])
+    for _ in range(100):                                       # seeded ties
+        n = int(rng.integers(2, 200))
+        x = rng.integers(0, int(rng.integers(1, n + 1)), n).astype(float)
+        yield x, x + rng.integers(-1, 2, n) * (rng.random(n) < 0.3)
+
+
+def test_kendall_tau_b_matches_scipy_oracle():
+    for x, y in _tau_cases():
+        want, got = _scipy_tau(x, y), kendall_tau_b(x, y)
+        if np.isnan(want):
+            assert np.isnan(got), (x, y)
+        else:
+            assert abs(got - want) <= 1e-15, (x, y, got, want)

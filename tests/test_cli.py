@@ -1,9 +1,15 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opinionselect
+from opinionselect import generate_random_reachable, save_graph
 from opinionselect.cli import main
 
 
@@ -164,6 +170,64 @@ def test_score_unknown_measure(ws_files):
     edges, stub = ws_files
     assert run_cli(["score", "--graph", edges, "--stubborn-file", stub,
                     "--measures", "pagerank"]) == 2
+
+
+def test_score_undefined_tau_is_null(tmp_path):
+    # star around the stubborn hub: every score vector is constant
+    edges = tmp_path / "star.edges"
+    edges.write_text("0 1 1\n0 2 1\n0 3 1\n")
+    out = tmp_path / "star.json"
+    assert run_cli(["score", "--graph", str(edges), "--stubborn", "0",
+                    "--measures", "var_reduction,eta,bonacich",
+                    "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    assert doc["kendall_tau"] == {"var_reduction|eta": None,
+                                  "var_reduction|bonacich": None,
+                                  "eta|bonacich": None}
+
+
+_STARTUP_SCRIPT = textwrap.dedent("""
+    import json, sys
+    from opinionselect import cli
+    for argv in json.loads(sys.argv[1]):
+        assert cli.main(argv) == 0, argv
+    heavy = ("scipy.stats", "scipy.sparse", "networkx")
+    after_ops = [m for m in heavy if m in sys.modules]
+    assert cli.main(json.loads(sys.argv[2])) == 0
+    print(json.dumps({"after_ops": after_ops,
+                      "networkx_after_generate": "networkx" in sys.modules}))
+""")
+
+
+def test_commands_leave_heavy_imports_unloaded(tmp_path):
+    # select, curve and score need numpy and scipy.linalg alone; only the
+    # graph generators import networkx, and nothing imports scipy.stats or
+    # scipy.sparse. A fresh interpreter sees what the commands load.
+    prefix = tmp_path / "g"
+    save_graph(generate_random_reachable(14, 3, seed=5),
+               f"{prefix}.edges", f"{prefix}.stubborn")
+    graph = ["--graph", f"{prefix}.edges", "--stubborn-file",
+             f"{prefix}.stubborn", "--seed", "5"]
+    ops = [["select", *graph, "--k", "3", "--out", str(tmp_path / "s.json")],
+           ["curve", *graph, "--max-k", "2", "--methods", "greedy,exact",
+            "--out", str(tmp_path / "c.csv")],
+           ["score", *graph, "--measures",
+            "var_reduction,eta,bonacich,intercentrality",
+            "--out", str(tmp_path / "score.json")]]
+    generate = ["generate", "--model", "ws", "--n", "15", "--n-stubborn", "3",
+                "--seed", "7", "--out-prefix", str(tmp_path / "ws")]
+    src = str(Path(opinionselect.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT, json.dumps(ops),
+         json.dumps(generate)], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"after_ops": [], "networkx_after_generate": True}
+    assert (tmp_path / "ws.edges").stat().st_size > 0
+    assert json.loads((tmp_path / "score.json").read_text())["kendall_tau"]
 
 
 def test_curve_csv(ws_files, tmp_path):

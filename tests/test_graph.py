@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from opinionselect import (GraphError, ReachabilityError, SocialGraph,
                            generate_cycle, generate_random_reachable,
@@ -210,6 +211,52 @@ def test_validate_reachability_reports():
     only_stub = SocialGraph(weights=np.zeros((2, 2)), stubborn=(0, 1))
     rep2 = validate_reachability(only_stub)
     assert rep2.ok and "no regular agents" in rep2.message
+
+
+def _orphans_oracle(g):
+    """Components without a stubborn node, from scipy's connected components."""
+    n_comp, comp = connected_components(g.weights > 0, directed=False)
+    members = [tuple(int(i) for i in np.flatnonzero(comp == c))
+               for c in range(n_comp)]
+    stub = set(g.stubborn)
+    return tuple(sorted(m for m in members if stub.isdisjoint(m)))
+
+
+def _random_multicomponent_graph(rng, n):
+    """Sparse random weights, so most draws split into several components."""
+    density = rng.uniform(0.0, 3.0 / n)
+    W = np.triu(rng.uniform(0.5, 2.0, (n, n)) * (rng.random((n, n)) < density), 1)
+    return W + W.T
+
+
+def test_validate_reachability_matches_csgraph_oracle():
+    rng = np.random.default_rng(21)
+    graphs = []
+    for _ in range(150):
+        n = int(rng.integers(2, 40))
+        n_stub = int(rng.integers(0, n // 3 + 2))
+        stub = rng.choice(n, size=min(n_stub, n - 1), replace=False)
+        graphs.append(SocialGraph(weights=_random_multicomponent_graph(rng, n),
+                                  stubborn=tuple(int(i) for i in stub)))
+    # a long path cut in the middle, stubborn at one end, then at both ends
+    W = np.zeros((40, 40))
+    for i in range(39):
+        if i != 19:
+            W[i, i + 1] = W[i + 1, i] = 1.0
+    graphs += [SocialGraph(weights=W, stubborn=(0,)),
+               SocialGraph(weights=W, stubborn=(0, 39)),
+               SocialGraph(weights=W, stubborn=())]
+    n_failing = n_isolated = 0
+    for g in graphs:
+        rep = validate_reachability(g)
+        want = _orphans_oracle(g)
+        assert rep.orphan_components == want
+        assert rep.ok == (not want)
+        n_failing += not rep.ok
+        n_isolated += sum(len(c) == 1 for c in want)
+    assert 0 < n_failing < len(graphs) and n_isolated > 0
+    assert validate_reachability(graphs[-3]).orphan_components == \
+        (tuple(range(20, 40)),)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -205,6 +206,46 @@ def test_exact_f_score_count_law(f_score_calls):
         res = exact_select(C, s)
         assert res.eval_count == math.comb(n, s)
         assert len(f_score_calls) == math.comb(n, s) + s + 1
+
+
+def test_exact_skips_degenerate_twin(f_score_calls):
+    # the twin instance of test_greedy_skips_degenerate_twin: node n copies
+    # node j, so every subset holding both is skipped with a warning
+    _, _, C0 = random_instance(3, n=12, n_stubborn=2)
+    n = C0.shape[0]
+    j = greedy_select(C0, 1).chosen[0]
+    idx = list(range(n)) + [j]
+    C = C0[np.ix_(idx, idx)]
+    s = 3
+    with pytest.warns(UserWarning):
+        greedy = greedy_select(C, s)
+    with pytest.warns(UserWarning) as record:
+        res = exact_select(C, s)
+    twins = [K for K in itertools.combinations(range(n + 1), s)
+             if j in K and n in K]
+    assert [str(w.message) for w in record] == [
+        f"skipping subset {K}: principal submatrix not positive definite"
+        for K in twins]
+    assert res.eval_count == math.comb(n + 1, s)
+    assert len(f_score_calls) == math.comb(n + 1, s) + s + 1
+    best, best_f = None, -np.inf
+    for K in itertools.combinations(range(n + 1), s):
+        if K in twins:
+            continue
+        f = naive_f(C, K)
+        if f > best_f:
+            best, best_f = K, f
+    assert res.chosen == best
+    assert res.f_values[-1] == pytest.approx(best_f, rel=1e-9)
+    assert res.f_values[-1] >= greedy.f_values[-1]
+
+
+def test_exact_all_subsets_degenerate_raises():
+    C = np.ones((4, 4))           # rank one: every pair is singular
+    assert exact_select(C, 1).chosen == (0,)
+    with pytest.warns(UserWarning):
+        with pytest.raises(NumericalError, match="all 6 subsets"):
+            exact_select(C, 2)
 
 
 def test_exact_budget_guard():
