@@ -51,11 +51,21 @@ def eta_scores(A: np.ndarray) -> NodeScores:
     return NodeScores(scores=b * b / np.diag(M), measure="eta")
 
 
+def _check_attenuation(G: np.ndarray, a: float) -> None:
+    """Raise unless the walk series of aG converges, i.e. |a| < 1/rho(G)."""
+    if a == 0:
+        return
+    rho = spectral_radius(np.asarray(G, float))
+    if abs(a) * rho >= 1.0:
+        raise NumericalError(
+            f"attenuation {a} too large: rho(G) = {rho:.6g}, so |a| must be "
+            f"below 1/rho(G) = {1.0 / rho:.6g}")
+
+
 def bonacich(G: np.ndarray, a: float) -> NodeScores:
     """Walk-counting centrality b = (I - aG)^{-1} 1."""
     n = G.shape[0]
-    if a != 0 and spectral_radius(np.abs(a) * np.asarray(G, float)) >= 1.0:
-        raise NumericalError("attenuation too large: rho(aG) >= 1")
+    _check_attenuation(G, a)
     b = np.linalg.solve(np.eye(n) - a * G, np.ones(n))
     return NodeScores(scores=b, measure="bonacich")
 
@@ -63,8 +73,7 @@ def bonacich(G: np.ndarray, a: float) -> NodeScores:
 def intercentrality(G: np.ndarray, a: float) -> NodeScores:
     """Key-player score c_k = b_k^2 / M_kk with M = (I - aG)^{-1}."""
     n = G.shape[0]
-    if a != 0 and spectral_radius(np.abs(a) * np.asarray(G, float)) >= 1.0:
-        raise NumericalError("attenuation too large: rho(aG) >= 1")
+    _check_attenuation(G, a)
     M = np.linalg.solve(np.eye(n) - a * G, np.eye(n))
     b = M @ np.ones(n)
     return NodeScores(scores=b * b / np.diag(M), measure="intercentrality")

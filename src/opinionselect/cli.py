@@ -107,12 +107,15 @@ def _graph_summary(g: SocialGraph) -> dict:
             "n_regular": len(g.regular), "n_edges": g.n_edges}
 
 
+def _check_size(flag: str, k: int, g: SocialGraph) -> None:
+    if not 0 <= k <= len(g.regular):
+        raise GraphError(f"{flag} {k} is outside 0..{len(g.regular)}, "
+                         "the number of regular nodes")
+
+
 def _moments_for(args, g: SocialGraph):
     ops = normalize(g)
-    noise = _sigma2_from_args(args, g)
-    u = np.full(len(ops.stubborn), getattr(args, "u", 0.0))
-    mom = equilibrium.moments(ops, noise, u, sym_tol=args.tol_sym)
-    return ops, noise, mom
+    return ops, equilibrium.moments(ops, _sigma2_from_args(args, g))
 
 
 def cmd_generate(args) -> int:
@@ -138,9 +141,8 @@ def cmd_generate(args) -> int:
 def cmd_select(args) -> int:
     t0 = time.perf_counter()
     g = _load_graph_from_args(args)
-    ops, noise, mom = _moments_for(args, g)
-    if args.k > ops.n_regular:
-        raise GraphError(f"k={args.k} exceeds {ops.n_regular} regular nodes")
+    _check_size("--k", args.k, g)
+    ops, mom = _moments_for(args, g)
     if args.method == "greedy":
         result = selector.greedy_select(mom.C, args.k)
     else:
@@ -170,11 +172,11 @@ def cmd_select(args) -> int:
 def cmd_score(args) -> int:
     t0 = time.perf_counter()
     g = _load_graph_from_args(args)
-    ops, noise, mom = _moments_for(args, g)
     measures = [m.strip() for m in args.measures.split(",")]
     unknown = [m for m in measures if m not in centrality.MEASURES]
     if unknown:
         raise GraphError(f"unknown measure(s): {unknown}")
+    ops, mom = _moments_for(args, g)
     if args.matrix == "normalized":
         G = ops.A
     else:
@@ -214,24 +216,22 @@ def cmd_score(args) -> int:
 def cmd_curve(args) -> int:
     t0 = time.perf_counter()
     g = _load_graph_from_args(args)
-    ops, noise, mom = _moments_for(args, g)
     methods = [m.strip() for m in args.methods.split(",")]
     bad = [m for m in methods if m not in ("greedy", "exact")]
     if bad:
         raise GraphError(f"unknown method(s): {bad}")
-    if args.max_k > ops.n_regular:
-        raise GraphError("max-k exceeds the number of regular nodes")
+    _check_size("--max-k", args.max_k, g)
+    _, mom = _moments_for(args, g)
     rows = []
     for method in methods:
         if method == "greedy":
             result = selector.greedy_select(mom.C, args.max_k)
             fractions = [gv / result.var_y for gv in result.g_values]
         else:
-            vy = objective.var_y(mom.C)
             fractions = []
             for k in range(args.max_k + 1):
                 res = selector.exact_select(mom.C, k)
-                fractions.append(res.g_values[-1] / vy)
+                fractions.append(res.g_values[-1] / res.var_y)
         for k, frac in enumerate(fractions):
             rows.append((k, method, 100.0 * frac))
     if args.format == "csv":
@@ -256,15 +256,16 @@ def _suite_moments(args) -> dict:
     ops = normalize(g)
     noise = NoiseModel.uniform(ops.n_regular, 1.0)
     u = np.linspace(0.0, 1.0, len(ops.stubborn))
-    mom = equilibrium.moments(ops, noise, u)
+    mu = equilibrium.mean(ops, u)
+    C = equilibrium.moments(ops, noise).C
     worst = 0.0
     ok = True
     for family in NOISE_FAMILIES:
         cfg = SimConfig(replicas=args.replicas, seed=args.seed,
                                  u=u, noise_family=family)
         emp = empirical_moments(run_simulation(ops, noise, cfg))
-        dev_mean = np.max(np.abs(emp.mean - mom.mu) / emp.se_mean)
-        dev_cov = np.max(np.abs(emp.cov - mom.C) / emp.se_cov)
+        dev_mean = np.max(np.abs(emp.mean - mu) / emp.se_mean)
+        dev_cov = np.max(np.abs(emp.cov - C) / emp.se_cov)
         worst = max(worst, float(dev_mean), float(dev_cov))
         if dev_mean > 3.0 or dev_cov > 3.0:
             ok = False
@@ -285,7 +286,7 @@ def _suite_submodularity(args) -> dict:
         g = generate_random_regular(n, d, int(rng.integers(1 << 31)), n_stub)
         ops = normalize(g)
         noise = NoiseModel.uniform(ops.n_regular, float(rng.uniform(0.5, 2.0)))
-        mom = equilibrium.moments(ops, noise, np.zeros(len(ops.stubborn)))
+        mom = equilibrium.moments(ops, noise)
         rep = selector.submodularity_audit(mom.C, budget=args.max_r)
         if mom.method_tag == "closed-form":
             viol += rep.violations_f + rep.violations_g
@@ -311,7 +312,7 @@ def _suite_guarantee(args) -> dict:
         g = generate_random_reachable(n + 2, 2, int(rng.integers(1 << 31)))
         ops = normalize(g)
         noise = NoiseModel(rng.uniform(0.5, 2.0, ops.n_regular))
-        C = equilibrium.moments(ops, noise, np.zeros(len(ops.stubborn))).C
+        C = equilibrium.moments(ops, noise).C
         s = int(rng.integers(1, min(5, ops.n_regular) + 1))
         rep = selector.guarantee_check(C, s)
         worst = min(worst, rep.ratio)
@@ -328,7 +329,7 @@ def _suite_incremental(args) -> dict:
         g = generate_random_reachable(n + 3, 3, int(rng.integers(1 << 31)))
         ops = normalize(g)
         noise = NoiseModel(rng.uniform(0.5, 2.0, ops.n_regular))
-        C = equilibrium.moments(ops, noise, np.zeros(len(ops.stubborn))).C
+        C = equilibrium.moments(ops, noise).C
         s = int(rng.integers(1, min(10, ops.n_regular) + 1))
         res = selector.greedy_select(C, s)
         for t in range(1, s + 1):
@@ -368,12 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stubborn-file", help="one stubborn id per line")
         p.add_argument("--sigma2", default="uniform:1.0",
                        help="'uniform:VALUE' or a 'node sigma2' file")
-        p.add_argument("--u", type=float, default=0.0,
-                       help="constant stubborn opinion")
-        p.add_argument("--tol-sym", type=float,
-                       default=equilibrium.DEFAULT_SYMMETRY_TOL,
-                       help="relative asymmetry of A*Sigma below which the "
-                            "instance is reported as closed-form")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output file (atomic write)")
 

@@ -1,5 +1,7 @@
 """Equilibrium mean and covariance of the noisy averaging dynamics.
 
+``mean`` solves for the equilibrium mean; ``moments`` returns the covariance
+alone, because the objective and every score read C and never the mean.
 The covariance is defined by the discrete-time Lyapunov equation
 C = A C A' + Sigma. ``moments`` solves it exactly from the eigendecomposition
 that ``normalize`` stores: A = D^-1/2 S D^1/2 with S = Q diag(lam) Q'
@@ -19,7 +21,6 @@ regime "closed-form".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -70,22 +71,16 @@ class ClosedFormResult:
 
 @dataclass(frozen=True)
 class EquilibriumMoments:
-    """Equilibrium mean and covariance, with the regime ``C`` falls in.
+    """Equilibrium covariance, with the regime ``C`` falls in.
 
-    ``method_tag`` is "closed-form" when A Sigma is symmetric, the regime
-    where C = (I - A^2)^{-1} Sigma holds exactly, and "lyapunov" otherwise.
+    ``method_tag`` is "closed-form" when A Sigma is symmetric (relative
+    asymmetry at most ``DEFAULT_SYMMETRY_TOL``), the regime where
+    C = (I - A^2)^{-1} Sigma holds exactly, and "lyapunov" otherwise.
     ``C`` comes from the same spectral solve either way.
     """
 
-    mu: np.ndarray
     C: np.ndarray
-    rho: float
     method_tag: str  # "lyapunov" or "closed-form"
-
-    @cached_property
-    def H(self) -> np.ndarray:
-        """Precision C^{-1}, factorized on first read."""
-        return precision(self.C)
 
 
 def spectral_radius(A: np.ndarray, tol: float = 1e-10,
@@ -189,18 +184,10 @@ def precision_direct(A: np.ndarray, noise: NoiseModel) -> np.ndarray:
     return (np.eye(A.shape[0]) - A @ A) @ np.diag(1.0 / noise.sigma2)
 
 
-def moments(ops: NetworkOperators, noise: NoiseModel, u: np.ndarray,
-            sym_tol: float = DEFAULT_SYMMETRY_TOL) -> EquilibriumMoments:
-    """Full equilibrium moments from the spectrum of ``ops``.
-
-    ``sym_tol`` bounds the relative asymmetry of A Sigma under which the
-    instance is tagged "closed-form"; it does not change C.
-    """
+def moments(ops: NetworkOperators, noise: NoiseModel) -> EquilibriumMoments:
+    """Equilibrium covariance from the spectrum of ``ops``, with its regime tag."""
     if len(noise.sigma2) != ops.n_regular:
         raise ValueError("noise model size must equal the number of regular nodes")
-    if not sym_tol >= 0:
-        raise ValueError(f"symmetry tolerance must be nonnegative, got {sym_tol}")
-    mu = mean(ops, u)
     lam, Q = ops.eigvals, ops.eigvecs
     d = ops.w[list(ops.regular)]
     noise_t = (Q.T * (d * noise.sigma2)) @ Q       # Q' (D Sigma) Q
@@ -210,6 +197,7 @@ def moments(ops: NetworkOperators, noise: NoiseModel, u: np.ndarray,
     C = (C + C.T) / 2.0
     A_sigma = ops.A * noise.sigma2[None, :]
     asym = np.linalg.norm(A_sigma - A_sigma.T)
-    method = ("closed-form" if asym <= sym_tol * np.linalg.norm(A_sigma)
+    method = ("closed-form"
+              if asym <= DEFAULT_SYMMETRY_TOL * np.linalg.norm(A_sigma)
               else "lyapunov")
-    return EquilibriumMoments(mu=mu, C=C, rho=ops.rho, method_tag=method)
+    return EquilibriumMoments(C=C, method_tag=method)

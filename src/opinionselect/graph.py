@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import GraphError, ReachabilityError
 
+RHO_MARGIN = 1e-10
+
 
 @dataclass(frozen=True)
 class SocialGraph:
@@ -141,7 +143,7 @@ def validate_reachability(g: SocialGraph) -> ReachabilityReport:
     return ReachabilityReport(True, (), "every regular node can reach a stubborn node")
 
 
-def normalize(g: SocialGraph, rho_margin: float = 1e-10) -> NetworkOperators:
+def normalize(g: SocialGraph) -> NetworkOperators:
     """Derive the blocks A = W_RR / w_R, B = W_RS / w_R and the spectrum of A.
 
     One symmetric eigendecomposition of D^-1/2 W_RR D^-1/2 gives the
@@ -165,7 +167,7 @@ def normalize(g: SocialGraph, rho_margin: float = 1e-10) -> NetworkOperators:
     scale = 1.0 / np.sqrt(w[R])
     eigvals, eigvecs = np.linalg.eigh(scale[:, None] * W_RR * scale[None, :])
     rho = float(np.max(np.abs(eigvals))) if R else 0.0
-    if rho >= 1.0 - rho_margin:
+    if rho >= 1.0 - RHO_MARGIN:
         raise ReachabilityError(f"spectral radius of A is {rho:.12f}, expected < 1")
     return NetworkOperators(A=A, B=B, w=w, regular=tuple(R),
                             stubborn=tuple(S), rho=rho, eigvals=eigvals,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -55,7 +54,6 @@ class SelectionResult:
     g_values: tuple[float, ...]
     var_y: float
     eval_count: int
-    wall_time: float
     method: str
 
 
@@ -95,7 +93,6 @@ def greedy_select(C: np.ndarray, s: int) -> SelectionResult:
     n = C.shape[0]
     if not (0 <= s <= n):
         raise ValueError(f"cardinality s={s} out of range for {n} regular nodes")
-    t0 = time.perf_counter()
     vy = var_y(C)
     state = GreedyState.start(C)
     gains: list[float] = []
@@ -118,12 +115,11 @@ def greedy_select(C: np.ndarray, s: int) -> SelectionResult:
         state = extend_inverse(state, C, best_i)
         gains.append(best_gain)
         f_values.append(state.f_current)
-    wall = time.perf_counter() - t0
     return SelectionResult(chosen=tuple(state.chosen), gains=tuple(gains),
                            f_values=tuple(f_values),
                            g_values=tuple(vy - f for f in f_values),
                            var_y=vy, eval_count=state.eval_count,
-                           wall_time=wall, method="greedy")
+                           method="greedy")
 
 
 def exact_select(C: np.ndarray, s: int, max_subsets: int = 10 ** 7,
@@ -141,7 +137,6 @@ def exact_select(C: np.ndarray, s: int, max_subsets: int = 10 ** 7,
     if n > max_nodes and n_subsets > max_subsets:
         raise BudgetExceededError(
             f"C({n},{s}) = {n_subsets} subsets exceeds the budget of {max_subsets}")
-    t0 = time.perf_counter()
     vy = var_y(C)
     best_K: tuple[int, ...] = ()
     best_f = 0.0 if s == 0 else -np.inf
@@ -158,13 +153,11 @@ def exact_select(C: np.ndarray, s: int, max_subsets: int = 10 ** 7,
     if len(best_K) < s:
         raise NumericalError(f"all {count} subsets of size {s} degenerate")
     f_values = [f_score(C, best_K[:t]) for t in range(s + 1)]
-    wall = time.perf_counter() - t0
     return SelectionResult(chosen=best_K,
                            gains=tuple(np.diff(f_values)),
                            f_values=tuple(f_values),
                            g_values=tuple(vy - f for f in f_values),
-                           var_y=vy, eval_count=count,
-                           wall_time=wall, method="exact")
+                           var_y=vy, eval_count=count, method="exact")
 
 
 @dataclass(frozen=True)

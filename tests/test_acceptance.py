@@ -116,7 +116,6 @@ def test_criterion_02_closed_form_noise_proportional_to_degree_irregular():
         g = generate_random_reachable(12, 2, seed)
         ops = normalize(g)
         w = ops.w[list(ops.regular)]
-        u = np.ones(len(ops.stubborn))
 
         noise = NoiseModel(0.7 * w)
         cf = covariance_closed_form(ops.A, noise)
@@ -129,7 +128,7 @@ def test_criterion_02_closed_form_noise_proportional_to_degree_irregular():
         assert cf.lyapunov_residual > 1e-2, (
             f"residual {cf.lyapunov_residual:.3e} (seed={seed})")
         assert rel > 1e-2, f"relative error {rel:.3e} (seed={seed})"
-        m = moments(ops, noise, u)
+        m = moments(ops, noise)
         assert m.method_tag == "lyapunov"
         rel_m = np.linalg.norm(m.C - C) / np.linalg.norm(C)
         assert rel_m <= 1e-12, (
@@ -148,7 +147,7 @@ def test_criterion_02_closed_form_noise_proportional_to_degree_irregular():
             f"(I - A^2)^-1 Sigma is not the stationary covariance under "
             f"inverse-degree noise: relative error {rel:.3e} (seed={seed})")
         worst_direct = max(worst_direct, rel)
-        m = moments(ops, noise, u)
+        m = moments(ops, noise)
         assert m.method_tag == "closed-form", f"regime not tagged (seed={seed})"
         rel_m = np.linalg.norm(m.C - direct) / np.linalg.norm(direct)
         assert rel_m <= 1e-8, (

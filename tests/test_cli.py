@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -9,8 +11,8 @@ import numpy as np
 import pytest
 
 import opinionselect
-from opinionselect import generate_random_reachable, save_graph
-from opinionselect.cli import main
+from opinionselect import generate_random_reachable, load_graph, save_graph
+from opinionselect.cli import build_parser, main
 
 
 def run_cli(args):
@@ -107,24 +109,19 @@ def test_select_validation_errors(ws_files, tmp_path):
                     "--k", "2", "--sigma2", str(bad)]) == 2
 
 
-def test_select_tol_sym_passed_through(ws_files, tmp_path, monkeypatch):
-    from opinionselect import equilibrium
-    seen = []
-    real = equilibrium.moments
-
-    def spy(ops, noise, u, sym_tol=equilibrium.DEFAULT_SYMMETRY_TOL):
-        seen.append(sym_tol)
-        return real(ops, noise, u, sym_tol=sym_tol)
-
-    monkeypatch.setattr(equilibrium, "moments", spy)
-    edges, stub = ws_files
-    base = ["select", "--graph", edges, "--stubborn-file", stub, "--k", "2",
-            "--out", str(tmp_path / "sel.json")]
-    assert run_cli(base) == 0
-    assert run_cli(base + ["--tol-sym", "0"]) == 0
-    assert seen == [equilibrium.DEFAULT_SYMMETRY_TOL, 0.0]
-    monkeypatch.setattr(equilibrium, "moments", real)
-    assert run_cli(base + ["--tol-sym", "-0.001"]) == 2
+def test_graph_command_flags():
+    # the whole option surface of the graph commands: a new knob must be
+    # added here on purpose
+    graph = {"-h", "--help", "--graph", "--stubborn", "--stubborn-file",
+             "--sigma2", "--seed", "--out"}
+    expected = {"select": graph | {"--k", "--method"},
+                "score": graph | {"--measures", "--attenuation", "--matrix"},
+                "curve": graph | {"--max-k", "--methods", "--format"}}
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for name, flags in expected.items():
+        seen = {opt for a in commands[name]._actions for opt in a.option_strings}
+        assert seen == flags, name
 
 
 def test_select_seeded_reproducible(ws_files, tmp_path):
@@ -170,6 +167,32 @@ def test_score_unknown_measure(ws_files):
     edges, stub = ws_files
     assert run_cli(["score", "--graph", edges, "--stubborn-file", stub,
                     "--measures", "pagerank"]) == 2
+
+
+def test_score_adjacency_attenuation_bound(tmp_path, capsys):
+    # rho(G) >= 1 for a 0/1 adjacency, so the default attenuation 1.0 only
+    # suits --matrix normalized; the error states the bound 1/rho(G)
+    prefix = tmp_path / "ws30"
+    assert run_cli(["generate", "--model", "ws", "--n", "30",
+                    "--n-stubborn", "3", "--seed", "1",
+                    "--out-prefix", str(prefix)]) == 0
+    graph = ["score", "--graph", f"{prefix}.edges", "--stubborn-file",
+             f"{prefix}.stubborn", "--matrix", "adjacency",
+             "--measures", "bonacich,intercentrality",
+             "--out", str(tmp_path / "adj.json")]
+    capsys.readouterr()
+    assert run_cli(graph) == 4
+    err = capsys.readouterr().err
+    bound = float(re.search(r"1/rho\(G\) = ([0-9.e+-]+)", err).group(1))
+    g = load_graph(f"{prefix}.edges",
+                   [int(t) for t in Path(f"{prefix}.stubborn").read_text().split()])
+    R = list(g.regular)
+    rho = np.max(np.abs(np.linalg.eigvalsh((g.weights[np.ix_(R, R)] > 0)
+                                           .astype(float))))
+    assert bound == pytest.approx(1.0 / rho, rel=1e-5)
+    assert run_cli(graph + ["--attenuation", repr(bound / 2)]) == 0
+    doc = json.loads((tmp_path / "adj.json").read_text())
+    assert set(doc["scores"]) == {"bonacich", "intercentrality"}
 
 
 def test_score_undefined_tau_is_null(tmp_path):
@@ -252,6 +275,17 @@ def test_curve_csv(ws_files, tmp_path):
     exact = dict(by_method["exact"])
     for k in range(5):
         assert greedy[k] >= exact[k] - 1e-9
+
+
+def test_curve_rejects_out_of_range_max_k(ws_files, tmp_path):
+    edges, stub = ws_files
+    out = tmp_path / "never.csv"
+    for methods in ("exact", "greedy"):
+        for max_k in ("-1", "13"):
+            assert run_cli(["curve", "--graph", edges, "--stubborn-file", stub,
+                            "--max-k", max_k, "--methods", methods,
+                            "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_curve_max_k_zero(ws_files, tmp_path):

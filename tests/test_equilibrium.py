@@ -184,13 +184,14 @@ def test_moments_convenience_method_tags():
     g = generate_random_regular(10, 3, 2, 2)
     ops = normalize(g)
     noise = NoiseModel.uniform(ops.n_regular, 1.0)
-    mom = moments(ops, noise, np.zeros(len(ops.stubborn)))
+    mom = moments(ops, noise)
     assert mom.method_tag == "closed-form"
 
     ops2, noise2, _ = random_instance(5, n=10)
-    mom2 = moments(ops2, noise2, np.zeros(len(ops2.stubborn)))
+    mom2 = moments(ops2, noise2)
     assert mom2.method_tag == "lyapunov"
-    assert np.linalg.norm(mom2.H @ mom2.C - np.eye(mom2.C.shape[0])) < 1e-8
+    assert (np.linalg.norm(precision(mom2.C) @ mom2.C - np.eye(mom2.C.shape[0]))
+            < 1e-8)
 
 
 def _path_instance(n):
@@ -221,12 +222,10 @@ def test_moments_spectral_solve_matches_oracles():
     for ops, noise, C_ly, C_series in cases:
         rho = np.max(np.abs(np.linalg.eigvals(ops.A)))
         assert abs(ops.rho - rho) <= 1e-12
-        mom = moments(ops, noise, np.zeros(len(ops.stubborn)))
-        C = mom.C
+        C = moments(ops, noise).C
         assert np.linalg.norm(C - C_ly) <= 1e-10 * np.linalg.norm(C_ly)
         if C_series is not None:
             assert (np.linalg.norm(C - C_series)
                     <= 1e-10 * np.linalg.norm(C_series))
         res = np.linalg.norm(C - ops.A @ C @ ops.A.T - noise.matrix)
         assert res <= 1e-10 * np.linalg.norm(C)
-        np.testing.assert_array_equal(mom.H, precision(C))
