@@ -1,7 +1,18 @@
 """Node scoring: single-node variance reduction, eta, Bonacich, intercentrality.
 
-The eta score of the regular-block operator coincides with the Ballester-style
-intercentrality computed on the weighted 2-hop operator A^2 with attenuation 1.
+eta, Bonacich and intercentrality are walk-resolvent scores: with
+M = (I - aG)^{-1}, Bonacich is b = M1 and intercentrality is b_k^2 / M_kk.
+eta is intercentrality of the 2-hop operator A^2 with attenuation 1.
+
+On the regular-block operator A (``--matrix normalized``) they come from the
+spectrum ``normalize`` stores: A = D^-1/2 Q diag(lam) Q' D^1/2, so for
+f(lam) = 1/(1 - a lam) (or 1/(1 - lam^2) for eta)
+f(A) 1 = D^-1/2 Q [f(lam) * Q' D^1/2 1] and diag f(A) = (Q*Q) f(lam), the D
+factors cancelling on the diagonal. That is O(n^2), and the walk series
+converges iff |a| rho < 1, exact because lam is real. A dense matrix (the 0/1
+adjacency of ``--matrix adjacency``, which is not similar to A) takes one
+dense solve and a power-iteration check of rho(G).
+
 Rankings are compared by Kendall's tau-b, computed here in O(n log n) with
 numpy alone (Knight 1966), so that scoring does not load ``scipy.stats``.
 """
@@ -13,8 +24,9 @@ from itertools import combinations
 
 import numpy as np
 
+from . import equilibrium
 from .errors import NumericalError
-from .equilibrium import spectral_radius
+from .graph import NetworkOperators
 
 MEASURES = ("var_reduction", "eta", "bonacich", "intercentrality")
 
@@ -40,43 +52,60 @@ def var_reduction_scores(C: np.ndarray) -> NodeScores:
     return NodeScores(scores=v * v / np.diag(C), measure="var_reduction")
 
 
-def eta_scores(A: np.ndarray) -> NodeScores:
-    """eta_k = ((I - A^2)^{-1} 1)_k^2 / ((I - A^2)^{-1})_kk."""
-    n = A.shape[0]
-    try:
-        M = np.linalg.solve(np.eye(n) - A @ A, np.eye(n))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular (I - A^2)") from exc
-    b = M @ np.ones(n)
-    return NodeScores(scores=b * b / np.diag(M), measure="eta")
-
-
-def _check_attenuation(G: np.ndarray, a: float) -> None:
-    """Raise unless the walk series of aG converges, i.e. |a| < 1/rho(G)."""
-    if a == 0:
-        return
-    rho = spectral_radius(np.asarray(G, float))
-    if abs(a) * rho >= 1.0:
+def _check_attenuation(a: float, rho: float) -> None:
+    """Raise unless the walk series of aG converges, i.e. |a| rho(G) < 1."""
+    if not abs(a) * rho < 1.0:
+        bound = 1.0 / rho if rho > 0 else np.inf
         raise NumericalError(
             f"attenuation {a} too large: rho(G) = {rho:.6g}, so |a| must be "
-            f"below 1/rho(G) = {1.0 / rho:.6g}")
+            f"below 1/rho(G) = {bound:.6g}")
 
 
-def bonacich(G: np.ndarray, a: float) -> NodeScores:
-    """Walk-counting centrality b = (I - aG)^{-1} 1."""
+def _resolvent(G, a: float, hops: int = 1, diag: bool = True):
+    """(M1, diag M) for M = (I - a G^hops)^{-1}; diag M is None unless asked.
+
+    ``G`` is either the stored spectrum of A (``NetworkOperators``: O(n^2),
+    see the module docstring) or a dense matrix (one solve, O(n^3); it
+    solves for 1 alone when the diagonal is not asked for).
+    """
+    if isinstance(G, NetworkOperators):
+        _check_attenuation(a, G.rho ** hops)
+        f = 1.0 / (1.0 - a * G.eigvals ** hops)
+        Q = G.eigvecs
+        sqrt_d = np.sqrt(G.w[list(G.regular)])
+        b = Q @ (f * (sqrt_d @ Q)) / sqrt_d
+        return b, (Q * Q) @ f if diag else None
+    G = np.linalg.matrix_power(np.asarray(G, float), hops)
     n = G.shape[0]
-    _check_attenuation(G, a)
-    b = np.linalg.solve(np.eye(n) - a * G, np.ones(n))
+    _check_attenuation(a, equilibrium.spectral_radius(G))
+    if not diag:
+        return np.linalg.solve(np.eye(n) - a * G, np.ones(n)), None
+    M = np.linalg.solve(np.eye(n) - a * G, np.eye(n))
+    return M @ np.ones(n), np.diag(M)
+
+
+def eta_scores(ops: NetworkOperators) -> NodeScores:
+    """eta_k = ((I - A^2)^{-1} 1)_k^2 / ((I - A^2)^{-1})_kk."""
+    b, m = _resolvent(ops, 1.0, hops=2)
+    return NodeScores(scores=b * b / m, measure="eta")
+
+
+def bonacich(G, a: float) -> NodeScores:
+    """Walk-counting centrality b = (I - aG)^{-1} 1.
+
+    ``G`` is the ``NetworkOperators`` of A (spectral) or a dense matrix.
+    """
+    b, _ = _resolvent(G, a, diag=False)
     return NodeScores(scores=b, measure="bonacich")
 
 
-def intercentrality(G: np.ndarray, a: float) -> NodeScores:
-    """Key-player score c_k = b_k^2 / M_kk with M = (I - aG)^{-1}."""
-    n = G.shape[0]
-    _check_attenuation(G, a)
-    M = np.linalg.solve(np.eye(n) - a * G, np.eye(n))
-    b = M @ np.ones(n)
-    return NodeScores(scores=b * b / np.diag(M), measure="intercentrality")
+def intercentrality(G, a: float) -> NodeScores:
+    """Key-player score c_k = b_k^2 / M_kk with M = (I - aG)^{-1}.
+
+    ``G`` is the ``NetworkOperators`` of A (spectral) or a dense matrix.
+    """
+    b, m = _resolvent(G, a)
+    return NodeScores(scores=b * b / m, measure="intercentrality")
 
 
 def _dense_ranks(a: np.ndarray) -> np.ndarray:

@@ -176,9 +176,11 @@ def cmd_score(args) -> int:
     unknown = [m for m in measures if m not in centrality.MEASURES]
     if unknown:
         raise GraphError(f"unknown measure(s): {unknown}")
+    if math.isnan(args.attenuation):
+        raise GraphError("--attenuation must be a number, not nan")
     ops, mom = _moments_for(args, g)
     if args.matrix == "normalized":
-        G = ops.A
+        G = ops
     else:
         G = (g.weights[np.ix_(ops.regular, ops.regular)] > 0).astype(float)
     scores = []
@@ -186,7 +188,7 @@ def cmd_score(args) -> int:
         if m == "var_reduction":
             scores.append(centrality.var_reduction_scores(mom.C))
         elif m == "eta":
-            scores.append(centrality.eta_scores(ops.A))
+            scores.append(centrality.eta_scores(ops))
         elif m == "bonacich":
             scores.append(centrality.bonacich(G, args.attenuation))
         else:

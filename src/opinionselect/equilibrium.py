@@ -43,8 +43,8 @@ class NoiseModel:
         s = np.asarray(self.sigma2, dtype=float)
         if s.ndim != 1:
             raise ValueError("sigma2 must be a vector")
-        if np.any(s <= 0):
-            raise ValueError("all noise variances must be positive")
+        if not np.all(np.isfinite(s) & (s > 0)):
+            raise ValueError("all noise variances must be finite and positive")
         s.setflags(write=False)
         object.__setattr__(self, "sigma2", s)
 

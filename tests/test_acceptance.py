@@ -329,7 +329,7 @@ def test_criterion_10_single_node_identities():
     for seed in range(100):
         g = generate_random_reachable(11, 2, 4000 + seed)
         ops = normalize(g)
-        eta = eta_scores(ops.A).scores
+        eta = eta_scores(ops).scores
         ic = intercentrality(ops.A @ ops.A, 1.0).scores
         assert np.allclose(eta, ic, rtol=1e-10, atol=0.0)
     # single-node variance reduction on instances with an exact direct form
@@ -340,7 +340,7 @@ def test_criterion_10_single_node_identities():
         noise = NoiseModel.uniform(ops.n_regular, sigma2)
         cf = covariance_closed_form(ops.A, noise)
         assert cf.accepted
-        eta = eta_scores(ops.A).scores
+        eta = eta_scores(ops).scores
         for k in range(ops.n_regular):
             f_k = f_score(cf.covariance, [k])
             assert f_k == pytest.approx(sigma2 * eta[k], rel=1e-10)
@@ -365,7 +365,7 @@ def test_criterion_11_qualitative_curves_and_rankings():
         exact = exact_select(C, s)
         frac_exact = residual_curve(C, H, [list(exact.chosen)])[0][1]
         assert fracs[s] >= frac_exact - 1e-9  # greedy residual >= optimum
-    scores = [var_reduction_scores(C), bonacich(ops.A, 1.0)]
+    scores = [var_reduction_scores(C), bonacich(ops, 1.0)]
     rep = ranking_report(scores)
     assert all(abs(max(s.normalized) - 1.0) < 1e-12 for s in scores)
     same = len(set(rep.argmax.values())) == 1

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau
 
-from opinionselect import (NoiseModel, bonacich, covariance_lyapunov,
-                           eta_scores, f_score, generate_cycle,
-                           intercentrality, kendall_tau_b, normalize,
-                           ranking_report, var_reduction_scores)
+from opinionselect import (NoiseModel, SocialGraph, bonacich,
+                           covariance_lyapunov, eta_scores, f_score,
+                           generate_cycle, generate_random_reachable,
+                           generate_watts_strogatz, intercentrality,
+                           kendall_tau_b, normalize, ranking_report,
+                           var_reduction_scores)
 from opinionselect.errors import NumericalError
 from conftest import random_instance
 
@@ -33,7 +35,11 @@ def test_var_reduction_equals_f_score_single():
 
 
 def test_eta_identity_matrix():
-    assert np.allclose(eta_scores(np.zeros((3, 3))).scores, 1.0)
+    # three regular nodes tied only to a stubborn hub: A = 0
+    W = np.zeros((4, 4))
+    W[3, :3] = W[:3, 3] = 1.0
+    ops = normalize(SocialGraph(weights=W, stubborn=(3,)))
+    assert np.allclose(eta_scores(ops).scores, 1.0)
 
 
 def test_eta_symmetric_instance_all_equal():
@@ -44,16 +50,15 @@ def test_eta_symmetric_instance_all_equal():
         j = (i + 1) % n
         W[i, j] = W[j, i] = 1.0
         W[i, n] = W[n, i] = 1.0
-    from opinionselect import SocialGraph
     ops = normalize(SocialGraph(weights=W, stubborn=(n,)))
-    eta = eta_scores(ops.A).scores
+    eta = eta_scores(ops).scores
     assert np.allclose(eta, eta[0])
 
 
 def test_eta_equals_intercentrality_of_two_hop_operator():
     for seed in range(20):
         ops, _, _ = random_instance(seed, n=10, n_stubborn=2)
-        eta = eta_scores(ops.A).scores
+        eta = eta_scores(ops).scores
         ic = intercentrality(ops.A @ ops.A, 1.0).scores
         assert np.allclose(eta, ic, rtol=1e-10)
 
@@ -87,6 +92,77 @@ def test_intercentrality_trivial_and_symmetric():
     assert np.allclose(c, c[0])
 
 
+def _dense_resolvent(G, a):
+    """M1 and diag M of M = (I - aG)^{-1} by a dense solve (oracle path)."""
+    n = G.shape[0]
+    M = np.linalg.solve(np.eye(n) - a * G, np.eye(n))
+    return M @ np.ones(n), np.diag(M)
+
+
+def dense_eta(A):
+    b, m = _dense_resolvent(A @ A, 1.0)
+    return b * b / m
+
+
+def dense_bonacich(A, a):
+    return _dense_resolvent(A, a)[0]
+
+
+def dense_intercentrality(A, a):
+    b, m = _dense_resolvent(A, a)
+    return b * b / m
+
+
+def _path_off_stubborn(edges):
+    """Path 0-1-...-edges with node 0 stubborn: 1 - rho is O(1/edges^2)."""
+    W = np.zeros((edges + 1, edges + 1))
+    for i in range(edges):
+        W[i, i + 1] = W[i + 1, i] = 1.0
+    return SocialGraph(weights=W, stubborn=(0,))
+
+
+def _spectral_oracle_cases():
+    for seed in range(10):
+        yield f"reachable40-{seed}", normalize(generate_random_reachable(40, 3, seed))
+    yield "ws300", normalize(generate_watts_strogatz(300, 4, 0.3, 5, 10))
+    yield "cycle12", normalize(generate_cycle(12, 1))
+    yield "path60", normalize(_path_off_stubborn(60))
+
+
+def _assert_rel(got, want, case):
+    err = np.max(np.abs(got - want) / np.abs(want))
+    assert err <= 1e-10, (case, err)
+
+
+def test_spectral_scores_match_dense_oracles():
+    for case, ops in _spectral_oracle_cases():
+        A = ops.A
+        attenuations = [1.0, 0.5, 0.0, -0.9]
+        if case == "cycle12":
+            # bipartite: the spectrum is symmetric, eigvals[0] = -rho
+            assert ops.eigvals[0] == pytest.approx(-ops.rho, rel=1e-12)
+            attenuations.append(-0.9 / ops.rho)
+        if case == "path60":
+            assert 1.0 - ops.rho < 1e-3
+        _assert_rel(eta_scores(ops).scores, dense_eta(A), case)
+        for a in attenuations:
+            _assert_rel(bonacich(ops, a).scores, dense_bonacich(A, a), (case, a))
+            _assert_rel(intercentrality(ops, a).scores,
+                        dense_intercentrality(A, a), (case, a))
+
+
+def test_spectral_attenuation_bound():
+    for ops in (normalize(generate_cycle(12, 1)),
+                normalize(generate_random_reachable(40, 3, 0))):
+        for a in (1.0001 / ops.rho, -1.0001 / ops.rho, np.inf, np.nan):
+            with pytest.raises(NumericalError):
+                bonacich(ops, a)
+            with pytest.raises(NumericalError):
+                intercentrality(ops, a)
+        assert np.all(np.isfinite(bonacich(ops, 0.9999 / ops.rho).scores))
+        assert np.all(np.isfinite(bonacich(ops, -0.9999 / ops.rho).scores))
+
+
 def test_ranking_scale_invariance():
     _, _, C = random_instance(1, n=10)
     s = var_reduction_scores(C)
@@ -114,7 +190,7 @@ def test_ranking_report_mismatched_sets():
 def test_ws15_var_reduction_vs_bonacich_recorded(ws15_instance):
     # instance-dependent comparison: recorded, not asserted to differ
     g, ops, noise, C = ws15_instance
-    rep = ranking_report([var_reduction_scores(C), bonacich(ops.A, 1.0)])
+    rep = ranking_report([var_reduction_scores(C), bonacich(ops, 1.0)])
     assert set(rep.argmax) == {"var_reduction", "bonacich"}
     assert -1.0 <= rep.kendall_tau[("var_reduction", "bonacich")] <= 1.0
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import opinionselect
-from opinionselect import generate_random_reachable, load_graph, save_graph
+from opinionselect import (equilibrium, generate_random_reachable, load_graph,
+                           normalize, save_graph)
 from opinionselect.cli import build_parser, main
 
 
@@ -193,6 +194,66 @@ def test_score_adjacency_attenuation_bound(tmp_path, capsys):
     assert run_cli(graph + ["--attenuation", repr(bound / 2)]) == 0
     doc = json.loads((tmp_path / "adj.json").read_text())
     assert set(doc["scores"]) == {"bonacich", "intercentrality"}
+
+
+def test_score_default_matrix_makes_no_dense_solve(ws_files, tmp_path,
+                                                   monkeypatch):
+    # --matrix normalized scores from the spectrum normalize stores: no
+    # O(n^3) solve or inverse, and no power iteration for the bound
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense call on the spectral score path")
+
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(equilibrium, "spectral_radius", refuse)
+    edges, stub = ws_files
+    score = ["score", "--graph", edges, "--stubborn-file", stub,
+             "--measures", "var_reduction,eta,bonacich,intercentrality",
+             "--out", str(tmp_path / "score.json")]
+    assert run_cli(score) == 0
+    # the adjacency path is dense, so the patch does reach it
+    with pytest.raises(AssertionError):
+        run_cli(score + ["--matrix", "adjacency", "--attenuation", "0.1"])
+
+
+def test_score_nonfinite_attenuation(tmp_path, capsys):
+    prefix = tmp_path / "ws30"
+    assert run_cli(["generate", "--model", "ws", "--n", "30",
+                    "--n-stubborn", "3", "--seed", "1",
+                    "--out-prefix", str(prefix)]) == 0
+    out = tmp_path / "att.json"
+    graph = ["score", "--graph", f"{prefix}.edges", "--stubborn-file",
+             f"{prefix}.stubborn", "--measures", "bonacich,intercentrality",
+             "--out", str(out)]
+    assert run_cli(graph + ["--attenuation=nan"]) == 2
+    g = load_graph(f"{prefix}.edges",
+                   [int(t) for t in Path(f"{prefix}.stubborn").read_text().split()])
+    rho = normalize(g).rho
+    for a in ("inf", "-inf"):
+        capsys.readouterr()
+        assert run_cli(graph + [f"--attenuation={a}"]) == 4
+        err = capsys.readouterr().err
+        seen = float(re.search(r"rho\(G\) = ([0-9.e+-]+),", err).group(1))
+        assert seen == pytest.approx(rho, rel=1e-5)
+    assert not out.exists()
+
+
+def test_nonfinite_sigma2_refused(ws_files, tmp_path):
+    edges, stub = ws_files
+    stubborn = {int(t) for t in Path(stub).read_text().split()}
+    regular = [i for i in range(15) if i not in stubborn]
+    out = tmp_path / "never.json"
+    graph = ["--graph", edges, "--stubborn-file", stub, "--out", str(out)]
+    for bad in ("nan", "inf"):
+        table = tmp_path / f"sigma2_{bad}"
+        table.write_text("".join(f"{i} {bad if i == regular[4] else 1.0}\n"
+                                 for i in regular))
+        for sigma2 in (str(table), f"uniform:{bad}"):
+            assert run_cli(["score", *graph, "--measures", "var_reduction",
+                            "--sigma2", sigma2]) == 2
+            assert run_cli(["select", *graph, "--k", "3",
+                            "--sigma2", sigma2]) == 2
+    assert not out.exists()
 
 
 def test_score_undefined_tau_is_null(tmp_path):

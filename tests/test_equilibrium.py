@@ -14,6 +14,11 @@ def test_noise_model_requires_positive_variances():
         NoiseModel(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         NoiseModel(np.array([[1.0, 2.0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            NoiseModel(np.array([1.0, bad]))
+        with pytest.raises(ValueError):
+            NoiseModel.uniform(3, bad)
 
 
 def test_mean_consensus_absorption():

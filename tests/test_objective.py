@@ -162,7 +162,7 @@ def test_single_node_reduction_formula_on_accepted_instances():
         noise = NoiseModel.uniform(ops.n_regular, s2)
         cf = covariance_closed_form(ops.A, noise)
         assert cf.accepted
-        eta = eta_scores(ops.A).scores
+        eta = eta_scores(ops).scores
         for k in range(ops.n_regular):
             assert f_score(cf.covariance, [k]) == pytest.approx(
                 s2 * eta[k], rel=1e-10)
