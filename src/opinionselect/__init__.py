@@ -11,13 +11,12 @@ from .graph import (NetworkOperators, SocialGraph, generate_cycle,
 from .equilibrium import (ClosedFormResult, EquilibriumMoments, NoiseModel,
                           covariance_closed_form, covariance_lyapunov, mean,
                           moments, precision, precision_direct, spectral_radius)
-from .objective import (ObjectiveReport, estimator_coefficients, f_score,
-                        g_score, report, residual_curve, var_y,
+from .objective import (estimator_coefficients, f_score, g_score, var_y,
                         var_y_normalized)
-from .selector import (AuditReport, GreedyState, GuaranteeReport,
-                       SelectionResult, exact_select, extend_inverse,
-                       greedy_select, guarantee_check, marginal_gain,
-                       submodularity_audit)
+from .selector import (EXACT_BUDGET, AuditReport, GreedyState, GuaranteeReport,
+                       SelectionResult, check_exact_budget, exact_select,
+                       extend_inverse, greedy_select, guarantee_check,
+                       marginal_gain, submodularity_audit)
 from .centrality import (NodeScores, RankingReport, bonacich, eta_scores,
                          intercentrality, kendall_tau_b, ranking_report,
                          var_reduction_scores)

@@ -72,7 +72,7 @@ def _resolvent(G, a: float, hops: int = 1, diag: bool = True):
         _check_attenuation(a, G.rho ** hops)
         f = 1.0 / (1.0 - a * G.eigvals ** hops)
         Q = G.eigvecs
-        sqrt_d = np.sqrt(G.w[list(G.regular)])
+        sqrt_d = np.sqrt(G.w)
         b = Q @ (f * (sqrt_d @ Q)) / sqrt_d
         return b, (Q * Q) @ f if diag else None
     G = np.linalg.matrix_power(np.asarray(G, float), hops)

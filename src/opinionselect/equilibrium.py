@@ -189,10 +189,9 @@ def moments(ops: NetworkOperators, noise: NoiseModel) -> EquilibriumMoments:
     if len(noise.sigma2) != ops.n_regular:
         raise ValueError("noise model size must equal the number of regular nodes")
     lam, Q = ops.eigvals, ops.eigvecs
-    d = ops.w[list(ops.regular)]
-    noise_t = (Q.T * (d * noise.sigma2)) @ Q       # Q' (D Sigma) Q
+    noise_t = (Q.T * (ops.w * noise.sigma2)) @ Q    # Q' (D Sigma) Q
     X = Q @ (noise_t / (1.0 - np.outer(lam, lam))) @ Q.T
-    scale = 1.0 / np.sqrt(d)
+    scale = 1.0 / np.sqrt(ops.w)
     C = scale[:, None] * X * scale[None, :]
     C = (C + C.T) / 2.0
     A_sigma = ops.A * noise.sigma2[None, :]

@@ -76,11 +76,11 @@ class SocialGraph:
 class NetworkOperators:
     """Regular rows A = D^-1 W_RR, B = D^-1 W_RS of the row-stochastic matrix.
 
-    D = diag(w_R) holds the strengths of the regular nodes (edges to stubborn
-    nodes included), so every row of [A | B] sums to one. A is similar to the
-    symmetric matrix S = D^-1/2 W_RR D^-1/2 = Q diag(eigvals) Q'.
-    ``eigvals`` (ascending) and the orthonormal ``eigvecs`` Q are that
-    decomposition, and ``rho`` is max |eigvals|.
+    D = diag(w) holds the strengths of the regular nodes in ``regular`` order
+    (edges to stubborn nodes included), so every row of [A | B] sums to one.
+    A is similar to the symmetric matrix S = D^-1/2 W_RR D^-1/2 =
+    Q diag(eigvals) Q'. ``eigvals`` (ascending) and the orthonormal
+    ``eigvecs`` Q are that decomposition, and ``rho`` is max |eigvals|.
     """
 
     A: np.ndarray
@@ -153,18 +153,16 @@ def normalize(g: SocialGraph) -> NetworkOperators:
     report = validate_reachability(g)
     if not report.ok:
         raise ReachabilityError(report.message)
-    w = g.weights.sum(axis=1)
-    regular = g.regular
-    if any(w[i] == 0 for i in regular):
-        isolated = [i for i in regular if w[i] == 0]
-        raise GraphError(f"isolated regular node(s): {isolated}")
-    R = list(regular)
+    R = list(g.regular)
     S = list(g.stubborn)
+    w = g.weights.sum(axis=1)[R]
+    if np.any(w == 0):
+        isolated = [i for i, wi in zip(R, w) if wi == 0]
+        raise GraphError(f"isolated regular node(s): {isolated}")
     W_RR = g.weights[np.ix_(R, R)]
-    w_R = w[R][:, None]
-    A = W_RR / w_R
-    B = g.weights[np.ix_(R, S)] / w_R
-    scale = 1.0 / np.sqrt(w[R])
+    A = W_RR / w[:, None]
+    B = g.weights[np.ix_(R, S)] / w[:, None]
+    scale = 1.0 / np.sqrt(w)
     eigvals, eigvecs = np.linalg.eigh(scale[:, None] * W_RR * scale[None, :])
     rho = float(np.max(np.abs(eigvals))) if R else 0.0
     if rho >= 1.0 - RHO_MARGIN:
@@ -207,7 +205,8 @@ def load_graph(source: str | Path | TextIO,
     """Read a whitespace/comma separated edge list and build a SocialGraph.
 
     Records appearing once are mirrored; a pair appearing with two different
-    weights is a hard error. Stubborn ids refer to the original node labels.
+    weights is a hard error. Stubborn ids refer to the original node labels,
+    and at least one node must be left regular.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -232,6 +231,8 @@ def load_graph(source: str | Path | TextIO,
     missing = [s for s in stub_labels if s not in nodes]
     if missing:
         raise GraphError(f"stubborn id(s) not in node range: {missing}")
+    if len(stub_labels) == len(nodes):
+        raise GraphError("every node is stubborn: no regular node to observe")
     labels = tuple(sorted(nodes))
     index = {lab: k for k, lab in enumerate(labels)}
     W = np.zeros((len(labels), len(labels)))

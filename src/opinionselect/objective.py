@@ -2,7 +2,9 @@
 
 All quantities are carried at the unnormalized scale F(K) = (C1)_K' (C_KK)^-1
 (C1)_K; dividing by |R|^2 recovers the probabilistic variances but changes no
-argmax. F and G always satisfy F(K) + G(K) = 1'C1.
+argmax. F and G always satisfy F(K) + G(K) = 1'C1, so the library reads G as
+``var_y(C)`` - F from C alone; ``g_score``, from the precision H = C^-1, is
+the oracle the tests hold that identity against.
 
 Every F, G and estimator evaluation ends in one small symmetric positive
 definite solve, a single LAPACK ``dposv`` call (Cholesky factor and both
@@ -13,7 +15,6 @@ product C1 and a gather of C_KK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,14 +61,6 @@ def _gather(C: np.ndarray, K: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return (C @ np.ones(C.shape[0])).take(K), C.take(K, 0).take(K, 1)
 
 
-@dataclass(frozen=True)
-class ObjectiveReport:
-    f_raw: float
-    g_raw: float
-    var_y_raw: float
-    residual_fraction: float
-
-
 def var_y(C: np.ndarray) -> float:
     """Total (unnormalized) variance of the mean opinion: 1'C1."""
     ones = np.ones(C.shape[0])
@@ -89,7 +82,10 @@ def f_score(C: np.ndarray, K: Sequence[int]) -> float:
 
 
 def g_score(H: np.ndarray, K: Sequence[int]) -> float:
-    """Residual variance 1'_{-K} (H_{-K,-K})^-1 1_{-K}."""
+    """Residual variance 1'_{-K} (H_{-K,-K})^-1 1_{-K}, from the precision H.
+
+    Oracle for G = var_y(C) - F(K); the library computes G that way.
+    """
     n = H.shape[0]
     K = set(_check_set(K, n))
     comp = [i for i in range(n) if i not in K]
@@ -98,14 +94,6 @@ def g_score(H: np.ndarray, K: Sequence[int]) -> float:
     Hcc = H[np.ix_(comp, comp)]
     ones = np.ones(len(comp))
     return float(ones @ _spd_solve(Hcc, ones))
-
-
-def report(C: np.ndarray, H: np.ndarray, K: Sequence[int]) -> ObjectiveReport:
-    vy = var_y(C)
-    f = f_score(C, K)
-    g = g_score(H, K)
-    return ObjectiveReport(f_raw=f, g_raw=g, var_y_raw=vy,
-                           residual_fraction=g / vy if vy > 0 else 0.0)
 
 
 def estimator_coefficients(C: np.ndarray, K: Sequence[int],
@@ -127,14 +115,3 @@ def estimator_coefficients(C: np.ndarray, K: Sequence[int],
     alpha = _spd_solve(CKK, c1 / n)
     intercept = ybar - float(alpha @ np.asarray(mu)[K])
     return alpha, intercept
-
-
-def residual_curve(C: np.ndarray, H: np.ndarray,
-                   sets: Sequence[Sequence[int]]) -> list[tuple[int, float]]:
-    """Per-set (|K|, residual fraction) pairs for plot emission."""
-    vy = var_y(C)
-    out = []
-    for K in sets:
-        g = g_score(H, K)
-        out.append((len(list(K)), g / vy if vy > 0 else 0.0))
-    return out

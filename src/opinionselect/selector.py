@@ -5,7 +5,9 @@ gain of candidate i is r_i^2 / d_i with r = (C|K)1, d = diag(C|K), and each
 pick is one rank-1 downdate in O(|K| n). Exact selection enumerates all
 subsets, skipping degenerate ones as greedy skips degenerate candidates, and
 doubles as the oracle for the greedy guarantee and for the incremental
-algebra.
+algebra. It runs only when C(n, s) is at most ``EXACT_BUDGET``.
+
+Every path reads the covariance C alone: G = var_y(C) - F.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, NumericalError
-from .objective import SCHUR_GUARD, f_score, g_score, var_y
+from .objective import SCHUR_GUARD, f_score, var_y
+
+EXACT_BUDGET = 10 ** 7
 
 
 @dataclass
@@ -122,10 +126,18 @@ def greedy_select(C: np.ndarray, s: int) -> SelectionResult:
                            method="greedy")
 
 
-def exact_select(C: np.ndarray, s: int, max_subsets: int = 10 ** 7,
-                 max_nodes: int = 25) -> SelectionResult:
+def check_exact_budget(n: int, s: int) -> None:
+    """Raise ``BudgetExceededError`` unless C(n, s) <= ``EXACT_BUDGET``."""
+    n_subsets = math.comb(n, s)
+    if n_subsets > EXACT_BUDGET:
+        raise BudgetExceededError(
+            f"C({n},{s}) = {n_subsets} subsets exceeds the budget of {EXACT_BUDGET}")
+
+
+def exact_select(C: np.ndarray, s: int) -> SelectionResult:
     """Enumerate all size-s subsets; ties go to the lexicographically smallest.
 
+    Refuses a request over budget (see ``check_exact_budget``) before any work.
     A subset whose block is degenerate is skipped with a warning, as greedy
     skips such a candidate; only when every subset is degenerate does this
     raise ``NumericalError``.
@@ -133,10 +145,7 @@ def exact_select(C: np.ndarray, s: int, max_subsets: int = 10 ** 7,
     n = C.shape[0]
     if not (0 <= s <= n):
         raise ValueError(f"cardinality s={s} out of range for {n} regular nodes")
-    n_subsets = math.comb(n, s)
-    if n > max_nodes and n_subsets > max_subsets:
-        raise BudgetExceededError(
-            f"C({n},{s}) = {n_subsets} subsets exceeds the budget of {max_subsets}")
+    check_exact_budget(n, s)
     vy = var_y(C)
     best_K: tuple[int, ...] = ()
     best_f = 0.0 if s == 0 else -np.inf
@@ -174,33 +183,28 @@ class AuditReport:
         return self.violations_f == 0 and self.violations_g == 0
 
 
-def _all_subset_values(C: np.ndarray, H: np.ndarray):
+def _all_subset_values(C: np.ndarray) -> np.ndarray:
+    """F of every subset, indexed by its bit mask."""
     n = C.shape[0]
     F = np.empty(1 << n)
-    G = np.empty(1 << n)
     for mask in range(1 << n):
-        K = [i for i in range(n) if mask >> i & 1]
-        F[mask] = f_score(C, K)
-        G[mask] = g_score(H, K)
-    return F, G
+        F[mask] = f_score(C, [i for i in range(n) if mask >> i & 1])
+    return F
 
 
-def submodularity_audit(C: np.ndarray, H: np.ndarray | None = None,
-                        budget: int = 8, n_samples: int = 2000,
+def submodularity_audit(C: np.ndarray, budget: int = 8, n_samples: int = 2000,
                         seed: int = 0, tol: float = 1e-9) -> AuditReport:
     """Check diminishing returns of F (and increasing returns of G).
 
     Exhaustive over all triples A <= B, k not in B when the instance fits the
     budget; otherwise a seeded random sample of triples. Slack below
-    -tol*(1 + |F|) counts as a violation.
+    -tol*(1 + |F|) counts as a violation, and likewise for G = var_y(C) - F.
     """
-    from .equilibrium import precision
-
     n = C.shape[0]
-    if H is None:
-        H = precision(C)
+    vy = var_y(C)
     if n <= budget:
-        F, G = _all_subset_values(C, H)
+        F = _all_subset_values(C)
+        G = vy - F
         bits = 1 << np.arange(n)
         min_f, min_g = np.inf, np.inf
         viol_f = viol_g = checks = 0
@@ -238,9 +242,11 @@ def submodularity_audit(C: np.ndarray, H: np.ndarray | None = None,
             continue
         A = [i for i in B if rng.random() < 0.5]
         k = int(rng.choice([i for i in range(n) if i not in B]))
-        f_Bk, g_Bk = f_score(C, B + [k]), g_score(H, B + [k])
-        dF = (f_score(C, A + [k]) - f_score(C, A)) - (f_Bk - f_score(C, B))
-        dG = (g_Bk - g_score(H, B)) - (g_score(H, A + [k]) - g_score(H, A))
+        f_A, f_Ak = f_score(C, A), f_score(C, A + [k])
+        f_B, f_Bk = f_score(C, B), f_score(C, B + [k])
+        g_A, g_Ak, g_B, g_Bk = vy - f_A, vy - f_Ak, vy - f_B, vy - f_Bk
+        dF = (f_Ak - f_A) - (f_Bk - f_B)
+        dG = (g_Bk - g_B) - (g_Ak - g_A)
         if dF < -tol * (1.0 + abs(f_Bk)):
             viol_f += 1
         if dG < -tol * (1.0 + abs(g_Bk)):
@@ -264,10 +270,10 @@ class GuaranteeReport:
         return self.ratio >= 1.0 - 1.0 / math.e - 1e-9
 
 
-def guarantee_check(C: np.ndarray, s: int, **exact_kwargs) -> GuaranteeReport:
+def guarantee_check(C: np.ndarray, s: int) -> GuaranteeReport:
     """Compare greedy against brute force and check the (1 - 1/e) bound."""
     greedy = greedy_select(C, s)
-    exact = exact_select(C, s, **exact_kwargs)
+    exact = exact_select(C, s)
     f_g, f_e = greedy.f_values[-1], exact.f_values[-1]
     ratio = 1.0 if f_e == 0 else f_g / f_e
     return GuaranteeReport(ratio=ratio, f_greedy=f_g, f_exact=f_e,

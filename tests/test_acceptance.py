@@ -32,8 +32,8 @@ from opinionselect import (BudgetExceededError, GreedyState, NoiseModel,
                            generate_watts_strogatz, greedy_select,
                            guarantee_check, intercentrality, marginal_gain,
                            mean, moments, normalize, precision,
-                           ranking_report, residual_curve,
-                           submodularity_audit, var_y, var_reduction_scores)
+                           ranking_report, submodularity_audit, var_y,
+                           var_reduction_scores)
 from opinionselect.simulate import simulate
 
 MC_SEED = 11  # frozen: worst standardized deviation 2.48 over all checks
@@ -115,7 +115,7 @@ def test_criterion_02_closed_form_noise_proportional_to_degree_irregular():
     for seed in range(20):
         g = generate_random_reachable(12, 2, seed)
         ops = normalize(g)
-        w = ops.w[list(ops.regular)]
+        w = ops.w
 
         noise = NoiseModel(0.7 * w)
         cf = covariance_closed_form(ops.A, noise)
@@ -353,17 +353,14 @@ def test_criterion_10_single_node_identities():
 def test_criterion_11_qualitative_curves_and_rankings():
     ops = normalize(generate_watts_strogatz(15, 4, 0.3, 7, 3))
     C = covariance_lyapunov(ops.A, NoiseModel.uniform(ops.n_regular, 1.0))
-    H = precision(C)
     m = C.shape[0]
     res = greedy_select(C, m)
-    prefixes = [list(res.chosen[:t]) for t in range(m + 1)]
-    curve_greedy = residual_curve(C, H, prefixes)
-    fracs = [frac for _, frac in curve_greedy]
+    fracs = [g / res.var_y for g in res.g_values]
     assert fracs[0] == pytest.approx(1.0)
     assert all(fracs[t + 1] <= fracs[t] + 1e-12 for t in range(m))
     for s in range(6):
         exact = exact_select(C, s)
-        frac_exact = residual_curve(C, H, [list(exact.chosen)])[0][1]
+        frac_exact = exact.g_values[-1] / exact.var_y
         assert fracs[s] >= frac_exact - 1e-9  # greedy residual >= optimum
     scores = [var_reduction_scores(C), bonacich(ops, 1.0)]
     rep = ranking_report(scores)

@@ -110,11 +110,100 @@ def test_select_validation_errors(ws_files, tmp_path):
                     "--k", "2", "--sigma2", str(bad)]) == 2
 
 
+@pytest.fixture
+def refuse_normalize(monkeypatch):
+    """Make any call of normalize from the CLI fail the test."""
+    from opinionselect import cli
+
+    def refuse(g):
+        raise AssertionError("normalize ran before the input was refused")
+
+    monkeypatch.setattr(cli, "normalize", refuse)
+
+
+def test_graph_without_regular_node_refused(tmp_path, capsys):
+    edges = tmp_path / "path.edges"
+    edges.write_text("0 1 1\n1 2 1\n")
+    out = tmp_path / "never.json"
+    graph = ["--graph", str(edges), "--stubborn", "0,1,2", "--out", str(out)]
+    for argv in (["select", *graph, "--k", "0"],
+                 ["curve", *graph, "--max-k", "0"],
+                 ["score", *graph]):
+        capsys.readouterr()
+        assert run_cli(argv) == 2, argv[0]
+        assert "no regular node" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_measures_and_methods_refused(ws_files, tmp_path, capsys,
+                                                refuse_normalize):
+    edges, stub = ws_files
+    out = tmp_path / "never.json"
+    graph = ["--graph", edges, "--stubborn-file", stub, "--out", str(out)]
+    for argv in (["score", *graph, "--measures", "eta,var_reduction,eta"],
+                 ["curve", *graph, "--max-k", "2", "--methods",
+                  "greedy,greedy"]):
+        capsys.readouterr()
+        assert run_cli(argv) == 2, argv[0]
+        assert "repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sigma2_file_duplicates_and_malformed_lines(ws_files, tmp_path,
+                                                     capsys):
+    edges, stub = ws_files
+    stubborn = {int(t) for t in Path(stub).read_text().split()}
+    regular = [i for i in range(15) if i not in stubborn]
+    base = "".join(f"{i} {1.0 + i / 10}\n" for i in regular)
+    r0 = regular[0]
+    docs = {}
+    for name, text in [("once", base),
+                       ("repeat", base + f"{r0} {1.0 + r0 / 10}\n")]:
+        table = tmp_path / name
+        table.write_text(text)
+        out = tmp_path / f"{name}.json"
+        assert run_cli(["score", "--graph", edges, "--stubborn-file", stub,
+                        "--sigma2", str(table), "--out", str(out)]) == 0
+        docs[name] = json.loads(out.read_text())["scores"]
+    assert docs["repeat"] == docs["once"]      # identical repeats are allowed
+    n_lines = len(regular)
+    for text, message in [
+            (base + f"{r0} 5.0\n", f"line {n_lines + 1}: conflicting"),
+            (f"{r0} 1.0 2.0\n" + base, "line 1: expected"),
+            (base + "# note\n\nx 1.0\n", f"line {n_lines + 3}: expected"),
+            (base + f"{r0}\n", f"line {n_lines + 1}: expected")]:
+        table = tmp_path / "bad"
+        table.write_text(text)
+        out = tmp_path / "never.json"
+        capsys.readouterr()
+        assert run_cli(["score", "--graph", edges, "--stubborn-file", stub,
+                        "--sigma2", str(table), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_exact_over_budget_refused_before_work(tmp_path, capsys,
+                                               refuse_normalize):
+    # 150 regular nodes: C(150,3) = 551,300 fits, C(150,4) = 20,260,275 not
+    prefix = tmp_path / "ring"
+    save_graph(opinionselect.generate_cycle(152, 2),
+               f"{prefix}.edges", f"{prefix}.stubborn")
+    out = tmp_path / "never.csv"
+    graph = ["--graph", f"{prefix}.edges", "--stubborn-file",
+             f"{prefix}.stubborn", "--out", str(out)]
+    for argv in (["curve", *graph, "--methods", "greedy,exact", "--max-k", "4"],
+                 ["select", *graph, "--method", "exact", "--k", "4"]):
+        capsys.readouterr()
+        assert run_cli(argv) == 3, argv[0]
+        assert "C(150,4) = 20260275" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_graph_command_flags():
     # the whole option surface of the graph commands: a new knob must be
     # added here on purpose
     graph = {"-h", "--help", "--graph", "--stubborn", "--stubborn-file",
-             "--sigma2", "--seed", "--out"}
+             "--sigma2", "--out"}
     expected = {"select": graph | {"--k", "--method"},
                 "score": graph | {"--measures", "--attenuation", "--matrix"},
                 "curve": graph | {"--max-k", "--methods", "--format"}}
@@ -131,11 +220,12 @@ def test_select_seeded_reproducible(ws_files, tmp_path):
     for name in ("r1.json", "r2.json"):
         out = tmp_path / name
         assert run_cli(["select", "--graph", edges, "--stubborn-file", stub,
-                        "--k", "3", "--seed", "5", "--out", str(out)]) == 0
+                        "--k", "3", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         doc["meta"].pop("timing_s")
         docs.append(doc)
     assert docs[0] == docs[1]
+    assert docs[0]["meta"]["seed"] is None    # nothing in select is random
 
 
 def test_score_command(ws_files, tmp_path):
@@ -291,7 +381,7 @@ def test_commands_leave_heavy_imports_unloaded(tmp_path):
     save_graph(generate_random_reachable(14, 3, seed=5),
                f"{prefix}.edges", f"{prefix}.stubborn")
     graph = ["--graph", f"{prefix}.edges", "--stubborn-file",
-             f"{prefix}.stubborn", "--seed", "5"]
+             f"{prefix}.stubborn"]
     ops = [["select", *graph, "--k", "3", "--out", str(tmp_path / "s.json")],
            ["curve", *graph, "--max-k", "2", "--methods", "greedy,exact",
             "--out", str(tmp_path / "c.csv")],
@@ -373,8 +463,6 @@ def test_validate_suites_pass(tmp_path):
         doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
         assert doc["validation"]["ok"] is True
     assert doc["validation"]["min_slack_f"] >= -1e-9
-    # regular graphs with uniform noise are all closed-form: no rejected class
-    assert doc["validation"]["min_slack_rejected_instances"] is None
 
 
 def test_validate_moments_small(tmp_path):

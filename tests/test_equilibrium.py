@@ -115,8 +115,7 @@ def test_closed_form_sigma_proportional_to_degree_is_symmetric_but_inconsistent(
     # with heterogeneous degrees it does not solve the Lyapunov equation
     g = generate_random_reachable(10, 2, seed=4)
     ops = normalize(g)
-    wR = ops.w[list(ops.regular)]
-    noise = NoiseModel(wR.copy())
+    noise = NoiseModel(ops.w.copy())
     cf = covariance_closed_form(ops.A, noise)
     assert cf.symmetric
     assert cf.asymmetry < 1e-12
@@ -147,7 +146,7 @@ def test_accepted_implies_lyapunov_match():
         else:
             g = generate_random_reachable(9, 2, seed)
             ops = normalize(g)
-            noise = NoiseModel(ops.w[list(ops.regular)].copy())
+            noise = NoiseModel(ops.w.copy())
         cf = covariance_closed_form(ops.A, noise)
         C_ly = covariance_lyapunov(ops.A, noise)
         rel = np.linalg.norm(cf.covariance - C_ly) / np.linalg.norm(C_ly)

@@ -140,6 +140,9 @@ def test_normalize_rows_sum_to_one():
         ops = normalize(g)
         rows = np.hstack([ops.A, ops.B]).sum(axis=1)
         assert np.max(np.abs(rows - 1.0)) < 1e-12
+        # w holds the strengths of the regular nodes alone, in regular order
+        assert ops.w.shape == (ops.n_regular,)
+        assert np.array_equal(ops.w, g.weights[list(g.regular)].sum(axis=1))
         assert np.all(ops.A >= 0)
         assert np.all(ops.B >= 0)
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from opinionselect import (NoiseModel, covariance_closed_form, eta_scores,
                            estimator_coefficients, f_score, g_score,
-                           generate_random_regular, normalize, precision,
-                           report, residual_curve, var_y, var_y_normalized)
+                           generate_random_regular, greedy_select, normalize,
+                           precision, var_y, var_y_normalized)
 from opinionselect.errors import NumericalError
 from conftest import naive_f, random_instance
 
@@ -92,14 +92,6 @@ def test_observation_set_validation():
         f_score(np.zeros((2, 2)), [0])
 
 
-def test_report_invariants():
-    ops, noise, C = random_instance(4, n=10)
-    H = precision(C)
-    rep = report(C, H, [0, 3])
-    assert rep.f_raw + rep.g_raw == pytest.approx(rep.var_y_raw, rel=1e-9)
-    assert 0.0 <= rep.residual_fraction <= 1.0
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.1, 50.0))
 def test_scale_equivariance(seed, t):
@@ -108,9 +100,8 @@ def test_scale_equivariance(seed, t):
     H, Ht = precision(C), precision(t * C)
     assert f_score(t * C, K) == pytest.approx(t * f_score(C, K), rel=1e-9)
     assert g_score(Ht, K) == pytest.approx(t * g_score(H, K), rel=1e-9)
-    rep, rep_t = report(C, H, K), report(t * C, Ht, K)
-    assert rep_t.residual_fraction == pytest.approx(rep.residual_fraction,
-                                                    rel=1e-9)
+    assert g_score(Ht, K) / var_y(t * C) == pytest.approx(
+        g_score(H, K) / var_y(C), rel=1e-9)
 
 
 def test_estimator_single_node_and_diagonal():
@@ -139,18 +130,18 @@ def test_estimator_intercept_unbiased():
 
 
 def test_residual_curve_endpoints_and_monotonicity():
-    from opinionselect import greedy_select
     ops, noise, C = random_instance(8, n=12, n_stubborn=3)
-    H = precision(C)
     n = C.shape[0]
-    assert residual_curve(C, H, [[]]) == [(0, pytest.approx(1.0))]
-    assert residual_curve(C, H, [list(range(n))])[0][1] == pytest.approx(
-        0.0, abs=1e-9)
     res = greedy_select(C, n)
-    prefixes = [list(res.chosen[:t]) for t in range(n + 1)]
-    curve = residual_curve(C, H, prefixes)
-    fractions = [frac for _, frac in curve]
+    fractions = [g / res.var_y for g in res.g_values]
+    assert fractions[0] == 1.0
+    assert fractions[-1] == pytest.approx(0.0, abs=1e-9)
     assert all(fractions[i + 1] <= fractions[i] + 1e-9 for i in range(n))
+    # against the precision oracle on every prefix
+    H = precision(C)
+    for t in range(n + 1):
+        assert fractions[t] == pytest.approx(
+            g_score(H, res.chosen[:t]) / var_y(C), rel=1e-9, abs=1e-9)
 
 
 def test_single_node_reduction_formula_on_accepted_instances():

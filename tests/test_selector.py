@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from opinionselect import (BudgetExceededError, GreedyState, exact_select,
-                           extend_inverse, f_score, greedy_select,
-                           guarantee_check, marginal_gain, precision,
-                           submodularity_audit, var_y)
+from opinionselect import (EXACT_BUDGET, BudgetExceededError, GreedyState,
+                           check_exact_budget, exact_select, extend_inverse,
+                           f_score, g_score, greedy_select, guarantee_check,
+                           marginal_gain, precision, submodularity_audit,
+                           var_y)
 from opinionselect.errors import NumericalError
 from conftest import naive_best_subset, naive_f, random_instance
 
@@ -252,10 +253,14 @@ def test_exact_budget_guard():
     C = np.eye(40)
     with pytest.raises(BudgetExceededError):
         exact_select(C, 12)
-    # |R| <= 25 is always allowed regardless of subset count
-    C_small = np.eye(22) + 0.01
-    res = exact_select(C_small, 2, max_subsets=10)
-    assert len(res.chosen) == 2
+    # the budget is C(n, s) alone: every size on 25 nodes fits, 26 choose 13
+    # does not
+    assert max(math.comb(25, s) for s in range(26)) <= EXACT_BUDGET
+    for s in range(26):
+        check_exact_budget(25, s)
+    assert math.comb(26, 13) > EXACT_BUDGET
+    with pytest.raises(BudgetExceededError, match=r"C\(26,13\)"):
+        exact_select(np.eye(26), 13)
 
 
 def test_guarantee_modular_ratio_one():
@@ -327,3 +332,76 @@ def test_audit_sampled_mode(f_score_calls):
     assert rep.n_checks == 200
     assert len(f_score_calls) <= 4 * rep.n_checks   # F(A), F(A+k), F(B), F(B+k)
     assert np.isfinite(rep.min_slack_f) and np.isfinite(rep.min_slack_g)
+
+
+def _g_audit_oracle(C, triples, tol=1e-9):
+    """(checks, min slack, violations) of increasing returns of G over the
+    triples (A, B, k), with G from the precision oracle g_score(C^-1, .)."""
+    H = precision(C)
+    memo = {}
+
+    def g(K):
+        key = tuple(sorted(K))
+        if key not in memo:
+            memo[key] = g_score(H, key)
+        return memo[key]
+
+    checks, min_slack, violations = 0, np.inf, 0
+    for A, B, k in triples:
+        g_Bk = g(B + [k])
+        slack = (g_Bk - g(B)) - (g(A + [k]) - g(A))
+        checks += 1
+        min_slack = min(min_slack, slack)
+        violations += slack < -tol * (1.0 + abs(g_Bk))
+    return checks, min_slack, violations
+
+
+def _all_triples(n):
+    for B in itertools.chain.from_iterable(
+            itertools.combinations(range(n), r) for r in range(n)):
+        for r in range(len(B) + 1):
+            for A in itertools.combinations(B, r):
+                for k in range(n):
+                    if k not in B:
+                        yield list(A), list(B), k
+
+
+def _sampled_triples(n, n_samples, seed):
+    # the audit's draws, repeated from the same seed
+    rng = np.random.default_rng(seed)
+    for _ in range(n_samples):
+        picks = rng.random(n)
+        B = [i for i in range(n) if picks[i] < 0.5]
+        if len(B) == n:
+            continue
+        A = [i for i in B if rng.random() < 0.5]
+        k = int(rng.choice([i for i in range(n) if i not in B]))
+        yield A, B, k
+
+
+def test_audit_g_fields_match_precision_oracle_exhaustive(f_score_calls):
+    # seeds 0, 3, 4, 7 break diminishing returns, 1 and 2 do not
+    for seed, n_nodes in [(0, 8), (1, 9), (2, 8), (3, 8), (4, 9), (7, 9)]:
+        _, _, C = random_instance(seed, n=n_nodes, n_stubborn=2)
+        n = C.shape[0]
+        assert n <= 7
+        f_score_calls.clear()
+        rep = submodularity_audit(C, budget=7)
+        assert rep.exhaustive
+        assert len(f_score_calls) == 1 << n     # one F per subset, no G solve
+        checks, min_slack, violations = _g_audit_oracle(C, _all_triples(n))
+        assert rep.n_checks == checks
+        assert abs(rep.min_slack_g - min_slack) <= 1e-12 * var_y(C)
+        assert rep.violations_g == violations
+
+
+def test_audit_g_fields_match_precision_oracle_sampled():
+    for seed in range(3):
+        _, _, C = random_instance(seed, n=14, n_stubborn=3)
+        n = C.shape[0]
+        rep = submodularity_audit(C, budget=8, n_samples=150, seed=seed)
+        assert not rep.exhaustive
+        _, min_slack, violations = _g_audit_oracle(
+            C, _sampled_triples(n, 150, seed))
+        assert abs(rep.min_slack_g - min_slack) <= 1e-12 * var_y(C)
+        assert rep.violations_g == violations
