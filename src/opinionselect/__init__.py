@@ -7,12 +7,11 @@ from .errors import (BudgetExceededError, GraphError, NumericalError,
 from .graph import (NetworkOperators, SocialGraph, generate_cycle,
                     generate_random_reachable, generate_random_regular,
                     generate_watts_strogatz, load_graph, normalize, save_graph,
-                    two_hop_graph, validate_reachability)
+                    validate_reachability)
 from .equilibrium import (ClosedFormResult, EquilibriumMoments, NoiseModel,
                           covariance_closed_form, covariance_lyapunov, mean,
                           moments, precision, precision_direct, spectral_radius)
-from .objective import (estimator_coefficients, f_score, g_score, var_y,
-                        var_y_normalized)
+from .objective import estimator_coefficients, f_score, g_score, var_y
 from .selector import (EXACT_BUDGET, AuditReport, GreedyState, GuaranteeReport,
                        SelectionResult, check_exact_budget, exact_select,
                        extend_inverse, greedy_select, guarantee_check,

@@ -61,21 +61,28 @@ def _check_attenuation(a: float, rho: float) -> None:
             f"below 1/rho(G) = {bound:.6g}")
 
 
-def _resolvent(G, a: float, hops: int = 1, diag: bool = True):
-    """(M1, diag M) for M = (I - a G^hops)^{-1}; diag M is None unless asked.
+def _spectral_resolvent(ops: NetworkOperators, a: float, hops: int,
+                        diag: bool):
+    """(M1, diag M) for M = (I - a A^hops)^{-1} from the stored spectrum of A,
+    in O(n^2) (see the module docstring); diag M is None unless asked."""
+    _check_attenuation(a, ops.rho ** hops)
+    f = 1.0 / (1.0 - a * ops.eigvals ** hops)
+    Q = ops.eigvecs
+    sqrt_d = np.sqrt(ops.w)
+    b = Q @ (f * (sqrt_d @ Q)) / sqrt_d
+    return b, (Q * Q) @ f if diag else None
 
-    ``G`` is either the stored spectrum of A (``NetworkOperators``: O(n^2),
-    see the module docstring) or a dense matrix (one solve, O(n^3); it
-    solves for 1 alone when the diagonal is not asked for).
+
+def _resolvent(G, a: float, diag: bool = True):
+    """(M1, diag M) for M = (I - aG)^{-1}; diag M is None unless asked.
+
+    ``G`` is either the stored spectrum of A (``NetworkOperators``) or a
+    dense matrix (one solve, O(n^3); it solves for 1 alone when the diagonal
+    is not asked for).
     """
     if isinstance(G, NetworkOperators):
-        _check_attenuation(a, G.rho ** hops)
-        f = 1.0 / (1.0 - a * G.eigvals ** hops)
-        Q = G.eigvecs
-        sqrt_d = np.sqrt(G.w)
-        b = Q @ (f * (sqrt_d @ Q)) / sqrt_d
-        return b, (Q * Q) @ f if diag else None
-    G = np.linalg.matrix_power(np.asarray(G, float), hops)
+        return _spectral_resolvent(G, a, 1, diag)
+    G = np.asarray(G, float)
     n = G.shape[0]
     _check_attenuation(a, equilibrium.spectral_radius(G))
     if not diag:
@@ -86,7 +93,7 @@ def _resolvent(G, a: float, hops: int = 1, diag: bool = True):
 
 def eta_scores(ops: NetworkOperators) -> NodeScores:
     """eta_k = ((I - A^2)^{-1} 1)_k^2 / ((I - A^2)^{-1})_kk."""
-    b, m = _resolvent(ops, 1.0, hops=2)
+    b, m = _spectral_resolvent(ops, 1.0, 2, diag=True)
     return NodeScores(scores=b * b / m, measure="eta")
 
 
@@ -187,23 +194,18 @@ def kendall_tau_b(x, y) -> float:
 
 @dataclass(frozen=True)
 class RankingReport:
-    measures: tuple[str, ...]
-    normalized: np.ndarray              # measures x nodes
     argmax: dict[str, int]
     kendall_tau: dict[tuple[str, str], float]
 
 
 def ranking_report(scores: list[NodeScores]) -> RankingReport:
-    """Side-by-side normalized scores, per-measure argmax, pairwise Kendall tau-b
-    (NaN for a pair where either vector is constant)."""
+    """Per-measure argmax and pairwise Kendall tau-b (NaN for a pair where
+    either vector is constant)."""
     sizes = {len(s.scores) for s in scores}
     if len(sizes) != 1:
         raise ValueError("score vectors cover different node sets")
-    table = np.vstack([s.normalized for s in scores])
     taus = {}
     for s1, s2 in combinations(scores, 2):
         taus[(s1.measure, s2.measure)] = kendall_tau_b(s1.scores, s2.scores)
-    return RankingReport(measures=tuple(s.measure for s in scores),
-                         normalized=table,
-                         argmax={s.measure: s.argmax for s in scores},
+    return RankingReport(argmax={s.measure: s.argmax for s in scores},
                          kendall_tau=taus)

@@ -28,9 +28,8 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import NumericalError
 from .graph import NetworkOperators
 
-DEFAULT_LYAPUNOV_TOL = 1e-12
-DEFAULT_SYMMETRY_TOL = 1e-10
-DEFAULT_RESIDUAL_TOL = 1e-10
+SYMMETRY_TOL = 1e-10
+RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,7 @@ class NoiseModel:
 class ClosedFormResult:
     """Outcome of the fast-path covariance, with its acceptance diagnostics."""
 
-    covariance: np.ndarray      # symmetrized candidate
-    candidate: np.ndarray       # raw Sigma (I - A^2)^{-1}, possibly asymmetric
+    covariance: np.ndarray      # symmetrized candidate Sigma (I - A^2)^{-1}
     asymmetry: float            # ||cand - cand'||_F / ||cand||_F
     lyapunov_residual: float    # residual of the symmetrized candidate
     symmetric: bool
@@ -74,7 +72,7 @@ class EquilibriumMoments:
     """Equilibrium covariance, with the regime ``C`` falls in.
 
     ``method_tag`` is "closed-form" when A Sigma is symmetric (relative
-    asymmetry at most ``DEFAULT_SYMMETRY_TOL``), the regime where
+    asymmetry at most ``SYMMETRY_TOL``), the regime where
     C = (I - A^2)^{-1} Sigma holds exactly, and "lyapunov" otherwise.
     ``C`` comes from the same spectral solve either way.
     """
@@ -83,8 +81,7 @@ class EquilibriumMoments:
     method_tag: str  # "lyapunov" or "closed-form"
 
 
-def spectral_radius(A: np.ndarray, tol: float = 1e-10,
-                    max_iter: int = 5000) -> float:
+def spectral_radius(A: np.ndarray, max_iter: int = 5000) -> float:
     """Dominant eigenvalue modulus via power iteration, eigensolve fallback."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -98,7 +95,7 @@ def spectral_radius(A: np.ndarray, tol: float = 1e-10,
         if lam_new < 1e-300:
             return 0.0
         x = y / lam_new
-        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
+        if abs(lam_new - lam) <= 1e-10 * max(1.0, lam_new):
             return lam_new
         lam = lam_new
     return float(np.max(np.abs(np.linalg.eigvals(A))))
@@ -116,32 +113,32 @@ def mean(ops: NetworkOperators, u: np.ndarray) -> np.ndarray:
         raise NumericalError("singular (I - A): reachability violated") from exc
 
 
-def covariance_lyapunov(A: np.ndarray, noise: NoiseModel,
-                        tol: float = DEFAULT_LYAPUNOV_TOL,
-                        max_iter: int = 200) -> np.ndarray:
-    """Solve C = A C A' + Sigma by squaring-doubling; output is symmetrized."""
+def covariance_lyapunov(A: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """Solve C = A C A' + Sigma by squaring-doubling; output is symmetrized.
+
+    Stops once a doubling step adds at most 1e-12 of ||C||_F, and gives up
+    after 200 steps.
+    """
     A = np.asarray(A, dtype=float)
     C = np.diag(noise.sigma2).astype(float)
     Ak = A.copy()
-    for _ in range(max_iter):
+    for _ in range(200):
         inc = Ak @ C @ Ak.T
         C = C + inc
-        if np.linalg.norm(inc) <= tol * np.linalg.norm(C):
+        if np.linalg.norm(inc) <= 1e-12 * np.linalg.norm(C):
             return (C + C.T) / 2.0
         Ak = Ak @ Ak
     raise NumericalError(
         "Lyapunov doubling did not converge; spectral radius of A is likely ~1")
 
 
-def covariance_closed_form(A: np.ndarray, noise: NoiseModel,
-                           sym_tol: float = DEFAULT_SYMMETRY_TOL,
-                           residual_tol: float = DEFAULT_RESIDUAL_TOL,
-                           ) -> ClosedFormResult:
+def covariance_closed_form(A: np.ndarray,
+                           noise: NoiseModel) -> ClosedFormResult:
     """Fast path Sigma (I - A^2)^{-1}, accepted only when provably consistent.
 
     Acceptance requires the candidate to be symmetric (relative asymmetry
-    below ``sym_tol``) and, after symmetrization, to satisfy the Lyapunov
-    equation (relative residual below ``residual_tol``). Symmetry alone is
+    below ``SYMMETRY_TOL``) and, after symmetrization, to satisfy the Lyapunov
+    equation (relative residual below ``RESIDUAL_TOL``). Symmetry alone is
     not sufficient: with sigma_i^2 proportional to the degree w_i the
     candidate is exactly symmetric yet differs from the true covariance
     whenever A is not symmetric. With sigma_i^2 inversely proportional to
@@ -158,13 +155,13 @@ def covariance_closed_form(A: np.ndarray, noise: NoiseModel,
         raise NumericalError("singular (I - A^2)") from exc
     norm = np.linalg.norm(candidate)
     asym = float(np.linalg.norm(candidate - candidate.T) / norm) if norm else 0.0
-    sym = asym <= sym_tol
+    sym = asym <= SYMMETRY_TOL
     C = (candidate + candidate.T) / 2.0
     residual = float(np.linalg.norm(C - A @ C @ A.T - Sigma)
                      / max(np.linalg.norm(C), 1e-300))
-    return ClosedFormResult(covariance=C, candidate=candidate, asymmetry=asym,
+    return ClosedFormResult(covariance=C, asymmetry=asym,
                             lyapunov_residual=residual, symmetric=sym,
-                            accepted=sym and residual <= residual_tol)
+                            accepted=sym and residual <= RESIDUAL_TOL)
 
 
 def precision(C: np.ndarray) -> np.ndarray:
@@ -197,6 +194,6 @@ def moments(ops: NetworkOperators, noise: NoiseModel) -> EquilibriumMoments:
     A_sigma = ops.A * noise.sigma2[None, :]
     asym = np.linalg.norm(A_sigma - A_sigma.T)
     method = ("closed-form"
-              if asym <= DEFAULT_SYMMETRY_TOL * np.linalg.norm(A_sigma)
+              if asym <= SYMMETRY_TOL * np.linalg.norm(A_sigma)
               else "lyapunov")
     return EquilibriumMoments(C=C, method_tag=method)

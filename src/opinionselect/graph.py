@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -172,35 +172,38 @@ def normalize(g: SocialGraph) -> NetworkOperators:
                             eigvecs=eigvecs)
 
 
-def two_hop_graph(g: SocialGraph) -> SocialGraph:
-    """Unit-weight graph linking node pairs joined by a length-2 path."""
-    adj = (g.weights > 0).astype(np.int8)
-    two = (adj @ adj > 0).astype(float)
-    np.fill_diagonal(two, 0.0)
-    return SocialGraph(weights=two, stubborn=g.stubborn, labels=g.labels)
+EDGE_FIELDS = (("i", int), ("j", int), ("weight", float))
 
 
-def _parse_edge_records(stream: TextIO):
-    for lineno, raw in enumerate(stream, start=1):
+def read_records(source: str | Path | Iterable[str],
+                 fields: Sequence[tuple[str, type]], where: str = "line"):
+    """Yield (line number, values) for each record of a line-oriented input.
+
+    Blank lines and lines starting with '#' are skipped; fields are split on
+    commas and whitespace and converted by the types in ``fields``. A path is
+    opened and read; any other iterable is read as its lines. A record with
+    the wrong field count or an unconvertible field raises ``GraphError``
+    naming ``where`` (the line's location, e.g. "sigma2 file line") and the
+    line number.
+    """
+    if isinstance(source, (str, Path)):
+        source = Path(source).read_text(encoding="utf-8").splitlines()
+    names = " ".join(name for name, _ in fields)
+    kinds = [kind for _, kind in fields]
+    for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.replace(",", " ").split()
-        if len(parts) != 3:
-            raise GraphError(f"line {lineno}: expected 'i j weight', got {line!r}")
         try:
-            i, j = int(parts[0]), int(parts[1])
-            wgt = float(parts[2])
-        except ValueError as exc:
-            raise GraphError(f"line {lineno}: malformed record {line!r}") from exc
-        if i < 0 or j < 0:
-            raise GraphError(f"line {lineno}: node ids must be nonnegative")
-        if wgt <= 0:
-            raise GraphError(f"line {lineno}: weight must be positive")
-        yield lineno, i, j, wgt
+            values = [kind(p) for kind, p in zip(kinds, parts, strict=True)]
+        except ValueError:
+            raise GraphError(f"{where} {lineno}: expected '{names}', "
+                             f"got {line!r}") from None
+        yield lineno, values
 
 
-def load_graph(source: str | Path | TextIO,
+def load_graph(source: str | Path | Iterable[str],
                stubborn: Iterable[int]) -> SocialGraph:
     """Read a whitespace/comma separated edge list and build a SocialGraph.
 
@@ -208,12 +211,13 @@ def load_graph(source: str | Path | TextIO,
     weights is a hard error. Stubborn ids refer to the original node labels,
     and at least one node must be left regular.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_graph(fh, stubborn)
     edges: dict[tuple[int, int], float] = {}
     nodes: set[int] = set()
-    for lineno, i, j, wgt in _parse_edge_records(source):
+    for lineno, (i, j, wgt) in read_records(source, EDGE_FIELDS):
+        if i < 0 or j < 0:
+            raise GraphError(f"line {lineno}: node ids must be nonnegative")
+        if wgt <= 0:
+            raise GraphError(f"line {lineno}: weight must be positive")
         if i == j:
             raise GraphError(f"line {lineno}: self-loop on node {i}")
         key = (min(i, j), max(i, j))
@@ -300,11 +304,10 @@ def generate_cycle(n: int, n_stubborn: int) -> SocialGraph:
     return SocialGraph(weights=W, stubborn=tuple(range(n_stubborn)))
 
 
-def generate_random_reachable(n: int, n_stubborn: int, seed: int,
-                              extra_edges: int | None = None,
-                              weight_low: float = 0.5,
-                              weight_high: float = 2.0) -> SocialGraph:
-    """Random connected weighted graph (spanning tree plus extra edges).
+def generate_random_reachable(n: int, n_stubborn: int,
+                              seed: int) -> SocialGraph:
+    """Random connected graph: a spanning tree plus n // 2 draws of an extra
+    edge, weights uniform in [0.5, 2).
 
     Test/validation instance provisioning; connectivity plus a nonempty
     stubborn set guarantees global reachability.
@@ -315,12 +318,11 @@ def generate_random_reachable(n: int, n_stubborn: int, seed: int,
     W = np.zeros((n, n))
     for i in range(1, n):
         j = int(rng.integers(0, i))
-        W[i, j] = W[j, i] = rng.uniform(weight_low, weight_high)
-    m_extra = n // 2 if extra_edges is None else extra_edges
-    for _ in range(m_extra):
+        W[i, j] = W[j, i] = rng.uniform(0.5, 2.0)
+    for _ in range(n // 2):
         i, j = rng.integers(0, n, size=2)
         if i != j and W[i, j] == 0:
-            W[i, j] = W[j, i] = rng.uniform(weight_low, weight_high)
+            W[i, j] = W[j, i] = rng.uniform(0.5, 2.0)
     stub = tuple(sorted(int(i) for i in rng.choice(n, size=n_stubborn, replace=False)))
     return SocialGraph(weights=W, stubborn=stub)
 

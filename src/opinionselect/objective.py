@@ -15,6 +15,7 @@ product C1 and a gather of C_KK.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,10 @@ SCHUR_GUARD = 1e-12
 
 
 def _check_set(K: Sequence[int], n: int) -> list[int]:
-    members = [int(i) for i in K]
+    try:
+        members = [operator.index(i) for i in K]
+    except TypeError:
+        raise ValueError("observation set members must be integers") from None
     if len(set(members)) != len(members):
         raise ValueError("observation set contains duplicates")
     if any(i < 0 or i >= n for i in members):
@@ -65,11 +69,6 @@ def var_y(C: np.ndarray) -> float:
     """Total (unnormalized) variance of the mean opinion: 1'C1."""
     ones = np.ones(C.shape[0])
     return float(ones @ C @ ones)
-
-
-def var_y_normalized(C: np.ndarray) -> float:
-    n = C.shape[0]
-    return var_y(C) / (n * n)
 
 
 def f_score(C: np.ndarray, K: Sequence[int]) -> float:

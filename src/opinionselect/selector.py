@@ -23,6 +23,8 @@ from .errors import BudgetExceededError, NumericalError
 from .objective import SCHUR_GUARD, f_score, var_y
 
 EXACT_BUDGET = 10 ** 7
+GREEDY_BOUND = 1.0 - 1.0 / math.e - 1e-9   # 1 - 1/e, less rounding slack
+AUDIT_TOL = 1e-9
 
 
 @dataclass
@@ -55,10 +57,14 @@ class SelectionResult:
     chosen: tuple[int, ...]
     gains: tuple[float, ...]
     f_values: tuple[float, ...]   # per prefix, f_values[0] = F(empty) = 0
-    g_values: tuple[float, ...]
     var_y: float
     eval_count: int
     method: str
+
+    @property
+    def g_values(self) -> tuple[float, ...]:
+        """Residual variance G = var_y - F per prefix."""
+        return tuple(self.var_y - f for f in self.f_values)
 
 
 def _schur(state: GreedyState, C: np.ndarray, i: int) -> float:
@@ -97,7 +103,6 @@ def greedy_select(C: np.ndarray, s: int) -> SelectionResult:
     n = C.shape[0]
     if not (0 <= s <= n):
         raise ValueError(f"cardinality s={s} out of range for {n} regular nodes")
-    vy = var_y(C)
     state = GreedyState.start(C)
     gains: list[float] = []
     f_values = [0.0]
@@ -121,8 +126,7 @@ def greedy_select(C: np.ndarray, s: int) -> SelectionResult:
         f_values.append(state.f_current)
     return SelectionResult(chosen=tuple(state.chosen), gains=tuple(gains),
                            f_values=tuple(f_values),
-                           g_values=tuple(vy - f for f in f_values),
-                           var_y=vy, eval_count=state.eval_count,
+                           var_y=var_y(C), eval_count=state.eval_count,
                            method="greedy")
 
 
@@ -146,7 +150,6 @@ def exact_select(C: np.ndarray, s: int) -> SelectionResult:
     if not (0 <= s <= n):
         raise ValueError(f"cardinality s={s} out of range for {n} regular nodes")
     check_exact_budget(n, s)
-    vy = var_y(C)
     best_K: tuple[int, ...] = ()
     best_f = 0.0 if s == 0 else -np.inf
     count = 0
@@ -165,8 +168,7 @@ def exact_select(C: np.ndarray, s: int) -> SelectionResult:
     return SelectionResult(chosen=best_K,
                            gains=tuple(np.diff(f_values)),
                            f_values=tuple(f_values),
-                           g_values=tuple(vy - f for f in f_values),
-                           var_y=vy, eval_count=count, method="exact")
+                           var_y=var_y(C), eval_count=count, method="exact")
 
 
 @dataclass(frozen=True)
@@ -193,12 +195,13 @@ def _all_subset_values(C: np.ndarray) -> np.ndarray:
 
 
 def submodularity_audit(C: np.ndarray, budget: int = 8, n_samples: int = 2000,
-                        seed: int = 0, tol: float = 1e-9) -> AuditReport:
+                        seed: int = 0) -> AuditReport:
     """Check diminishing returns of F (and increasing returns of G).
 
     Exhaustive over all triples A <= B, k not in B when the instance fits the
     budget; otherwise a seeded random sample of triples. Slack below
-    -tol*(1 + |F|) counts as a violation, and likewise for G = var_y(C) - F.
+    -AUDIT_TOL*(1 + |F|) counts as a violation, and likewise for
+    G = var_y(C) - F.
     """
     n = C.shape[0]
     vy = var_y(C)
@@ -219,8 +222,8 @@ def submodularity_audit(C: np.ndarray, budget: int = 8, n_samples: int = 2000,
             while True:
                 dF = (F[maskA | kbits] - F[maskA]) - (F[maskB | kbits] - F[maskB])
                 dG = (G[maskB | kbits] - G[maskB]) - (G[maskA | kbits] - G[maskA])
-                scale_f = tol * (1.0 + np.abs(F[maskB | kbits]))
-                scale_g = tol * (1.0 + np.abs(G[maskB | kbits]))
+                scale_f = AUDIT_TOL * (1.0 + np.abs(F[maskB | kbits]))
+                scale_g = AUDIT_TOL * (1.0 + np.abs(G[maskB | kbits]))
                 viol_f += int(np.sum(dF < -scale_f))
                 viol_g += int(np.sum(dG < -scale_g))
                 min_f = min(min_f, float(dF.min()))
@@ -247,9 +250,9 @@ def submodularity_audit(C: np.ndarray, budget: int = 8, n_samples: int = 2000,
         g_A, g_Ak, g_B, g_Bk = vy - f_A, vy - f_Ak, vy - f_B, vy - f_Bk
         dF = (f_Ak - f_A) - (f_Bk - f_B)
         dG = (g_Bk - g_B) - (g_Ak - g_A)
-        if dF < -tol * (1.0 + abs(f_Bk)):
+        if dF < -AUDIT_TOL * (1.0 + abs(f_Bk)):
             viol_f += 1
-        if dG < -tol * (1.0 + abs(g_Bk)):
+        if dG < -AUDIT_TOL * (1.0 + abs(g_Bk)):
             viol_g += 1
         min_f = min(min_f, dF)
         min_g = min(min_g, dG)
@@ -259,22 +262,21 @@ def submodularity_audit(C: np.ndarray, budget: int = 8, n_samples: int = 2000,
 
 @dataclass(frozen=True)
 class GuaranteeReport:
-    ratio: float
-    f_greedy: float
-    f_exact: float
     greedy: SelectionResult
     exact: SelectionResult
 
     @property
+    def ratio(self) -> float:
+        """F(greedy) / F(exact), 1 when the optimum is 0."""
+        f_e = self.exact.f_values[-1]
+        return 1.0 if f_e == 0 else self.greedy.f_values[-1] / f_e
+
+    @property
     def ok(self) -> bool:
-        return self.ratio >= 1.0 - 1.0 / math.e - 1e-9
+        return self.ratio >= GREEDY_BOUND
 
 
 def guarantee_check(C: np.ndarray, s: int) -> GuaranteeReport:
     """Compare greedy against brute force and check the (1 - 1/e) bound."""
-    greedy = greedy_select(C, s)
-    exact = exact_select(C, s)
-    f_g, f_e = greedy.f_values[-1], exact.f_values[-1]
-    ratio = 1.0 if f_e == 0 else f_g / f_e
-    return GuaranteeReport(ratio=ratio, f_greedy=f_g, f_exact=f_e,
-                           greedy=greedy, exact=exact)
+    return GuaranteeReport(greedy=greedy_select(C, s),
+                           exact=exact_select(C, s))

@@ -27,21 +27,18 @@ class SimConfig:
     seed: int
     u: np.ndarray
     noise_family: str = "gaussian"
-    horizon: int | None = None   # None: burn-in from horizon_for(ops, 1e-8)
 
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
         if self.noise_family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {self.noise_family!r}")
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
 
 
-def horizon_for(ops: NetworkOperators | float, tol: float) -> int:
-    """Smallest T with rho(A)^T <= tol; the transient decays at that rate."""
-    rho = ops if isinstance(ops, float) else ops.rho
+def horizon_for(rho: float, tol: float) -> int:
+    """Smallest T with rho^T <= tol; with rho = rho(A) the transient decays
+    at that rate."""
     if not (0.0 <= rho < 1.0):
         raise ValueError("need 0 <= rho < 1")
     if rho == 0.0 or tol >= 1.0:
@@ -81,7 +78,7 @@ def simulate(ops: NetworkOperators, noise: NoiseModel | np.ndarray,
         raise ValueError("variance vector must cover the regular nodes")
     sigma = np.sqrt(sigma2)
     mu = mean(ops, cfg.u)
-    T = cfg.horizon if cfg.horizon is not None else horizon_for(ops, 1e-8)
+    T = horizon_for(ops.rho, 1e-8)
     drift = ops.B @ cfg.u
     rng = np.random.default_rng(cfg.seed)
     X = np.tile(mu, (cfg.replicas, 1))

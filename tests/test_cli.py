@@ -167,8 +167,11 @@ def test_sigma2_file_duplicates_and_malformed_lines(ws_files, tmp_path,
         docs[name] = json.loads(out.read_text())["scores"]
     assert docs["repeat"] == docs["once"]      # identical repeats are allowed
     n_lines = len(regular)
+    s0 = min(stubborn)
     for text, message in [
             (base + f"{r0} 5.0\n", f"line {n_lines + 1}: conflicting"),
+            (base + f"{s0} 9.0\n", f"line {n_lines + 1}: node {s0} is not"),
+            ("77 2.0\n" + base, "line 1: node 77 is not"),
             (f"{r0} 1.0 2.0\n" + base, "line 1: expected"),
             (base + "# note\n\nx 1.0\n", f"line {n_lines + 3}: expected"),
             (base + f"{r0}\n", f"line {n_lines + 1}: expected")]:
@@ -180,6 +183,29 @@ def test_sigma2_file_duplicates_and_malformed_lines(ws_files, tmp_path,
                         "--sigma2", str(table), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_stubborn_ids_read_like_the_other_inputs(tmp_path, capsys):
+    edges = tmp_path / "path.edges"
+    edges.write_text("0 1 1\n1 2 1\n2 3 1\n")
+    stub = tmp_path / "ids"
+    out = tmp_path / "never.json"
+    select = ["select", "--graph", str(edges), "--k", "1", "--out", str(out)]
+    for flags, text, message in [
+            (["--stubborn", "0,a"], None, "--stubborn item 2: expected 'node'"),
+            (["--stubborn-file", str(stub)], "0\nx\n",
+             "stubborn file line 2: expected 'node'"),
+            (["--stubborn-file", str(stub)], "0 3\n",
+             "stubborn file line 1: expected 'node'")]:
+        if text is not None:
+            stub.write_text(text)
+        capsys.readouterr()
+        assert run_cli([*select, *flags]) == 2, flags
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+    stub.write_text("# stubborn ids\n0\n\n3\n")
+    assert run_cli([*select, "--stubborn-file", str(stub)]) == 0
+    assert json.loads(out.read_text())["graph"]["n_stubborn"] == 2
 
 
 def test_exact_over_budget_refused_before_work(tmp_path, capsys,

@@ -2,14 +2,12 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from opinionselect import (GraphError, ReachabilityError, SocialGraph,
                            generate_cycle, generate_random_reachable,
                            generate_watts_strogatz, load_graph, normalize,
-                           save_graph, two_hop_graph, validate_reachability)
+                           save_graph, validate_reachability)
 
 
 def test_load_smallest_valid_instance():
@@ -162,41 +160,6 @@ def test_schur_stability_over_random_graphs():
         g = generate_random_reachable(4 + seed % 20, 1 + seed % 3, seed)
         assert validate_reachability(g).ok
         assert normalize(g).rho < 1.0
-
-
-def test_two_hop_cycle7():
-    c7 = generate_cycle(7, 0)
-    hat = two_hop_graph(c7)
-    expect = np.zeros((7, 7))
-    for i in range(7):
-        j = (i + 2) % 7
-        expect[i, j] = expect[j, i] = 1.0
-    assert np.array_equal(hat.weights, expect)
-
-
-def test_two_hop_single_edge_empty():
-    g = SocialGraph(weights=np.array([[0., 1.], [1., 0.]]), stubborn=(1,))
-    hat = two_hop_graph(g)
-    assert np.count_nonzero(hat.weights) == 0
-
-
-def test_two_hop_triangle_is_triangle():
-    tri = generate_cycle(3, 1)
-    hat = two_hop_graph(tri)
-    assert np.array_equal(hat.weights > 0, tri.weights > 0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000))
-def test_two_hop_support_matches_squared_adjacency(seed):
-    g = generate_random_reachable(10, 2, seed)
-    hat = two_hop_graph(g)
-    assert np.array_equal(hat.weights, hat.weights.T)
-    assert np.all(np.diag(hat.weights) == 0)
-    adj = (g.weights > 0).astype(int)
-    sq = (adj @ adj > 0)
-    np.fill_diagonal(sq, False)
-    assert np.array_equal(hat.weights > 0, sq)
 
 
 def test_validate_reachability_reports():

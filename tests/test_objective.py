@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from opinionselect import (NoiseModel, covariance_closed_form, eta_scores,
                            estimator_coefficients, f_score, g_score,
                            generate_random_regular, greedy_select, normalize,
-                           precision, var_y, var_y_normalized)
+                           precision, var_y)
 from opinionselect.errors import NumericalError
 from conftest import naive_f, random_instance
 
 
 def test_var_y_identity_and_diagonal():
     assert var_y(np.eye(3)) == pytest.approx(3.0)
-    assert var_y_normalized(np.eye(3)) == pytest.approx(1.0 / 3.0)
     sigma2 = np.array([1.0, 2.0, 0.5])
     assert var_y(np.diag(sigma2)) == pytest.approx(float(sigma2.sum()))
 
@@ -88,6 +87,11 @@ def test_observation_set_validation():
         f_score(C, [0, 0])
     with pytest.raises(ValueError, match="out of range"):
         f_score(C, [99])
+    # a non-integer member is refused, never truncated to a node id
+    for K in ([1.7], np.array([0.9]), [0, 2.0]):
+        with pytest.raises(ValueError, match="integers"):
+            f_score(C, K)
+    assert f_score(C, np.array([0, 2])) == f_score(C, [0, 2])
     with pytest.raises(NumericalError):
         f_score(np.zeros((2, 2)), [0])
 

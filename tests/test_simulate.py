@@ -23,8 +23,6 @@ def test_sim_config_validation():
         SimConfig(replicas=0, seed=0, u=np.zeros(1))
     with pytest.raises(ValueError):
         SimConfig(replicas=10, seed=0, u=np.zeros(1), noise_family="cauchy")
-    with pytest.raises(ValueError):
-        SimConfig(replicas=10, seed=0, u=np.zeros(1), horizon=0)
 
 
 def test_noiseless_fixed_point(chain_instance):
