@@ -10,7 +10,7 @@ from .graph import (NetworkOperators, SocialGraph, generate_cycle,
                     validate_reachability)
 from .equilibrium import (ClosedFormResult, EquilibriumMoments, NoiseModel,
                           covariance_closed_form, covariance_lyapunov, mean,
-                          moments, precision, precision_direct, spectral_radius)
+                          moments, precision, precision_direct)
 from .objective import estimator_coefficients, f_score, g_score, var_y
 from .selector import (EXACT_BUDGET, AuditReport, GreedyState, GuaranteeReport,
                        SelectionResult, check_exact_budget, exact_select,

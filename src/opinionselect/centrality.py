@@ -4,14 +4,13 @@ eta, Bonacich and intercentrality are walk-resolvent scores: with
 M = (I - aG)^{-1}, Bonacich is b = M1 and intercentrality is b_k^2 / M_kk.
 eta is intercentrality of the 2-hop operator A^2 with attenuation 1.
 
-On the regular-block operator A (``--matrix normalized``) they come from the
-spectrum ``normalize`` stores: A = D^-1/2 Q diag(lam) Q' D^1/2, so for
-f(lam) = 1/(1 - a lam) (or 1/(1 - lam^2) for eta)
-f(A) 1 = D^-1/2 Q [f(lam) * Q' D^1/2 1] and diag f(A) = (Q*Q) f(lam), the D
-factors cancelling on the diagonal. That is O(n^2), and the walk series
-converges iff |a| rho < 1, exact because lam is real. A dense matrix (the 0/1
-adjacency of ``--matrix adjacency``, which is not similar to A) takes one
-dense solve and a power-iteration check of rho(G).
+Both score matrices are G = D^-1/2 Q diag(lam) Q' D^1/2 with Q orthonormal:
+A (``--matrix normalized``) with the spectrum ``normalize`` stores, and a
+symmetric dense matrix (the 0/1 adjacency of ``--matrix adjacency``) with
+``eigh`` and D = I. For f(lam) = 1/(1 - a lam) (or 1/(1 - lam^2) for eta),
+f(G) 1 = D^-1/2 Q [f(lam) * Q' D^1/2 1] and diag f(G) = (Q*Q) f(lam), the D
+factors cancelling on the diagonal: O(n^2) once the spectrum is known. The
+walk series converges iff |a| rho < 1, exact because lam is real.
 
 Rankings are compared by Kendall's tau-b, computed here in O(n log n) with
 numpy alone (Knight 1966), so that scoring does not load ``scipy.stats``.
@@ -24,7 +23,6 @@ from itertools import combinations
 
 import numpy as np
 
-from . import equilibrium
 from .errors import NumericalError
 from .graph import NetworkOperators
 
@@ -52,64 +50,47 @@ def var_reduction_scores(C: np.ndarray) -> NodeScores:
     return NodeScores(scores=v * v / np.diag(C), measure="var_reduction")
 
 
-def _check_attenuation(a: float, rho: float) -> None:
-    """Raise unless the walk series of aG converges, i.e. |a| rho(G) < 1."""
-    if not abs(a) * rho < 1.0:
+def _resolvent(G, a: float, hops: int = 1):
+    """(M1, diag M) for M = (I - a G^hops)^{-1} in O(n^2) from a spectrum: the
+    one stored on the ``NetworkOperators`` of A, or ``eigh`` of a symmetric
+    dense matrix with D = I (see the module docstring)."""
+    if isinstance(G, NetworkOperators):
+        lam, Q, sqrt_d = G.eigvals, G.eigvecs, np.sqrt(G.w)
+    else:
+        G = np.asarray(G, float)
+        if not np.array_equal(G, G.T):
+            raise ValueError("a dense score matrix must be symmetric")
+        lam, Q = np.linalg.eigh(G)
+        sqrt_d = np.ones(len(lam))
+    rho = float(np.max(np.abs(lam), initial=0.0)) ** hops
+    if not abs(a) * rho < 1.0:     # the walk series of aG diverges
         bound = 1.0 / rho if rho > 0 else np.inf
         raise NumericalError(
             f"attenuation {a} too large: rho(G) = {rho:.6g}, so |a| must be "
             f"below 1/rho(G) = {bound:.6g}")
-
-
-def _spectral_resolvent(ops: NetworkOperators, a: float, hops: int,
-                        diag: bool):
-    """(M1, diag M) for M = (I - a A^hops)^{-1} from the stored spectrum of A,
-    in O(n^2) (see the module docstring); diag M is None unless asked."""
-    _check_attenuation(a, ops.rho ** hops)
-    f = 1.0 / (1.0 - a * ops.eigvals ** hops)
-    Q = ops.eigvecs
-    sqrt_d = np.sqrt(ops.w)
-    b = Q @ (f * (sqrt_d @ Q)) / sqrt_d
-    return b, (Q * Q) @ f if diag else None
-
-
-def _resolvent(G, a: float, diag: bool = True):
-    """(M1, diag M) for M = (I - aG)^{-1}; diag M is None unless asked.
-
-    ``G`` is either the stored spectrum of A (``NetworkOperators``) or a
-    dense matrix (one solve, O(n^3); it solves for 1 alone when the diagonal
-    is not asked for).
-    """
-    if isinstance(G, NetworkOperators):
-        return _spectral_resolvent(G, a, 1, diag)
-    G = np.asarray(G, float)
-    n = G.shape[0]
-    _check_attenuation(a, equilibrium.spectral_radius(G))
-    if not diag:
-        return np.linalg.solve(np.eye(n) - a * G, np.ones(n)), None
-    M = np.linalg.solve(np.eye(n) - a * G, np.eye(n))
-    return M @ np.ones(n), np.diag(M)
+    f = 1.0 / (1.0 - a * lam ** hops)
+    return Q @ (f * (sqrt_d @ Q)) / sqrt_d, (Q * Q) @ f
 
 
 def eta_scores(ops: NetworkOperators) -> NodeScores:
     """eta_k = ((I - A^2)^{-1} 1)_k^2 / ((I - A^2)^{-1})_kk."""
-    b, m = _spectral_resolvent(ops, 1.0, 2, diag=True)
+    b, m = _resolvent(ops, 1.0, hops=2)
     return NodeScores(scores=b * b / m, measure="eta")
 
 
 def bonacich(G, a: float) -> NodeScores:
     """Walk-counting centrality b = (I - aG)^{-1} 1.
 
-    ``G`` is the ``NetworkOperators`` of A (spectral) or a dense matrix.
+    ``G`` is the ``NetworkOperators`` of A or a symmetric dense matrix.
     """
-    b, _ = _resolvent(G, a, diag=False)
+    b, _ = _resolvent(G, a)
     return NodeScores(scores=b, measure="bonacich")
 
 
 def intercentrality(G, a: float) -> NodeScores:
     """Key-player score c_k = b_k^2 / M_kk with M = (I - aG)^{-1}.
 
-    ``G`` is the ``NetworkOperators`` of A (spectral) or a dense matrix.
+    ``G`` is the ``NetworkOperators`` of A or a symmetric dense matrix.
     """
     b, m = _resolvent(G, a)
     return NodeScores(scores=b * b / m, measure="intercentrality")

@@ -80,7 +80,12 @@ def _sigma2_from_args(args, g: SocialGraph) -> NoiseModel:
     spec = args.sigma2
     labels = [g.labels[i] for i in g.regular]
     if spec.startswith("uniform:"):
-        return NoiseModel.uniform(len(labels), float(spec.split(":", 1)[1]))
+        try:
+            value = float(spec.removeprefix("uniform:"))
+            return NoiseModel.uniform(len(labels), value)
+        except ValueError:
+            raise GraphError(f"--sigma2 {spec!r}: expected 'uniform:VALUE' "
+                             "with VALUE finite and positive") from None
     regular = set(labels)
     table: dict[int, float] = {}
     for lineno, (node, value) in read_records(spec, SIGMA2_FIELDS,
@@ -136,6 +141,9 @@ def _moments_for(args, g: SocialGraph):
 
 def cmd_generate(args) -> int:
     t0 = time.perf_counter()
+    if args.n_stubborn < 1:
+        raise GraphError(f"--n-stubborn {args.n_stubborn}: every other command "
+                         "needs at least 1 stubborn node")
     if args.model == "ws":
         g = generate_watts_strogatz(args.n, args.k, args.beta, args.seed,
                                     args.n_stubborn)
@@ -289,6 +297,9 @@ def _suite_moments(args) -> dict:
 
 
 def _suite_submodularity(args) -> dict:
+    if args.max_r < 3:
+        raise GraphError(f"--max-r {args.max_r}: the submodularity suite "
+                         "needs at least 3")
     rng = np.random.default_rng(args.seed)
     slack_f, slack_g = [], []
     viol = 0
@@ -388,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=4, help="ws ring-lattice degree")
     p.add_argument("--beta", type=float, default=0.3, help="ws rewiring prob")
-    p.add_argument("--n-stubborn", type=int, default=0)
+    p.add_argument("--n-stubborn", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_generate)

@@ -7,7 +7,8 @@ C = A C A' + Sigma. ``moments`` solves it exactly from the eigendecomposition
 that ``normalize`` stores: A = D^-1/2 S D^1/2 with S = Q diag(lam) Q'
 symmetric, so C = D^-1/2 Q [Q' (D Sigma) Q / (1 - lam lam')] Q' D^-1/2.
 The doubling solver ``covariance_lyapunov`` and the guarded direct formula
-``covariance_closed_form`` stay as independent oracles for the tests.
+``covariance_closed_form`` stay as independent oracles for the tests: they
+take ``ops.A``, which is formed from the weights, not from the spectrum.
 
 The direct formula Sigma (I - A^2)^{-1} is only trusted when it is both
 symmetric and an actual solution of the Lyapunov equation; on graphs with
@@ -15,7 +16,7 @@ heterogeneous degrees it generally is not, even when it happens to be
 symmetric (see README notes on the closed-form regime). When A Sigma is
 symmetric, for example with noise inversely proportional to degree, the exact
 direct form is the other ordering, (I - A^2)^{-1} Sigma; ``moments`` tags that
-regime "closed-form".
+regime "closed-form", from the regular-regular edges alone.
 """
 
 from __future__ import annotations
@@ -81,34 +82,13 @@ class EquilibriumMoments:
     method_tag: str  # "lyapunov" or "closed-form"
 
 
-def spectral_radius(A: np.ndarray, max_iter: int = 5000) -> float:
-    """Dominant eigenvalue modulus via power iteration, eigensolve fallback."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if n == 0:
-        return 0.0
-    x = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = A @ x
-        lam_new = float(np.linalg.norm(y))
-        if lam_new < 1e-300:
-            return 0.0
-        x = y / lam_new
-        if abs(lam_new - lam) <= 1e-10 * max(1.0, lam_new):
-            return lam_new
-        lam = lam_new
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
-
-
 def mean(ops: NetworkOperators, u: np.ndarray) -> np.ndarray:
     """Equilibrium mean of the regular agents: solve (I - A) mu = B u."""
     u = np.asarray(u, dtype=float)
     if u.shape != (len(ops.stubborn),):
         raise ValueError("u must have one entry per stubborn node")
-    n = ops.A.shape[0]
     try:
-        return np.linalg.solve(np.eye(n) - ops.A, ops.B @ u)
+        return np.linalg.solve(np.eye(ops.n_regular) - ops.A, ops.B @ u)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("singular (I - A): reachability violated") from exc
 
@@ -191,9 +171,17 @@ def moments(ops: NetworkOperators, noise: NoiseModel) -> EquilibriumMoments:
     scale = 1.0 / np.sqrt(ops.w)
     C = scale[:, None] * X * scale[None, :]
     C = (C + C.T) / 2.0
-    A_sigma = ops.A * noise.sigma2[None, :]
-    asym = np.linalg.norm(A_sigma - A_sigma.T)
+    # relative Frobenius asymmetry of A Sigma, whose entries
+    # (A Sigma)_ij = W_ij / w_i * sigma_j^2 sit on the regular-regular edges
+    W = ops.graph.weights
+    pos = np.full(len(W), -1)
+    pos[list(ops.regular)] = np.arange(ops.n_regular)
+    src, dst = np.nonzero(W)
+    edge = (pos[src] >= 0) & (pos[dst] >= 0)
+    i, j, wgt = pos[src[edge]], pos[dst[edge]], W[src[edge], dst[edge]]
+    a_sigma = wgt / ops.w[i] * noise.sigma2[j]
+    asym = np.linalg.norm(a_sigma - wgt / ops.w[j] * noise.sigma2[i])
     method = ("closed-form"
-              if asym <= SYMMETRY_TOL * np.linalg.norm(A_sigma)
+              if asym <= SYMMETRY_TOL * np.linalg.norm(a_sigma)
               else "lyapunov")
     return EquilibriumMoments(C=C, method_tag=method)

@@ -1,10 +1,10 @@
 """Weighted undirected social graphs with a stubborn/regular node partition.
 
 A graph is stored as a dense symmetric weight matrix plus the set of stubborn
-node indices. Normalization derives the regular rows of the row-stochastic
-interaction matrix diag(w)^-1 W, split into the regular/stubborn blocks A and
-B used by the equilibrium computations, and the eigendecomposition of the
-symmetric matrix similar to A.
+node indices. Normalization stores one form of the DeGroot operator
+A = D^-1 W_RR: the eigendecomposition of the symmetric matrix similar to it.
+The blocks A and B of the row-stochastic diag(w)^-1 W are formed from the
+weights when read, never from the spectrum, so the oracles stay independent.
 
 Reachability is a breadth-first search over the dense adjacency. networkx is
 imported only inside the two generators that draw from it (Watts-Strogatz and
@@ -74,17 +74,17 @@ class SocialGraph:
 
 @dataclass(frozen=True)
 class NetworkOperators:
-    """Regular rows A = D^-1 W_RR, B = D^-1 W_RS of the row-stochastic matrix.
+    """The spectrum of A = D^-1 W_RR for the graph ``graph``.
 
     D = diag(w) holds the strengths of the regular nodes in ``regular`` order
-    (edges to stubborn nodes included), so every row of [A | B] sums to one.
-    A is similar to the symmetric matrix S = D^-1/2 W_RR D^-1/2 =
-    Q diag(eigvals) Q'. ``eigvals`` (ascending) and the orthonormal
-    ``eigvecs`` Q are that decomposition, and ``rho`` is max |eigvals|.
+    (edges to stubborn nodes included). A is similar to the symmetric matrix
+    S = D^-1/2 W_RR D^-1/2 = Q diag(eigvals) Q'. ``eigvals`` (ascending) and
+    the orthonormal ``eigvecs`` Q are that decomposition, and ``rho`` is
+    max |eigvals|. The blocks ``A`` = D^-1 W_RR and ``B`` = D^-1 W_RS, whose
+    rows together sum to one, are formed from W on each read (O(n^2)).
     """
 
-    A: np.ndarray
-    B: np.ndarray
+    graph: SocialGraph
     w: np.ndarray
     regular: tuple[int, ...]
     stubborn: tuple[int, ...]
@@ -93,12 +93,22 @@ class NetworkOperators:
     eigvecs: np.ndarray
 
     def __post_init__(self):
-        for name in ("A", "B", "w", "eigvals", "eigvecs"):
+        for name in ("w", "eigvals", "eigvecs"):
             getattr(self, name).setflags(write=False)
 
     @property
     def n_regular(self) -> int:
         return len(self.regular)
+
+    @property
+    def A(self) -> np.ndarray:
+        W, R = self.graph.weights, self.regular
+        return W[np.ix_(R, R)] / self.w[:, None]
+
+    @property
+    def B(self) -> np.ndarray:
+        W, R = self.graph.weights, self.regular
+        return W[np.ix_(R, self.stubborn)] / self.w[:, None]
 
 
 @dataclass(frozen=True)
@@ -144,7 +154,7 @@ def validate_reachability(g: SocialGraph) -> ReachabilityReport:
 
 
 def normalize(g: SocialGraph) -> NetworkOperators:
-    """Derive the blocks A = W_RR / w_R, B = W_RS / w_R and the spectrum of A.
+    """The spectrum of A = W_RR / w_R.
 
     One symmetric eigendecomposition of D^-1/2 W_RR D^-1/2 gives the
     eigenpairs stored on the result and the spectral radius of A; raises
@@ -154,21 +164,18 @@ def normalize(g: SocialGraph) -> NetworkOperators:
     if not report.ok:
         raise ReachabilityError(report.message)
     R = list(g.regular)
-    S = list(g.stubborn)
     w = g.weights.sum(axis=1)[R]
     if np.any(w == 0):
         isolated = [i for i, wi in zip(R, w) if wi == 0]
         raise GraphError(f"isolated regular node(s): {isolated}")
     W_RR = g.weights[np.ix_(R, R)]
-    A = W_RR / w[:, None]
-    B = g.weights[np.ix_(R, S)] / w[:, None]
     scale = 1.0 / np.sqrt(w)
     eigvals, eigvecs = np.linalg.eigh(scale[:, None] * W_RR * scale[None, :])
     rho = float(np.max(np.abs(eigvals))) if R else 0.0
     if rho >= 1.0 - RHO_MARGIN:
         raise ReachabilityError(f"spectral radius of A is {rho:.12f}, expected < 1")
-    return NetworkOperators(A=A, B=B, w=w, regular=tuple(R),
-                            stubborn=tuple(S), rho=rho, eigvals=eigvals,
+    return NetworkOperators(graph=g, w=w, regular=tuple(R),
+                            stubborn=g.stubborn, rho=rho, eigvals=eigvals,
                             eigvecs=eigvecs)
 
 
@@ -216,8 +223,9 @@ def load_graph(source: str | Path | Iterable[str],
     for lineno, (i, j, wgt) in read_records(source, EDGE_FIELDS):
         if i < 0 or j < 0:
             raise GraphError(f"line {lineno}: node ids must be nonnegative")
-        if wgt <= 0:
-            raise GraphError(f"line {lineno}: weight must be positive")
+        if not 0 < wgt < np.inf:
+            raise GraphError(f"line {lineno}: weight must be positive and "
+                             f"finite, got {wgt}")
         if i == j:
             raise GraphError(f"line {lineno}: self-loop on node {i}")
         key = (min(i, j), max(i, j))

@@ -198,14 +198,21 @@ def submodularity_audit(C: np.ndarray, budget: int = 8, n_samples: int = 2000,
                         seed: int = 0) -> AuditReport:
     """Check diminishing returns of F (and increasing returns of G).
 
-    Exhaustive over all triples A <= B, k not in B when the instance fits the
-    budget; otherwise a seeded random sample of triples. Slack below
+    Exhaustive over all triples A <= B, k not in B when n <= ``budget``;
+    otherwise a seeded random sample of triples. Slack below
     -AUDIT_TOL*(1 + |F|) counts as a violation, and likewise for
-    G = var_y(C) - F.
+    G = var_y(C) - F. The exhaustive audit checks n 3^(n-1) triples over
+    2^n values of F; it raises ``BudgetExceededError`` before any F is
+    evaluated when that count exceeds ``EXACT_BUDGET``.
     """
     n = C.shape[0]
     vy = var_y(C)
     if n <= budget:
+        n_triples = n * 3 ** (n - 1)
+        if n_triples > EXACT_BUDGET:
+            raise BudgetExceededError(
+                f"exhaustive audit of {n} nodes checks {n_triples} triples, "
+                f"over the budget of {EXACT_BUDGET}")
         F = _all_subset_values(C)
         G = vy - F
         bits = 1 << np.arange(n)

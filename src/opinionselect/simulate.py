@@ -79,12 +79,13 @@ def simulate(ops: NetworkOperators, noise: NoiseModel | np.ndarray,
     sigma = np.sqrt(sigma2)
     mu = mean(ops, cfg.u)
     T = horizon_for(ops.rho, 1e-8)
+    A_T = ops.A.T
     drift = ops.B @ cfg.u
     rng = np.random.default_rng(cfg.seed)
     X = np.tile(mu, (cfg.replicas, 1))
     for _ in range(T):
         V = _draw_noise(rng, cfg.noise_family, sigma, X.shape)
-        X = X @ ops.A.T + drift + V
+        X = X @ A_T + drift + V
     return X
 
 

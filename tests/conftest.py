@@ -47,6 +47,17 @@ def naive_g(C, K):
     return float(ones @ np.linalg.inv(H[np.ix_(comp, comp)]) @ ones)
 
 
+def dense_resolvent(G, a):
+    """M1 and diag M of M = (I - aG)^{-1} by an explicit inverse (oracle path)."""
+    M = np.linalg.inv(np.eye(G.shape[0]) - a * G)
+    return M @ np.ones(G.shape[0]), np.diag(M)
+
+
+def dense_intercentrality(G, a):
+    b, m = dense_resolvent(G, a)
+    return b * b / m
+
+
 def naive_best_subset(C, s):
     best, best_f = None, -np.inf
     for K in itertools.combinations(range(C.shape[0]), s):

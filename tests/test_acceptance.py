@@ -30,11 +30,12 @@ from opinionselect import (BudgetExceededError, GreedyState, NoiseModel,
                            extend_inverse, f_score, g_score,
                            generate_random_reachable, generate_random_regular,
                            generate_watts_strogatz, greedy_select,
-                           guarantee_check, intercentrality, marginal_gain,
+                           guarantee_check, marginal_gain,
                            mean, moments, normalize, precision,
                            ranking_report, submodularity_audit, var_y,
                            var_reduction_scores)
 from opinionselect.simulate import simulate
+from conftest import dense_intercentrality
 
 MC_SEED = 11  # frozen: worst standardized deviation 2.48 over all checks
 
@@ -330,7 +331,7 @@ def test_criterion_10_single_node_identities():
         g = generate_random_reachable(11, 2, 4000 + seed)
         ops = normalize(g)
         eta = eta_scores(ops).scores
-        ic = intercentrality(ops.A @ ops.A, 1.0).scores
+        ic = dense_intercentrality(ops.A @ ops.A, 1.0)
         assert np.allclose(eta, ic, rtol=1e-10, atol=0.0)
     # single-node variance reduction on instances with an exact direct form
     for seed in range(20):

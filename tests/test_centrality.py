@@ -11,7 +11,7 @@ from opinionselect import (NoiseModel, SocialGraph, bonacich,
                            kendall_tau_b, normalize, ranking_report,
                            var_reduction_scores)
 from opinionselect.errors import NumericalError
-from conftest import random_instance
+from conftest import dense_intercentrality, dense_resolvent, random_instance
 
 
 def test_var_reduction_identity_matrix():
@@ -59,7 +59,7 @@ def test_eta_equals_intercentrality_of_two_hop_operator():
     for seed in range(20):
         ops, _, _ = random_instance(seed, n=10, n_stubborn=2)
         eta = eta_scores(ops).scores
-        ic = intercentrality(ops.A @ ops.A, 1.0).scores
+        ic = dense_intercentrality(ops.A @ ops.A, 1.0)
         assert np.allclose(eta, ic, rtol=1e-10)
 
 
@@ -92,25 +92,13 @@ def test_intercentrality_trivial_and_symmetric():
     assert np.allclose(c, c[0])
 
 
-def _dense_resolvent(G, a):
-    """M1 and diag M of M = (I - aG)^{-1} by a dense solve (oracle path)."""
-    n = G.shape[0]
-    M = np.linalg.solve(np.eye(n) - a * G, np.eye(n))
-    return M @ np.ones(n), np.diag(M)
-
-
 def dense_eta(A):
-    b, m = _dense_resolvent(A @ A, 1.0)
+    b, m = dense_resolvent(A @ A, 1.0)
     return b * b / m
 
 
 def dense_bonacich(A, a):
-    return _dense_resolvent(A, a)[0]
-
-
-def dense_intercentrality(A, a):
-    b, m = _dense_resolvent(A, a)
-    return b * b / m
+    return dense_resolvent(A, a)[0]
 
 
 def _path_off_stubborn(edges):
@@ -149,6 +137,23 @@ def test_spectral_scores_match_dense_oracles():
             _assert_rel(bonacich(ops, a).scores, dense_bonacich(A, a), (case, a))
             _assert_rel(intercentrality(ops, a).scores,
                         dense_intercentrality(A, a), (case, a))
+        # the 0/1 adjacency of the regular block (--matrix adjacency)
+        R = ops.regular
+        G = (ops.graph.weights[np.ix_(R, R)] > 0).astype(float)
+        rho = np.max(np.abs(np.linalg.eigvals(G)))
+        for a in (0.0, 0.9 / rho, -0.9 / rho, 0.999 / rho):
+            _assert_rel(bonacich(G, a).scores, dense_bonacich(G, a),
+                        ("adjacency", case, a))
+            _assert_rel(intercentrality(G, a).scores,
+                        dense_intercentrality(G, a), ("adjacency", case, a))
+
+
+def test_dense_score_matrix_must_be_symmetric():
+    G = np.array([[0.0, 0.5], [0.2, 0.0]])
+    with pytest.raises(ValueError):
+        bonacich(G, 0.1)
+    with pytest.raises(ValueError):
+        intercentrality(G, 0.1)
 
 
 def test_spectral_attenuation_bound():

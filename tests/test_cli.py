@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import opinionselect
-from opinionselect import (equilibrium, generate_random_reachable, load_graph,
-                           normalize, save_graph)
+from opinionselect import (generate_random_reachable, load_graph, normalize,
+                           save_graph, selector)
 from opinionselect.cli import build_parser, main
 
 
@@ -53,6 +53,22 @@ def test_generate_cycle(tmp_path):
 def test_generate_bad_params():
     assert run_cli(["generate", "--model", "ws", "--n", "4", "--k", "4",
                     "--n-stubborn", "1", "--out-prefix", "/tmp/x"]) == 2
+
+
+def test_generate_refuses_instances_without_stubborn_nodes(tmp_path, capsys):
+    # select, score and curve refuse an empty stubborn set, so generate
+    # writes none: --n-stubborn is required and at least 1
+    prefix = tmp_path / "none"
+    base = ["generate", "--model", "cycle", "--n", "7",
+            "--out-prefix", str(prefix)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(base)
+    assert exc.value.code == 2
+    for bad in ("0", "-1"):
+        capsys.readouterr()
+        assert run_cli([*base, "--n-stubborn", bad]) == 2
+        assert f"--n-stubborn {bad}" in capsys.readouterr().err
+    assert not (tmp_path / "none.edges").exists()
 
 
 def test_select_greedy_document(ws_files, tmp_path):
@@ -185,6 +201,30 @@ def test_sigma2_file_duplicates_and_malformed_lines(ws_files, tmp_path,
         assert not out.exists()
 
 
+def test_nonfinite_edge_weight_refused(tmp_path, capsys):
+    edges = tmp_path / "path.edges"
+    out = tmp_path / "never.json"
+    for value in ("inf", "nan"):
+        edges.write_text(f"0 1 1\n1 2 {value}\n2 3 1\n")
+        capsys.readouterr()
+        assert run_cli(["select", "--graph", str(edges), "--stubborn", "0",
+                        "--k", "1", "--out", str(out)]) == 2, value
+        err = capsys.readouterr().err
+        assert f"line 2: weight must be positive and finite, got {value}" in err
+    assert not out.exists()
+
+
+def test_sigma2_uniform_value_must_be_a_number(ws_files, tmp_path, capsys):
+    edges, stub = ws_files
+    out = tmp_path / "never.json"
+    assert run_cli(["select", "--graph", edges, "--stubborn-file", stub,
+                    "--k", "1", "--sigma2", "uniform:abc",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--sigma2 'uniform:abc'" in err and "uniform:VALUE" in err
+    assert not out.exists()
+
+
 def test_stubborn_ids_read_like_the_other_inputs(tmp_path, capsys):
     edges = tmp_path / "path.edges"
     edges.write_text("0 1 1\n1 2 1\n2 3 1\n")
@@ -314,22 +354,20 @@ def test_score_adjacency_attenuation_bound(tmp_path, capsys):
 
 def test_score_default_matrix_makes_no_dense_solve(ws_files, tmp_path,
                                                    monkeypatch):
-    # --matrix normalized scores from the spectrum normalize stores: no
-    # O(n^3) solve or inverse, and no power iteration for the bound
+    # both score matrices go through a spectrum: --matrix normalized reads
+    # the one normalize stores, --matrix adjacency runs eigh on the
+    # symmetric 0/1 adjacency; neither makes an O(n^3) solve or inverse
     def refuse(*args, **kwargs):
         raise AssertionError("dense call on the spectral score path")
 
     for name in ("solve", "inv"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    monkeypatch.setattr(equilibrium, "spectral_radius", refuse)
     edges, stub = ws_files
     score = ["score", "--graph", edges, "--stubborn-file", stub,
              "--measures", "var_reduction,eta,bonacich,intercentrality",
              "--out", str(tmp_path / "score.json")]
     assert run_cli(score) == 0
-    # the adjacency path is dense, so the patch does reach it
-    with pytest.raises(AssertionError):
-        run_cli(score + ["--matrix", "adjacency", "--attenuation", "0.1"])
+    assert run_cli(score + ["--matrix", "adjacency", "--attenuation", "0.1"]) == 0
 
 
 def test_score_nonfinite_attenuation(tmp_path, capsys):
@@ -489,6 +527,19 @@ def test_validate_suites_pass(tmp_path):
         doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
         assert doc["validation"]["ok"] is True
     assert doc["validation"]["min_slack_f"] >= -1e-9
+
+
+def test_validate_submodularity_refusals(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "never.json"
+    audit = ["validate", "--suite", "submodularity", "--trials", "1",
+             "--seed", "0", "--out", str(out)]
+    assert run_cli([*audit, "--max-r", "2"]) == 2
+    assert "--max-r 2" in capsys.readouterr().err
+    # an exhaustive audit over EXACT_BUDGET triples is refused (exit 3)
+    monkeypatch.setattr(selector, "EXACT_BUDGET", 100)
+    assert run_cli([*audit, "--max-r", "6"]) == 3
+    assert "over the budget of 100" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_moments_small(tmp_path):

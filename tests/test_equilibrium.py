@@ -5,7 +5,8 @@ from opinionselect import (NoiseModel, SocialGraph, covariance_closed_form,
                            covariance_lyapunov, generate_cycle,
                            generate_random_reachable, generate_random_regular,
                            mean, moments, normalize, precision,
-                           precision_direct, spectral_radius)
+                           precision_direct)
+from opinionselect.equilibrium import SYMMETRY_TOL
 from conftest import random_instance, series_covariance
 
 
@@ -47,15 +48,6 @@ def test_mean_A_zero_is_Bu():
     assert np.allclose(ops.A, 0.0)
     u = np.array([0.3])
     assert np.allclose(mean(ops, u), ops.B @ u)
-
-
-def test_spectral_radius_examples():
-    assert spectral_radius(np.zeros((3, 3))) == 0.0
-    assert abs(spectral_radius(np.array([[0., .5], [.5, 0.]])) - 0.5) < 1e-9
-    assert spectral_radius(np.zeros((0, 0))) == 0.0
-    # non-power-convergent matrix falls back to the eigensolver
-    rot = np.array([[0., -1.], [1., 0.]])
-    assert abs(spectral_radius(rot, max_iter=5) - 1.0) < 1e-9
 
 
 def test_lyapunov_A_zero_returns_sigma():
@@ -233,3 +225,31 @@ def test_moments_spectral_solve_matches_oracles():
                     <= 1e-10 * np.linalg.norm(C_series))
         res = np.linalg.norm(C - ops.A @ C @ ops.A.T - noise.matrix)
         assert res <= 1e-10 * np.linalg.norm(C)
+
+
+def _dense_tag(ops, sigma2):
+    """The regime tag from the dense product A Sigma (oracle path)."""
+    A_sigma = ops.A * sigma2[None, :]
+    asym = np.linalg.norm(A_sigma - A_sigma.T)
+    return ("closed-form" if asym <= SYMMETRY_TOL * np.linalg.norm(A_sigma)
+            else "lyapunov")
+
+
+def test_regime_tag_from_edges_matches_dense_formula():
+    rng = np.random.default_rng(17)
+    seen = set()
+    for seed in range(15):
+        for g in (generate_random_reachable(14, 3, seed),
+                  generate_random_regular(14, 3, seed, 3)):
+            ops = normalize(g)
+            m = ops.n_regular
+            inverse_w = 0.7 / ops.w
+            for sigma2 in (inverse_w, np.full(m, 1.3),
+                           rng.uniform(0.5, 2.0, m),
+                           inverse_w * (1 + 1e-11 * rng.standard_normal(m)),
+                           inverse_w * (1 + 1e-9 * rng.standard_normal(m))):
+                noise = NoiseModel(sigma2)
+                want = _dense_tag(ops, noise.sigma2)
+                assert moments(ops, noise).method_tag == want, (seed, sigma2)
+                seen.add(want)
+    assert seen == {"closed-form", "lyapunov"}

@@ -286,6 +286,25 @@ def test_guarantee_random_instances():
         assert rep.ratio >= bound - 1e-9
 
 
+def test_audit_exhaustive_budget(monkeypatch):
+    # n = 6 checks 6 * 3^5 = 1458 triples; a budget one below that refuses
+    # the audit before any F is evaluated
+    import opinionselect.selector as selector
+    _, _, C = random_instance(0, n=8, n_stubborn=2)
+    n_triples = 6 * 3 ** 5
+    monkeypatch.setattr(selector, "EXACT_BUDGET", n_triples)
+    rep = submodularity_audit(C, budget=6)
+    assert rep.exhaustive and rep.n_checks == n_triples
+
+    def refuse(*args):
+        raise AssertionError("F evaluated before the budget check")
+
+    monkeypatch.setattr(selector, "EXACT_BUDGET", n_triples - 1)
+    monkeypatch.setattr(selector, "f_score", refuse)
+    with pytest.raises(BudgetExceededError, match="1458 triples"):
+        submodularity_audit(C, budget=6)
+
+
 def test_audit_diagonal_is_modular():
     C = np.diag(np.array([1.0, 2.0, 3.0, 4.0]))
     rep = submodularity_audit(C)
