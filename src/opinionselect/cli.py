@@ -327,6 +327,9 @@ def _suite_submodularity(args) -> dict:
 
 
 def _suite_guarantee(args) -> dict:
+    if args.max_r < 6:
+        raise GraphError(f"--max-r {args.max_r}: the greedy-guarantee suite "
+                         "needs at least 6")
     rng = np.random.default_rng(args.seed)
     worst = 1.0
     ok = True

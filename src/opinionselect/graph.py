@@ -263,14 +263,23 @@ def save_graph(g: SocialGraph, edges_path: str | Path,
                stubborn_path: str | Path | None = None) -> None:
     """Write the canonical edge-list (original labels) and stubborn file."""
     lines = ["# i j w"]
-    for i in range(g.n_nodes):
-        for j in range(i + 1, g.n_nodes):
-            if g.weights[i, j] > 0:
-                lines.append(f"{g.labels[i]} {g.labels[j]} {g.weights[i, j]:.12g}")
+    for i, j in zip(*np.nonzero(np.triu(g.weights))):
+        lines.append(f"{g.labels[i]} {g.labels[j]} {g.weights[i, j]:.12g}")
     Path(edges_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     if stubborn_path is not None:
         stub = "\n".join(str(g.labels[i]) for i in g.stubborn)
         Path(stubborn_path).write_text(stub + "\n", encoding="utf-8")
+
+
+def _unit_weight_graph(n: int, edges, seed: int, n_stubborn: int) -> SocialGraph:
+    """Unit weights on ``edges``; the stubborn nodes are drawn uniformly
+    without replacement from a generator seeded with ``seed``."""
+    W = np.zeros((n, n))
+    for i, j in edges:
+        W[i, j] = W[j, i] = 1.0
+    rng = np.random.default_rng(seed)
+    stub = tuple(sorted(int(i) for i in rng.choice(n, size=n_stubborn, replace=False)))
+    return SocialGraph(weights=W, stubborn=stub)
 
 
 def generate_watts_strogatz(n: int, k: int, beta: float, seed: int,
@@ -291,12 +300,7 @@ def generate_watts_strogatz(n: int, k: int, beta: float, seed: int,
     import networkx as nx
 
     gnx = nx.connected_watts_strogatz_graph(n, k, beta, tries=1000, seed=int(seed))
-    W = np.zeros((n, n))
-    for i, j in gnx.edges:
-        W[i, j] = W[j, i] = 1.0
-    rng = np.random.default_rng(seed)
-    stub = tuple(sorted(int(i) for i in rng.choice(n, size=n_stubborn, replace=False)))
-    return SocialGraph(weights=W, stubborn=stub)
+    return _unit_weight_graph(n, gnx.edges, seed, n_stubborn)
 
 
 def generate_cycle(n: int, n_stubborn: int) -> SocialGraph:
@@ -352,9 +356,4 @@ def generate_random_regular(n: int, degree: int, seed: int,
             break
     else:
         raise GraphError("failed to draw a connected regular graph")
-    W = np.zeros((n, n))
-    for i, j in gnx.edges:
-        W[i, j] = W[j, i] = 1.0
-    rng = np.random.default_rng(seed)
-    stub = tuple(sorted(int(i) for i in rng.choice(n, size=n_stubborn, replace=False)))
-    return SocialGraph(weights=W, stubborn=stub)
+    return _unit_weight_graph(n, gnx.edges, seed, n_stubborn)

@@ -230,6 +230,13 @@ def _tau_cases():
         n = int(rng.integers(2, 200))
         x = rng.integers(0, int(rng.integers(1, n + 1)), n).astype(float)
         yield x, x + rng.integers(-1, 2, n) * (rng.random(n) < 0.3)
+    for n in (990, 3000):                                      # long insertions
+        yield np.arange(n, dtype=float), np.arange(n, 0.0, -1)  # all discordant
+        x = rng.random(n)
+        yield x, -x                                            # all discordant
+        yield (rng.integers(0, 10, n).astype(float),           # <= 10 values
+               rng.integers(0, 7, n).astype(float))
+        yield x, x + 0.5 * rng.random(n)                       # correlated
 
 
 def test_kendall_tau_b_matches_scipy_oracle():

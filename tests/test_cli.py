@@ -535,6 +535,14 @@ def test_validate_submodularity_refusals(tmp_path, capsys, monkeypatch):
              "--seed", "0", "--out", str(out)]
     assert run_cli([*audit, "--max-r", "2"]) == 2
     assert "--max-r 2" in capsys.readouterr().err
+    guarantee = ["validate", "--suite", "greedy-guarantee", "--trials", "1",
+                 "--seed", "0", "--out", str(out)]
+    for max_r in ("5", "3"):
+        assert run_cli([*guarantee, "--max-r", max_r]) == 2
+        err = capsys.readouterr().err
+        assert f"--max-r {max_r}" in err and "at least 6" in err
+    assert run_cli([*guarantee, "--max-r", "6"]) in (0, 1)
+    out.unlink()
     # an exhaustive audit over EXACT_BUDGET triples is refused (exit 3)
     monkeypatch.setattr(selector, "EXACT_BUDGET", 100)
     assert run_cli([*audit, "--max-r", "6"]) == 3
