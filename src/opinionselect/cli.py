@@ -315,7 +315,7 @@ def _suite_submodularity(args) -> dict:
         # uniform noise on a degree-regular graph: A Sigma is symmetric, so
         # every instance is in the closed-form regime
         C = equilibrium.moments(ops, noise).C
-        rep = selector.submodularity_audit(C, budget=args.max_r)
+        rep = selector.submodularity_audit(C)
         viol += rep.violations_f + rep.violations_g
         slack_f.append(rep.min_slack_f)
         slack_g.append(rep.min_slack_g)
@@ -374,6 +374,8 @@ SUITES = {"moments": _suite_moments,
 
 def cmd_validate(args) -> int:
     t0 = time.perf_counter()
+    if args.trials < 0:
+        raise GraphError(f"--trials {args.trials}: must be at least 0")
     report = SUITES[args.suite](args)
     doc = {"schema": SCHEMA_VERSION,
            "meta": _meta(args, "validate", t0),

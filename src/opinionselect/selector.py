@@ -7,6 +7,10 @@ subsets, skipping degenerate ones as greedy skips degenerate candidates, and
 doubles as the oracle for the greedy guarantee and for the incremental
 algebra. It runs only when C(n, s) is at most ``EXACT_BUDGET``.
 
+The submodularity audit checks diminishing returns of F on every triple
+A <= B, k not in B in one vectorised pass over the 3^n pairs (A, B); it too
+runs only when its n 3^(n-1) triples are at most ``EXACT_BUDGET``.
+
 Every path reads the covariance C alone: G = var_y(C) - F.
 """
 
@@ -178,7 +182,6 @@ class AuditReport:
     min_slack_g: float
     violations_f: int
     violations_g: int
-    exhaustive: bool
 
     @property
     def ok(self) -> bool:
@@ -194,77 +197,46 @@ def _all_subset_values(C: np.ndarray) -> np.ndarray:
     return F
 
 
-def submodularity_audit(C: np.ndarray, budget: int = 8, n_samples: int = 2000,
-                        seed: int = 0) -> AuditReport:
-    """Check diminishing returns of F (and increasing returns of G).
+def submodularity_audit(C: np.ndarray) -> AuditReport:
+    """Check diminishing returns of F (and increasing returns of G) exhaustively.
 
-    Exhaustive over all triples A <= B, k not in B when n <= ``budget``;
-    otherwise a seeded random sample of triples. Slack below
-    -AUDIT_TOL*(1 + |F|) counts as a violation, and likewise for
-    G = var_y(C) - F. The exhaustive audit checks n 3^(n-1) triples over
-    2^n values of F; it raises ``BudgetExceededError`` before any F is
-    evaluated when that count exceeds ``EXACT_BUDGET``.
+    Every triple A <= B, k not in B is checked, n 3^(n-1) in all, over 2^n
+    values of F, one ``f_score`` per subset. Slack below -AUDIT_TOL*(1 + |F|)
+    counts as a violation, and likewise for G = var_y(C) - F. Raises
+    ``BudgetExceededError`` before any F is evaluated when the triple count
+    exceeds ``EXACT_BUDGET``: 13 nodes fit, 14 do not.
     """
     n = C.shape[0]
-    vy = var_y(C)
-    if n <= budget:
-        n_triples = n * 3 ** (n - 1)
-        if n_triples > EXACT_BUDGET:
-            raise BudgetExceededError(
-                f"exhaustive audit of {n} nodes checks {n_triples} triples, "
-                f"over the budget of {EXACT_BUDGET}")
-        F = _all_subset_values(C)
-        G = vy - F
-        bits = 1 << np.arange(n)
-        min_f, min_g = np.inf, np.inf
-        viol_f = viol_g = checks = 0
-        for maskB in range(1 << n):
-            outside = np.array([k for k in range(n) if not maskB >> k & 1],
-                               dtype=int)
-            if outside.size == 0:
-                continue
-            kbits = bits[outside]
-            # enumerate submasks A of B (including A == B)
-            maskA = maskB
-            while True:
-                dF = (F[maskA | kbits] - F[maskA]) - (F[maskB | kbits] - F[maskB])
-                dG = (G[maskB | kbits] - G[maskB]) - (G[maskA | kbits] - G[maskA])
-                scale_f = AUDIT_TOL * (1.0 + np.abs(F[maskB | kbits]))
-                scale_g = AUDIT_TOL * (1.0 + np.abs(G[maskB | kbits]))
-                viol_f += int(np.sum(dF < -scale_f))
-                viol_g += int(np.sum(dG < -scale_g))
-                min_f = min(min_f, float(dF.min()))
-                min_g = min(min_g, float(dG.min()))
-                checks += outside.size
-                if maskA == 0:
-                    break
-                maskA = (maskA - 1) & maskB
-        return AuditReport(n_checks=checks, min_slack_f=min_f, min_slack_g=min_g,
-                           violations_f=viol_f, violations_g=viol_g,
-                           exhaustive=True)
-    rng = np.random.default_rng(seed)
-    min_f, min_g = np.inf, np.inf
+    n_triples = n * 3 ** (n - 1)
+    if n_triples > EXACT_BUDGET:
+        raise BudgetExceededError(
+            f"exhaustive audit of {n} nodes checks {n_triples} triples, "
+            f"over the budget of {EXACT_BUDGET}")
+    F = _all_subset_values(C)
+    G = var_y(C) - F
+    # row r is one pair A <= B: base-3 digit i of r is 0 when node i is
+    # outside B, 1 when it is in B but not A, and 2 when it is in A
+    rest = np.arange(3 ** n)
+    maskA = np.zeros_like(rest)
+    maskB = np.zeros_like(rest)
+    for i in range(n):
+        rest, digit = np.divmod(rest, 3)
+        maskA |= (digit == 2) << i
+        maskB |= (digit > 0) << i
+    min_f = min_g = np.inf
     viol_f = viol_g = 0
-    for _ in range(n_samples):
-        picks = rng.random(n)
-        B = [i for i in range(n) if picks[i] < 0.5]
-        if len(B) == n:
-            continue
-        A = [i for i in B if rng.random() < 0.5]
-        k = int(rng.choice([i for i in range(n) if i not in B]))
-        f_A, f_Ak = f_score(C, A), f_score(C, A + [k])
-        f_B, f_Bk = f_score(C, B), f_score(C, B + [k])
-        g_A, g_Ak, g_B, g_Bk = vy - f_A, vy - f_Ak, vy - f_B, vy - f_Bk
-        dF = (f_Ak - f_A) - (f_Bk - f_B)
-        dG = (g_Bk - g_B) - (g_Ak - g_A)
-        if dF < -AUDIT_TOL * (1.0 + abs(f_Bk)):
-            viol_f += 1
-        if dG < -AUDIT_TOL * (1.0 + abs(g_Bk)):
-            viol_g += 1
-        min_f = min(min_f, dF)
-        min_g = min(min_g, dG)
-    return AuditReport(n_checks=n_samples, min_slack_f=min_f, min_slack_g=min_g,
-                       violations_f=viol_f, violations_g=viol_g, exhaustive=False)
+    for k in range(n):
+        outside = (maskB >> k & 1) == 0
+        A, B = maskA[outside], maskB[outside]
+        Ak, Bk = A | 1 << k, B | 1 << k
+        dF = (F[Ak] - F[A]) - (F[Bk] - F[B])
+        dG = (G[Bk] - G[B]) - (G[Ak] - G[A])
+        viol_f += int(np.count_nonzero(dF < -AUDIT_TOL * (1.0 + np.abs(F[Bk]))))
+        viol_g += int(np.count_nonzero(dG < -AUDIT_TOL * (1.0 + np.abs(G[Bk]))))
+        min_f = min(min_f, float(dF.min()))
+        min_g = min(min_g, float(dG.min()))
+    return AuditReport(n_checks=n_triples, min_slack_f=min_f, min_slack_g=min_g,
+                       violations_f=viol_f, violations_g=viol_g)
 
 
 @dataclass(frozen=True)

@@ -543,6 +543,18 @@ def test_validate_submodularity_refusals(tmp_path, capsys, monkeypatch):
         assert f"--max-r {max_r}" in err and "at least 6" in err
     assert run_cli([*guarantee, "--max-r", "6"]) in (0, 1)
     out.unlink()
+    # a negative --trials is refused in every suite that draws trials;
+    # --trials 0 runs no trial and writes null slacks
+    for suite in ("submodularity", "greedy-guarantee", "incremental"):
+        assert run_cli(["validate", "--suite", suite, "--trials", "-2",
+                        "--seed", "0", "--out", str(out)]) == 2
+        assert "--trials -2" in capsys.readouterr().err
+        assert not out.exists()
+    assert run_cli(["validate", "--suite", "submodularity", "--trials", "0",
+                    "--seed", "0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())["validation"]
+    assert doc["trials"] == 0 and doc["min_slack_f"] is None
+    out.unlink()
     # an exhaustive audit over EXACT_BUDGET triples is refused (exit 3)
     monkeypatch.setattr(selector, "EXACT_BUDGET", 100)
     assert run_cli([*audit, "--max-r", "6"]) == 3

@@ -293,8 +293,8 @@ def test_audit_exhaustive_budget(monkeypatch):
     _, _, C = random_instance(0, n=8, n_stubborn=2)
     n_triples = 6 * 3 ** 5
     monkeypatch.setattr(selector, "EXACT_BUDGET", n_triples)
-    rep = submodularity_audit(C, budget=6)
-    assert rep.exhaustive and rep.n_checks == n_triples
+    rep = submodularity_audit(C)
+    assert rep.n_checks == n_triples
 
     def refuse(*args):
         raise AssertionError("F evaluated before the budget check")
@@ -302,13 +302,12 @@ def test_audit_exhaustive_budget(monkeypatch):
     monkeypatch.setattr(selector, "EXACT_BUDGET", n_triples - 1)
     monkeypatch.setattr(selector, "f_score", refuse)
     with pytest.raises(BudgetExceededError, match="1458 triples"):
-        submodularity_audit(C, budget=6)
+        submodularity_audit(C)
 
 
 def test_audit_diagonal_is_modular():
     C = np.diag(np.array([1.0, 2.0, 3.0, 4.0]))
     rep = submodularity_audit(C)
-    assert rep.exhaustive
     assert rep.ok
     assert abs(rep.min_slack_f) < 1e-9
     assert abs(rep.min_slack_g) < 1e-9
@@ -324,8 +323,7 @@ def test_audit_accepted_closed_form_instances():
         ops = normalize(g)
         cf = covariance_closed_form(ops.A, NoiseModel.uniform(ops.n_regular, 1.0))
         assert cf.accepted
-        rep = submodularity_audit(cf.covariance, budget=7)
-        assert rep.exhaustive
+        rep = submodularity_audit(cf.covariance)
         assert rep.violations_f == 0
         assert rep.violations_g == 0
 
@@ -336,43 +334,37 @@ def test_audit_heterogeneous_instances_recorded_only():
     seen_violation = False
     for seed in range(10):
         _, _, C = random_instance(seed, n=8, n_stubborn=2)
-        rep = submodularity_audit(C, budget=7)
-        assert rep.exhaustive
+        rep = submodularity_audit(C)
         assert rep.violations_f == rep.violations_g  # mirrored via F+G=const
         assert rep.min_slack_f <= 1e-9
         seen_violation = seen_violation or rep.violations_f > 0
     assert seen_violation  # at least one genuine counterexample in this batch
 
 
-def test_audit_sampled_mode(f_score_calls):
-    _, _, C = random_instance(0, n=14, n_stubborn=3)
-    rep = submodularity_audit(C, budget=8, n_samples=200, seed=1)
-    assert not rep.exhaustive
-    assert rep.n_checks == 200
-    assert len(f_score_calls) <= 4 * rep.n_checks   # F(A), F(A+k), F(B), F(B+k)
-    assert np.isfinite(rep.min_slack_f) and np.isfinite(rep.min_slack_g)
-
-
-def _g_audit_oracle(C, triples, tol=1e-9):
-    """(checks, min slack, violations) of increasing returns of G over the
-    triples (A, B, k), with G from the precision oracle g_score(C^-1, .)."""
+def _audit_oracle(C, triples, tol=1e-9):
+    """((min slack, violations) of F, (min slack, violations) of G, checks)
+    over the triples (A, B, k): diminishing returns of F from f_score and
+    increasing returns of G from the precision oracle g_score(C^-1, .)."""
     H = precision(C)
     memo = {}
 
-    def g(K):
+    def fg(K):
         key = tuple(sorted(K))
         if key not in memo:
-            memo[key] = g_score(H, key)
+            memo[key] = f_score(C, key), g_score(H, key)
         return memo[key]
 
-    checks, min_slack, violations = 0, np.inf, 0
+    checks, min_f, min_g, viol_f, viol_g = 0, np.inf, np.inf, 0, 0
     for A, B, k in triples:
-        g_Bk = g(B + [k])
-        slack = (g_Bk - g(B)) - (g(A + [k]) - g(A))
+        (f_A, g_A), (f_Ak, g_Ak) = fg(A), fg(A + [k])
+        (f_B, g_B), (f_Bk, g_Bk) = fg(B), fg(B + [k])
+        slack_f = (f_Ak - f_A) - (f_Bk - f_B)
+        slack_g = (g_Bk - g_B) - (g_Ak - g_A)
         checks += 1
-        min_slack = min(min_slack, slack)
-        violations += slack < -tol * (1.0 + abs(g_Bk))
-    return checks, min_slack, violations
+        min_f, min_g = min(min_f, slack_f), min(min_g, slack_g)
+        viol_f += slack_f < -tol * (1.0 + abs(f_Bk))
+        viol_g += slack_g < -tol * (1.0 + abs(g_Bk))
+    return (min_f, viol_f), (min_g, viol_g), checks
 
 
 def _all_triples(n):
@@ -385,42 +377,21 @@ def _all_triples(n):
                         yield list(A), list(B), k
 
 
-def _sampled_triples(n, n_samples, seed):
-    # the audit's draws, repeated from the same seed
-    rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
-        picks = rng.random(n)
-        B = [i for i in range(n) if picks[i] < 0.5]
-        if len(B) == n:
-            continue
-        A = [i for i in B if rng.random() < 0.5]
-        k = int(rng.choice([i for i in range(n) if i not in B]))
-        yield A, B, k
-
-
 def test_audit_g_fields_match_precision_oracle_exhaustive(f_score_calls):
-    # seeds 0, 3, 4, 7 break diminishing returns, 1 and 2 do not
-    for seed, n_nodes in [(0, 8), (1, 9), (2, 8), (3, 8), (4, 9), (7, 9)]:
+    # seeds 0, 3, 4, 7 break diminishing returns, 1 and 2 do not; the last
+    # instance has 10 regular nodes, 10 * 3^9 triples
+    for seed, n_nodes in [(0, 8), (1, 9), (2, 8), (3, 8), (4, 9), (7, 9),
+                          (0, 12)]:
         _, _, C = random_instance(seed, n=n_nodes, n_stubborn=2)
         n = C.shape[0]
-        assert n <= 7
         f_score_calls.clear()
-        rep = submodularity_audit(C, budget=7)
-        assert rep.exhaustive
+        rep = submodularity_audit(C)
         assert len(f_score_calls) == 1 << n     # one F per subset, no G solve
-        checks, min_slack, violations = _g_audit_oracle(C, _all_triples(n))
-        assert rep.n_checks == checks
-        assert abs(rep.min_slack_g - min_slack) <= 1e-12 * var_y(C)
-        assert rep.violations_g == violations
-
-
-def test_audit_g_fields_match_precision_oracle_sampled():
-    for seed in range(3):
-        _, _, C = random_instance(seed, n=14, n_stubborn=3)
-        n = C.shape[0]
-        rep = submodularity_audit(C, budget=8, n_samples=150, seed=seed)
-        assert not rep.exhaustive
-        _, min_slack, violations = _g_audit_oracle(
-            C, _sampled_triples(n, 150, seed))
-        assert abs(rep.min_slack_g - min_slack) <= 1e-12 * var_y(C)
-        assert rep.violations_g == violations
+        (min_f, viol_f), (min_g, viol_g), checks = _audit_oracle(
+            C, _all_triples(n))
+        assert rep.n_checks == checks == n * 3 ** (n - 1)
+        # F comes from the same f_score values, so its fields match exactly
+        assert rep.min_slack_f == min_f
+        assert rep.violations_f == viol_f
+        assert abs(rep.min_slack_g - min_g) <= 1e-12 * var_y(C)
+        assert rep.violations_g == viol_g
