@@ -6,6 +6,8 @@ The covariance is defined by the discrete-time Lyapunov equation
 C = A C A' + Sigma. ``moments`` solves it exactly from the eigendecomposition
 that ``normalize`` stores: A = D^-1/2 S D^1/2 with S = Q diag(lam) Q'
 symmetric, so C = D^-1/2 Q [Q' (D Sigma) Q / (1 - lam lam')] Q' D^-1/2.
+It reuses its buffers and frees each temporary once read, so it holds at
+most 2 n^2 floats above W and Q, the returned C included.
 The doubling solver ``covariance_lyapunov`` and the guarded direct formula
 ``covariance_closed_form`` stay as independent oracles for the tests: they
 take ``ops.A``, which is formed from the weights, not from the spectrum.
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
 from .graph import NetworkOperators
@@ -146,6 +147,8 @@ def covariance_closed_form(A: np.ndarray,
 
 def precision(C: np.ndarray) -> np.ndarray:
     """H = C^{-1} via Cholesky; raises if C is not numerically PD."""
+    from scipy.linalg import cho_factor, cho_solve
+
     C = np.asarray(C, dtype=float)
     try:
         factor = cho_factor(C)
@@ -166,11 +169,19 @@ def moments(ops: NetworkOperators, noise: NoiseModel) -> EquilibriumMoments:
     if len(noise.sigma2) != ops.n_regular:
         raise ValueError("noise model size must equal the number of regular nodes")
     lam, Q = ops.eigvals, ops.eigvecs
-    noise_t = (Q.T * (ops.w * noise.sigma2)) @ Q    # Q' (D Sigma) Q
-    X = Q @ (noise_t / (1.0 - np.outer(lam, lam))) @ Q.T
+    # each step reuses or replaces X, so at most two n^2 arrays are alive
+    X = (Q.T * (ops.w * noise.sigma2)) @ Q          # Q' (D Sigma) Q
+    denom = np.multiply.outer(lam, -lam)
+    denom += 1.0                                    # 1 - lam lam'
+    X /= denom
+    del denom
+    X = Q @ X
+    X = X @ Q.T
     scale = 1.0 / np.sqrt(ops.w)
-    C = scale[:, None] * X * scale[None, :]
-    C = (C + C.T) / 2.0
+    X *= scale[:, None]
+    X *= scale
+    C = X + X.T
+    C *= 0.5
     # relative Frobenius asymmetry of A Sigma, whose entries
     # (A Sigma)_ij = W_ij / w_i * sigma_j^2 sit on the regular-regular edges
     W = ops.graph.weights

@@ -168,9 +168,11 @@ def normalize(g: SocialGraph) -> NetworkOperators:
     if np.any(w == 0):
         isolated = [i for i, wi in zip(R, w) if wi == 0]
         raise GraphError(f"isolated regular node(s): {isolated}")
-    W_RR = g.weights[np.ix_(R, R)]
+    S = g.weights[np.ix_(R, R)]     # scaled in place into D^-1/2 W_RR D^-1/2
     scale = 1.0 / np.sqrt(w)
-    eigvals, eigvecs = np.linalg.eigh(scale[:, None] * W_RR * scale[None, :])
+    S *= scale[:, None]
+    S *= scale
+    eigvals, eigvecs = np.linalg.eigh(S)
     rho = float(np.max(np.abs(eigvals))) if R else 0.0
     if rho >= 1.0 - RHO_MARGIN:
         raise ReachabilityError(f"spectral radius of A is {rho:.12f}, expected < 1")

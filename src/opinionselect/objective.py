@@ -10,16 +10,18 @@ Every F, G and estimator evaluation ends in one small symmetric positive
 definite solve, a single LAPACK ``dposv`` call (Cholesky factor and both
 triangular solves) between a finiteness check that LAPACK does not make and
 a degenerate-pivot check. Per subset, exact selection pays that call, the
-product C1 and a gather of C_KK.
+product C1 and a gather of C_KK. ``dposv`` is imported from
+``scipy.linalg.lapack`` on the first solve and bound once, so greedy
+selection and scoring, which never solve a subset, run on numpy alone.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
 from .errors import NumericalError
 
@@ -28,14 +30,22 @@ SCHUR_GUARD = 1e-12
 
 def _check_set(K: Sequence[int], n: int) -> list[int]:
     try:
-        members = [operator.index(i) for i in K]
+        members = list(map(operator.index, K))
     except TypeError:
         raise ValueError("observation set members must be integers") from None
     if len(set(members)) != len(members):
         raise ValueError("observation set contains duplicates")
-    if any(i < 0 or i >= n for i in members):
+    if members and (min(members) < 0 or max(members) >= n):
         raise ValueError("observation set member out of range")
     return members
+
+
+@functools.cache
+def _dposv():
+    # bound on first use: only subset solves need scipy, and importing it
+    # would more than double the start-up of every command
+    from scipy.linalg.lapack import dposv
+    return dposv
 
 
 def _spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -49,7 +59,7 @@ def _spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # LAPACK does not check its inputs: NaN passes through with info == 0
     if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    U, x, info = dposv(M, rhs)
+    U, x, info = _dposv()(M, rhs)
     # a Python loop: on blocks of a few nodes it beats four NumPy calls
     if info != 0 or any(u * u <= SCHUR_GUARD * m for u, m in
                         zip(U.diagonal().tolist(), M.diagonal().tolist())):

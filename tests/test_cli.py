@@ -431,27 +431,35 @@ _STARTUP_SCRIPT = textwrap.dedent("""
         assert cli.main(argv) == 0, argv
     heavy = ("scipy.stats", "scipy.sparse", "networkx")
     after_ops = [m for m in heavy if m in sys.modules]
+    scipy_after_ops = sorted(m for m in sys.modules if m.startswith("scipy"))
     assert cli.main(json.loads(sys.argv[2])) == 0
+    lapack_after_exact = "scipy.linalg.lapack" in sys.modules
+    assert cli.main(json.loads(sys.argv[3])) == 0
     print(json.dumps({"after_ops": after_ops,
+                      "scipy_after_ops": scipy_after_ops,
+                      "lapack_after_exact": lapack_after_exact,
                       "networkx_after_generate": "networkx" in sys.modules}))
 """)
 
 
 def test_commands_leave_heavy_imports_unloaded(tmp_path):
-    # select, curve and score need numpy and scipy.linalg alone; only the
-    # graph generators import networkx, and nothing imports scipy.stats or
-    # scipy.sparse. A fresh interpreter sees what the commands load.
+    # select, greedy curves and score need numpy alone; an exact curve loads
+    # scipy's LAPACK for its subset solves, only the graph generators import
+    # networkx, and nothing imports scipy.stats or scipy.sparse. A fresh
+    # interpreter sees what the commands load.
     prefix = tmp_path / "g"
     save_graph(generate_random_reachable(14, 3, seed=5),
                f"{prefix}.edges", f"{prefix}.stubborn")
     graph = ["--graph", f"{prefix}.edges", "--stubborn-file",
              f"{prefix}.stubborn"]
     ops = [["select", *graph, "--k", "3", "--out", str(tmp_path / "s.json")],
-           ["curve", *graph, "--max-k", "2", "--methods", "greedy,exact",
+           ["curve", *graph, "--max-k", "2", "--methods", "greedy",
             "--out", str(tmp_path / "c.csv")],
            ["score", *graph, "--measures",
             "var_reduction,eta,bonacich,intercentrality",
             "--out", str(tmp_path / "score.json")]]
+    exact = ["curve", *graph, "--max-k", "2", "--methods", "greedy,exact",
+             "--out", str(tmp_path / "c.csv")]
     generate = ["generate", "--model", "ws", "--n", "15", "--n-stubborn", "3",
                 "--seed", "7", "--out-prefix", str(tmp_path / "ws")]
     src = str(Path(opinionselect.__file__).resolve().parents[1])
@@ -459,11 +467,13 @@ def test_commands_leave_heavy_imports_unloaded(tmp_path):
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_SCRIPT, json.dumps(ops),
-         json.dumps(generate)], env=env, capture_output=True, text=True,
-        timeout=120)
+         json.dumps(exact), json.dumps(generate)], env=env,
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"after_ops": [], "networkx_after_generate": True}
+    assert seen == {"after_ops": [], "scipy_after_ops": [],
+                    "lapack_after_exact": True,
+                    "networkx_after_generate": True}
     assert (tmp_path / "ws.edges").stat().st_size > 0
     assert json.loads((tmp_path / "score.json").read_text())["kendall_tau"]
 

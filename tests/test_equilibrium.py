@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from opinionselect import (NoiseModel, SocialGraph, covariance_closed_form,
                            covariance_lyapunov, generate_cycle,
                            generate_random_reachable, generate_random_regular,
+                           generate_watts_strogatz,
                            mean, moments, normalize, precision,
                            precision_direct)
 from opinionselect.equilibrium import SYMMETRY_TOL
@@ -253,3 +256,39 @@ def test_regime_tag_from_edges_matches_dense_formula():
                 assert moments(ops, noise).method_tag == want, (seed, sigma2)
                 seen.add(want)
     assert seen == {"closed-form", "lyapunov"}
+
+
+def _traced_peak(fn):
+    """(fn(), peak traced bytes above those held before the call)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_moments_bit_identical_and_lean():
+    # the in-place spectral solve forms the same products in the same order
+    # as the plain formula below, so C matches it bit for bit; normalize and
+    # moments each hold at most ~2 n^2 floats of their own along the way
+    g = generate_watts_strogatz(410, 4, 0.3, 11, 10)
+    ops, normalize_peak = _traced_peak(lambda: normalize(g))
+    n = ops.n_regular
+    noise = NoiseModel(np.random.default_rng(11).uniform(0.5, 2.0, n))
+    C, moments_peak = _traced_peak(lambda: moments(ops, noise).C)
+
+    W_RR = g.weights[np.ix_(ops.regular, ops.regular)]
+    scale = 1.0 / np.sqrt(ops.w)
+    lam, Q = np.linalg.eigh(scale[:, None] * W_RR * scale[None, :])
+    assert np.array_equal(lam, ops.eigvals) and np.array_equal(Q, ops.eigvecs)
+    noise_t = (Q.T * (ops.w * noise.sigma2)) @ Q
+    X = Q @ (noise_t / (1.0 - np.outer(lam, lam))) @ Q.T
+    oracle = scale[:, None] * X * scale[None, :]
+    oracle = (oracle + oracle.T) / 2.0
+    assert np.array_equal(C, oracle)
+
+    n2 = n * n * np.dtype(float).itemsize
+    assert normalize_peak <= 2.5 * n2, normalize_peak / n2
+    assert moments_peak <= 2.5 * n2, moments_peak / n2
