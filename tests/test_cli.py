@@ -433,10 +433,12 @@ _STARTUP_SCRIPT = textwrap.dedent("""
     after_ops = [m for m in heavy if m in sys.modules]
     scipy_after_ops = sorted(m for m in sys.modules if m.startswith("scipy"))
     assert cli.main(json.loads(sys.argv[2])) == 0
+    after_exact = [m for m in heavy if m in sys.modules]
     lapack_after_exact = "scipy.linalg.lapack" in sys.modules
     assert cli.main(json.loads(sys.argv[3])) == 0
     print(json.dumps({"after_ops": after_ops,
                       "scipy_after_ops": scipy_after_ops,
+                      "after_exact": after_exact,
                       "lapack_after_exact": lapack_after_exact,
                       "networkx_after_generate": "networkx" in sys.modules}))
 """)
@@ -472,7 +474,7 @@ def test_commands_leave_heavy_imports_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {"after_ops": [], "scipy_after_ops": [],
-                    "lapack_after_exact": True,
+                    "after_exact": [], "lapack_after_exact": True,
                     "networkx_after_generate": True}
     assert (tmp_path / "ws.edges").stat().st_size > 0
     assert json.loads((tmp_path / "score.json").read_text())["kendall_tau"]
