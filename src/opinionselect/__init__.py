@@ -8,10 +8,9 @@ from .graph import (NetworkOperators, SocialGraph, generate_cycle,
                     generate_random_reachable, generate_random_regular,
                     generate_watts_strogatz, load_graph, normalize, save_graph,
                     validate_reachability)
-from .equilibrium import (ClosedFormResult, EquilibriumMoments, NoiseModel,
-                          covariance_closed_form, covariance_lyapunov, mean,
-                          moments, precision, precision_direct)
-from .objective import estimator_coefficients, f_score, g_score, var_y
+from .equilibrium import (EquilibriumMoments, NoiseModel, covariance_lyapunov,
+                          mean, moments)
+from .objective import estimator_coefficients, f_score, var_y
 from .selector import (EXACT_BUDGET, AuditReport, GreedyState, GuaranteeReport,
                        SelectionResult, check_exact_budget, exact_select,
                        extend_inverse, greedy_select, guarantee_check,

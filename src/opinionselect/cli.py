@@ -45,8 +45,12 @@ SIGMA2_FIELDS = (("node", int), ("sigma2", float))
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            # mkstemp creates 0600; give the mode a plain create gives
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -300,6 +304,9 @@ def _suite_submodularity(args) -> dict:
     if args.max_r < 3:
         raise GraphError(f"--max-r {args.max_r}: the submodularity suite "
                          "needs at least 3")
+    # trials draw up to --max-r regular nodes: refuse an over-budget audit
+    # before the first one
+    selector.check_audit_budget(args.max_r)
     rng = np.random.default_rng(args.seed)
     slack_f, slack_g = [], []
     viol = 0

@@ -3,23 +3,23 @@
 ``mean`` solves for the equilibrium mean; ``moments`` returns the covariance
 alone, because the objective and every score read C and never the mean.
 The covariance is defined by the discrete-time Lyapunov equation
-C = A C A' + Sigma. ``moments`` solves it exactly from the eigendecomposition
-that ``normalize`` stores: A = D^-1/2 S D^1/2 with S = Q diag(lam) Q'
-symmetric, so C = D^-1/2 Q [Q' (D Sigma) Q / (1 - lam lam')] Q' D^-1/2.
+C = A C A' + Sigma. ``moments`` is its one exact path, from the
+eigendecomposition that ``normalize`` stores: A = D^-1/2 S D^1/2 with
+S = Q diag(lam) Q' symmetric, so
+C = D^-1/2 Q [Q' (D Sigma) Q / (1 - lam lam')] Q' D^-1/2.
 It reuses its buffers and frees each temporary once read, so it holds
 about 2 n^2 floats above W and Q, the returned C included (2.1 n^2 traced
 on 400 regular nodes; the tests hold it to 2.5 n^2).
-The doubling solver ``covariance_lyapunov`` and the guarded direct formula
-``covariance_closed_form`` stay as independent oracles for the tests: they
-take ``ops.A``, which is formed from the weights, not from the spectrum.
 
-The direct formula Sigma (I - A^2)^{-1} is only trusted when it is both
-symmetric and an actual solution of the Lyapunov equation; on graphs with
-heterogeneous degrees it generally is not, even when it happens to be
-symmetric (see README notes on the closed-form regime). When A Sigma is
-symmetric, for example with noise inversely proportional to degree, the exact
-direct form is the other ordering, (I - A^2)^{-1} Sigma; ``moments`` tags that
-regime "closed-form", from the regular-regular edges alone.
+When A Sigma is symmetric, for example with noise inversely proportional to
+degree, C also equals (I - A^2)^{-1} Sigma exactly; ``moments`` tags that
+regime "closed-form", from the regular-regular edges alone, and "lyapunov"
+otherwise. The tag names the regime, not a second solver: C comes from the
+spectrum either way.
+
+``covariance_lyapunov``, the squaring-doubling solver on ``ops.A`` (formed
+from the weights, not from the spectrum), is an independent oracle that the
+benchmark's reference set-up and the tests import; no command calls it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .errors import NumericalError
 from .graph import NetworkOperators
 
 SYMMETRY_TOL = 1e-10
-RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,21 +52,6 @@ class NoiseModel:
     @classmethod
     def uniform(cls, n: int, value: float = 1.0) -> "NoiseModel":
         return cls(np.full(n, float(value)))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.sigma2)
-
-
-@dataclass(frozen=True)
-class ClosedFormResult:
-    """Outcome of the fast-path covariance, with its acceptance diagnostics."""
-
-    covariance: np.ndarray      # symmetrized candidate Sigma (I - A^2)^{-1}
-    asymmetry: float            # ||cand - cand'||_F / ||cand||_F
-    lyapunov_residual: float    # residual of the symmetrized candidate
-    symmetric: bool
-    accepted: bool
 
 
 @dataclass(frozen=True)
@@ -112,57 +96,6 @@ def covariance_lyapunov(A: np.ndarray, noise: NoiseModel) -> np.ndarray:
         Ak = Ak @ Ak
     raise NumericalError(
         "Lyapunov doubling did not converge; spectral radius of A is likely ~1")
-
-
-def covariance_closed_form(A: np.ndarray,
-                           noise: NoiseModel) -> ClosedFormResult:
-    """Fast path Sigma (I - A^2)^{-1}, accepted only when provably consistent.
-
-    Acceptance requires the candidate to be symmetric (relative asymmetry
-    below ``SYMMETRY_TOL``) and, after symmetrization, to satisfy the Lyapunov
-    equation (relative residual below ``RESIDUAL_TOL``). Symmetry alone is
-    not sufficient: with sigma_i^2 proportional to the degree w_i the
-    candidate is exactly symmetric yet differs from the true covariance
-    whenever A is not symmetric. With sigma_i^2 inversely proportional to
-    w_i the true covariance is (I - A^2)^{-1} Sigma, not this candidate,
-    which is then asymmetric on irregular graphs and rejected.
-    """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    Sigma = np.diag(noise.sigma2)
-    M = np.eye(n) - A @ A
-    try:
-        candidate = np.linalg.solve(M.T, Sigma).T  # Sigma (I - A^2)^{-1}
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular (I - A^2)") from exc
-    norm = np.linalg.norm(candidate)
-    asym = float(np.linalg.norm(candidate - candidate.T) / norm) if norm else 0.0
-    sym = asym <= SYMMETRY_TOL
-    C = (candidate + candidate.T) / 2.0
-    residual = float(np.linalg.norm(C - A @ C @ A.T - Sigma)
-                     / max(np.linalg.norm(C), 1e-300))
-    return ClosedFormResult(covariance=C, asymmetry=asym,
-                            lyapunov_residual=residual, symmetric=sym,
-                            accepted=sym and residual <= RESIDUAL_TOL)
-
-
-def precision(C: np.ndarray) -> np.ndarray:
-    """H = C^{-1} via Cholesky; raises if C is not numerically PD."""
-    from scipy.linalg import cho_factor, cho_solve
-
-    C = np.asarray(C, dtype=float)
-    try:
-        factor = cho_factor(C)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("covariance is not positive definite") from exc
-    H = cho_solve(factor, np.eye(C.shape[0]))
-    return (H + H.T) / 2.0
-
-
-def precision_direct(A: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Direct form (I - A^2) Sigma^{-1}; valid when the closed form is accepted."""
-    A = np.asarray(A, dtype=float)
-    return (np.eye(A.shape[0]) - A @ A) @ np.diag(1.0 / noise.sigma2)
 
 
 def moments(ops: NetworkOperators, noise: NoiseModel) -> EquilibriumMoments:

@@ -41,6 +41,8 @@ class SocialGraph:
         W = np.asarray(self.weights, dtype=float)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise GraphError("weight matrix must be square")
+        if not np.isfinite(W).all():
+            raise GraphError("edge weights must be finite")
         if not np.array_equal(W, W.T):
             raise GraphError("weight matrix must be symmetric")
         if np.any(W < 0):
@@ -174,7 +176,7 @@ def normalize(g: SocialGraph) -> NetworkOperators:
     S *= scale
     eigvals, eigvecs = np.linalg.eigh(S)
     rho = float(np.max(np.abs(eigvals))) if R else 0.0
-    if rho >= 1.0 - RHO_MARGIN:
+    if not rho < 1.0 - RHO_MARGIN:     # NaN fails too
         raise ReachabilityError(f"spectral radius of A is {rho:.12f}, expected < 1")
     return NetworkOperators(graph=g, w=w, regular=tuple(R),
                             stubborn=g.stubborn, rho=rho, eigvals=eigvals,

@@ -2,11 +2,10 @@
 
 All quantities are carried at the unnormalized scale F(K) = (C1)_K' (C_KK)^-1
 (C1)_K; dividing by |R|^2 recovers the probabilistic variances but changes no
-argmax. F and G always satisfy F(K) + G(K) = 1'C1, so the library reads G as
-``var_y(C)`` - F from C alone; ``g_score``, from the precision H = C^-1, is
-the oracle the tests hold that identity against.
+argmax. F and G always satisfy F(K) + G(K) = 1'C1, so G is read as
+``var_y(C)`` - F from C alone, and ``f_score`` is the one path to both.
 
-Every F, G and estimator evaluation ends in one small symmetric positive
+Every F and estimator evaluation ends in one small symmetric positive
 definite solve, a single LAPACK ``dposv`` call (Cholesky factor and both
 triangular solves) between a finiteness check that LAPACK does not make and
 a degenerate-pivot check. Per subset, exact selection pays that call, the
@@ -89,21 +88,6 @@ def f_score(C: np.ndarray, K: Sequence[int]) -> float:
         return 0.0
     v, CKK = _gather(C, K)
     return float(v @ _spd_solve(CKK, v))
-
-
-def g_score(H: np.ndarray, K: Sequence[int]) -> float:
-    """Residual variance 1'_{-K} (H_{-K,-K})^-1 1_{-K}, from the precision H.
-
-    Oracle for G = var_y(C) - F(K); the library computes G that way.
-    """
-    n = H.shape[0]
-    K = set(_check_set(K, n))
-    comp = [i for i in range(n) if i not in K]
-    if not comp:
-        return 0.0
-    Hcc = H[np.ix_(comp, comp)]
-    ones = np.ones(len(comp))
-    return float(ones @ _spd_solve(Hcc, ones))
 
 
 def estimator_coefficients(C: np.ndarray, K: Sequence[int],

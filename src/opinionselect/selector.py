@@ -142,6 +142,17 @@ def check_exact_budget(n: int, s: int) -> None:
             f"C({n},{s}) = {n_subsets} subsets exceeds the budget of {EXACT_BUDGET}")
 
 
+def check_audit_budget(n: int) -> int:
+    """Raise ``BudgetExceededError`` unless the n 3^(n-1) triples of an
+    exhaustive audit of n nodes are at most ``EXACT_BUDGET``; return them."""
+    n_triples = n * 3 ** (n - 1)
+    if n_triples > EXACT_BUDGET:
+        raise BudgetExceededError(
+            f"exhaustive audit of {n} nodes checks {n_triples} triples, "
+            f"over the budget of {EXACT_BUDGET}")
+    return n_triples
+
+
 def exact_select(C: np.ndarray, s: int) -> SelectionResult:
     """Enumerate all size-s subsets; ties go to the lexicographically smallest.
 
@@ -207,11 +218,7 @@ def submodularity_audit(C: np.ndarray) -> AuditReport:
     exceeds ``EXACT_BUDGET``: 13 nodes fit, 14 do not.
     """
     n = C.shape[0]
-    n_triples = n * 3 ** (n - 1)
-    if n_triples > EXACT_BUDGET:
-        raise BudgetExceededError(
-            f"exhaustive audit of {n} nodes checks {n_triples} triples, "
-            f"over the budget of {EXACT_BUDGET}")
+    n_triples = check_audit_budget(n)
     F = _all_subset_values(C)
     G = var_y(C) - F
     # row r is one pair A <= B: base-3 digit i of r is 0 when node i is

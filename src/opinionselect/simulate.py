@@ -72,8 +72,8 @@ def simulate(ops: NetworkOperators, noise: NoiseModel | np.ndarray,
     """
     sigma2 = noise.sigma2 if isinstance(noise, NoiseModel) else \
         np.asarray(noise, dtype=float)
-    if np.any(sigma2 < 0):
-        raise ValueError("variances must be nonnegative")
+    if not np.all(np.isfinite(sigma2) & (sigma2 >= 0)):
+        raise ValueError("variances must be finite and nonnegative")
     if sigma2.shape != (ops.n_regular,):
         raise ValueError("variance vector must cover the regular nodes")
     sigma = np.sqrt(sigma2)

@@ -1,16 +1,102 @@
 import itertools
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from opinionselect import (NoiseModel, covariance_lyapunov,
                            generate_random_reachable, normalize)
+from opinionselect.equilibrium import SYMMETRY_TOL
+from opinionselect.errors import NumericalError
+from opinionselect.objective import _check_set, _spd_solve
 
 
 # ---------------------------------------------------------------------------
 # Independent oracles. These deliberately avoid the library's solve paths:
-# covariance by truncated series, objective values by explicit inverses.
+# covariance by truncated series or the guarded direct formula, objective
+# values by explicit inverses or from the precision H = C^-1.
 # ---------------------------------------------------------------------------
+
+RESIDUAL_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class ClosedFormResult:
+    """Outcome of the fast-path covariance, with its acceptance diagnostics."""
+
+    covariance: np.ndarray      # symmetrized candidate Sigma (I - A^2)^{-1}
+    asymmetry: float            # ||cand - cand'||_F / ||cand||_F
+    lyapunov_residual: float    # residual of the symmetrized candidate
+    symmetric: bool
+    accepted: bool
+
+
+def covariance_closed_form(A: np.ndarray,
+                           noise: NoiseModel) -> ClosedFormResult:
+    """Fast path Sigma (I - A^2)^{-1}, accepted only when provably consistent.
+
+    Acceptance requires the candidate to be symmetric (relative asymmetry
+    below ``SYMMETRY_TOL``) and, after symmetrization, to satisfy the Lyapunov
+    equation (relative residual below ``RESIDUAL_TOL``). Symmetry alone is
+    not sufficient: with sigma_i^2 proportional to the degree w_i the
+    candidate is exactly symmetric yet differs from the true covariance
+    whenever A is not symmetric. With sigma_i^2 inversely proportional to
+    w_i the true covariance is (I - A^2)^{-1} Sigma, not this candidate,
+    which is then asymmetric on irregular graphs and rejected.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    Sigma = np.diag(noise.sigma2)
+    M = np.eye(n) - A @ A
+    try:
+        candidate = np.linalg.solve(M.T, Sigma).T  # Sigma (I - A^2)^{-1}
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("singular (I - A^2)") from exc
+    norm = np.linalg.norm(candidate)
+    asym = float(np.linalg.norm(candidate - candidate.T) / norm) if norm else 0.0
+    sym = asym <= SYMMETRY_TOL
+    C = (candidate + candidate.T) / 2.0
+    residual = float(np.linalg.norm(C - A @ C @ A.T - Sigma)
+                     / max(np.linalg.norm(C), 1e-300))
+    return ClosedFormResult(covariance=C, asymmetry=asym,
+                            lyapunov_residual=residual, symmetric=sym,
+                            accepted=sym and residual <= RESIDUAL_TOL)
+
+
+def precision(C: np.ndarray) -> np.ndarray:
+    """H = C^{-1} via Cholesky; raises if C is not numerically PD."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    C = np.asarray(C, dtype=float)
+    try:
+        factor = cho_factor(C)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("covariance is not positive definite") from exc
+    H = cho_solve(factor, np.eye(C.shape[0]))
+    return (H + H.T) / 2.0
+
+
+def precision_direct(A: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """Direct form (I - A^2) Sigma^{-1}; valid when the closed form is accepted."""
+    A = np.asarray(A, dtype=float)
+    return (np.eye(A.shape[0]) - A @ A) @ np.diag(1.0 / noise.sigma2)
+
+
+def g_score(H: np.ndarray, K: Sequence[int]) -> float:
+    """Residual variance 1'_{-K} (H_{-K,-K})^-1 1_{-K}, from the precision H.
+
+    Oracle for G = var_y(C) - F(K); the library computes G that way.
+    """
+    n = H.shape[0]
+    K = set(_check_set(K, n))
+    comp = [i for i in range(n) if i not in K]
+    if not comp:
+        return 0.0
+    Hcc = H[np.ix_(comp, comp)]
+    ones = np.ones(len(comp))
+    return float(ones @ _spd_solve(Hcc, ones))
+
 
 def series_covariance(A, sigma2, n_terms=None):
     """Partial sum of A^l Sigma A'^l with an explicit geometric tail bound."""

@@ -25,17 +25,16 @@ import pytest
 
 from opinionselect import (BudgetExceededError, GreedyState, NoiseModel,
                            SimConfig, SocialGraph, bonacich,
-                           covariance_closed_form, covariance_lyapunov,
-                           empirical_moments, eta_scores, exact_select,
-                           extend_inverse, f_score, g_score,
+                           covariance_lyapunov, empirical_moments, eta_scores,
+                           exact_select, extend_inverse, f_score,
                            generate_random_reachable, generate_random_regular,
                            generate_watts_strogatz, greedy_select,
-                           guarantee_check, marginal_gain,
-                           mean, moments, normalize, precision,
-                           ranking_report, submodularity_audit, var_y,
-                           var_reduction_scores)
+                           guarantee_check, marginal_gain, mean, moments,
+                           normalize, ranking_report, submodularity_audit,
+                           var_y, var_reduction_scores)
 from opinionselect.simulate import simulate
-from conftest import dense_intercentrality
+from conftest import (covariance_closed_form, dense_intercentrality, g_score,
+                      precision)
 
 MC_SEED = 11  # frozen: worst standardized deviation 2.48 over all checks
 
@@ -56,7 +55,7 @@ def test_criterion_01_lyapunov_correctness():
         ops, noise = _hetero_instance(1000 + trial, n, 3)
         assert ops.n_regular <= 50
         C = covariance_lyapunov(ops.A, noise)
-        residual = C - ops.A @ C @ ops.A.T - noise.matrix
+        residual = C - ops.A @ C @ ops.A.T - np.diag(noise.sigma2)
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(C)
         assert np.linalg.eigvalsh(C).min() > 0
     elapsed = time.perf_counter() - t0
@@ -142,7 +141,7 @@ def test_criterion_02_closed_form_noise_proportional_to_degree_irregular():
         noise = NoiseModel(0.7 / w)
         C = covariance_lyapunov(ops.A, noise)
         direct = np.linalg.solve(np.eye(ops.n_regular) - ops.A @ ops.A,
-                                 noise.matrix)  # (I - A^2)^{-1} Sigma
+                                 np.diag(noise.sigma2))  # (I - A^2)^{-1} Sigma
         rel = np.linalg.norm(direct - C) / np.linalg.norm(C)
         assert rel <= 1e-8, (
             f"(I - A^2)^-1 Sigma is not the stationary covariance under "

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import textwrap
@@ -87,6 +88,25 @@ def test_select_greedy_document(ws_files, tmp_path):
     assert fr[0] == pytest.approx(1.0)
     assert all(fr[i + 1] <= fr[i] + 1e-12 for i in range(len(fr) - 1))
     assert doc["meta"]["eval_count"] == 12 * 4 - 4 * 3 // 2
+
+
+def test_out_files_get_the_plain_create_mode(ws_files, tmp_path):
+    # --out goes through a temp file and a rename; the result must still
+    # carry the umask's mode, as the files generate writes do
+    edges, stub = ws_files
+    old = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            os.umask(umask)
+            out = tmp_path / f"sel-{umask:o}.json"
+            assert run_cli(["select", "--graph", edges, "--stubborn-file",
+                            stub, "--k", "2", "--out", str(out)]) == 0
+            plain = tmp_path / f"plain-{umask:o}"
+            plain.write_text("")
+            assert stat.S_IMODE(out.stat().st_mode) == mode
+            assert stat.S_IMODE(plain.stat().st_mode) == mode
+    finally:
+        os.umask(old)
 
 
 def test_select_k_zero(ws_files, tmp_path):
@@ -566,6 +586,15 @@ def test_validate_submodularity_refusals(tmp_path, capsys, monkeypatch):
                     "--seed", "0", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())["validation"]
     assert doc["trials"] == 0 and doc["min_slack_f"] is None
+    out.unlink()
+    # trials draw up to --max-r regular nodes, and 14 nodes are over the
+    # audit budget: refused before the first trial, even with --trials 0
+    for max_r, code in (("14", 3), ("13", 0)):
+        assert run_cli(["validate", "--suite", "submodularity", "--trials",
+                        "0", "--max-r", max_r, "--seed", "0",
+                        "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+    assert "exhaustive audit of 14 nodes" in capsys.readouterr().err
     out.unlink()
     # an exhaustive audit over EXACT_BUDGET triples is refused (exit 3)
     monkeypatch.setattr(selector, "EXACT_BUDGET", 100)

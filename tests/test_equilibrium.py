@@ -3,14 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opinionselect import (NoiseModel, SocialGraph, covariance_closed_form,
-                           covariance_lyapunov, generate_cycle,
-                           generate_random_reachable, generate_random_regular,
-                           generate_watts_strogatz,
-                           mean, moments, normalize, precision,
-                           precision_direct)
+from opinionselect import (NoiseModel, SocialGraph, covariance_lyapunov,
+                           generate_cycle, generate_random_reachable,
+                           generate_random_regular, generate_watts_strogatz,
+                           mean, moments, normalize)
 from opinionselect.equilibrium import SYMMETRY_TOL
-from conftest import random_instance, series_covariance
+from conftest import (covariance_closed_form, precision, precision_direct,
+                      random_instance, series_covariance)
 
 
 def test_noise_model_requires_positive_variances():
@@ -56,7 +55,7 @@ def test_mean_A_zero_is_Bu():
 def test_lyapunov_A_zero_returns_sigma():
     noise = NoiseModel(np.array([1.0, 2.5, 0.3]))
     C = covariance_lyapunov(np.zeros((3, 3)), noise)
-    assert np.allclose(C, noise.matrix)
+    assert np.allclose(C, np.diag(noise.sigma2))
 
 
 def test_lyapunov_matches_series_oracle():
@@ -72,7 +71,7 @@ def test_lyapunov_matches_series_oracle():
 def test_lyapunov_residual_and_pd_random():
     for seed in range(20):
         ops, noise, C = random_instance(seed, n=12, n_stubborn=2)
-        Sigma = noise.matrix
+        Sigma = np.diag(noise.sigma2)
         res = np.linalg.norm(C - ops.A @ C @ ops.A.T - Sigma)
         assert res <= 1e-10 * np.linalg.norm(C)
         assert np.min(np.linalg.eigvalsh(C)) > 0
@@ -90,7 +89,7 @@ def test_closed_form_A_zero():
     noise = NoiseModel(np.array([2.0, 0.5]))
     cf = covariance_closed_form(np.zeros((2, 2)), noise)
     assert cf.accepted
-    assert np.allclose(cf.covariance, noise.matrix)
+    assert np.allclose(cf.covariance, np.diag(noise.sigma2))
 
 
 def test_closed_form_accepted_on_regular_graph_uniform_noise():
@@ -226,7 +225,7 @@ def test_moments_spectral_solve_matches_oracles():
         if C_series is not None:
             assert (np.linalg.norm(C - C_series)
                     <= 1e-10 * np.linalg.norm(C_series))
-        res = np.linalg.norm(C - ops.A @ C @ ops.A.T - noise.matrix)
+        res = np.linalg.norm(C - ops.A @ C @ ops.A.T - np.diag(noise.sigma2))
         assert res <= 1e-10 * np.linalg.norm(C)
 
 

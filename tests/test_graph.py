@@ -246,3 +246,24 @@ def test_social_graph_invariant_enforcement():
         SocialGraph(weights=np.array([[0., -1.], [-1., 0.]]), stubborn=(0,))
     with pytest.raises(GraphError):
         SocialGraph(weights=np.zeros((2, 2)), stubborn=(7,))
+    # checked before symmetry, so a NaN (never equal to itself) is not
+    # reported as an asymmetric matrix
+    for bad in (np.inf, -np.inf, np.nan):
+        W = np.array([[0., bad, 1.], [bad, 0., 1.], [1., 1., 0.]])
+        with pytest.raises(GraphError, match="must be finite"):
+            SocialGraph(weights=W, stubborn=(2,))
+
+
+def test_normalize_refuses_nan_spectral_radius(monkeypatch):
+    # a NaN spectrum fails the stability test instead of passing it
+    g = SocialGraph(weights=np.array([[0., 1., 1.], [1., 0., 1.], [1., 1., 0.]]),
+                    stubborn=(2,))
+    eigh = np.linalg.eigh
+
+    def nan_eigh(S):
+        vals, vecs = eigh(S)
+        return np.full_like(vals, np.nan), vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+    with pytest.raises(ReachabilityError, match="spectral radius of A is nan"):
+        normalize(g)

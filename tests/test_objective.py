@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opinionselect import (NoiseModel, covariance_closed_form, eta_scores,
-                           estimator_coefficients, f_score, g_score,
-                           generate_random_regular, greedy_select, normalize,
-                           precision, var_y)
+from opinionselect import (NoiseModel, eta_scores, estimator_coefficients,
+                           f_score, generate_random_regular, greedy_select,
+                           normalize, var_y)
 from opinionselect.errors import NumericalError
-from conftest import naive_f, random_instance
+from conftest import (covariance_closed_form, g_score, naive_f, precision,
+                      random_instance)
 
 
 def test_var_y_identity_and_diagonal():

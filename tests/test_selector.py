@@ -6,11 +6,11 @@ import pytest
 
 from opinionselect import (EXACT_BUDGET, BudgetExceededError, GreedyState,
                            check_exact_budget, exact_select, extend_inverse,
-                           f_score, g_score, greedy_select, guarantee_check,
-                           marginal_gain, precision, submodularity_audit,
-                           var_y)
+                           f_score, greedy_select, guarantee_check,
+                           marginal_gain, submodularity_audit, var_y)
 from opinionselect.errors import NumericalError
-from conftest import naive_best_subset, naive_f, random_instance
+from conftest import (covariance_closed_form, g_score, naive_best_subset,
+                      naive_f, precision, random_instance)
 
 
 def test_marginal_gain_from_empty_equals_single_node_score():
@@ -316,8 +316,8 @@ def test_audit_diagonal_is_modular():
 def test_audit_accepted_closed_form_instances():
     # uniform noise on degree-regular graphs: the closed-form covariance is
     # accepted and diminishing returns holds exhaustively
-    from opinionselect import (NoiseModel, covariance_closed_form,
-                               generate_random_regular, normalize)
+    from opinionselect import (NoiseModel, generate_random_regular,
+                               normalize)
     for seed in range(10):
         g = generate_random_regular(9, 2, seed, 2)
         ops = normalize(g)

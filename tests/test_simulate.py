@@ -33,6 +33,14 @@ def test_noiseless_fixed_point(chain_instance):
     assert np.allclose(samples, mu)
 
 
+def test_simulate_refuses_non_finite_variances(chain_instance):
+    _, ops = chain_instance
+    cfg = SimConfig(replicas=4, seed=1, u=np.array([0.8]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            simulate(ops, np.array([1.0, bad]), cfg)
+
+
 def test_A_zero_sample_covariance_close_to_sigma():
     # star: regular leaves only touch the stubborn hub
     from opinionselect import SocialGraph
@@ -43,7 +51,7 @@ def test_A_zero_sample_covariance_close_to_sigma():
     noise = NoiseModel(np.array([1.0, 2.0]))
     cfg = SimConfig(replicas=60_000, seed=3, u=np.array([0.5]))
     emp = empirical_moments(simulate(ops, noise, cfg))
-    assert np.all(np.abs(emp.cov - noise.matrix) <= 3.5 * emp.se_cov)
+    assert np.all(np.abs(emp.cov - np.diag(noise.sigma2)) <= 3.5 * emp.se_cov)
     assert np.all(np.abs(emp.mean - ops.B @ cfg.u) <= 3.5 * emp.se_mean)
 
 
