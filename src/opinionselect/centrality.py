@@ -46,10 +46,15 @@ class NodeScores:
         return int(np.argmax(self.scores))
 
 
-def var_reduction_scores(C: np.ndarray) -> NodeScores:
-    """Per-node F({k}) = (C1)_k^2 / C_kk."""
-    v = C @ np.ones(C.shape[0])
-    return NodeScores(scores=v * v / np.diag(C), measure="var_reduction")
+def var_reduction_scores(C) -> NodeScores:
+    """Per-node F({k}) = (C1)_k^2 / C_kk.
+
+    ``C`` is read only through ``C @ 1`` and ``C.diagonal()``, so it may be
+    the dense covariance or the ``EquilibriumMoments`` operator.
+    """
+    d = C.diagonal()
+    v = C @ np.ones(len(d))
+    return NodeScores(scores=v * v / d, measure="var_reduction")
 
 
 def _resolvent(G, a: float, hops: int = 1):

@@ -211,7 +211,7 @@ def cmd_score(args) -> int:
     scores = []
     for m in measures:
         if m == "var_reduction":
-            scores.append(centrality.var_reduction_scores(mom.C))
+            scores.append(centrality.var_reduction_scores(mom))
         elif m == "eta":
             scores.append(centrality.eta_scores(ops))
         elif m == "bonacich":

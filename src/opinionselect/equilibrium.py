@@ -6,16 +6,25 @@ The covariance is defined by the discrete-time Lyapunov equation
 C = A C A' + Sigma. ``moments`` is its one exact path, from the
 eigendecomposition that ``normalize`` stores: A = D^-1/2 S D^1/2 with
 S = Q diag(lam) Q' symmetric, so
-C = D^-1/2 Q [Q' (D Sigma) Q / (1 - lam lam')] Q' D^-1/2.
-It reuses its buffers and frees each temporary once read, so it holds
-about 2 n^2 floats above W and Q, the returned C included (2.1 n^2 traced
-on 400 regular nodes; the tests hold it to 2.5 n^2).
+C = D^-1/2 Q M Q' D^-1/2 with M = Q' (D Sigma) Q / (1 - lam lam').
+It returns C as an operator holding P = Q M and D^-1/2: C v and diag C
+cost O(n^2), and the dense C is formed only when read, as P Q' scaled and
+symmetrized in place. That holds about 2 n^2 floats above W and Q, P and
+C included (2.1 n^2 traced on 400 regular nodes; the tests hold it to
+2.5 n^2).
+
+When t = D Sigma is constant bit for bit (uniform noise on degree-regular
+graphs, or noise inversely proportional to strength), Q' (t0 I) Q = t0 I, so
+M is diagonal and P = Q diag(t0 / (1 - lam^2)) needs no n^3 product. Any
+other t takes the general path, whose C is bit-identical to the plain
+formula's.
 
 When A Sigma is symmetric, for example with noise inversely proportional to
 degree, C also equals (I - A^2)^{-1} Sigma exactly; ``moments`` tags that
-regime "closed-form", from the regular-regular edges alone, and "lyapunov"
-otherwise. The tag names the regime, not a second solver: C comes from the
-spectrum either way.
+regime "closed-form", and "lyapunov" otherwise. A constant t is always in
+that regime (A Sigma = t0 D^-1 W D^-1); otherwise the tag is read from the
+regular-regular edges alone. The tag names the regime, not a second
+solver: C comes from the spectrum either way.
 
 ``covariance_lyapunov``, the squaring-doubling solver on ``ops.A`` (formed
 from the weights, not from the spectrum), is an independent oracle that the
@@ -25,6 +34,7 @@ benchmark's reference set-up and the tests import; no command calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +42,7 @@ from .errors import NumericalError
 from .graph import NetworkOperators
 
 SYMMETRY_TOL = 1e-10
+SYMMETRIZE_BLOCK = 64     # rows per block of the in-place symmetrization
 
 
 @dataclass(frozen=True)
@@ -54,18 +65,34 @@ class NoiseModel:
         return cls(np.full(n, float(value)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumMoments:
-    """Equilibrium covariance, with the regime ``C`` falls in.
+    """Equilibrium covariance as an operator, with the regime it falls in.
+
+    C = diag(scale) P Q' diag(scale), with P = Q M and M the middle factor of
+    the spectral solve. ``mom @ v`` and ``mom.diagonal()`` cost O(n^2) per
+    column of v and never form C; ``C`` is formed once, on first read.
 
     ``method_tag`` is "closed-form" when A Sigma is symmetric (relative
     asymmetry at most ``SYMMETRY_TOL``), the regime where
     C = (I - A^2)^{-1} Sigma holds exactly, and "lyapunov" otherwise.
-    ``C`` comes from the same spectral solve either way.
     """
 
-    C: np.ndarray
     method_tag: str  # "lyapunov" or "closed-form"
+    P: np.ndarray
+    Q: np.ndarray
+    scale: np.ndarray  # w^-1/2
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        s = self.scale.reshape((-1,) + (1,) * (np.ndim(v) - 1))
+        return s * (self.P @ (self.Q.T @ (s * v)))
+
+    def diagonal(self) -> np.ndarray:
+        return np.einsum("ij,ij->i", self.P, self.Q) * self.scale * self.scale
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        return _dense_covariance(self.P, self.Q, self.scale)
 
 
 def mean(ops: NetworkOperators, u: np.ndarray) -> np.ndarray:
@@ -98,35 +125,60 @@ def covariance_lyapunov(A: np.ndarray, noise: NoiseModel) -> np.ndarray:
         "Lyapunov doubling did not converge; spectral radius of A is likely ~1")
 
 
-def moments(ops: NetworkOperators, noise: NoiseModel) -> EquilibriumMoments:
-    """Equilibrium covariance from the spectrum of ``ops``, with its regime tag."""
-    if len(noise.sigma2) != ops.n_regular:
-        raise ValueError("noise model size must equal the number of regular nodes")
-    lam, Q = ops.eigvals, ops.eigvecs
-    # each step reuses or replaces X, so at most two n^2 arrays are alive
-    X = (Q.T * (ops.w * noise.sigma2)) @ Q          # Q' (D Sigma) Q
-    denom = np.multiply.outer(lam, -lam)
-    denom += 1.0                                    # 1 - lam lam'
-    X /= denom
-    del denom
-    X = Q @ X
-    X = X @ Q.T
-    scale = 1.0 / np.sqrt(ops.w)
+def _dense_covariance(P: np.ndarray, Q: np.ndarray,
+                      scale: np.ndarray) -> np.ndarray:
+    """C = diag(scale) P Q' diag(scale), symmetrized in place: each pair of
+    blocks gets (X + X')/2, the same bits as the whole-matrix sum, while
+    only one block is held on top of X."""
+    X = P @ Q.T
     X *= scale[:, None]
     X *= scale
-    C = X + X.T
-    C *= 0.5
-    # relative Frobenius asymmetry of A Sigma, whose entries
-    # (A Sigma)_ij = W_ij / w_i * sigma_j^2 sit on the regular-regular edges
+    n, b = len(X), SYMMETRIZE_BLOCK
+    for i in range(0, n, b):
+        for j in range(i, n, b):
+            blk = X[i:i + b, j:j + b] + X[j:j + b, i:i + b].T
+            blk *= 0.5
+            X[i:i + b, j:j + b] = blk
+            X[j:j + b, i:i + b] = blk.T
+    return X
+
+
+def _regime_tag(ops: NetworkOperators, sigma2: np.ndarray) -> str:
+    """"closed-form" when the relative Frobenius asymmetry of A Sigma, whose
+    entries (A Sigma)_ij = W_ij / w_i * sigma_j^2 sit on the regular-regular
+    edges, is at most ``SYMMETRY_TOL``; "lyapunov" otherwise."""
     W = ops.graph.weights
     pos = np.full(len(W), -1)
     pos[list(ops.regular)] = np.arange(ops.n_regular)
     src, dst = np.nonzero(W)
     edge = (pos[src] >= 0) & (pos[dst] >= 0)
     i, j, wgt = pos[src[edge]], pos[dst[edge]], W[src[edge], dst[edge]]
-    a_sigma = wgt / ops.w[i] * noise.sigma2[j]
-    asym = np.linalg.norm(a_sigma - wgt / ops.w[j] * noise.sigma2[i])
-    method = ("closed-form"
-              if asym <= SYMMETRY_TOL * np.linalg.norm(a_sigma)
-              else "lyapunov")
-    return EquilibriumMoments(C=C, method_tag=method)
+    a_sigma = wgt / ops.w[i] * sigma2[j]
+    asym = np.linalg.norm(a_sigma - wgt / ops.w[j] * sigma2[i])
+    return ("closed-form" if asym <= SYMMETRY_TOL * np.linalg.norm(a_sigma)
+            else "lyapunov")
+
+
+def moments(ops: NetworkOperators, noise: NoiseModel) -> EquilibriumMoments:
+    """Equilibrium covariance operator from the spectrum of ``ops``, with its
+    regime tag."""
+    if len(noise.sigma2) != ops.n_regular:
+        raise ValueError("noise model size must equal the number of regular nodes")
+    lam, Q = ops.eigvals, ops.eigvecs
+    t = ops.w * noise.sigma2                        # diagonal of D Sigma
+    if t.size and np.all(t == t[0]):
+        # Q' (t0 I) Q = t0 I: M is diagonal, and A Sigma = t0 D^-1 W D^-1 is
+        # symmetric
+        P = Q * (t[0] / (1.0 - lam * lam))
+        method = "closed-form"
+    else:
+        # each step reuses or replaces X, so at most two n^2 arrays are alive
+        X = (Q.T * t) @ Q                           # Q' (D Sigma) Q
+        denom = np.multiply.outer(lam, -lam)
+        denom += 1.0                                # 1 - lam lam'
+        X /= denom
+        del denom
+        P = Q @ X
+        method = _regime_tag(ops, noise.sigma2)
+    return EquilibriumMoments(method_tag=method, P=P, Q=Q,
+                              scale=1.0 / np.sqrt(ops.w))

@@ -160,13 +160,19 @@ def normalize(g: SocialGraph) -> NetworkOperators:
 
     One symmetric eigendecomposition of D^-1/2 W_RR D^-1/2 gives the
     eigenpairs stored on the result and the spectral radius of A; raises
-    unless A is Schur stable.
+    ``GraphError`` when a regular node's strength overflows to infinity, and
+    ``ReachabilityError`` unless A is Schur stable.
     """
     report = validate_reachability(g)
     if not report.ok:
         raise ReachabilityError(report.message)
     R = list(g.regular)
-    w = g.weights.sum(axis=1)[R]
+    with np.errstate(over="ignore"):
+        w = g.weights.sum(axis=1)[R]
+    if not np.isfinite(w).all():
+        overflowed = [i for i, wi in zip(R, w) if not np.isfinite(wi)]
+        raise GraphError(f"strength of regular node(s) {overflowed} "
+                         "overflows to infinity")
     if np.any(w == 0):
         isolated = [i for i, wi in zip(R, w) if wi == 0]
         raise GraphError(f"isolated regular node(s): {isolated}")

@@ -5,7 +5,10 @@ gain of candidate i is r_i^2 / d_i with r = (C|K)1, d = diag(C|K), and each
 pick is one rank-1 downdate in O(|K| n). Exact selection enumerates all
 subsets, skipping degenerate ones as greedy skips degenerate candidates, and
 doubles as the oracle for the greedy guarantee and for the incremental
-algebra. It runs only when C(n, s) is at most ``EXACT_BUDGET``.
+algebra. It runs only when C(n, s) is at most ``EXACT_BUDGET``. Both break
+ties to the lowest index (greedy) or the lexicographically first subset
+(exact) among the values within ``TIE_RTOL`` of the best, so that rounding,
+which the BLAS thread count changes, does not decide between mirror nodes.
 
 The submodularity audit checks diminishing returns of F on every triple
 A <= B, k not in B in one vectorised pass over the 3^n pairs (A, B); it too
@@ -29,6 +32,7 @@ from .objective import SCHUR_GUARD, f_score, var_y
 EXACT_BUDGET = 10 ** 7
 GREEDY_BOUND = 1.0 - 1.0 / math.e - 1e-9   # 1 - 1/e, less rounding slack
 AUDIT_TOL = 1e-9
+TIE_RTOL = 1e-9     # gains or F values this close, relative, count as a tie
 
 
 @dataclass
@@ -103,7 +107,13 @@ def extend_inverse(state: GreedyState, C: np.ndarray, i: int) -> GreedyState:
 
 
 def greedy_select(C: np.ndarray, s: int) -> SelectionResult:
-    """s rounds of best-marginal-gain insertion with deterministic tie-breaks."""
+    """s rounds of best-marginal-gain insertion.
+
+    Each round evaluates every candidate's gain in one pass and picks the
+    lowest index whose gain is at least best * (1 - ``TIE_RTOL``), so mirror
+    nodes whose gains differ only by rounding resolve the same way under any
+    BLAS. Gains that straddle the tolerance edge can still flip.
+    """
     n = C.shape[0]
     if not (0 <= s <= n):
         raise ValueError(f"cardinality s={s} out of range for {n} regular nodes")
@@ -111,7 +121,9 @@ def greedy_select(C: np.ndarray, s: int) -> SelectionResult:
     gains: list[float] = []
     f_values = [0.0]
     for _ in range(s):
-        best_i, best_gain = -1, -np.inf
+        # the candidates within TIE_RTOL of the running best, in index order
+        best = floor = -math.inf
+        near: list[tuple[int, float]] = []
         for i in range(n):
             if i in state.members:
                 continue
@@ -121,12 +133,16 @@ def greedy_select(C: np.ndarray, s: int) -> SelectionResult:
             except NumericalError as exc:
                 warnings.warn(f"skipping candidate {i}: {exc}")
                 continue
-            if gain > best_gain:
-                best_gain, best_i = gain, i
-        if best_i < 0:
+            if gain >= floor:
+                if gain > best:
+                    best, floor = gain, gain * (1.0 - TIE_RTOL)
+                    near = [(j, g) for j, g in near if g >= floor]
+                near.append((i, gain))
+        if not near:
             raise NumericalError("all candidates degenerate in this round")
-        state = extend_inverse(state, C, best_i)
-        gains.append(best_gain)
+        pick, gain = near[0]
+        state = extend_inverse(state, C, pick)
+        gains.append(gain)
         f_values.append(state.f_current)
     return SelectionResult(chosen=tuple(state.chosen), gains=tuple(gains),
                            f_values=tuple(f_values),
@@ -145,7 +161,7 @@ def check_exact_budget(n: int, s: int) -> None:
 def check_audit_budget(n: int) -> int:
     """Raise ``BudgetExceededError`` unless the n 3^(n-1) triples of an
     exhaustive audit of n nodes are at most ``EXACT_BUDGET``; return them."""
-    n_triples = n * 3 ** (n - 1)
+    n_triples = n * 3 ** (n - 1) if n else 0
     if n_triples > EXACT_BUDGET:
         raise BudgetExceededError(
             f"exhaustive audit of {n} nodes checks {n_triples} triples, "
@@ -154,8 +170,11 @@ def check_audit_budget(n: int) -> int:
 
 
 def exact_select(C: np.ndarray, s: int) -> SelectionResult:
-    """Enumerate all size-s subsets; ties go to the lexicographically smallest.
+    """Enumerate all size-s subsets and return the lexicographically first
+    whose F is within ``TIE_RTOL`` of the maximum.
 
+    The one pass keeps the subsets within ``TIE_RTOL`` of the running best.
+    As in greedy, values that straddle the tolerance edge can still flip.
     Refuses a request over budget (see ``check_exact_budget``) before any work.
     A subset whose block is degenerate is skipped with a warning, as greedy
     skips such a candidate; only when every subset is degenerate does this
@@ -165,8 +184,8 @@ def exact_select(C: np.ndarray, s: int) -> SelectionResult:
     if not (0 <= s <= n):
         raise ValueError(f"cardinality s={s} out of range for {n} regular nodes")
     check_exact_budget(n, s)
-    best_K: tuple[int, ...] = ()
-    best_f = 0.0 if s == 0 else -np.inf
+    best_f = floor = -np.inf
+    near: list[tuple[tuple[int, ...], float]] = []
     count = 0
     for K in itertools.combinations(range(n), s):
         count += 1
@@ -175,10 +194,14 @@ def exact_select(C: np.ndarray, s: int) -> SelectionResult:
         except NumericalError as exc:
             warnings.warn(f"skipping subset {K}: {exc}")
             continue
-        if f > best_f:
-            best_f, best_K = f, K
-    if len(best_K) < s:
+        if f >= floor:
+            if f > best_f:
+                best_f, floor = f, f - TIE_RTOL * abs(f)
+                near = [(K_, f_) for K_, f_ in near if f_ >= floor]
+            near.append((K, f))
+    if not near:
         raise NumericalError(f"all {count} subsets of size {s} degenerate")
+    best_K = near[0][0]
     f_values = [f_score(C, best_K[:t]) for t in range(s + 1)]
     return SelectionResult(chosen=best_K,
                            gains=tuple(np.diff(f_values)),

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import opinionselect
-from opinionselect import (generate_random_reachable, load_graph, normalize,
-                           save_graph, selector)
+from opinionselect import (NoiseModel, equilibrium, generate_random_reachable,
+                           generate_random_regular, generate_watts_strogatz,
+                           load_graph, moments, normalize, save_graph, selector,
+                           var_reduction_scores)
 from opinionselect.cli import build_parser, main
 
 
@@ -388,6 +390,56 @@ def test_score_default_matrix_makes_no_dense_solve(ws_files, tmp_path,
              "--out", str(tmp_path / "score.json")]
     assert run_cli(score) == 0
     assert run_cli(score + ["--matrix", "adjacency", "--attenuation", "0.1"]) == 0
+
+
+@pytest.mark.parametrize("model", ["regular", "ws"])
+def test_score_never_forms_the_covariance(model, tmp_path, monkeypatch):
+    # var_reduction reads C 1 and diag C from the moments operator, so score
+    # runs with the dense formation refused
+    if model == "regular":    # w sigma^2 constant: the diagonal middle factor
+        g = generate_random_regular(40, 4, 3, 4)
+    else:
+        g = generate_watts_strogatz(40, 4, 0.3, 5, 4)
+    prefix = tmp_path / model
+    save_graph(g, f"{prefix}.edges", f"{prefix}.stubborn")
+    ops = normalize(g)
+    want = var_reduction_scores(
+        moments(ops, NoiseModel.uniform(ops.n_regular, 1.0)).C).scores
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("score formed the dense covariance")
+
+    monkeypatch.setattr(equilibrium, "_dense_covariance", refuse)
+    out = tmp_path / "score.json"
+    assert run_cli(["score", "--graph", f"{prefix}.edges", "--stubborn-file",
+                    f"{prefix}.stubborn", "--measures", "var_reduction,eta",
+                    "--out", str(out)]) == 0
+    got = np.array(json.loads(out.read_text())["scores"]["var_reduction"])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_select_picks_do_not_depend_on_blas_threads(tmp_path):
+    # mirror nodes of a cycle tie exactly, and their gains differ only by
+    # rounding, which the BLAS thread count changes; the tie rule must pick
+    # the same labels either way
+    prefix = tmp_path / "c600"
+    assert run_cli(["generate", "--model", "cycle", "--n", "600",
+                    "--n-stubborn", "3", "--out-prefix", str(prefix)]) == 0
+    src = str(Path(opinionselect.__file__).resolve().parents[1])
+    chosen = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "opinionselect.cli", "select", "--graph",
+             f"{prefix}.edges", "--stubborn-file", f"{prefix}.stubborn",
+             "--k", "30", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        chosen.append(json.loads(out.read_text())["selection"]["chosen"])
+    assert chosen[0] == chosen[1]
 
 
 def test_score_nonfinite_attenuation(tmp_path, capsys):

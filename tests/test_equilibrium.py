@@ -291,3 +291,53 @@ def test_moments_bit_identical_and_lean():
     n2 = n * n * np.dtype(float).itemsize
     assert normalize_peak <= 2.5 * n2, normalize_peak / n2
     assert moments_peak <= 2.5 * n2, moments_peak / n2
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def test_constant_noise_operator_matches_lyapunov():
+    # w sigma^2 bitwise constant: Q' (t0 I) Q = t0 I, so the middle factor
+    # is diagonal; C, C 1 and diag C still match the doubling solver
+    cases = []
+    for seed in range(5):
+        ops = normalize(generate_random_regular(14, 3, seed, 3))
+        cases.append((ops, NoiseModel.uniform(ops.n_regular, 1.3)))
+    ops = normalize(generate_cycle(12, 1))
+    assert abs(ops.eigvals[0] + ops.rho) <= 1e-12  # lambda = -rho
+    cases.append((ops, NoiseModel.uniform(ops.n_regular, 0.7)))
+    # irregular strengths, sigma^2 = 1 / w with w sigma^2 == 1 bit for bit
+    ops = normalize(generate_random_reachable(14, 3, 1))
+    assert len(set(ops.w)) > 1
+    cases.append((ops, NoiseModel(1.0 / ops.w)))
+
+    for ops, noise in cases:
+        t = ops.w * noise.sigma2
+        assert np.all(t == t[0])
+        mom = moments(ops, noise)
+        assert mom.method_tag == "closed-form"
+        C_ly = covariance_lyapunov(ops.A, noise)
+        ones = np.ones(ops.n_regular)
+        assert _rel(mom.C, C_ly) <= 1e-10
+        assert _rel(mom @ ones, C_ly @ ones) <= 1e-10
+        assert _rel(mom.diagonal(), np.diag(C_ly)) <= 1e-10
+
+
+def test_operator_products_match_the_dense_covariance():
+    # where w sigma^2 varies, C 1 and diag C from the operator agree with
+    # the dense C's to rounding
+    cases = [random_instance(seed, n=12, n_stubborn=2)[:2] for seed in range(10)]
+    g = generate_watts_strogatz(200, 4, 0.3, 3, 5)
+    ops = normalize(g)
+    cases.append((ops, NoiseModel(
+        np.random.default_rng(3).uniform(0.5, 2.0, ops.n_regular))))
+    for ops, noise in cases:
+        t = ops.w * noise.sigma2
+        assert not np.all(t == t[0])
+        mom = moments(ops, noise)
+        ones = np.ones(ops.n_regular)
+        assert _rel(mom @ ones, mom.C @ ones) <= 1e-13
+        assert _rel(mom.diagonal(), np.diag(mom.C)) <= 1e-13
+        cols = np.eye(ops.n_regular)[:, :3]
+        assert _rel(mom @ cols, mom.C[:, :3]) <= 1e-13

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -267,3 +268,15 @@ def test_normalize_refuses_nan_spectral_radius(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
     with pytest.raises(ReachabilityError, match="spectral radius of A is nan"):
         normalize(g)
+
+
+def test_normalize_refuses_overflowing_strength():
+    # finite weights whose sum overflows: node 0's strength would be inf
+    W = np.zeros((4, 4))
+    for i, j, wgt in ((0, 1, 1e308), (0, 2, 1e308), (1, 3, 1.0), (2, 3, 1.0)):
+        W[i, j] = W[j, i] = wgt
+    g = SocialGraph(weights=W, stubborn=(3,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GraphError, match=r"node\(s\) \[0\] overflows"):
+            normalize(g)

@@ -8,6 +8,7 @@ from opinionselect import (EXACT_BUDGET, BudgetExceededError, GreedyState,
                            check_exact_budget, exact_select, extend_inverse,
                            f_score, greedy_select, guarantee_check,
                            marginal_gain, submodularity_audit, var_y)
+from opinionselect.selector import check_audit_budget
 from opinionselect.errors import NumericalError
 from conftest import (covariance_closed_form, g_score, naive_best_subset,
                       naive_f, precision, random_instance)
@@ -162,6 +163,20 @@ def test_greedy_tie_break_smallest_id():
     assert res.chosen == (0, 1)
 
 
+def test_near_ties_go_to_the_smallest_id():
+    # gains or F values within TIE_RTOL of the best tie, so rounding does
+    # not decide the pick
+    C = np.diag([2.0, 2.0 + 4e-15, 1.0])
+    assert greedy_select(C, 1).chosen == (0,)
+    assert exact_select(C, 1).chosen == (0,)
+    # a later, clearly better value drops the earlier near-ties
+    C = np.diag([1.0, 1.0 + 4e-15, 2.0, 2.0 + 4e-15])
+    assert greedy_select(C, 1).chosen == (2,)
+    assert exact_select(C, 1).chosen == (2,)
+    res = exact_select(C, 2)
+    assert res.chosen == (2, 3) and res.eval_count == math.comb(4, 2)
+
+
 def test_exact_diagonal_and_full_set():
     sigma2 = np.array([1.0, 4.0, 2.0])
     C = np.diag(sigma2)
@@ -303,6 +318,12 @@ def test_audit_exhaustive_budget(monkeypatch):
     monkeypatch.setattr(selector, "f_score", refuse)
     with pytest.raises(BudgetExceededError, match="1458 triples"):
         submodularity_audit(C)
+
+
+def test_empty_audit_counts_an_int_zero():
+    assert type(check_audit_budget(0)) is int and check_audit_budget(0) == 0
+    rep = submodularity_audit(np.zeros((0, 0)))
+    assert type(rep.n_checks) is int and rep.n_checks == 0
 
 
 def test_audit_diagonal_is_modular():
