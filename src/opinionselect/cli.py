@@ -143,6 +143,13 @@ def _moments_for(args, g: SocialGraph):
     return ops, equilibrium.moments(ops, _sigma2_from_args(args, g))
 
 
+def _covariance_for(args, g: SocialGraph) -> tuple[str, np.ndarray]:
+    """The regime tag and the dense C. The operator, and with it P and the
+    eigenvectors, is dropped on return, so a selection holds C alone."""
+    mom = _moments_for(args, g)[1]
+    return mom.method_tag, mom.C
+
+
 def cmd_generate(args) -> int:
     t0 = time.perf_counter()
     if args.n_stubborn < 1:
@@ -170,17 +177,20 @@ def cmd_select(args) -> int:
     _check_size("--k", args.k, g)
     if args.method == "exact":
         selector.check_exact_budget(len(g.regular), args.k)
-    ops, mom = _moments_for(args, g)
     if args.method == "greedy":
-        result = selector.greedy_select(mom.C, args.k)
+        # greedy reads C 1, diag C and one row per pick: never forms C
+        mom = _moments_for(args, g)[1]
+        method_tag = mom.method_tag
+        result = selector.greedy_select(mom, args.k)
     else:
-        result = selector.exact_select(mom.C, args.k)
-    regular_labels = [g.labels[i] for i in ops.regular]
+        method_tag, C = _covariance_for(args, g)
+        result = selector.exact_select(C, args.k)
+    regular_labels = [g.labels[i] for i in g.regular]
     doc = {
         "schema": SCHEMA_VERSION,
         "meta": _meta(args, "select", t0, eval_count=result.eval_count),
         "graph": _graph_summary(g),
-        "moments_method": mom.method_tag,
+        "moments_method": method_tag,
         "selection": {
             "method": result.method,
             "chosen": [regular_labels[i] for i in result.chosen],
@@ -248,16 +258,18 @@ def cmd_curve(args) -> int:
     if "exact" in methods:
         for k in range(args.max_k + 1):
             selector.check_exact_budget(len(g.regular), k)
-    _, mom = _moments_for(args, g)
+    # the dense C: exact selection needs it, and on a long greedy curve its
+    # rows beat the operator's
+    method_tag, C = _covariance_for(args, g)
     rows = []
     for method in methods:
         if method == "greedy":
-            result = selector.greedy_select(mom.C, args.max_k)
+            result = selector.greedy_select(C, args.max_k)
             fractions = [gv / result.var_y for gv in result.g_values]
         else:
             fractions = []
             for k in range(args.max_k + 1):
-                res = selector.exact_select(mom.C, k)
+                res = selector.exact_select(C, k)
                 fractions.append(res.g_values[-1] / res.var_y)
         for k, frac in enumerate(fractions):
             rows.append((k, method, 100.0 * frac))
@@ -271,7 +283,7 @@ def cmd_curve(args) -> int:
         doc = {"schema": SCHEMA_VERSION,
                "meta": _meta(args, "curve", t0),
                "graph": _graph_summary(g),
-               "moments_method": mom.method_tag,
+               "moments_method": method_tag,
                "curve": [{"k": k, "method": m, "residual_pct": p}
                          for k, m, p in rows]}
         _emit(args, json.dumps(doc, indent=2) + "\n")

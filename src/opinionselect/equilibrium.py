@@ -7,11 +7,12 @@ C = A C A' + Sigma. ``moments`` is its one exact path, from the
 eigendecomposition that ``normalize`` stores: A = D^-1/2 S D^1/2 with
 S = Q diag(lam) Q' symmetric, so
 C = D^-1/2 Q M Q' D^-1/2 with M = Q' (D Sigma) Q / (1 - lam lam').
-It returns C as an operator holding P = Q M and D^-1/2: C v and diag C
-cost O(n^2), and the dense C is formed only when read, as P Q' scaled and
-symmetrized in place. That holds about 2 n^2 floats above W and Q, P and
-C included (2.1 n^2 traced on 400 regular nodes; the tests hold it to
-2.5 n^2).
+It returns C as an operator holding P = Q M and D^-1/2: C v, diag C and
+one row of C cost O(n^2), which is all that greedy selection and the
+variance-reduction score read, and the dense C is formed only when read, as
+P Q' scaled and symmetrized in place. That holds about 2 n^2 floats above W
+and Q, P and C included (2.1 n^2 traced on 400 regular nodes; the tests hold
+it to 2.5 n^2).
 
 When t = D Sigma is constant bit for bit (uniform noise on degree-regular
 graphs, or noise inversely proportional to strength), Q' (t0 I) Q = t0 I, so
@@ -33,6 +34,7 @@ benchmark's reference set-up and the tests import; no command calls it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,8 +72,9 @@ class EquilibriumMoments:
     """Equilibrium covariance as an operator, with the regime it falls in.
 
     C = diag(scale) P Q' diag(scale), with P = Q M and M the middle factor of
-    the spectral solve. ``mom @ v`` and ``mom.diagonal()`` cost O(n^2) per
-    column of v and never form C; ``C`` is formed once, on first read.
+    the spectral solve. ``mom @ v``, ``v @ mom``, ``mom.diagonal()`` and the
+    row ``mom[i]`` cost O(n^2) per column of v or per row and never form C;
+    ``C`` is formed once, on first read.
 
     ``method_tag`` is "closed-form" when A Sigma is symmetric (relative
     asymmetry at most ``SYMMETRY_TOL``), the regime where
@@ -83,9 +86,29 @@ class EquilibriumMoments:
     Q: np.ndarray
     scale: np.ndarray  # w^-1/2
 
+    # numpy defers ``v @ mom`` to ``__rmatmul__`` instead of converting mom
+    __array_ufunc__ = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = len(self.scale)
+        return n, n
+
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         s = self.scale.reshape((-1,) + (1,) * (np.ndim(v) - 1))
         return s * (self.P @ (self.Q.T @ (s * v)))
+
+    def __rmatmul__(self, v: np.ndarray) -> np.ndarray:
+        return self @ v     # v' C = (C v)' since C is symmetric
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        """Row i of C, scale_i (Q P_i) scale, in O(n^2); only an int is taken."""
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise TypeError("the covariance operator gives one row, indexed "
+                            f"by an int, not {i!r}") from None
+        return self.scale[i] * (self.Q @ self.P[i]) * self.scale
 
     def diagonal(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self.P, self.Q) * self.scale * self.scale

@@ -100,12 +100,14 @@ def estimator_coefficients(C: np.ndarray, K: Sequence[int],
     """
     n = C.shape[0]
     K = _check_set(K, n)
-    if mu is None:
-        mu = np.zeros(n)
+    mu = np.zeros(n) if mu is None else np.asarray(mu, dtype=float)
+    if mu.shape != (n,):
+        raise ValueError(f"mu has shape {mu.shape}; it needs one entry per "
+                         f"regular node, ({n},)")
     ybar = float(np.sum(mu)) / n
     if not K:
         return np.zeros(0), ybar
     c1, CKK = _gather(C, K)
     alpha = _spd_solve(CKK, c1 / n)
-    intercept = ybar - float(alpha @ np.asarray(mu)[K])
+    intercept = ybar - float(alpha @ mu[K])
     return alpha, intercept

@@ -14,13 +14,18 @@ The submodularity audit checks diminishing returns of F on every triple
 A <= B, k not in B in one vectorised pass over the 3^n pairs (A, B); it too
 runs only when its n 3^(n-1) triples are at most ``EXACT_BUDGET``.
 
-Every path reads the covariance C alone: G = var_y(C) - F.
+Greedy selection reads the covariance only through C 1, diag C and one row
+of C per pick, so it runs on the ``moments`` operator as well as on a dense
+C, never forming C; each candidate costs a few reads of Python lists. Exact
+selection and the audit read a dense C. Every path reads G as
+var_y(C) - F.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -39,25 +44,35 @@ TIE_RTOL = 1e-9     # gains or F values this close, relative, count as a tie
 class GreedyState:
     """C|K = C - L'L of one greedy run through r = (C|K)1 and d = diag(C|K);
     row t of L is the pivoted-Cholesky column of the t-th chosen node.
-    ``members`` is ``chosen`` as a set, for O(1) membership tests."""
+    ``c_diag`` is diag C, for the degenerate-Schur guard; with ``r_vals``
+    and ``d_vals``, r and d as lists made once per pick, it lets each
+    candidate read Python floats, not NumPy scalars. ``members`` is
+    ``chosen`` as a set, for O(1) membership tests."""
 
     chosen: list[int]
     r: np.ndarray
     d: np.ndarray
     L: np.ndarray
+    c_diag: list[float]
     f_current: float = 0.0
     eval_count: int = 0
     members: frozenset[int] = field(init=False, repr=False)
+    r_vals: list[float] = field(init=False, repr=False)
+    d_vals: list[float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.members = frozenset(self.chosen)
+        self.r_vals = self.r.tolist()
+        self.d_vals = self.d.tolist()
 
     @classmethod
-    def start(cls, C: np.ndarray) -> GreedyState:
-        """The empty-set state: r = C1, d = diag C."""
+    def start(cls, C) -> GreedyState:
+        """The empty-set state: r = C1, d = diag C. ``C`` is a dense array or
+        the ``moments`` operator; only ``C @ 1`` and ``C.diagonal()`` are read."""
         n = C.shape[0]
-        return cls(chosen=[], r=C @ np.ones(n), d=np.diag(C).copy(),
-                   L=np.zeros((0, n)))
+        d = C.diagonal().copy()
+        return cls(chosen=[], r=C @ np.ones(n), d=d, L=np.zeros((0, n)),
+                   c_diag=d.tolist())
 
 
 @dataclass(frozen=True)
@@ -75,48 +90,70 @@ class SelectionResult:
         return tuple(self.var_y - f for f in self.f_values)
 
 
-def _schur(state: GreedyState, C: np.ndarray, i: int) -> float:
+def _schur(state: GreedyState, i: int) -> float:
     """d_i = (C|K)_ii; raises when it is degenerate relative to C_ii."""
-    schur = float(state.d[i])
-    if schur <= SCHUR_GUARD * C[i, i]:
+    schur = state.d_vals[i]
+    if schur <= SCHUR_GUARD * state.c_diag[i]:
         raise NumericalError(
             f"degenerate Schur complement {schur:.3e} for candidate {i}")
     return schur
 
 
-def marginal_gain(state: GreedyState, C: np.ndarray, i: int) -> float:
-    """F(K + i) - F(K) without touching the state. Raises on degenerate Schur."""
+def marginal_gain(state: GreedyState, C, i: int) -> float:
+    """F(K + i) - F(K) without touching the state. Raises on degenerate Schur.
+
+    Reads the state alone: ``C``, the covariance it was started from, is
+    not read."""
     if i in state.members:
         raise ValueError(f"candidate {i} already chosen")
-    r_i = float(state.r[i])
-    return r_i * r_i / _schur(state, C, i)
+    r_i = state.r_vals[i]
+    return r_i * r_i / _schur(state, i)
 
 
-def extend_inverse(state: GreedyState, C: np.ndarray, i: int) -> GreedyState:
-    """Return the state with node i inserted: one rank-1 downdate of C|K."""
-    schur = _schur(state, C, i)
+def extend_inverse(state: GreedyState, C, i: int) -> GreedyState:
+    """Return the state with node i inserted: one rank-1 downdate of C|K.
+
+    Reads the row ``C[i]`` alone, so ``C`` may be the ``moments`` operator."""
+    schur = _schur(state, i)
     root = math.sqrt(schur)
-    r_i = float(state.r[i])
+    r_i = state.r_vals[i]
     col = (C[i] - state.L[:, i] @ state.L) / root
     return GreedyState(chosen=state.chosen + [int(i)],
                        r=state.r - col * (r_i / root),
                        d=state.d - col * col,
                        L=np.vstack([state.L, col]),
+                       c_diag=state.c_diag,
                        f_current=state.f_current + r_i * r_i / schur,
                        eval_count=state.eval_count)
 
 
-def greedy_select(C: np.ndarray, s: int) -> SelectionResult:
+def _cardinality(s, n: int) -> int:
+    """s as an int in [0, n]; ``ValueError`` naming s otherwise."""
+    try:
+        if isinstance(s, bool):     # operator.index would take True as 1
+            raise TypeError
+        s = operator.index(s)
+    except TypeError:
+        raise ValueError(f"cardinality s={s!r} must be an integer") from None
+    if not 0 <= s <= n:
+        raise ValueError(f"cardinality s={s} out of range for {n} regular nodes")
+    return s
+
+
+def greedy_select(C, s: int) -> SelectionResult:
     """s rounds of best-marginal-gain insertion.
 
     Each round evaluates every candidate's gain in one pass and picks the
     lowest index whose gain is at least best * (1 - ``TIE_RTOL``), so mirror
     nodes whose gains differ only by rounding resolve the same way under any
     BLAS. Gains that straddle the tolerance edge can still flip.
+
+    ``C`` is a dense covariance or the ``moments`` operator: only ``C @ 1``,
+    ``1 @ C``, ``C.diagonal()`` and one row ``C[i]`` per pick are read, and
+    the two agree to rounding.
     """
     n = C.shape[0]
-    if not (0 <= s <= n):
-        raise ValueError(f"cardinality s={s} out of range for {n} regular nodes")
+    s = _cardinality(s, n)
     state = GreedyState.start(C)
     gains: list[float] = []
     f_values = [0.0]
@@ -124,10 +161,11 @@ def greedy_select(C: np.ndarray, s: int) -> SelectionResult:
         # the candidates within TIE_RTOL of the running best, in index order
         best = floor = -math.inf
         near: list[tuple[int, float]] = []
+        members = state.members
+        state.eval_count += n - len(members)   # one per candidate
         for i in range(n):
-            if i in state.members:
+            if i in members:
                 continue
-            state.eval_count += 1
             try:
                 gain = marginal_gain(state, C, i)
             except NumericalError as exc:
@@ -181,8 +219,7 @@ def exact_select(C: np.ndarray, s: int) -> SelectionResult:
     raise ``NumericalError``.
     """
     n = C.shape[0]
-    if not (0 <= s <= n):
-        raise ValueError(f"cardinality s={s} out of range for {n} regular nodes")
+    s = _cardinality(s, n)
     check_exact_budget(n, s)
     best_f = floor = -np.inf
     near: list[tuple[tuple[int, ...], float]] = []

@@ -418,6 +418,28 @@ def test_score_never_forms_the_covariance(model, tmp_path, monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_greedy_select_never_forms_the_covariance(tmp_path, monkeypatch):
+    # greedy reads C 1, diag C and one row per pick from the moments
+    # operator, so select runs with the dense formation refused
+    g = generate_watts_strogatz(40, 4, 0.3, 5, 4)
+    prefix = tmp_path / "ws"
+    save_graph(g, f"{prefix}.edges", f"{prefix}.stubborn")
+    ops = normalize(g)
+    want = selector.greedy_select(
+        moments(ops, NoiseModel.uniform(ops.n_regular, 1.0)).C, 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("greedy select formed the dense covariance")
+
+    monkeypatch.setattr(equilibrium, "_dense_covariance", refuse)
+    out = tmp_path / "select.json"
+    assert run_cli(["select", "--graph", f"{prefix}.edges", "--stubborn-file",
+                    f"{prefix}.stubborn", "--k", "5", "--out", str(out)]) == 0
+    sel = json.loads(out.read_text())["selection"]
+    assert sel["chosen_regular_index"] == list(want.chosen)
+    assert sel["var_y"] == pytest.approx(want.var_y, rel=1e-12)
+
+
 def test_select_picks_do_not_depend_on_blas_threads(tmp_path):
     # mirror nodes of a cycle tie exactly, and their gains differ only by
     # rounding, which the BLAS thread count changes; the tie rule must pick

@@ -6,7 +6,7 @@ import pytest
 from opinionselect import (NoiseModel, SocialGraph, covariance_lyapunov,
                            generate_cycle, generate_random_reachable,
                            generate_random_regular, generate_watts_strogatz,
-                           mean, moments, normalize)
+                           mean, moments, normalize, var_y)
 from opinionselect.equilibrium import SYMMETRY_TOL
 from conftest import (covariance_closed_form, precision, precision_direct,
                       random_instance, series_covariance)
@@ -341,3 +341,27 @@ def test_operator_products_match_the_dense_covariance():
         assert _rel(mom.diagonal(), np.diag(mom.C)) <= 1e-13
         cols = np.eye(ops.n_regular)[:, :3]
         assert _rel(mom @ cols, mom.C[:, :3]) <= 1e-13
+
+
+def test_operator_rows_shape_and_left_product():
+    # mom[i] is row i of C in O(n^2), and v @ mom is (mom @ v)', so greedy
+    # selection runs on the operator; only an int key gives a row
+    cases = [random_instance(seed, n=12, n_stubborn=2)[:2] for seed in range(3)]
+    ops = normalize(generate_watts_strogatz(200, 4, 0.3, 3, 5))
+    cases.append((ops, NoiseModel(
+        np.random.default_rng(3).uniform(0.5, 2.0, ops.n_regular))))
+    ops = normalize(generate_random_regular(14, 3, 0, 3))
+    cases.append((ops, NoiseModel.uniform(ops.n_regular, 1.3)))
+    for ops, noise in cases:
+        mom = moments(ops, noise)
+        n = ops.n_regular
+        assert mom.shape == (n, n)
+        C = mom.C
+        for i in (0, n // 2, n - 1, np.int64(1)):
+            assert np.max(np.abs(mom[i] - C[i])) <= 1e-15 * np.max(np.abs(C))
+        ones = np.ones(n)
+        assert np.array_equal(ones @ mom, mom @ ones)
+        assert var_y(mom) == pytest.approx(var_y(C), rel=1e-13)
+    for key in ((0, 0), 1.0, slice(0, 2)):
+        with pytest.raises(TypeError, match="int"):
+            mom[key]

@@ -133,6 +133,20 @@ def test_estimator_intercept_unbiased():
     assert intercept + alpha @ mu[K] == pytest.approx(float(mu.sum()) / n)
 
 
+def test_estimator_refuses_a_mean_of_the_wrong_length():
+    # a mean with one entry too few or too many would move the intercept
+    # silently
+    C = np.array([[2.0, 0.5, 0.1],
+                  [0.5, 1.0, 0.2],
+                  [0.1, 0.2, 1.5]])
+    for mu in (np.ones(2), np.arange(4.0), np.ones((3, 1))):
+        with pytest.raises(ValueError, match="mu"):
+            estimator_coefficients(C, [0, 1], mu=mu)
+    _, intercept = estimator_coefficients(C, [0, 1], mu=[1.0, 1.0, 1.0])
+    assert intercept == pytest.approx(1.0 - float(np.sum(
+        np.linalg.solve(C[:2, :2], C[:2].sum(axis=1) / 3))), rel=1e-12)
+
+
 def test_residual_curve_endpoints_and_monotonicity():
     ops, noise, C = random_instance(8, n=12, n_stubborn=3)
     n = C.shape[0]

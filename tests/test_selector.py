@@ -1,13 +1,16 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from opinionselect import (EXACT_BUDGET, BudgetExceededError, GreedyState,
-                           check_exact_budget, exact_select, extend_inverse,
-                           f_score, greedy_select, guarantee_check,
-                           marginal_gain, submodularity_audit, var_y)
+                           NoiseModel, check_exact_budget, exact_select,
+                           extend_inverse, f_score, generate_random_regular,
+                           generate_watts_strogatz, greedy_select,
+                           guarantee_check, marginal_gain, moments, normalize,
+                           submodularity_audit, var_y)
 from opinionselect.selector import check_audit_budget
 from opinionselect.errors import NumericalError
 from conftest import (covariance_closed_form, g_score, naive_best_subset,
@@ -147,6 +150,40 @@ def test_greedy_gains_nonincreasing_and_consistent():
         assert np.allclose(np.diff(res.f_values), gains)
         assert np.allclose(np.array(res.f_values) + np.array(res.g_values),
                            res.var_y)
+
+
+def test_greedy_on_the_operator_matches_the_dense_covariance():
+    # on the moments operator greedy reads C 1, diag C and one row per pick;
+    # picks, count and F agree with greedy on the dense C
+    cases = []
+    for seed in range(3):
+        ops = normalize(generate_watts_strogatz(60, 4, 0.3, seed, 4))
+        rng = np.random.default_rng(seed)
+        cases += [(ops, NoiseModel.uniform(ops.n_regular, 1.0)),
+                  (ops, NoiseModel(rng.uniform(0.5, 2.0, ops.n_regular)))]
+    ops = normalize(generate_random_regular(40, 4, 3, 4))
+    cases.append((ops, NoiseModel.uniform(ops.n_regular, 1.0)))
+    for ops, noise in cases:
+        mom = moments(ops, noise)
+        on_op, dense = greedy_select(mom, 12), greedy_select(mom.C, 12)
+        assert on_op.chosen == dense.chosen
+        assert on_op.eval_count == dense.eval_count
+        tol = 1e-12 * dense.var_y
+        assert abs(on_op.var_y - dense.var_y) <= tol
+        assert np.max(np.abs(np.subtract(on_op.f_values,
+                                         dense.f_values))) <= tol
+
+
+def test_selection_sizes_must_be_integers():
+    # True would run as s = 1, and 2.0 would raise a bare TypeError
+    C = np.diag([3.0, 2.0, 1.0])
+    for select in (greedy_select, exact_select):
+        for bad in (True, 2.0, "2"):
+            with pytest.raises(ValueError, match=re.escape(f"s={bad!r}")):
+                select(C, bad)
+        with pytest.raises(ValueError, match="s=4 out of range"):
+            select(C, 4)
+        assert select(C, np.int64(2)).chosen == (0, 1)
 
 
 def test_greedy_deterministic():
