@@ -217,7 +217,9 @@ def cmd_score(args) -> int:
     if args.matrix == "normalized":
         G = ops
     else:
-        G = (g.weights[np.ix_(ops.regular, ops.regular)] > 0).astype(float)
+        row, col, _ = g.regular_arcs
+        G = np.zeros((ops.n_regular, ops.n_regular))
+        G[row, col] = 1.0
     scores = []
     for m in measures:
         if m == "var_reduction":

@@ -10,8 +10,8 @@ C = D^-1/2 Q M Q' D^-1/2 with M = Q' (D Sigma) Q / (1 - lam lam').
 It returns C as an operator holding P = Q M and D^-1/2: C v, diag C and
 one row of C cost O(n^2), which is all that greedy selection and the
 variance-reduction score read, and the dense C is formed only when read, as
-P Q' scaled and symmetrized in place. That holds about 2 n^2 floats above W
-and Q, P and C included (2.1 n^2 traced on 400 regular nodes; the tests hold
+P Q' scaled and symmetrized in place. That holds about 2 n^2 floats above Q,
+P and C included (2.1 n^2 traced on 400 regular nodes; the tests hold
 it to 2.5 n^2).
 
 When t = D Sigma is constant bit for bit (uniform noise on degree-regular
@@ -170,12 +170,7 @@ def _regime_tag(ops: NetworkOperators, sigma2: np.ndarray) -> str:
     """"closed-form" when the relative Frobenius asymmetry of A Sigma, whose
     entries (A Sigma)_ij = W_ij / w_i * sigma_j^2 sit on the regular-regular
     edges, is at most ``SYMMETRY_TOL``; "lyapunov" otherwise."""
-    W = ops.graph.weights
-    pos = np.full(len(W), -1)
-    pos[list(ops.regular)] = np.arange(ops.n_regular)
-    src, dst = np.nonzero(W)
-    edge = (pos[src] >= 0) & (pos[dst] >= 0)
-    i, j, wgt = pos[src[edge]], pos[dst[edge]], W[src[edge], dst[edge]]
+    i, j, wgt = ops.graph.regular_arcs
     a_sigma = wgt / ops.w[i] * sigma2[j]
     asym = np.linalg.norm(a_sigma - wgt / ops.w[j] * sigma2[i])
     return ("closed-form" if asym <= SYMMETRY_TOL * np.linalg.norm(a_sigma)

@@ -1,20 +1,24 @@
 """Weighted undirected social graphs with a stubborn/regular node partition.
 
-A graph is stored as a dense symmetric weight matrix plus the set of stubborn
-node indices. Normalization stores one form of the DeGroot operator
-A = D^-1 W_RR: the eigendecomposition of the symmetric matrix similar to it.
-The blocks A and B of the row-stochastic diag(w)^-1 W are formed from the
-weights when read, never from the spectrum, so the oracles stay independent.
+A graph is stored as its edge list: each undirected edge once, as i < j in
+row-major order, with its positive weight, plus the set of stubborn node
+indices. No command forms the n x n weight matrix; ``SocialGraph.weights``
+forms it on each read, for the oracles, the blocks A and B and the
+simulator. Normalization stores one form of the DeGroot operator
+A = D^-1 W_RR: the eigendecomposition of the symmetric matrix similar to it,
+which it scatters from the regular-regular edges. The blocks A and B of the
+row-stochastic diag(w)^-1 W are formed from the weights when read, never
+from the spectrum, so the oracles stay independent.
 
-Reachability is a breadth-first search over the dense adjacency. networkx is
-imported only inside the two generators that draw from it (Watts-Strogatz and
-random regular), so loading, normalizing and validating a graph need numpy
-alone.
+Reachability is a breadth-first search over the edge list, O(m) per level.
+networkx is imported only inside the two generators that draw from it
+(Watts-Strogatz and random regular), so loading, normalizing and validating a
+graph need numpy alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,22 +27,33 @@ import numpy as np
 from .errors import GraphError, ReachabilityError
 
 RHO_MARGIN = 1e-10
+STRENGTH_BLOCK = 64     # rows per block of the strength sums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SocialGraph:
-    """Symmetric nonnegative weight matrix with a stubborn-node subset.
+    """Undirected graph with positive edge weights and a stubborn-node subset.
 
     Node ids are dense 0-based integers; ``labels`` keeps the original ids
-    from the input file (identity for generated graphs).
+    from the input file (identity for generated graphs). Edge k joins
+    ``edge_i[k]`` < ``edge_j[k]`` with weight ``edge_weights[k]``, in the
+    row-major order of ``np.nonzero(np.triu(weights))``.
+
+    ``SocialGraph(weights=W, stubborn=...)`` takes a dense symmetric matrix
+    and keeps only its edges; ``SocialGraph.from_edges`` takes the edges.
     """
 
-    weights: np.ndarray
+    n_nodes: int
+    edge_i: np.ndarray
+    edge_j: np.ndarray
+    edge_weights: np.ndarray
     stubborn: tuple[int, ...]
-    labels: tuple[int, ...] = field(default=())
+    labels: tuple[int, ...]
+    regular: tuple[int, ...]
 
-    def __post_init__(self):
-        W = np.asarray(self.weights, dtype=float)
+    def __init__(self, weights, stubborn: Iterable[int],
+                 labels: Sequence[int] = ()):
+        W = np.asarray(weights, dtype=float)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise GraphError("weight matrix must be square")
         if not np.isfinite(W).all():
@@ -49,29 +64,91 @@ class SocialGraph:
             raise GraphError("edge weights must be nonnegative")
         if np.any(np.diag(W) != 0):
             raise GraphError("self-loops are not allowed")
-        stub = tuple(sorted(set(int(i) for i in self.stubborn)))
-        if any(i < 0 or i >= W.shape[0] for i in stub):
+        i, j = np.nonzero(np.triu(W))
+        self._store(W.shape[0], i, j, W[i, j], stubborn, labels)
+
+    @classmethod
+    def from_edges(cls, n_nodes: int, i, j, weights, stubborn: Iterable[int],
+                   labels: Sequence[int] = ()) -> "SocialGraph":
+        """The graph on ``n_nodes`` nodes whose edge k joins i[k] and j[k].
+
+        Each edge is given once, in either orientation. A repeated edge, a
+        self-loop, an id outside the node range or a weight that is not
+        finite and positive raises ``GraphError``.
+        """
+        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+        w = np.asarray(weights, dtype=float)
+        if i.ndim != 1 or not i.shape == j.shape == w.shape:
+            raise GraphError("edge arrays must be 1-D and of equal length")
+        if np.any(i == j):
+            raise GraphError("self-loops are not allowed")
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        if lo.size and (lo.min() < 0 or hi.max() >= n_nodes):
+            raise GraphError("edge endpoint out of node range")
+        if not np.isfinite(w).all():
+            raise GraphError("edge weights must be finite")
+        if np.any(w <= 0):
+            raise GraphError("edge weights must be positive")
+        order = np.lexsort((hi, lo))
+        lo, hi, w = lo[order], hi[order], w[order]
+        if np.any((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])):
+            raise GraphError("repeated edge")
+        g = cls.__new__(cls)
+        g._store(int(n_nodes), lo, hi, w, stubborn, labels)
+        return g
+
+    def _store(self, n, i, j, w, stubborn, labels) -> None:
+        stub = tuple(sorted(set(int(s) for s in stubborn)))
+        if any(s < 0 or s >= n for s in stub):
             raise GraphError("stubborn id out of node range")
-        labels = self.labels or tuple(range(W.shape[0]))
-        if len(labels) != W.shape[0]:
+        labels = tuple(labels) or tuple(range(n))
+        if len(labels) != n:
             raise GraphError("label table length must equal node count")
-        W.setflags(write=False)
-        object.__setattr__(self, "weights", W)
-        object.__setattr__(self, "stubborn", stub)
-        object.__setattr__(self, "labels", tuple(labels))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def regular(self) -> tuple[int, ...]:
-        stub = set(self.stubborn)
-        return tuple(i for i in range(self.n_nodes) if i not in stub)
+        for a in (i, j, w):
+            a.setflags(write=False)
+        is_stub = set(stub)
+        for name, value in (("n_nodes", n), ("edge_i", i), ("edge_j", j),
+                            ("edge_weights", w), ("stubborn", stub),
+                            ("labels", labels),
+                            ("regular", tuple(k for k in range(n)
+                                              if k not in is_stub))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_edges(self) -> int:
-        return int(np.count_nonzero(self.weights) // 2)
+        return len(self.edge_weights)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense symmetric weight matrix, formed on each read (O(n^2))."""
+        W = np.zeros((self.n_nodes, self.n_nodes))
+        W[self.edge_i, self.edge_j] = self.edge_weights
+        W[self.edge_j, self.edge_i] = self.edge_weights
+        return W
+
+    # arcs and regular_arcs are formed on each read, O(m log m), not cached:
+    # arrays cached on the graph stay alive across normalize's eigh and split
+    # the free heap an n x n array would reuse there (cached, peak RSS of a
+    # repeated 1,000-node `score` rose from 75 to 82 MB)
+    @property
+    def arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every edge in both orientations as (src, dst, weight), in the
+        row-major order of ``np.nonzero(weights)``."""
+        src = np.concatenate([self.edge_i, self.edge_j])
+        dst = np.concatenate([self.edge_j, self.edge_i])
+        order = np.lexsort((dst, src))
+        return src[order], dst[order], np.tile(self.edge_weights, 2)[order]
+
+    @property
+    def regular_arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The arcs between regular nodes as (row, col, weight), with row and
+        col positions in ``regular``, in the row-major order of W_RR."""
+        pos = np.full(self.n_nodes, -1)
+        pos[list(self.regular)] = np.arange(len(self.regular))
+        src, dst, wgt = self.arcs
+        row, col = pos[src], pos[dst]
+        keep = (row >= 0) & (col >= 0)
+        return row[keep], col[keep], wgt[keep]
 
 
 @dataclass(frozen=True)
@@ -120,13 +197,19 @@ class ReachabilityReport:
     message: str
 
 
-def _reach(adj: np.ndarray, start: np.ndarray, unseen: np.ndarray) -> np.ndarray:
-    """Breadth-first search from ``start``; marks and returns the nodes reached."""
+def _reach(g: SocialGraph, start: np.ndarray, unseen: np.ndarray) -> np.ndarray:
+    """Breadth-first search from ``start`` along the edges of ``g``; marks and
+    returns the nodes reached."""
+    i, j = g.edge_i, g.edge_j
     found = [start]
     unseen[start] = False
     frontier = start
+    on = np.zeros(len(unseen), dtype=bool)
     while frontier.size:
-        frontier = np.flatnonzero(adj[frontier].any(axis=0) & unseen)
+        on[frontier] = True
+        reached = np.concatenate([j[on[i]], i[on[j]]])
+        on[frontier] = False
+        frontier = np.unique(reached[unseen[reached]])
         unseen[frontier] = False
         found.append(frontier)
     return np.concatenate(found)
@@ -137,17 +220,16 @@ def validate_reachability(g: SocialGraph) -> ReachabilityReport:
 
     One search starts from all stubborn nodes at once; each regular node it
     leaves unseen then starts an orphan component of its own, so orphans come
-    ordered by their smallest member. O(n^2) on the dense adjacency.
+    ordered by their smallest member. O(m) per level of each search.
     """
     if not g.regular:
         return ReachabilityReport(True, (), "no regular agents (vacuously reachable)")
-    adj = g.weights > 0
     unseen = np.ones(g.n_nodes, dtype=bool)
-    _reach(adj, np.array(g.stubborn, dtype=np.intp), unseen)
+    _reach(g, np.array(g.stubborn, dtype=np.intp), unseen)
     orphans = []
-    for i in g.regular:
+    for i in np.flatnonzero(unseen):    # regular nodes only
         if unseen[i]:
-            members = np.sort(_reach(adj, np.array([i]), unseen))
+            members = np.sort(_reach(g, np.array([i]), unseen))
             orphans.append(tuple(int(m) for m in members))
     if orphans:
         msg = f"{len(orphans)} component(s) contain regular nodes but no stubborn node"
@@ -155,20 +237,44 @@ def validate_reachability(g: SocialGraph) -> ReachabilityReport:
     return ReachabilityReport(True, (), "every regular node can reach a stubborn node")
 
 
+def _strengths(g: SocialGraph) -> np.ndarray:
+    """The regular nodes' strengths, bit-identical to W.sum(axis=1)[regular]:
+    each block of ``STRENGTH_BLOCK`` rows is scattered dense from the arcs
+    and summed along its rows, the same pairwise sums numpy takes over W's
+    rows, while only one block is held."""
+    n_reg, b = len(g.regular), STRENGTH_BLOCK
+    pos = np.full(g.n_nodes, -1)
+    pos[list(g.regular)] = np.arange(n_reg)
+    src, dst, wgt = g.arcs
+    row = pos[src]
+    keep = row >= 0
+    row, dst, wgt = row[keep], dst[keep], wgt[keep]     # sorted by row
+    cuts = np.searchsorted(row, range(0, n_reg + b, b))
+    block = np.zeros((min(b, n_reg), g.n_nodes))
+    w = np.empty(n_reg)
+    for k, start in enumerate(range(0, n_reg, b)):
+        r, c = row[cuts[k]:cuts[k + 1]] - start, dst[cuts[k]:cuts[k + 1]]
+        block[r, c] = wgt[cuts[k]:cuts[k + 1]]
+        with np.errstate(over="ignore"):
+            w[start:start + b] = block[:n_reg - start].sum(axis=1)
+        block[r, c] = 0.0
+    return w
+
+
 def normalize(g: SocialGraph) -> NetworkOperators:
     """The spectrum of A = W_RR / w_R.
 
-    One symmetric eigendecomposition of D^-1/2 W_RR D^-1/2 gives the
-    eigenpairs stored on the result and the spectral radius of A; raises
-    ``GraphError`` when a regular node's strength overflows to infinity, and
-    ``ReachabilityError`` unless A is Schur stable.
+    One symmetric eigendecomposition of D^-1/2 W_RR D^-1/2, built from the
+    regular-regular edges, gives the eigenpairs stored on the result and the
+    spectral radius of A; raises ``GraphError`` when a regular node's
+    strength overflows to infinity, and ``ReachabilityError`` unless A is
+    Schur stable.
     """
     report = validate_reachability(g)
     if not report.ok:
         raise ReachabilityError(report.message)
-    R = list(g.regular)
-    with np.errstate(over="ignore"):
-        w = g.weights.sum(axis=1)[R]
+    R = g.regular
+    w = _strengths(g)
     if not np.isfinite(w).all():
         overflowed = [i for i, wi in zip(R, w) if not np.isfinite(wi)]
         raise GraphError(f"strength of regular node(s) {overflowed} "
@@ -176,15 +282,17 @@ def normalize(g: SocialGraph) -> NetworkOperators:
     if np.any(w == 0):
         isolated = [i for i, wi in zip(R, w) if wi == 0]
         raise GraphError(f"isolated regular node(s): {isolated}")
-    S = g.weights[np.ix_(R, R)]     # scaled in place into D^-1/2 W_RR D^-1/2
+    row, col, wgt = g.regular_arcs
     scale = 1.0 / np.sqrt(w)
-    S *= scale[:, None]
-    S *= scale
+    # D^-1/2 W_RR D^-1/2 entry by entry as (w_ij s_i) s_j, the products of
+    # scaling the rows of W_RR and then its columns
+    S = np.zeros((len(R), len(R)))
+    S[row, col] = wgt * scale[row] * scale[col]
     eigvals, eigvecs = np.linalg.eigh(S)
     rho = float(np.max(np.abs(eigvals))) if R else 0.0
     if not rho < 1.0 - RHO_MARGIN:     # NaN fails too
         raise ReachabilityError(f"spectral radius of A is {rho:.12f}, expected < 1")
-    return NetworkOperators(graph=g, w=w, regular=tuple(R),
+    return NetworkOperators(graph=g, w=w, regular=R,
                             stubborn=g.stubborn, rho=rho, eigvals=eigvals,
                             eigvecs=eigvecs)
 
@@ -257,12 +365,11 @@ def load_graph(source: str | Path | Iterable[str],
         raise GraphError("every node is stubborn: no regular node to observe")
     labels = tuple(sorted(nodes))
     index = {lab: k for k, lab in enumerate(labels)}
-    W = np.zeros((len(labels), len(labels)))
-    for (i, j), wgt in edges.items():
-        W[index[i], index[j]] = wgt
-        W[index[j], index[i]] = wgt
-    g = SocialGraph(weights=W, stubborn=tuple(index[s] for s in stub_labels),
-                    labels=labels)
+    ends = np.array([(index[i], index[j]) for i, j in edges], dtype=np.intp)
+    g = SocialGraph.from_edges(len(labels), ends[:, 0], ends[:, 1],
+                               list(edges.values()),
+                               stubborn=[index[s] for s in stub_labels],
+                               labels=labels)
     report = validate_reachability(g)
     if not report.ok:
         raise ReachabilityError(report.message)
@@ -271,10 +378,15 @@ def load_graph(source: str | Path | Iterable[str],
 
 def save_graph(g: SocialGraph, edges_path: str | Path,
                stubborn_path: str | Path | None = None) -> None:
-    """Write the canonical edge-list (original labels) and stubborn file."""
+    """Write the canonical edge-list (original labels) and stubborn file.
+
+    Weights are written in their shortest round-trip form (``repr``), so
+    ``load_graph`` reads back the same bits.
+    """
     lines = ["# i j w"]
-    for i, j in zip(*np.nonzero(np.triu(g.weights))):
-        lines.append(f"{g.labels[i]} {g.labels[j]} {g.weights[i, j]:.12g}")
+    for i, j, wgt in zip(g.edge_i.tolist(), g.edge_j.tolist(),
+                         g.edge_weights.tolist()):
+        lines.append(f"{g.labels[i]} {g.labels[j]} {wgt!r}")
     Path(edges_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     if stubborn_path is not None:
         stub = "\n".join(str(g.labels[i]) for i in g.stubborn)
@@ -284,12 +396,11 @@ def save_graph(g: SocialGraph, edges_path: str | Path,
 def _unit_weight_graph(n: int, edges, seed: int, n_stubborn: int) -> SocialGraph:
     """Unit weights on ``edges``; the stubborn nodes are drawn uniformly
     without replacement from a generator seeded with ``seed``."""
-    W = np.zeros((n, n))
-    for i, j in edges:
-        W[i, j] = W[j, i] = 1.0
+    ends = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
     rng = np.random.default_rng(seed)
     stub = tuple(sorted(int(i) for i in rng.choice(n, size=n_stubborn, replace=False)))
-    return SocialGraph(weights=W, stubborn=stub)
+    return SocialGraph.from_edges(n, ends[:, 0], ends[:, 1], np.ones(len(ends)),
+                                  stub)
 
 
 def generate_watts_strogatz(n: int, k: int, beta: float, seed: int,
@@ -319,11 +430,9 @@ def generate_cycle(n: int, n_stubborn: int) -> SocialGraph:
         raise GraphError("cycle needs n >= 3")
     if n_stubborn >= n:
         raise GraphError("require n_stubborn < n")
-    W = np.zeros((n, n))
-    for i in range(n):
-        j = (i + 1) % n
-        W[i, j] = W[j, i] = 1.0
-    return SocialGraph(weights=W, stubborn=tuple(range(n_stubborn)))
+    i = np.arange(n)
+    return SocialGraph.from_edges(n, i, (i + 1) % n, np.ones(n),
+                                  stubborn=range(n_stubborn))
 
 
 def generate_random_reachable(n: int, n_stubborn: int,
@@ -337,16 +446,18 @@ def generate_random_reachable(n: int, n_stubborn: int,
     if n < 2 or not (1 <= n_stubborn < n):
         raise GraphError("need n >= 2 and 1 <= n_stubborn < n")
     rng = np.random.default_rng(seed)
-    W = np.zeros((n, n))
+    edges: dict[tuple[int, int], float] = {}
     for i in range(1, n):
         j = int(rng.integers(0, i))
-        W[i, j] = W[j, i] = rng.uniform(0.5, 2.0)
+        edges[j, i] = rng.uniform(0.5, 2.0)
     for _ in range(n // 2):
-        i, j = rng.integers(0, n, size=2)
-        if i != j and W[i, j] == 0:
-            W[i, j] = W[j, i] = rng.uniform(0.5, 2.0)
+        i, j = sorted(int(v) for v in rng.integers(0, n, size=2))
+        if i != j and (i, j) not in edges:
+            edges[i, j] = rng.uniform(0.5, 2.0)
     stub = tuple(sorted(int(i) for i in rng.choice(n, size=n_stubborn, replace=False)))
-    return SocialGraph(weights=W, stubborn=stub)
+    ends = np.array(list(edges), dtype=np.intp)
+    return SocialGraph.from_edges(n, ends[:, 0], ends[:, 1],
+                                  list(edges.values()), stub)
 
 
 def generate_random_regular(n: int, degree: int, seed: int,

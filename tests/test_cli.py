@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import opinionselect
-from opinionselect import (NoiseModel, equilibrium, generate_random_reachable,
+from opinionselect import (NoiseModel, SocialGraph, equilibrium,
+                           generate_random_reachable,
                            generate_random_regular, generate_watts_strogatz,
                            load_graph, moments, normalize, save_graph, selector,
                            var_reduction_scores)
@@ -438,6 +439,47 @@ def test_greedy_select_never_forms_the_covariance(tmp_path, monkeypatch):
     sel = json.loads(out.read_text())["selection"]
     assert sel["chosen_regular_index"] == list(want.chosen)
     assert sel["var_y"] == pytest.approx(want.var_y, rel=1e-12)
+
+
+def test_commands_never_form_the_weight_matrix(tmp_path, monkeypatch):
+    # every command reads the graph through its edges, so with the dense
+    # weight matrix refused the documents come out unchanged
+    g = generate_random_reachable(22, 2, seed=4)
+    prefix = tmp_path / "g"
+    save_graph(g, f"{prefix}.edges", f"{prefix}.stubborn")
+    sigma2 = tmp_path / "g.sigma2"
+    rng = np.random.default_rng(4)
+    sigma2.write_text("".join(f"{g.labels[i]} {rng.uniform(0.5, 2.0)!r}\n"
+                              for i in g.regular))
+    base = ["--graph", f"{prefix}.edges", "--stubborn-file",
+            f"{prefix}.stubborn", "--sigma2", str(sigma2)]
+    commands = {
+        "greedy": ["select", "--k", "4"],
+        "exact": ["select", "--k", "3", "--method", "exact"],
+        "normalized": ["score", "--measures",
+                       "var_reduction,eta,bonacich,intercentrality"],
+        "adjacency": ["score", "--matrix", "adjacency", "--attenuation", "0.1",
+                      "--measures", "bonacich,intercentrality"],
+        "curve": ["curve", "--methods", "greedy,exact", "--max-k", "3",
+                  "--format", "json"],
+    }
+
+    def documents():
+        docs = {}
+        for name, (command, *flags) in commands.items():
+            out = tmp_path / f"{name}.json"
+            assert run_cli([command, *base, *flags, "--out", str(out)]) == 0
+            docs[name] = re.sub(r'"timing_s": [^,\n]+', '"timing_s": null',
+                                out.read_text())
+        return docs
+
+    want = documents()
+
+    def refuse(self):
+        raise AssertionError("a command formed the dense weight matrix")
+
+    monkeypatch.setattr(SocialGraph, "weights", property(refuse))
+    assert documents() == want
 
 
 def test_select_picks_do_not_depend_on_blas_threads(tmp_path):

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from opinionselect import (GraphError, ReachabilityError, SocialGraph,
                            generate_cycle, generate_random_reachable,
                            generate_watts_strogatz, load_graph, normalize,
                            save_graph, validate_reachability)
+from opinionselect.graph import STRENGTH_BLOCK
 
 
 def test_load_smallest_valid_instance():
@@ -233,7 +235,8 @@ def test_save_load_round_trip(tmp_path):
     save_graph(g, edges, stub)
     stubborn = [int(s) for s in stub.read_text().split()]
     g2 = load_graph(edges, stubborn)
-    assert np.allclose(g.weights, g2.weights)
+    # the weights are written in their shortest round-trip form
+    assert np.array_equal(g.weights, g2.weights)
     assert g.stubborn == g2.stubborn
     assert g.labels == g2.labels
 
@@ -280,3 +283,99 @@ def test_normalize_refuses_overflowing_strength():
         warnings.simplefilter("error")
         with pytest.raises(GraphError, match=r"node\(s\) \[0\] overflows"):
             normalize(g)
+
+
+def _traced_peak(fn):
+    """(fn(), peak traced bytes above those held before the call)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_and_edge_list_constructions_agree():
+    g = generate_random_reachable(30, 4, seed=2)
+    h = SocialGraph.from_edges(30, g.edge_j[::-1], g.edge_i[::-1],
+                               g.edge_weights[::-1], g.stubborn)
+    d = SocialGraph(weights=g.weights, stubborn=g.stubborn)
+    for other in (h, d):
+        # edges once each, i < j, in the row-major order of triu(W)
+        assert np.array_equal(other.edge_i, g.edge_i)
+        assert np.array_equal(other.edge_j, g.edge_j)
+        assert np.array_equal(other.edge_weights, g.edge_weights)
+        assert other.regular == g.regular and other.n_edges == g.n_edges
+    iu, ju = np.nonzero(np.triu(g.weights))
+    assert np.array_equal(iu, g.edge_i) and np.array_equal(ju, g.edge_j)
+    src, dst, wgt = g.arcs
+    assert np.array_equal(np.stack([src, dst]), np.nonzero(g.weights))
+    assert np.array_equal(wgt, g.weights[src, dst])
+
+
+def test_from_edges_refuses_bad_edges():
+    one = np.array([1.0])
+    with pytest.raises(GraphError, match="self-loops"):
+        SocialGraph.from_edges(3, [1], [1], one, stubborn=(0,))
+    with pytest.raises(GraphError, match="out of node range"):
+        SocialGraph.from_edges(3, [0], [3], one, stubborn=(0,))
+    with pytest.raises(GraphError, match="repeated edge"):
+        SocialGraph.from_edges(3, [0, 1], [1, 0], [1.0, 1.0], stubborn=(0,))
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(GraphError, match="positive|finite"):
+            SocialGraph.from_edges(3, [0], [1], [bad], stubborn=(0,))
+    with pytest.raises(GraphError, match="equal length"):
+        SocialGraph.from_edges(3, [0, 1], [1], one, stubborn=(0,))
+    with pytest.raises(GraphError, match="stubborn id out of node range"):
+        SocialGraph.from_edges(3, [0], [1], one, stubborn=(3,))
+
+
+def test_edge_list_isolated_regular_node_and_no_regular_node():
+    # node 2 has no edge: its own orphan component, never normalized
+    g = SocialGraph.from_edges(4, [0, 1], [1, 3], [1.0, 2.0], stubborn=(0,))
+    assert g.regular == (1, 2, 3) and g.n_edges == 2
+    rep = validate_reachability(g)
+    assert not rep.ok and rep.orphan_components == ((2,),)
+    with pytest.raises(ReachabilityError):
+        normalize(g)
+    only_stub = SocialGraph.from_edges(2, [0], [1], [1.0], stubborn=(1, 0))
+    assert only_stub.regular == () and only_stub.stubborn == (0, 1)
+    assert validate_reachability(only_stub).ok
+    ops = normalize(only_stub)
+    assert ops.n_regular == 0 and ops.rho == 0.0
+    assert ops.eigvecs.shape == (0, 0)
+
+
+def test_normalize_bit_identical_to_dense_over_several_blocks():
+    # weighted graphs with several STRENGTH_BLOCK row blocks: the strengths
+    # are W's row sums and the eigh input is (W_ij s_i) s_j, bit for bit
+    for seed in range(3):
+        g = generate_random_reachable(3 * STRENGTH_BLOCK + 7, 5, seed)
+        ops = normalize(g)
+        R = list(g.regular)
+        W = g.weights
+        assert np.array_equal(ops.w, W.sum(axis=1)[R])
+        S = W[np.ix_(R, R)]
+        scale = 1.0 / np.sqrt(ops.w)
+        S *= scale[:, None]
+        S *= scale
+        lam, Q = np.linalg.eigh(S)
+        assert np.array_equal(lam, ops.eigvals)
+        assert np.array_equal(Q, ops.eigvecs)
+
+
+def test_load_and_normalize_hold_no_n_squared_array(tmp_path):
+    # a 3,000-node cycle: one n x n float array would be 72 MB
+    n = 3000
+    n2 = n * n * np.dtype(float).itemsize
+    path = tmp_path / "c.edges"
+    save_graph(generate_cycle(n, 1), path)
+    g, load_peak = _traced_peak(lambda: load_graph(path, [0]))
+    assert g.n_edges == n
+    assert load_peak <= 2000 * g.n_edges, load_peak / g.n_edges
+    assert load_peak <= n2 / 20
+    # 1,000 regular nodes: normalize holds O(n_r^2), not O(n^2)
+    ops, normalize_peak = _traced_peak(lambda: normalize(generate_cycle(n, 2000)))
+    nr2 = ops.n_regular ** 2 * np.dtype(float).itemsize
+    assert normalize_peak <= 2.5 * nr2, normalize_peak / nr2
