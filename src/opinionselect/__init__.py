@@ -11,10 +11,10 @@ from .graph import (NetworkOperators, SocialGraph, generate_cycle,
 from .equilibrium import (EquilibriumMoments, NoiseModel, covariance_lyapunov,
                           mean, moments)
 from .objective import estimator_coefficients, f_score, var_y
-from .selector import (EXACT_BUDGET, AuditReport, GreedyState, GuaranteeReport,
+from .selector import (EXACT_BUDGET, AuditReport, GuaranteeReport,
                        SelectionResult, check_exact_budget, exact_select,
-                       extend_inverse, greedy_select, guarantee_check,
-                       marginal_gain, submodularity_audit)
+                       greedy_select, guarantee_check, marginal_gain,
+                       submodularity_audit)
 from .centrality import (NodeScores, RankingReport, bonacich, eta_scores,
                          intercentrality, kendall_tau_b, ranking_report,
                          var_reduction_scores)

@@ -3,7 +3,8 @@
 Commands: generate, select, score, curve, validate. Every command that takes
 --out writes atomically (temp file + rename) so no partial output survives a
 failure. Exit codes: 0 ok, 1 validation-suite failure, 2 bad input, 3 exact
-budget exceeded, 4 numerical failure.
+budget exceeded or out of memory, 4 numerical failure, a covariance that
+overflows at the --sigma2 scale among them.
 """
 
 from __future__ import annotations
@@ -139,8 +140,22 @@ def _names(spec: str, known, noun: str) -> list[str]:
 
 
 def _moments_for(args, g: SocialGraph):
+    """The operators and the covariance operator; ``NumericalError`` naming
+    the --sigma2 scale when C overflows. Every gain, F and score is at most
+    max_i C_ii * 1'C1 (Cauchy-Schwarz), so they are finite when that is."""
     ops = normalize(g)
-    return ops, equilibrium.moments(ops, _sigma2_from_args(args, g))
+    noise = _sigma2_from_args(args, g)
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            mom = equilibrium.moments(ops, noise)
+            bound = float(mom.diagonal().max()) * objective.var_y(mom)
+        except FloatingPointError:
+            bound = math.inf
+    if not math.isfinite(bound):
+        raise NumericalError(
+            f"--sigma2 {args.sigma2}: the covariance overflows float64 at "
+            "this scale; divide the noise variances by a common factor")
+    return ops, mom
 
 
 def _covariance_for(args, g: SocialGraph) -> tuple[str, np.ndarray]:
@@ -150,8 +165,15 @@ def _covariance_for(args, g: SocialGraph) -> tuple[str, np.ndarray]:
     return mom.method_tag, mom.C
 
 
+def _check_seed(args) -> None:
+    # numpy's own refusal names neither the flag nor the value
+    if args.seed < 0:
+        raise GraphError(f"--seed {args.seed}: must be at least 0")
+
+
 def cmd_generate(args) -> int:
     t0 = time.perf_counter()
+    _check_seed(args)
     if args.n_stubborn < 1:
         raise GraphError(f"--n-stubborn {args.n_stubborn}: every other command "
                          "needs at least 1 stubborn node")
@@ -395,6 +417,7 @@ SUITES = {"moments": _suite_moments,
 
 def cmd_validate(args) -> int:
     t0 = time.perf_counter()
+    _check_seed(args)
     if args.trials < 0:
         raise GraphError(f"--trials {args.trials}: must be at least 0")
     report = SUITES[args.suite](args)
@@ -469,6 +492,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,24 +1,27 @@
 """Exact and greedy observation-subset selection.
 
-The greedy path keeps the covariance conditioned on the chosen set K, so the
-gain of candidate i is r_i^2 / d_i with r = (C|K)1, d = diag(C|K), and each
-pick is one rank-1 downdate in O(|K| n). Exact selection enumerates all
-subsets, skipping degenerate ones as greedy skips degenerate candidates, and
-doubles as the oracle for the greedy guarantee and for the incremental
-algebra. It runs only when C(n, s) is at most ``EXACT_BUDGET``. Both break
-ties to the lowest index (greedy) or the lexicographically first subset
-(exact) among the values within ``TIE_RTOL`` of the best, so that rounding,
-which the BLAS thread count changes, does not decide between mirror nodes.
+Greedy selection is one loop. It keeps C|K = C - L'L for the chosen set K,
+row t of the preallocated (s, n) array L written at pick t, so each pick is
+one rank-1 downdate in O(|K| n). Each round turns r = (C|K)1 and
+d = diag(C|K) into lists once and calls ``marginal_gain(r_i, d_i, c_ii)``,
+r_i^2 / d_i, once per unpicked candidate. That function stays public so that
+a tracer wrapping it counts the n s - s(s-1)/2 gain evaluations and the
+degenerate skips. Greedy reads C only through C 1, diag C and one row per
+pick, so it runs on the ``moments`` operator as well as on a dense C, never
+forming C.
+
+Exact selection enumerates all subsets of a dense C, skipping degenerate
+ones as greedy skips degenerate candidates, and doubles as the oracle for
+the greedy guarantee and for the incremental algebra. It runs only when
+C(n, s) is at most ``EXACT_BUDGET``. Both share one tie rule: the lowest
+index (greedy) or the lexicographically first subset (exact) among the
+values v within ``TIE_RTOL`` |v| of the best, so that rounding, which the
+BLAS thread count changes, does not decide between mirror nodes.
 
 The submodularity audit checks diminishing returns of F on every triple
-A <= B, k not in B in one vectorised pass over the 3^n pairs (A, B); it too
-runs only when its n 3^(n-1) triples are at most ``EXACT_BUDGET``.
-
-Greedy selection reads the covariance only through C 1, diag C and one row
-of C per pick, so it runs on the ``moments`` operator as well as on a dense
-C, never forming C; each candidate costs a few reads of Python lists. Exact
-selection and the audit read a dense C. Every path reads G as
-var_y(C) - F.
+A <= B, k not in B in one vectorised pass over the 3^n pairs (A, B) of a
+dense C; it too runs only when its n 3^(n-1) triples are at most
+``EXACT_BUDGET``. Every path reads G as var_y(C) - F.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import itertools
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,41 +41,6 @@ EXACT_BUDGET = 10 ** 7
 GREEDY_BOUND = 1.0 - 1.0 / math.e - 1e-9   # 1 - 1/e, less rounding slack
 AUDIT_TOL = 1e-9
 TIE_RTOL = 1e-9     # gains or F values this close, relative, count as a tie
-
-
-@dataclass
-class GreedyState:
-    """C|K = C - L'L of one greedy run through r = (C|K)1 and d = diag(C|K);
-    row t of L is the pivoted-Cholesky column of the t-th chosen node.
-    ``c_diag`` is diag C, for the degenerate-Schur guard; with ``r_vals``
-    and ``d_vals``, r and d as lists made once per pick, it lets each
-    candidate read Python floats, not NumPy scalars. ``members`` is
-    ``chosen`` as a set, for O(1) membership tests."""
-
-    chosen: list[int]
-    r: np.ndarray
-    d: np.ndarray
-    L: np.ndarray
-    c_diag: list[float]
-    f_current: float = 0.0
-    eval_count: int = 0
-    members: frozenset[int] = field(init=False, repr=False)
-    r_vals: list[float] = field(init=False, repr=False)
-    d_vals: list[float] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.members = frozenset(self.chosen)
-        self.r_vals = self.r.tolist()
-        self.d_vals = self.d.tolist()
-
-    @classmethod
-    def start(cls, C) -> GreedyState:
-        """The empty-set state: r = C1, d = diag C. ``C`` is a dense array or
-        the ``moments`` operator; only ``C @ 1`` and ``C.diagonal()`` are read."""
-        n = C.shape[0]
-        d = C.diagonal().copy()
-        return cls(chosen=[], r=C @ np.ones(n), d=d, L=np.zeros((0, n)),
-                   c_diag=d.tolist())
 
 
 @dataclass(frozen=True)
@@ -90,43 +58,6 @@ class SelectionResult:
         return tuple(self.var_y - f for f in self.f_values)
 
 
-def _schur(state: GreedyState, i: int) -> float:
-    """d_i = (C|K)_ii; raises when it is degenerate relative to C_ii."""
-    schur = state.d_vals[i]
-    if schur <= SCHUR_GUARD * state.c_diag[i]:
-        raise NumericalError(
-            f"degenerate Schur complement {schur:.3e} for candidate {i}")
-    return schur
-
-
-def marginal_gain(state: GreedyState, C, i: int) -> float:
-    """F(K + i) - F(K) without touching the state. Raises on degenerate Schur.
-
-    Reads the state alone: ``C``, the covariance it was started from, is
-    not read."""
-    if i in state.members:
-        raise ValueError(f"candidate {i} already chosen")
-    r_i = state.r_vals[i]
-    return r_i * r_i / _schur(state, i)
-
-
-def extend_inverse(state: GreedyState, C, i: int) -> GreedyState:
-    """Return the state with node i inserted: one rank-1 downdate of C|K.
-
-    Reads the row ``C[i]`` alone, so ``C`` may be the ``moments`` operator."""
-    schur = _schur(state, i)
-    root = math.sqrt(schur)
-    r_i = state.r_vals[i]
-    col = (C[i] - state.L[:, i] @ state.L) / root
-    return GreedyState(chosen=state.chosen + [int(i)],
-                       r=state.r - col * (r_i / root),
-                       d=state.d - col * col,
-                       L=np.vstack([state.L, col]),
-                       c_diag=state.c_diag,
-                       f_current=state.f_current + r_i * r_i / schur,
-                       eval_count=state.eval_count)
-
-
 def _cardinality(s, n: int) -> int:
     """s as an int in [0, n]; ``ValueError`` naming s otherwise."""
     try:
@@ -140,13 +71,43 @@ def _cardinality(s, n: int) -> int:
     return s
 
 
+def marginal_gain(r_i: float, d_i: float, c_ii: float) -> float:
+    """F(K + i) - F(K) = r_i^2 / d_i, for r_i = ((C|K) 1)_i, d_i = (C|K)_ii
+    and c_ii = C_ii. Raises ``NumericalError`` on a degenerate Schur
+    complement, d_i <= ``SCHUR_GUARD`` * c_ii.
+
+    ``greedy_select`` calls it once per candidate and round, degenerate
+    candidates included, so wrapping it counts the n s - s(s-1)/2 gain
+    evaluations and the skips."""
+    if d_i <= SCHUR_GUARD * c_ii:
+        raise NumericalError(f"degenerate Schur complement {d_i:.3e}")
+    return r_i * r_i / d_i
+
+
+def _first_near_best(pairs):
+    """The first (key, value) of ``pairs`` whose value is at least
+    v - ``TIE_RTOL`` |v|, v the largest value; None when ``pairs`` is empty.
+
+    One pass that keeps the pairs within the tolerance of the running best.
+    Values that straddle the tolerance edge can still flip."""
+    best = floor = -math.inf
+    near = []
+    for key, value in pairs:
+        if value >= floor:
+            if value > best:
+                best, floor = value, value - TIE_RTOL * abs(value)
+                near = [(k, v) for k, v in near if v >= floor]
+            near.append((key, value))
+    return near[0] if near else None
+
+
 def greedy_select(C, s: int) -> SelectionResult:
     """s rounds of best-marginal-gain insertion.
 
     Each round evaluates every candidate's gain in one pass and picks the
-    lowest index whose gain is at least best * (1 - ``TIE_RTOL``), so mirror
+    lowest index among the gains within ``TIE_RTOL`` of the best, so mirror
     nodes whose gains differ only by rounding resolve the same way under any
-    BLAS. Gains that straddle the tolerance edge can still flip.
+    BLAS. A degenerate candidate is skipped with a warning.
 
     ``C`` is a dense covariance or the ``moments`` operator: only ``C @ 1``,
     ``1 @ C``, ``C.diagonal()`` and one row ``C[i]`` per pick are read, and
@@ -154,37 +115,42 @@ def greedy_select(C, s: int) -> SelectionResult:
     """
     n = C.shape[0]
     s = _cardinality(s, n)
-    state = GreedyState.start(C)
+    # C|K = C - L'L: row t of L is the pivoted-Cholesky column of pick t
+    r = C @ np.ones(n)
+    d = C.diagonal().copy()
+    c_diag = d.tolist()
+    L = np.empty((s, n))
+    taken = [False] * n
+    chosen: list[int] = []
     gains: list[float] = []
-    f_values = [0.0]
-    for _ in range(s):
-        # the candidates within TIE_RTOL of the running best, in index order
-        best = floor = -math.inf
-        near: list[tuple[int, float]] = []
-        members = state.members
-        state.eval_count += n - len(members)   # one per candidate
+    eval_count = 0
+
+    def candidate_gains():      # over the current round's r_vals, d_vals
         for i in range(n):
-            if i in members:
+            if taken[i]:
                 continue
             try:
-                gain = marginal_gain(state, C, i)
+                yield i, marginal_gain(r_vals[i], d_vals[i], c_diag[i])
             except NumericalError as exc:
-                warnings.warn(f"skipping candidate {i}: {exc}")
-                continue
-            if gain >= floor:
-                if gain > best:
-                    best, floor = gain, gain * (1.0 - TIE_RTOL)
-                    near = [(j, g) for j, g in near if g >= floor]
-                near.append((i, gain))
-        if not near:
+                warnings.warn(f"skipping candidate {i}: {exc} for candidate {i}")
+
+    for t in range(s):
+        r_vals, d_vals = r.tolist(), d.tolist()
+        eval_count += n - t     # one per unpicked candidate
+        picked = _first_near_best(candidate_gains())
+        if picked is None:
             raise NumericalError("all candidates degenerate in this round")
-        pick, gain = near[0]
-        state = extend_inverse(state, C, pick)
+        i, gain = picked
+        root = math.sqrt(d_vals[i])
+        L[t] = (C[i] - L[:t, i] @ L[:t]) / root
+        r -= L[t] * (r_vals[i] / root)
+        d -= L[t] * L[t]
+        taken[i] = True
+        chosen.append(i)
         gains.append(gain)
-        f_values.append(state.f_current)
-    return SelectionResult(chosen=tuple(state.chosen), gains=tuple(gains),
-                           f_values=tuple(f_values),
-                           var_y=var_y(C), eval_count=state.eval_count,
+    return SelectionResult(chosen=tuple(chosen), gains=tuple(gains),
+                           f_values=(0.0, *itertools.accumulate(gains)),
+                           var_y=var_y(C), eval_count=eval_count,
                            method="greedy")
 
 
@@ -209,10 +175,8 @@ def check_audit_budget(n: int) -> int:
 
 def exact_select(C: np.ndarray, s: int) -> SelectionResult:
     """Enumerate all size-s subsets and return the lexicographically first
-    whose F is within ``TIE_RTOL`` of the maximum.
+    whose F is within ``TIE_RTOL`` of the maximum, by greedy's tie rule.
 
-    The one pass keeps the subsets within ``TIE_RTOL`` of the running best.
-    As in greedy, values that straddle the tolerance edge can still flip.
     Refuses a request over budget (see ``check_exact_budget``) before any work.
     A subset whose block is degenerate is skipped with a warning, as greedy
     skips such a candidate; only when every subset is degenerate does this
@@ -221,29 +185,25 @@ def exact_select(C: np.ndarray, s: int) -> SelectionResult:
     n = C.shape[0]
     s = _cardinality(s, n)
     check_exact_budget(n, s)
-    best_f = floor = -np.inf
-    near: list[tuple[tuple[int, ...], float]] = []
-    count = 0
-    for K in itertools.combinations(range(n), s):
-        count += 1
-        try:
-            f = f_score(C, K)
-        except NumericalError as exc:
-            warnings.warn(f"skipping subset {K}: {exc}")
-            continue
-        if f >= floor:
-            if f > best_f:
-                best_f, floor = f, f - TIE_RTOL * abs(f)
-                near = [(K_, f_) for K_, f_ in near if f_ >= floor]
-            near.append((K, f))
-    if not near:
-        raise NumericalError(f"all {count} subsets of size {s} degenerate")
-    best_K = near[0][0]
+
+    def subset_values():
+        for K in itertools.combinations(range(n), s):
+            try:
+                yield K, f_score(C, K)
+            except NumericalError as exc:
+                warnings.warn(f"skipping subset {K}: {exc}")
+
+    best = _first_near_best(subset_values())
+    if best is None:
+        raise NumericalError(
+            f"all {math.comb(n, s)} subsets of size {s} degenerate")
+    best_K = best[0]
     f_values = [f_score(C, best_K[:t]) for t in range(s + 1)]
     return SelectionResult(chosen=best_K,
                            gains=tuple(np.diff(f_values)),
                            f_values=tuple(f_values),
-                           var_y=var_y(C), eval_count=count, method="exact")
+                           var_y=var_y(C), eval_count=math.comb(n, s),
+                           method="exact")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -190,3 +190,49 @@ def ws15_instance():
     noise = NoiseModel.uniform(ops.n_regular, 1.0)
     C = covariance_lyapunov(ops.A, noise)
     return g, ops, noise, C
+
+
+class GainCall(NamedTuple):
+    """One ``selector.marginal_gain`` call: its arguments, and the gain it
+    returned or the ``NumericalError`` it raised."""
+
+    r: float
+    d: float
+    c: float
+    gain: float | NumericalError
+
+
+@pytest.fixture
+def gain_calls(monkeypatch):
+    """Every ``selector.marginal_gain`` call as a ``GainCall``, in call order:
+    greedy's rounds one after the other, each in the index order of the
+    candidates not yet picked (see ``gains_by_round``)."""
+    import opinionselect.selector as selector
+    calls = []
+    real = selector.marginal_gain
+
+    def spy(r_i, d_i, c_ii):
+        try:
+            gain = real(r_i, d_i, c_ii)
+        except NumericalError as exc:
+            calls.append(GainCall(r_i, d_i, c_ii, exc))
+            raise
+        calls.append(GainCall(r_i, d_i, c_ii, gain))
+        return gain
+
+    monkeypatch.setattr(selector, "marginal_gain", spy)
+    return calls
+
+
+def gains_by_round(calls, n, chosen):
+    """Split the ``gain_calls`` of one greedy run over n candidates that
+    picked ``chosen``: round t maps each candidate outside chosen[:t], in
+    index order, to its ``GainCall``. Asserts that the calls are exactly one
+    per candidate and round."""
+    rounds, k = [], 0
+    for t in range(len(chosen)):
+        cands = [i for i in range(n) if i not in chosen[:t]]
+        rounds.append(dict(zip(cands, calls[k:k + len(cands)])))
+        k += len(cands)
+    assert k == len(calls)
+    return rounds

@@ -23,18 +23,17 @@ import time
 import numpy as np
 import pytest
 
-from opinionselect import (BudgetExceededError, GreedyState, NoiseModel,
-                           SimConfig, SocialGraph, bonacich,
-                           covariance_lyapunov, empirical_moments, eta_scores,
-                           exact_select, extend_inverse, f_score,
-                           generate_random_reachable, generate_random_regular,
-                           generate_watts_strogatz, greedy_select,
-                           guarantee_check, marginal_gain, mean, moments,
+from opinionselect import (BudgetExceededError, NoiseModel, SimConfig,
+                           SocialGraph, bonacich, covariance_lyapunov,
+                           empirical_moments, eta_scores, exact_select,
+                           f_score, generate_random_reachable,
+                           generate_random_regular, generate_watts_strogatz,
+                           greedy_select, guarantee_check, mean, moments,
                            normalize, ranking_report, submodularity_audit,
                            var_y, var_reduction_scores)
 from opinionselect.simulate import simulate
 from conftest import (covariance_closed_form, dense_intercentrality, g_score,
-                      precision)
+                      gains_by_round, precision)
 
 MC_SEED = 11  # frozen: worst standardized deviation 2.48 over all checks
 
@@ -231,7 +230,7 @@ def test_criterion_05_greedy_guarantee():
           f"(min {min(ratios):.6f}, mean {np.mean(ratios):.6f})")
 
 
-def test_criterion_06_incremental_equals_direct():
+def test_criterion_06_incremental_equals_direct(gain_calls):
     rng = np.random.default_rng(60)
     for trial in range(100):
         n = int(rng.integers(12, 204)) if trial % 10 else 203
@@ -240,21 +239,20 @@ def test_criterion_06_incremental_equals_direct():
         C = covariance_lyapunov(ops.A, noise)
         m = C.shape[0]
         s = int(min(20, m, rng.integers(2, 21)))
-        state = GreedyState.start(C)
-        for _ in range(s):
-            f_here = f_score(C, state.chosen)
-            assert state.f_current == pytest.approx(f_here, rel=1e-8,
+        gain_calls.clear()
+        res = greedy_select(C, s)
+        # every gain greedy computed, on every prefix, and the running F
+        for t, by_candidate in enumerate(gains_by_round(gain_calls, m,
+                                                        res.chosen)):
+            K = list(res.chosen[:t])
+            f_here = f_score(C, K)
+            assert res.f_values[t] == pytest.approx(f_here, rel=1e-8,
                                                     abs=1e-10)
-            best_i, best_gain = -1, -np.inf
-            for i in range(m):
-                if i in state.chosen:
-                    continue
-                gain = marginal_gain(state, C, i)
-                direct = f_score(C, state.chosen + [i]) - f_here
-                assert gain == pytest.approx(direct, rel=1e-8, abs=1e-10)
-                if gain > best_gain:
-                    best_gain, best_i = gain, i
-            state = extend_inverse(state, C, best_i)
+            for i, call in by_candidate.items():
+                direct = f_score(C, K + [i]) - f_here
+                assert call.gain == pytest.approx(direct, rel=1e-8, abs=1e-10)
+        assert res.f_values[s] == pytest.approx(f_score(C, res.chosen),
+                                                rel=1e-8, abs=1e-10)
     print("PASS criterion 6: every incremental gain and running value "
           "matches from-scratch evaluation <= 1e-8 rel on 100 greedy runs")
 

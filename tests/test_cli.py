@@ -560,6 +560,72 @@ def test_score_undefined_tau_is_null(tmp_path):
                                   "eta|bonacich": None}
 
 
+def test_overflowing_sigma2_refused(tmp_path, capsys):
+    # r_i^2 and 1'C1 overflow float64 at these scales: one error line that
+    # names the --sigma2 scale, exit 4, no RuntimeWarning (warnings are
+    # errors here) and no output; 1e150 still fits. On the cycle, whose
+    # uniform noise takes the diagonal path, no numpy step overflows: the
+    # gains alone would.
+    ws, cycle = tmp_path / "ws20", tmp_path / "cycle20"
+    assert run_cli(["generate", "--model", "ws", "--n", "20", "--n-stubborn",
+                    "3", "--seed", "1", "--out-prefix", str(ws)]) == 0
+    assert run_cli(["generate", "--model", "cycle", "--n", "20",
+                    "--n-stubborn", "3", "--out-prefix", str(cycle)]) == 0
+    out = tmp_path / "never.json"
+    commands = (["select", "--k", "2"], ["select", "--k", "2", "--method",
+                                         "exact"],
+                ["score", "--measures", "var_reduction,eta"],
+                ["curve", "--max-k", "2", "--methods", "greedy,exact",
+                 "--format", "json"])
+    for prefix in (ws, cycle):
+        graph = ["--graph", f"{prefix}.edges", "--stubborn-file",
+                 f"{prefix}.stubborn", "--out", str(out)]
+        for scale in ("1e160", "1e200", "1e308"):
+            for command in commands:
+                capsys.readouterr()
+                assert run_cli([*command, *graph,
+                                "--sigma2", f"uniform:{scale}"]) == 4, command
+                err = capsys.readouterr().err.splitlines()
+                assert err == [f"error: --sigma2 uniform:{scale}: the "
+                               "covariance overflows float64 at this scale; "
+                               "divide the noise variances by a common factor"]
+                assert not out.exists()
+        for command in commands:
+            assert run_cli([*command, *graph,
+                            "--sigma2", "uniform:1e150"]) == 0
+            json.loads(out.read_text(), parse_constant=_refuse_constant)
+            out.unlink()
+
+
+def test_out_of_memory_gets_the_budget_exit_code(tmp_path, capsys,
+                                                 monkeypatch):
+    # the moments suite's replicas x n state array is its one large
+    # allocation; make it fail as a huge --replicas would, without allocating
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.09 PiB for an array")
+
+    monkeypatch.setattr(np, "tile", no_memory)
+    out = tmp_path / "never.json"
+    assert run_cli(["validate", "--suite", "moments", "--replicas",
+                    "1000000000000", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "error: out of memory: Unable to allocate 1.09 PiB for an array\n"
+    assert not out.exists()
+
+
+def test_negative_seed_refused(tmp_path, capsys):
+    prefix = tmp_path / "never"
+    for argv in (["generate", "--model", "ws", "--n", "20", "--n-stubborn",
+                  "3", "--seed", "-1", "--out-prefix", str(prefix)],
+                 ["validate", "--suite", "moments", "--seed", "-3"]):
+        capsys.readouterr()
+        assert run_cli(argv) == 2
+        seed = argv[argv.index("--seed") + 1]
+        assert capsys.readouterr().err == \
+            f"error: --seed {seed}: must be at least 0\n"
+    assert not (tmp_path / "never.edges").exists()
+
+
 _STARTUP_SCRIPT = textwrap.dedent("""
     import json, sys
     from opinionselect import cli

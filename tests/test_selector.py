@@ -5,103 +5,122 @@ import re
 import numpy as np
 import pytest
 
-from opinionselect import (EXACT_BUDGET, BudgetExceededError, GreedyState,
-                           NoiseModel, check_exact_budget, exact_select,
-                           extend_inverse, f_score, generate_random_regular,
-                           generate_watts_strogatz, greedy_select,
-                           guarantee_check, marginal_gain, moments, normalize,
-                           submodularity_audit, var_y)
+from opinionselect import (EXACT_BUDGET, BudgetExceededError, NoiseModel,
+                           check_exact_budget, exact_select, f_score,
+                           generate_random_regular, generate_watts_strogatz,
+                           greedy_select, guarantee_check, marginal_gain,
+                           moments, normalize, submodularity_audit, var_y)
+from opinionselect.objective import SCHUR_GUARD
 from opinionselect.selector import check_audit_budget
 from opinionselect.errors import NumericalError
-from conftest import (covariance_closed_form, g_score, naive_best_subset,
-                      naive_f, precision, random_instance)
+from conftest import (covariance_closed_form, g_score, gains_by_round,
+                      naive_best_subset, naive_f, precision, random_instance)
 
 
-def test_marginal_gain_from_empty_equals_single_node_score():
+def test_marginal_gain_from_empty_equals_single_node_score(gain_calls):
     _, _, C = random_instance(0, n=8)
-    state = GreedyState.start(C)
     c1 = C @ np.ones(C.shape[0])
-    for i in range(C.shape[0]):
-        gain = marginal_gain(state, C, i)
-        assert gain == pytest.approx(c1[i] ** 2 / C[i, i], rel=1e-12)
-        assert gain == pytest.approx(f_score(C, [i]), rel=1e-10)
+    res = greedy_select(C, 1)
+    (first,) = gains_by_round(gain_calls, C.shape[0], res.chosen)
+    for i, call in first.items():
+        assert call.gain == pytest.approx(c1[i] ** 2 / C[i, i], rel=1e-12)
+        assert call.gain == pytest.approx(f_score(C, [i]), rel=1e-10)
 
 
-def test_marginal_gain_diagonal_independent_of_state():
+def test_marginal_gain_diagonal_independent_of_state(gain_calls):
     sigma2 = np.array([1.0, 3.0, 2.0, 0.5])
     C = np.diag(sigma2)
-    state = extend_inverse(GreedyState.start(C), C, 1)
-    for i in (0, 2, 3):
-        assert marginal_gain(state, C, i) == pytest.approx(sigma2[i])
+    res = greedy_select(C, 2)
+    assert res.chosen[0] == 1
+    second = gains_by_round(gain_calls, 4, res.chosen)[1]
+    for i, call in second.items():
+        assert call.gain == pytest.approx(sigma2[i])
 
 
-def test_marginal_gain_matches_direct_evaluation_exhaustive():
-    # every state reachable by greedy prefixes, every candidate, |R| <= 8
+def _check_gains_against_direct(C, res, calls, rel, abs_):
+    """Every gain greedy computed, and every running value F(K), against
+    ``f_score`` on the same prefix K."""
+    n = C.shape[0]
+    for t, by_candidate in enumerate(gains_by_round(calls, n, res.chosen)):
+        K = list(res.chosen[:t])
+        f_here = f_score(C, K)
+        assert res.f_values[t] == pytest.approx(f_here, rel=rel, abs=abs_)
+        for i, call in by_candidate.items():
+            direct = f_score(C, K + [i]) - f_here
+            assert call.gain == pytest.approx(direct, rel=rel, abs=abs_)
+    assert res.f_values[-1] == pytest.approx(f_score(C, res.chosen),
+                                             rel=rel, abs=abs_)
+
+
+def test_marginal_gain_matches_direct_evaluation_exhaustive(gain_calls):
+    # every greedy prefix, every candidate, |R| <= 8
     for seed in range(10):
         _, _, C = random_instance(seed, n=8, n_stubborn=2)
-        n = C.shape[0]
-        state = GreedyState.start(C)
-        for _ in range(n):
-            f_here = f_score(C, state.chosen)
-            best_i, best_gain = -1, -np.inf
-            for i in range(n):
-                if i in state.chosen:
-                    continue
-                gain = marginal_gain(state, C, i)
-                direct = f_score(C, state.chosen + [i]) - f_here
-                assert gain == pytest.approx(direct, rel=1e-8, abs=1e-12)
-                if gain > best_gain:
-                    best_gain, best_i = gain, i
-            state = extend_inverse(state, C, best_i)
+        gain_calls.clear()
+        res = greedy_select(C, C.shape[0])
+        _check_gains_against_direct(C, res, gain_calls, 1e-8, 1e-12)
 
 
-def test_marginal_gain_random_larger_instances():
+def test_marginal_gain_random_larger_instances(gain_calls):
+    # the sizes of an earlier check that inserted random candidates: the
+    # generator draws a size, then one candidate per insertion
     rng = np.random.default_rng(42)
     for trial in range(100):
         n = int(rng.integers(10, 40))
         _, _, C = random_instance(trial, n=n + 3, n_stubborn=3)
         m = C.shape[0]
-        state = GreedyState.start(C)
-        for _ in range(min(5, m)):
-            i = int(rng.choice([j for j in range(m) if j not in state.chosen]))
-            gain = marginal_gain(state, C, i)
-            direct = f_score(C, state.chosen + [i]) - f_score(C, state.chosen)
-            assert gain == pytest.approx(direct, rel=1e-8, abs=1e-12)
-            state = extend_inverse(state, C, i)
+        s = min(5, m)
+        for t in range(s):
+            rng.integers(0, m - t)
+        gain_calls.clear()
+        res = greedy_select(C, s)
+        _check_gains_against_direct(C, res, gain_calls, 1e-8, 1e-12)
 
 
-def test_marginal_gain_rejects_chosen_candidate():
-    _, _, C = random_instance(1, n=6)
-    state = extend_inverse(GreedyState.start(C), C, 2)
-    with pytest.raises(ValueError):
-        marginal_gain(state, C, 2)
-
-
-def test_marginal_gain_degenerate_schur():
-    # duplicate a row/column: C stays PSD but the Schur complement vanishes
+def test_marginal_gain_degenerate_schur(gain_calls):
+    # d_i at or below SCHUR_GUARD * c_ii is degenerate
+    assert marginal_gain(3.0, 2.0, 4.0) == pytest.approx(4.5)
+    for d_i in (0.0, SCHUR_GUARD * 2.0, -1e-3):
+        with pytest.raises(NumericalError, match="Schur"):
+            marginal_gain(1.0, d_i, 2.0)
+    # duplicate a row/column: C stays PSD but the Schur complement vanishes,
+    # so once node 0 is picked greedy skips node 2 with a warning
     base = np.array([[2.0, 1.0], [1.0, 2.0]])
     C = np.zeros((3, 3))
     C[:2, :2] = base
     C[2, :2] = base[0]
     C[:2, 2] = base[0]
     C[2, 2] = base[0, 0]
-    state = extend_inverse(GreedyState.start(C), C, 0)
-    with pytest.raises(NumericalError, match="Schur"):
-        marginal_gain(state, C, 2)
+    gain_calls.clear()
+    with pytest.warns(UserWarning, match="skipping candidate 2: degenerate "
+                      "Schur complement .* for candidate 2") as record:
+        res = greedy_select(C, 2)
+    assert len(record) == 1
+    assert res.chosen == (0, 1)
+    second = gains_by_round(gain_calls, 3, res.chosen)[1]
+    assert isinstance(second[2].gain, NumericalError)
 
 
-def test_extend_inverse_first_insertion_and_identity():
+def test_greedy_conditional_state_matches_explicit_inverse(gain_calls):
+    # r = (C|K)1, d = diag(C|K) and F(K) on every greedy prefix K, with
+    # C|K = C - C_:K C_KK^-1 C_K through an explicit inverse
     _, _, C = random_instance(2, n=9)
-    ones = np.ones(C.shape[0])
-    state = GreedyState.start(C)
-    for i in (4, 0, 6, 2, 5):
-        state = extend_inverse(state, C, i)
-        K = state.chosen
-        # C|K = C - C_:K C_KK^-1 C_K: through an explicit inverse
+    n = C.shape[0]
+    ones = np.ones(n)
+    res = greedy_select(C, 5)
+    for t, by_candidate in enumerate(gains_by_round(gain_calls, n,
+                                                    res.chosen)):
+        K = list(res.chosen[:t])
         cond = C - C[:, K] @ np.linalg.inv(C[np.ix_(K, K)]) @ C[K]
-        assert np.linalg.norm(state.r - cond @ ones) < 1e-8
-        assert np.linalg.norm(state.d - np.diag(cond)) < 1e-8
-        assert state.f_current == pytest.approx(f_score(C, K), rel=1e-8)
+        rest = list(by_candidate)
+        r = np.array([call.r for call in by_candidate.values()])
+        d = np.array([call.d for call in by_candidate.values()])
+        assert np.linalg.norm(r - (cond @ ones)[rest]) < 1e-8
+        assert np.linalg.norm(d - np.diag(cond)[rest]) < 1e-8
+        assert [call.c for call in by_candidate.values()] == \
+            C.diagonal()[rest].tolist()
+        assert res.f_values[t] == pytest.approx(f_score(C, K), rel=1e-8)
+    assert res.f_values[5] == pytest.approx(f_score(C, res.chosen), rel=1e-8)
 
 
 def test_greedy_diagonal_picks_largest_variances():
@@ -111,7 +130,7 @@ def test_greedy_diagonal_picks_largest_variances():
     assert res.gains == pytest.approx((5.0, 3.0))
 
 
-def test_greedy_skips_degenerate_twin():
+def test_greedy_skips_degenerate_twin(gain_calls):
     # node n duplicates node j: once j is chosen, (C|K)_nn = 0 and greedy
     # skips the twin with a warning in every later round
     _, _, C0 = random_instance(3, n=12, n_stubborn=2)
@@ -119,6 +138,7 @@ def test_greedy_skips_degenerate_twin():
     j = greedy_select(C0, 1).chosen[0]
     idx = list(range(n)) + [j]
     C = C0[np.ix_(idx, idx)]
+    gain_calls.clear()
     with pytest.warns(UserWarning) as record:
         res = greedy_select(C, n)
     skips = [w for w in record
@@ -126,18 +146,25 @@ def test_greedy_skips_degenerate_twin():
     assert sorted(res.chosen) == list(range(n))   # the twin is never picked
     assert len(skips) == n - 1 - res.chosen.index(j) > 0
     assert res.eval_count == (n + 1) * n - n * (n - 1) // 2
+    # marginal_gain runs for every candidate, the degenerate ones included
+    assert len(gain_calls) == res.eval_count
+    raised = [c for c in gain_calls if isinstance(c.gain, NumericalError)]
+    assert len(raised) == len(skips)
     for t in range(n + 1):
         assert res.f_values[t] == pytest.approx(f_score(C, res.chosen[:t]),
                                                 rel=1e-8, abs=1e-12)
 
 
-def test_greedy_eval_count_law():
+def test_greedy_eval_count_law(gain_calls):
+    # eval_count and the marginal_gain calls a tracer counts: n s - s(s-1)/2
     for seed, (n, s) in enumerate([(8, 3), (12, 5), (20, 7), (15, 15)]):
         _, _, C = random_instance(seed, n=n + 2, n_stubborn=2)
         m = C.shape[0]
         s_eff = min(s, m)
+        gain_calls.clear()
         res = greedy_select(C, s_eff)
         assert res.eval_count == m * s_eff - s_eff * (s_eff - 1) // 2
+        assert len(gain_calls) == res.eval_count
 
 
 def test_greedy_gains_nonincreasing_and_consistent():
