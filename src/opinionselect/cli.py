@@ -4,7 +4,8 @@ Commands: generate, select, score, curve, validate. Every command that takes
 --out writes atomically (temp file + rename) so no partial output survives a
 failure. Exit codes: 0 ok, 1 validation-suite failure, 2 bad input, 3 exact
 budget exceeded or out of memory, 4 numerical failure, a covariance that
-overflows at the --sigma2 scale among them.
+overflows or variance reductions that underflow at the --sigma2 scale among
+them.
 """
 
 from __future__ import annotations
@@ -141,20 +142,29 @@ def _names(spec: str, known, noun: str) -> list[str]:
 
 def _moments_for(args, g: SocialGraph):
     """The operators and the covariance operator; ``NumericalError`` naming
-    the --sigma2 scale when C overflows. Every gain, F and score is at most
-    max_i C_ii * 1'C1 (Cauchy-Schwarz), so they are finite when that is."""
+    the --sigma2 scale when C overflows or the gains underflow. Every gain,
+    F and score is at most max_i C_ii * 1'C1 (Cauchy-Schwarz), so they are
+    finite when that is. Each greedy gain has the numerator (C1)_i^2; when
+    even the largest of those is below the smallest normal float, the gains
+    have lost digits or read 0 and the picks would go by index."""
     ops = normalize(g)
     noise = _sigma2_from_args(args, g)
     with np.errstate(over="raise", invalid="raise"):
         try:
             mom = equilibrium.moments(ops, noise)
-            bound = float(mom.diagonal().max()) * objective.var_y(mom)
+            c1 = mom @ np.ones(ops.n_regular)
+            bound = float(mom.diagonal().max()) * float(c1.sum())
         except FloatingPointError:
             bound = math.inf
     if not math.isfinite(bound):
         raise NumericalError(
             f"--sigma2 {args.sigma2}: the covariance overflows float64 at "
             "this scale; divide the noise variances by a common factor")
+    if float(np.max(c1 * c1)) < np.finfo(float).tiny:
+        raise NumericalError(
+            f"--sigma2 {args.sigma2}: the variance reductions underflow "
+            "float64 at this scale; multiply the noise variances by a "
+            "common factor")
     return ops, mom
 
 

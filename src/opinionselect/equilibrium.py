@@ -169,10 +169,14 @@ def _dense_covariance(P: np.ndarray, Q: np.ndarray,
 def _regime_tag(ops: NetworkOperators, sigma2: np.ndarray) -> str:
     """"closed-form" when the relative Frobenius asymmetry of A Sigma, whose
     entries (A Sigma)_ij = W_ij / w_i * sigma_j^2 sit on the regular-regular
-    edges, is at most ``SYMMETRY_TOL``; "lyapunov" otherwise."""
+    edges, is at most ``SYMMETRY_TOL``; "lyapunov" otherwise. The ratio does
+    not depend on the scale of sigma^2, so it is taken on sigma^2 / max
+    sigma^2: the entries then lie in (0, 1], so the norms cannot overflow,
+    nor underflow just because every sigma^2 is tiny."""
     i, j, wgt = ops.graph.regular_arcs
-    a_sigma = wgt / ops.w[i] * sigma2[j]
-    asym = np.linalg.norm(a_sigma - wgt / ops.w[j] * sigma2[i])
+    rel = sigma2 / sigma2.max() if sigma2.size else sigma2
+    a_sigma = wgt / ops.w[i] * rel[j]
+    asym = np.linalg.norm(a_sigma - wgt / ops.w[j] * rel[i])
     return ("closed-form" if asym <= SYMMETRY_TOL * np.linalg.norm(a_sigma)
             else "lyapunov")
 

@@ -2,13 +2,16 @@
 
 A graph is stored as its edge list: each undirected edge once, as i < j in
 row-major order, with its positive weight, plus the set of stubborn node
-indices. No command forms the n x n weight matrix; ``SocialGraph.weights``
-forms it on each read, for the oracles, the blocks A and B and the
-simulator. Normalization stores one form of the DeGroot operator
-A = D^-1 W_RR: the eigendecomposition of the symmetric matrix similar to it,
-which it scatters from the regular-regular edges. The blocks A and B of the
-row-stochastic diag(w)^-1 W are formed from the weights when read, never
-from the spectrum, so the oracles stay independent.
+indices. ``SocialGraph(n_nodes, i, j, weights, stubborn)`` is the one
+constructor: ``load_graph`` and the generators pass it edge arrays. No
+command forms the n x n weight matrix; ``SocialGraph.weights`` forms it on
+each read, for the oracles, the blocks A and B and the simulator.
+Normalization sums the strengths over the edges and stores one form of the
+DeGroot operator A = D^-1 W_RR: the eigendecomposition of the symmetric
+matrix similar to it, which it scatters from the regular-regular edges.
+The blocks A and B of the row-stochastic diag(w)^-1 W are formed from the
+weights when read, never from the spectrum, so the oracles stay
+independent.
 
 Reachability is a breadth-first search over the edge list, O(m) per level.
 networkx is imported only inside the two generators that draw from it
@@ -27,20 +30,20 @@ import numpy as np
 from .errors import GraphError, ReachabilityError
 
 RHO_MARGIN = 1e-10
-STRENGTH_BLOCK = 64     # rows per block of the strength sums
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class SocialGraph:
     """Undirected graph with positive edge weights and a stubborn-node subset.
 
-    Node ids are dense 0-based integers; ``labels`` keeps the original ids
-    from the input file (identity for generated graphs). Edge k joins
-    ``edge_i[k]`` < ``edge_j[k]`` with weight ``edge_weights[k]``, in the
-    row-major order of ``np.nonzero(np.triu(weights))``.
-
-    ``SocialGraph(weights=W, stubborn=...)`` takes a dense symmetric matrix
-    and keeps only its edges; ``SocialGraph.from_edges`` takes the edges.
+    ``SocialGraph(n_nodes, i, j, weights, stubborn, labels)`` is the graph on
+    nodes 0..n_nodes-1 whose edge k joins i[k] and j[k] with weight
+    weights[k]. Each edge is given once, in either orientation; it is stored
+    as ``edge_i[k]`` < ``edge_j[k]``, in the row-major order of
+    ``np.nonzero(np.triu(weights))``. A repeated edge, a self-loop, an id
+    outside the node range or a weight that is not finite and positive
+    raises ``GraphError``. ``labels`` keeps the original ids from the input
+    file (identity for generated graphs).
     """
 
     n_nodes: int
@@ -51,31 +54,9 @@ class SocialGraph:
     labels: tuple[int, ...]
     regular: tuple[int, ...]
 
-    def __init__(self, weights, stubborn: Iterable[int],
+    def __init__(self, n_nodes: int, i, j, weights, stubborn: Iterable[int],
                  labels: Sequence[int] = ()):
-        W = np.asarray(weights, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise GraphError("weight matrix must be square")
-        if not np.isfinite(W).all():
-            raise GraphError("edge weights must be finite")
-        if not np.array_equal(W, W.T):
-            raise GraphError("weight matrix must be symmetric")
-        if np.any(W < 0):
-            raise GraphError("edge weights must be nonnegative")
-        if np.any(np.diag(W) != 0):
-            raise GraphError("self-loops are not allowed")
-        i, j = np.nonzero(np.triu(W))
-        self._store(W.shape[0], i, j, W[i, j], stubborn, labels)
-
-    @classmethod
-    def from_edges(cls, n_nodes: int, i, j, weights, stubborn: Iterable[int],
-                   labels: Sequence[int] = ()) -> "SocialGraph":
-        """The graph on ``n_nodes`` nodes whose edge k joins i[k] and j[k].
-
-        Each edge is given once, in either orientation. A repeated edge, a
-        self-loop, an id outside the node range or a weight that is not
-        finite and positive raises ``GraphError``.
-        """
+        n = int(n_nodes)
         i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
         w = np.asarray(weights, dtype=float)
         if i.ndim != 1 or not i.shape == j.shape == w.shape:
@@ -83,7 +64,7 @@ class SocialGraph:
         if np.any(i == j):
             raise GraphError("self-loops are not allowed")
         lo, hi = np.minimum(i, j), np.maximum(i, j)
-        if lo.size and (lo.min() < 0 or hi.max() >= n_nodes):
+        if lo.size and (lo.min() < 0 or hi.max() >= n):
             raise GraphError("edge endpoint out of node range")
         if not np.isfinite(w).all():
             raise GraphError("edge weights must be finite")
@@ -93,21 +74,16 @@ class SocialGraph:
         lo, hi, w = lo[order], hi[order], w[order]
         if np.any((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])):
             raise GraphError("repeated edge")
-        g = cls.__new__(cls)
-        g._store(int(n_nodes), lo, hi, w, stubborn, labels)
-        return g
-
-    def _store(self, n, i, j, w, stubborn, labels) -> None:
         stub = tuple(sorted(set(int(s) for s in stubborn)))
         if any(s < 0 or s >= n for s in stub):
             raise GraphError("stubborn id out of node range")
         labels = tuple(labels) or tuple(range(n))
         if len(labels) != n:
             raise GraphError("label table length must equal node count")
-        for a in (i, j, w):
+        for a in (lo, hi, w):
             a.setflags(write=False)
         is_stub = set(stub)
-        for name, value in (("n_nodes", n), ("edge_i", i), ("edge_j", j),
+        for name, value in (("n_nodes", n), ("edge_i", lo), ("edge_j", hi),
                             ("edge_weights", w), ("stubborn", stub),
                             ("labels", labels),
                             ("regular", tuple(k for k in range(n)
@@ -126,29 +102,22 @@ class SocialGraph:
         W[self.edge_j, self.edge_i] = self.edge_weights
         return W
 
-    # arcs and regular_arcs are formed on each read, O(m log m), not cached:
-    # arrays cached on the graph stay alive across normalize's eigh and split
-    # the free heap an n x n array would reuse there (cached, peak RSS of a
-    # repeated 1,000-node `score` rose from 75 to 82 MB)
-    @property
-    def arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every edge in both orientations as (src, dst, weight), in the
-        row-major order of ``np.nonzero(weights)``."""
-        src = np.concatenate([self.edge_i, self.edge_j])
-        dst = np.concatenate([self.edge_j, self.edge_i])
-        order = np.lexsort((dst, src))
-        return src[order], dst[order], np.tile(self.edge_weights, 2)[order]
-
+    # formed on each read, O(m), not cached: arrays cached on the graph stay
+    # alive across normalize's eigh and split the free heap an n x n array
+    # would reuse there (cached, peak RSS of a repeated 1,000-node `score`
+    # rose from 75 to 82 MB)
     @property
     def regular_arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The arcs between regular nodes as (row, col, weight), with row and
-        col positions in ``regular``, in the row-major order of W_RR."""
+        """The edges between regular nodes in both orientations, as (row,
+        col, weight) with row and col positions in ``regular``: the nonzeros
+        of W_RR, each once, in no particular order."""
         pos = np.full(self.n_nodes, -1)
         pos[list(self.regular)] = np.arange(len(self.regular))
-        src, dst, wgt = self.arcs
-        row, col = pos[src], pos[dst]
+        row, col = pos[self.edge_i], pos[self.edge_j]
         keep = (row >= 0) & (col >= 0)
-        return row[keep], col[keep], wgt[keep]
+        row, col, wgt = row[keep], col[keep], self.edge_weights[keep]
+        return (np.concatenate([row, col]), np.concatenate([col, row]),
+                np.tile(wgt, 2))
 
 
 @dataclass(frozen=True)
@@ -237,30 +206,6 @@ def validate_reachability(g: SocialGraph) -> ReachabilityReport:
     return ReachabilityReport(True, (), "every regular node can reach a stubborn node")
 
 
-def _strengths(g: SocialGraph) -> np.ndarray:
-    """The regular nodes' strengths, bit-identical to W.sum(axis=1)[regular]:
-    each block of ``STRENGTH_BLOCK`` rows is scattered dense from the arcs
-    and summed along its rows, the same pairwise sums numpy takes over W's
-    rows, while only one block is held."""
-    n_reg, b = len(g.regular), STRENGTH_BLOCK
-    pos = np.full(g.n_nodes, -1)
-    pos[list(g.regular)] = np.arange(n_reg)
-    src, dst, wgt = g.arcs
-    row = pos[src]
-    keep = row >= 0
-    row, dst, wgt = row[keep], dst[keep], wgt[keep]     # sorted by row
-    cuts = np.searchsorted(row, range(0, n_reg + b, b))
-    block = np.zeros((min(b, n_reg), g.n_nodes))
-    w = np.empty(n_reg)
-    for k, start in enumerate(range(0, n_reg, b)):
-        r, c = row[cuts[k]:cuts[k + 1]] - start, dst[cuts[k]:cuts[k + 1]]
-        block[r, c] = wgt[cuts[k]:cuts[k + 1]]
-        with np.errstate(over="ignore"):
-            w[start:start + b] = block[:n_reg - start].sum(axis=1)
-        block[r, c] = 0.0
-    return w
-
-
 def normalize(g: SocialGraph) -> NetworkOperators:
     """The spectrum of A = W_RR / w_R.
 
@@ -274,7 +219,10 @@ def normalize(g: SocialGraph) -> NetworkOperators:
     if not report.ok:
         raise ReachabilityError(report.message)
     R = g.regular
-    w = _strengths(g)
+    # one C pass sums each node's incident weights, so an overflowing
+    # strength comes out as inf without a floating-point warning
+    w = np.bincount(np.concatenate([g.edge_i, g.edge_j]),
+                    np.tile(g.edge_weights, 2), g.n_nodes)[list(R)]
     if not np.isfinite(w).all():
         overflowed = [i for i, wi in zip(R, w) if not np.isfinite(wi)]
         raise GraphError(f"strength of regular node(s) {overflowed} "
@@ -366,10 +314,8 @@ def load_graph(source: str | Path | Iterable[str],
     labels = tuple(sorted(nodes))
     index = {lab: k for k, lab in enumerate(labels)}
     ends = np.array([(index[i], index[j]) for i, j in edges], dtype=np.intp)
-    g = SocialGraph.from_edges(len(labels), ends[:, 0], ends[:, 1],
-                               list(edges.values()),
-                               stubborn=[index[s] for s in stub_labels],
-                               labels=labels)
+    g = SocialGraph(len(labels), ends[:, 0], ends[:, 1], list(edges.values()),
+                    stubborn=[index[s] for s in stub_labels], labels=labels)
     report = validate_reachability(g)
     if not report.ok:
         raise ReachabilityError(report.message)
@@ -399,8 +345,7 @@ def _unit_weight_graph(n: int, edges, seed: int, n_stubborn: int) -> SocialGraph
     ends = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
     rng = np.random.default_rng(seed)
     stub = tuple(sorted(int(i) for i in rng.choice(n, size=n_stubborn, replace=False)))
-    return SocialGraph.from_edges(n, ends[:, 0], ends[:, 1], np.ones(len(ends)),
-                                  stub)
+    return SocialGraph(n, ends[:, 0], ends[:, 1], np.ones(len(ends)), stub)
 
 
 def generate_watts_strogatz(n: int, k: int, beta: float, seed: int,
@@ -431,8 +376,7 @@ def generate_cycle(n: int, n_stubborn: int) -> SocialGraph:
     if n_stubborn >= n:
         raise GraphError("require n_stubborn < n")
     i = np.arange(n)
-    return SocialGraph.from_edges(n, i, (i + 1) % n, np.ones(n),
-                                  stubborn=range(n_stubborn))
+    return SocialGraph(n, i, (i + 1) % n, np.ones(n), stubborn=range(n_stubborn))
 
 
 def generate_random_reachable(n: int, n_stubborn: int,
@@ -456,8 +400,7 @@ def generate_random_reachable(n: int, n_stubborn: int,
             edges[i, j] = rng.uniform(0.5, 2.0)
     stub = tuple(sorted(int(i) for i in rng.choice(n, size=n_stubborn, replace=False)))
     ends = np.array(list(edges), dtype=np.intp)
-    return SocialGraph.from_edges(n, ends[:, 0], ends[:, 1],
-                                  list(edges.values()), stub)
+    return SocialGraph(n, ends[:, 0], ends[:, 1], list(edges.values()), stub)
 
 
 def generate_random_regular(n: int, degree: int, seed: int,

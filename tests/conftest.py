@@ -5,7 +5,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import pytest
 
-from opinionselect import (NoiseModel, covariance_lyapunov,
+from opinionselect import (NoiseModel, SocialGraph, covariance_lyapunov,
                            generate_random_reachable, normalize)
 from opinionselect.equilibrium import SYMMETRY_TOL
 from opinionselect.errors import NumericalError
@@ -62,6 +62,13 @@ def covariance_closed_form(A: np.ndarray,
     return ClosedFormResult(covariance=C, asymmetry=asym,
                             lyapunov_residual=residual, symmetric=sym,
                             accepted=sym and residual <= RESIDUAL_TOL)
+
+
+def graph_from_dense(W, stubborn) -> SocialGraph:
+    """The graph whose symmetric weight matrix is W, from its upper triangle."""
+    W = np.asarray(W, dtype=float)
+    i, j = np.nonzero(np.triu(W))
+    return SocialGraph(len(W), i, j, W[i, j], stubborn)
 
 
 def precision(C: np.ndarray) -> np.ndarray:
@@ -173,11 +180,10 @@ def random_instance(seed, n=10, n_stubborn=2, heterogeneous=True):
 @pytest.fixture(scope="session")
 def chain_instance():
     """r0 - r1 - s chain with unit weights (nodes 0, 1 regular, 2 stubborn)."""
-    from opinionselect import SocialGraph
     W = np.array([[0., 1., 0.],
                   [1., 0., 1.],
                   [0., 1., 0.]])
-    g = SocialGraph(weights=W, stubborn=(2,))
+    g = graph_from_dense(W, (2,))
     return g, normalize(g)
 
 

@@ -24,16 +24,16 @@ import numpy as np
 import pytest
 
 from opinionselect import (BudgetExceededError, NoiseModel, SimConfig,
-                           SocialGraph, bonacich, covariance_lyapunov,
-                           empirical_moments, eta_scores, exact_select,
-                           f_score, generate_random_reachable,
+                           bonacich, covariance_lyapunov, empirical_moments,
+                           eta_scores, exact_select, f_score,
+                           generate_random_reachable,
                            generate_random_regular, generate_watts_strogatz,
                            greedy_select, guarantee_check, mean, moments,
                            normalize, ranking_report, submodularity_audit,
                            var_y, var_reduction_scores)
 from opinionselect.simulate import simulate
 from conftest import (covariance_closed_form, dense_intercentrality, g_score,
-                      gains_by_round, precision)
+                      gains_by_round, graph_from_dense, precision)
 
 MC_SEED = 11  # frozen: worst standardized deviation 2.48 over all checks
 
@@ -298,7 +298,7 @@ def test_criterion_08_runtime_scaling():
 
 def test_criterion_09_monte_carlo_moments():
     W = np.array([[0., 1., 0.], [1., 0., 1.], [0., 1., 0.]])
-    chain = normalize(SocialGraph(weights=W, stubborn=(2,)))
+    chain = normalize(graph_from_dense(W, (2,)))
     ws = normalize(generate_watts_strogatz(15, 4, 0.3, 7, 3))
     instances = [(chain, np.array([1.0, 0.5])),
                  (ws, np.linspace(0.5, 1.5, ws.n_regular))]

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau
 
-from opinionselect import (NoiseModel, SocialGraph, bonacich,
+from opinionselect import (NoiseModel, bonacich,
                            covariance_lyapunov, eta_scores, f_score,
                            generate_cycle, generate_random_reachable,
                            generate_watts_strogatz, intercentrality,
                            kendall_tau_b, normalize, ranking_report,
                            var_reduction_scores)
 from opinionselect.errors import NumericalError
-from conftest import dense_intercentrality, dense_resolvent, random_instance
+from conftest import (dense_intercentrality, dense_resolvent, graph_from_dense,
+                      random_instance)
 
 
 def test_var_reduction_identity_matrix():
@@ -38,7 +39,7 @@ def test_eta_identity_matrix():
     # three regular nodes tied only to a stubborn hub: A = 0
     W = np.zeros((4, 4))
     W[3, :3] = W[:3, 3] = 1.0
-    ops = normalize(SocialGraph(weights=W, stubborn=(3,)))
+    ops = normalize(graph_from_dense(W, (3,)))
     assert np.allclose(eta_scores(ops).scores, 1.0)
 
 
@@ -50,7 +51,7 @@ def test_eta_symmetric_instance_all_equal():
         j = (i + 1) % n
         W[i, j] = W[j, i] = 1.0
         W[i, n] = W[n, i] = 1.0
-    ops = normalize(SocialGraph(weights=W, stubborn=(n,)))
+    ops = normalize(graph_from_dense(W, (n,)))
     eta = eta_scores(ops).scores
     assert np.allclose(eta, eta[0])
 
@@ -106,7 +107,7 @@ def _path_off_stubborn(edges):
     W = np.zeros((edges + 1, edges + 1))
     for i in range(edges):
         W[i, i + 1] = W[i + 1, i] = 1.0
-    return SocialGraph(weights=W, stubborn=(0,))
+    return graph_from_dense(W, (0,))
 
 
 def _spectral_oracle_cases():

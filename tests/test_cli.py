@@ -597,6 +597,38 @@ def test_overflowing_sigma2_refused(tmp_path, capsys):
             out.unlink()
 
 
+def test_underflowing_sigma2_refused(tmp_path, capsys):
+    # at these scales even the largest (C1)_i^2, the numerator of a greedy
+    # gain, is below the smallest normal float: the gains lose digits or
+    # read 0 and picks would go by index. One error line that names the
+    # --sigma2 scale, exit 4 and no output; 1e-100 picks as 1 does.
+    ws = tmp_path / "ws20"
+    assert run_cli(["generate", "--model", "ws", "--n", "20", "--n-stubborn",
+                    "3", "--seed", "1", "--out-prefix", str(ws)]) == 0
+    out = tmp_path / "select.json"
+    graph = ["--graph", f"{ws}.edges", "--stubborn-file", f"{ws}.stubborn",
+             "--out", str(out)]
+    refused = ((["select", "--k", "2"], ("1e-160", "1e-300")),
+               (["score", "--measures", "var_reduction,eta"], ("1e-300",)),
+               (["curve", "--max-k", "2", "--methods", "greedy,exact",
+                 "--format", "json"], ("1e-300",)))
+    for command, scales in refused:
+        for scale in scales:
+            capsys.readouterr()
+            assert run_cli([*command, *graph,
+                            "--sigma2", f"uniform:{scale}"]) == 4, command
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: --sigma2 uniform:{scale}: the variance "
+                           "reductions underflow float64 at this scale; "
+                           "multiply the noise variances by a common factor"]
+            assert not out.exists()
+    for scale in ("1", "1e-100"):
+        assert run_cli(["select", "--k", "2", *graph,
+                        "--sigma2", f"uniform:{scale}"]) == 0
+        assert json.loads(out.read_text())["selection"]["chosen"] == [1, 19]
+        out.unlink()
+
+
 def test_out_of_memory_gets_the_budget_exit_code(tmp_path, capsys,
                                                  monkeypatch):
     # the moments suite's replicas x n state array is its one large

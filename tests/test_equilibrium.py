@@ -8,8 +8,8 @@ from opinionselect import (NoiseModel, SocialGraph, covariance_lyapunov,
                            generate_random_regular, generate_watts_strogatz,
                            mean, moments, normalize, var_y)
 from opinionselect.equilibrium import SYMMETRY_TOL
-from conftest import (covariance_closed_form, precision, precision_direct,
-                      random_instance, series_covariance)
+from conftest import (covariance_closed_form, graph_from_dense, precision,
+                      precision_direct, random_instance, series_covariance)
 
 
 def test_noise_model_requires_positive_variances():
@@ -42,11 +42,10 @@ def test_mean_chain(chain_instance):
 
 def test_mean_A_zero_is_Bu():
     # star: two regular leaves attached to one stubborn hub -> A = 0
-    from opinionselect import SocialGraph
     W = np.zeros((3, 3))
     W[0, 2] = W[2, 0] = 1.0
     W[1, 2] = W[2, 1] = 2.0
-    ops = normalize(SocialGraph(weights=W, stubborn=(2,)))
+    ops = normalize(graph_from_dense(W, (2,)))
     assert np.allclose(ops.A, 0.0)
     u = np.array([0.3])
     assert np.allclose(mean(ops, u), ops.B @ u)
@@ -197,7 +196,7 @@ def _path_instance(n):
     W = np.zeros((n + 1, n + 1))
     for i in range(n):
         W[i, i + 1] = W[i + 1, i] = 1.0
-    return normalize(SocialGraph(weights=W, stubborn=(0,)))
+    return normalize(graph_from_dense(W, (0,)))
 
 
 def test_moments_spectral_solve_matches_oracles():
@@ -257,6 +256,23 @@ def test_regime_tag_from_edges_matches_dense_formula():
     assert seen == {"closed-form", "lyapunov"}
 
 
+def test_regime_tag_does_not_depend_on_the_noise_scale():
+    # uniform noise on an irregular graph is "lyapunov" and noise inversely
+    # proportional to the strengths "closed-form", at every scale from one
+    # where A Sigma's squares underflow to one where they overflow
+    ops = normalize(generate_watts_strogatz(30, 4, 0.3, 1, 3))
+    assert len(set(ops.w)) > 1
+    shapes = {"lyapunov": np.ones(ops.n_regular),
+              "closed-form": 0.7 / ops.w,
+              None: np.random.default_rng(5).uniform(0.5, 2.0, ops.n_regular)}
+    for tag, shape in shapes.items():
+        unit = moments(ops, NoiseModel(shape)).method_tag
+        assert tag is None or unit == tag
+        for e in range(-300, 251, 50):
+            noise = NoiseModel(shape * 10.0 ** e)
+            assert moments(ops, noise).method_tag == unit, (tag, e)
+
+
 def _traced_peak(fn):
     """(fn(), peak traced bytes above those held before the call)."""
     tracemalloc.start()
@@ -307,9 +323,17 @@ def test_constant_noise_operator_matches_lyapunov():
     ops = normalize(generate_cycle(12, 1))
     assert abs(ops.eigvals[0] + ops.rho) <= 1e-12  # lambda = -rho
     cases.append((ops, NoiseModel.uniform(ops.n_regular, 0.7)))
-    # irregular strengths, sigma^2 = 1 / w with w sigma^2 == 1 bit for bit
-    ops = normalize(generate_random_reachable(14, 3, 1))
-    assert len(set(ops.w)) > 1
+    # irregular strengths, sigma^2 = 1 / w with w sigma^2 == 1 bit for bit:
+    # a unit path over the regular nodes 1..8, each also tied to stubborn
+    # node 0 by the integer weight that makes node k's strength 2^(k+1)
+    path = np.arange(1, 8)
+    degree = np.bincount(np.concatenate([path, path + 1]), minlength=9)[1:]
+    to_stub = 2.0 ** np.arange(2, 10) - degree
+    g = SocialGraph(9, np.concatenate([path, np.arange(1, 9)]),
+                    np.concatenate([path + 1, np.zeros(8, int)]),
+                    np.concatenate([np.ones(7), to_stub]), stubborn=(0,))
+    ops = normalize(g)
+    assert np.array_equal(ops.w, 2.0 ** np.arange(2, 10))
     cases.append((ops, NoiseModel(1.0 / ops.w)))
 
     for ops, noise in cases:

@@ -1,4 +1,5 @@
 import io
+import math
 import tracemalloc
 import warnings
 
@@ -10,7 +11,7 @@ from opinionselect import (GraphError, ReachabilityError, SocialGraph,
                            generate_cycle, generate_random_reachable,
                            generate_watts_strogatz, load_graph, normalize,
                            save_graph, validate_reachability)
-from opinionselect.graph import STRENGTH_BLOCK
+from conftest import graph_from_dense
 
 
 def test_load_smallest_valid_instance():
@@ -121,7 +122,7 @@ def test_normalize_uniform_triangle(chain_instance):
     W = np.array([[0., 1., 1.],
                   [1., 0., 1.],
                   [1., 1., 0.]])
-    g = SocialGraph(weights=W, stubborn=(2,))
+    g = graph_from_dense(W, (2,))
     ops = normalize(g)
     assert np.allclose(ops.A, [[0., .5], [.5, 0.]])
     assert np.allclose(ops.B, [[.5], [.5]])
@@ -129,10 +130,23 @@ def test_normalize_uniform_triangle(chain_instance):
 
 def test_normalize_star_single_regular():
     W = np.array([[0., 1.], [1., 0.]])
-    g = SocialGraph(weights=W, stubborn=(1,))
+    g = graph_from_dense(W, (1,))
     ops = normalize(g)
     assert np.allclose(ops.A, [[0.]])
     assert np.allclose(ops.B, [[1.]])
+
+
+def _assert_strengths(g, w):
+    """w against the exact sum of each regular node's incident weights: equal
+    on unit weights, else within (d - 1) eps relative for a node of degree d,
+    the error bound of a sequential sum."""
+    W = g.weights
+    if np.all(g.edge_weights == 1.0):
+        assert np.array_equal(w, W.sum(axis=1)[list(g.regular)])
+    for wk, k in zip(w, g.regular):
+        incident = W[k][W[k] > 0]
+        exact = math.fsum(incident)
+        assert abs(wk - exact) <= (len(incident) - 1) * np.finfo(float).eps * exact
 
 
 def test_normalize_rows_sum_to_one():
@@ -143,7 +157,7 @@ def test_normalize_rows_sum_to_one():
         assert np.max(np.abs(rows - 1.0)) < 1e-12
         # w holds the strengths of the regular nodes alone, in regular order
         assert ops.w.shape == (ops.n_regular,)
-        assert np.array_equal(ops.w, g.weights[list(g.regular)].sum(axis=1))
+        _assert_strengths(g, ops.w)
         assert np.all(ops.A >= 0)
         assert np.all(ops.B >= 0)
 
@@ -152,7 +166,7 @@ def test_normalize_requires_reachability():
     W = np.zeros((4, 4))
     W[0, 1] = W[1, 0] = 1.0
     W[2, 3] = W[3, 2] = 1.0
-    g = SocialGraph(weights=W, stubborn=(0,))
+    g = graph_from_dense(W, (0,))
     with pytest.raises(ReachabilityError):
         normalize(g)
 
@@ -169,15 +183,15 @@ def test_validate_reachability_reports():
     W = np.zeros((5, 5))
     W[0, 1] = W[1, 0] = 1.0
     W[2, 3] = W[3, 2] = 1.0
-    g = SocialGraph(weights=W, stubborn=(0,))
+    g = graph_from_dense(W, (0,))
     rep = validate_reachability(g)
     assert not rep.ok
     assert (2, 3) in rep.orphan_components
 
-    g_ok = SocialGraph(weights=W, stubborn=(0, 2, 4))
+    g_ok = graph_from_dense(W, (0, 2, 4))
     assert validate_reachability(g_ok).ok
 
-    only_stub = SocialGraph(weights=np.zeros((2, 2)), stubborn=(0, 1))
+    only_stub = graph_from_dense(np.zeros((2, 2)), (0, 1))
     rep2 = validate_reachability(only_stub)
     assert rep2.ok and "no regular agents" in rep2.message
 
@@ -205,16 +219,16 @@ def test_validate_reachability_matches_csgraph_oracle():
         n = int(rng.integers(2, 40))
         n_stub = int(rng.integers(0, n // 3 + 2))
         stub = rng.choice(n, size=min(n_stub, n - 1), replace=False)
-        graphs.append(SocialGraph(weights=_random_multicomponent_graph(rng, n),
+        graphs.append(graph_from_dense(_random_multicomponent_graph(rng, n),
                                   stubborn=tuple(int(i) for i in stub)))
     # a long path cut in the middle, stubborn at one end, then at both ends
     W = np.zeros((40, 40))
     for i in range(39):
         if i != 19:
             W[i, i + 1] = W[i + 1, i] = 1.0
-    graphs += [SocialGraph(weights=W, stubborn=(0,)),
-               SocialGraph(weights=W, stubborn=(0, 39)),
-               SocialGraph(weights=W, stubborn=())]
+    graphs += [graph_from_dense(W, (0,)),
+               graph_from_dense(W, (0, 39)),
+               graph_from_dense(W, ())]
     n_failing = n_isolated = 0
     for g in graphs:
         rep = validate_reachability(g)
@@ -241,26 +255,9 @@ def test_save_load_round_trip(tmp_path):
     assert g.labels == g2.labels
 
 
-def test_social_graph_invariant_enforcement():
-    with pytest.raises(GraphError):
-        SocialGraph(weights=np.array([[0., 1.], [2., 0.]]), stubborn=(0,))
-    with pytest.raises(GraphError):
-        SocialGraph(weights=np.array([[1., 1.], [1., 0.]]), stubborn=(0,))
-    with pytest.raises(GraphError):
-        SocialGraph(weights=np.array([[0., -1.], [-1., 0.]]), stubborn=(0,))
-    with pytest.raises(GraphError):
-        SocialGraph(weights=np.zeros((2, 2)), stubborn=(7,))
-    # checked before symmetry, so a NaN (never equal to itself) is not
-    # reported as an asymmetric matrix
-    for bad in (np.inf, -np.inf, np.nan):
-        W = np.array([[0., bad, 1.], [bad, 0., 1.], [1., 1., 0.]])
-        with pytest.raises(GraphError, match="must be finite"):
-            SocialGraph(weights=W, stubborn=(2,))
-
-
 def test_normalize_refuses_nan_spectral_radius(monkeypatch):
     # a NaN spectrum fails the stability test instead of passing it
-    g = SocialGraph(weights=np.array([[0., 1., 1.], [1., 0., 1.], [1., 1., 0.]]),
+    g = graph_from_dense(np.array([[0., 1., 1.], [1., 0., 1.], [1., 1., 0.]]),
                     stubborn=(2,))
     eigh = np.linalg.eigh
 
@@ -278,11 +275,16 @@ def test_normalize_refuses_overflowing_strength():
     W = np.zeros((4, 4))
     for i, j, wgt in ((0, 1, 1e308), (0, 2, 1e308), (1, 3, 1.0), (2, 3, 1.0)):
         W[i, j] = W[j, i] = wgt
-    g = SocialGraph(weights=W, stubborn=(3,))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(GraphError, match=r"node\(s\) \[0\] overflows"):
-            normalize(g)
+    g = graph_from_dense(W, (3,))
+    # node 2 is the larger end of edge (1, 2) and the smaller of edge (2, 3)
+    mixed = SocialGraph(4, [0, 1, 2], [1, 2, 3], [1.0, 1e308, 1e308],
+                        stubborn=(0,))
+    for g, node in ((g, 0), (mixed, 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphError,
+                               match=rf"node\(s\) \[{node}\] overflows"):
+                normalize(g)
 
 
 def _traced_peak(fn):
@@ -298,48 +300,52 @@ def _traced_peak(fn):
 
 def test_dense_and_edge_list_constructions_agree():
     g = generate_random_reachable(30, 4, seed=2)
-    h = SocialGraph.from_edges(30, g.edge_j[::-1], g.edge_i[::-1],
-                               g.edge_weights[::-1], g.stubborn)
-    d = SocialGraph(weights=g.weights, stubborn=g.stubborn)
-    for other in (h, d):
-        # edges once each, i < j, in the row-major order of triu(W)
-        assert np.array_equal(other.edge_i, g.edge_i)
-        assert np.array_equal(other.edge_j, g.edge_j)
-        assert np.array_equal(other.edge_weights, g.edge_weights)
-        assert other.regular == g.regular and other.n_edges == g.n_edges
+    h = SocialGraph(30, g.edge_j[::-1], g.edge_i[::-1], g.edge_weights[::-1],
+                    g.stubborn)
+    # edges once each, i < j, in the row-major order of triu(W), whatever
+    # the orientation and order they were given in
+    assert np.array_equal(h.edge_i, g.edge_i)
+    assert np.array_equal(h.edge_j, g.edge_j)
+    assert np.array_equal(h.edge_weights, g.edge_weights)
+    assert h.regular == g.regular and h.n_edges == g.n_edges
     iu, ju = np.nonzero(np.triu(g.weights))
     assert np.array_equal(iu, g.edge_i) and np.array_equal(ju, g.edge_j)
-    src, dst, wgt = g.arcs
-    assert np.array_equal(np.stack([src, dst]), np.nonzero(g.weights))
-    assert np.array_equal(wgt, g.weights[src, dst])
+    # regular_arcs are the nonzeros of W_RR, each once, in some order
+    R = list(g.regular)
+    W_RR = g.weights[np.ix_(R, R)]
+    r, c = np.nonzero(W_RR)
+    row, col, wgt = g.regular_arcs
+    arcs = set(zip(row.tolist(), col.tolist(), wgt.tolist()))
+    assert len(row) == len(arcs) == len(r)
+    assert arcs == set(zip(r.tolist(), c.tolist(), W_RR[r, c].tolist()))
 
 
 def test_from_edges_refuses_bad_edges():
     one = np.array([1.0])
     with pytest.raises(GraphError, match="self-loops"):
-        SocialGraph.from_edges(3, [1], [1], one, stubborn=(0,))
+        SocialGraph(3, [1], [1], one, stubborn=(0,))
     with pytest.raises(GraphError, match="out of node range"):
-        SocialGraph.from_edges(3, [0], [3], one, stubborn=(0,))
+        SocialGraph(3, [0], [3], one, stubborn=(0,))
     with pytest.raises(GraphError, match="repeated edge"):
-        SocialGraph.from_edges(3, [0, 1], [1, 0], [1.0, 1.0], stubborn=(0,))
+        SocialGraph(3, [0, 1], [1, 0], [1.0, 1.0], stubborn=(0,))
     for bad in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(GraphError, match="positive|finite"):
-            SocialGraph.from_edges(3, [0], [1], [bad], stubborn=(0,))
+            SocialGraph(3, [0], [1], [bad], stubborn=(0,))
     with pytest.raises(GraphError, match="equal length"):
-        SocialGraph.from_edges(3, [0, 1], [1], one, stubborn=(0,))
+        SocialGraph(3, [0, 1], [1], one, stubborn=(0,))
     with pytest.raises(GraphError, match="stubborn id out of node range"):
-        SocialGraph.from_edges(3, [0], [1], one, stubborn=(3,))
+        SocialGraph(3, [0], [1], one, stubborn=(3,))
 
 
 def test_edge_list_isolated_regular_node_and_no_regular_node():
     # node 2 has no edge: its own orphan component, never normalized
-    g = SocialGraph.from_edges(4, [0, 1], [1, 3], [1.0, 2.0], stubborn=(0,))
+    g = SocialGraph(4, [0, 1], [1, 3], [1.0, 2.0], stubborn=(0,))
     assert g.regular == (1, 2, 3) and g.n_edges == 2
     rep = validate_reachability(g)
     assert not rep.ok and rep.orphan_components == ((2,),)
     with pytest.raises(ReachabilityError):
         normalize(g)
-    only_stub = SocialGraph.from_edges(2, [0], [1], [1.0], stubborn=(1, 0))
+    only_stub = SocialGraph(2, [0], [1], [1.0], stubborn=(1, 0))
     assert only_stub.regular == () and only_stub.stubborn == (0, 1)
     assert validate_reachability(only_stub).ok
     ops = normalize(only_stub)
@@ -347,22 +353,23 @@ def test_edge_list_isolated_regular_node_and_no_regular_node():
     assert ops.eigvecs.shape == (0, 0)
 
 
-def test_normalize_bit_identical_to_dense_over_several_blocks():
-    # weighted graphs with several STRENGTH_BLOCK row blocks: the strengths
-    # are W's row sums and the eigh input is (W_ij s_i) s_j, bit for bit
+def test_normalize_strengths_and_eigh_input_match_dense():
+    # the strengths are W's row sums (to the rounding of a sequential sum
+    # on weighted graphs, exactly on unit weights) and the eigh input is
+    # (W_ij s_i) s_j, bit for bit
     for seed in range(3):
-        g = generate_random_reachable(3 * STRENGTH_BLOCK + 7, 5, seed)
-        ops = normalize(g)
-        R = list(g.regular)
-        W = g.weights
-        assert np.array_equal(ops.w, W.sum(axis=1)[R])
-        S = W[np.ix_(R, R)]
-        scale = 1.0 / np.sqrt(ops.w)
-        S *= scale[:, None]
-        S *= scale
-        lam, Q = np.linalg.eigh(S)
-        assert np.array_equal(lam, ops.eigvals)
-        assert np.array_equal(Q, ops.eigvecs)
+        for g in (generate_random_reachable(199, 5, seed),
+                  generate_watts_strogatz(199, 4, 0.3, seed, 5)):
+            ops = normalize(g)
+            _assert_strengths(g, ops.w)
+            R = list(g.regular)
+            S = g.weights[np.ix_(R, R)]
+            scale = 1.0 / np.sqrt(ops.w)
+            S *= scale[:, None]
+            S *= scale
+            lam, Q = np.linalg.eigh(S)
+            assert np.array_equal(lam, ops.eigvals)
+            assert np.array_equal(Q, ops.eigvecs)
 
 
 def test_load_and_normalize_hold_no_n_squared_array(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from opinionselect import (NoiseModel, SimConfig, covariance_lyapunov,
                            empirical_moments, horizon_for, mean, normalize,
                            simulate)
-from conftest import random_instance
+from conftest import graph_from_dense, random_instance
 
 
 def test_horizon_examples():
@@ -43,11 +43,10 @@ def test_simulate_refuses_non_finite_variances(chain_instance):
 
 def test_A_zero_sample_covariance_close_to_sigma():
     # star: regular leaves only touch the stubborn hub
-    from opinionselect import SocialGraph
     W = np.zeros((3, 3))
     W[0, 2] = W[2, 0] = 1.0
     W[1, 2] = W[2, 1] = 1.0
-    ops = normalize(SocialGraph(weights=W, stubborn=(2,)))
+    ops = normalize(graph_from_dense(W, (2,)))
     noise = NoiseModel(np.array([1.0, 2.0]))
     cfg = SimConfig(replicas=60_000, seed=3, u=np.array([0.5]))
     emp = empirical_moments(simulate(ops, noise, cfg))
