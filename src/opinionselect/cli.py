@@ -3,9 +3,9 @@
 Commands: generate, select, score, curve, validate. Every command that takes
 --out writes atomically (temp file + rename) so no partial output survives a
 failure. Exit codes: 0 ok, 1 validation-suite failure, 2 bad input, 3 exact
-budget exceeded or out of memory, 4 numerical failure, a covariance that
-overflows or variance reductions that underflow at the --sigma2 scale among
-them.
+budget exceeded or out of memory, 4 numerical failure, among them an output
+that overflows float64 at the --sigma2 scale and a regular strength at which
+the covariance overflows.
 """
 
 from __future__ import annotations
@@ -141,38 +141,34 @@ def _names(spec: str, known, noun: str) -> list[str]:
 
 
 def _moments_for(args, g: SocialGraph):
-    """The operators and the covariance operator; ``NumericalError`` naming
-    the --sigma2 scale when C overflows or the gains underflow. Every gain,
-    F and score is at most max_i C_ii * 1'C1 (Cauchy-Schwarz), so they are
-    finite when that is. Each greedy gain has the numerator (C1)_i^2; when
-    even the largest of those is below the smallest normal float, the gains
-    have lost digits or read 0 and the picks would go by index."""
+    """The operators, the covariance operator on Sigma / 4^e (max entry in
+    [1, 4)) and 4^e. Since sqrt(4^e) is exact, what is linear in Sigma, times
+    4^e, has the bits of any unscaled run that neither over- nor underflows."""
     ops = normalize(g)
-    noise = _sigma2_from_args(args, g)
+    sigma2 = _sigma2_from_args(args, g).sigma2
+    e = (math.frexp(sigma2.max())[1] - 1) // 2
+    canonical = np.ldexp(sigma2, -2 * e)
+    if canonical.min() == 0.0:
+        raise GraphError(f"--sigma2 {args.sigma2}: the noise variances span "
+                         "too wide a range; the smallest underflows to 0")
     with np.errstate(over="raise", invalid="raise"):
         try:
-            mom = equilibrium.moments(ops, noise)
-            c1 = mom @ np.ones(ops.n_regular)
-            bound = float(mom.diagonal().max()) * float(c1.sum())
+            mom = equilibrium.moments(ops, NoiseModel(canonical))
         except FloatingPointError:
-            bound = math.inf
-    if not math.isfinite(bound):
-        raise NumericalError(
-            f"--sigma2 {args.sigma2}: the covariance overflows float64 at "
-            "this scale; divide the noise variances by a common factor")
-    if float(np.max(c1 * c1)) < np.finfo(float).tiny:
-        raise NumericalError(
-            f"--sigma2 {args.sigma2}: the variance reductions underflow "
-            "float64 at this scale; multiply the noise variances by a "
-            "common factor")
-    return ops, mom
+            raise NumericalError(
+                f"a regular strength (the largest is {float(ops.w.max())!r}) "
+                "overflows float64 in the covariance; divide the edge weights "
+                "by a common factor") from None
+    return ops, mom, math.ldexp(1.0, 2 * e)
 
 
-def _covariance_for(args, g: SocialGraph) -> tuple[str, np.ndarray]:
-    """The regime tag and the dense C. The operator, and with it P and the
-    eigenvectors, is dropped on return, so a selection holds C alone."""
-    mom = _moments_for(args, g)[1]
-    return mom.method_tag, mom.C
+def _rescaled(args, scale: float, values) -> list[float]:
+    """``values`` times ``scale``; ``NumericalError`` if one overflows."""
+    out = [float(v) * scale for v in values]
+    if all(map(math.isfinite, out)):
+        return out
+    raise NumericalError(f"--sigma2 {args.sigma2}: an output overflows "
+                         "float64; divide the noise variances by a constant")
 
 
 def _check_seed(args) -> None:
@@ -209,13 +205,13 @@ def cmd_select(args) -> int:
     _check_size("--k", args.k, g)
     if args.method == "exact":
         selector.check_exact_budget(len(g.regular), args.k)
+    mom, scale = _moments_for(args, g)[1:]
+    method_tag = mom.method_tag
     if args.method == "greedy":
         # greedy reads C 1, diag C and one row per pick: never forms C
-        mom = _moments_for(args, g)[1]
-        method_tag = mom.method_tag
         result = selector.greedy_select(mom, args.k)
     else:
-        method_tag, C = _covariance_for(args, g)
+        C, mom = mom.C, None    # the search holds C alone, not P and Q
         result = selector.exact_select(C, args.k)
     regular_labels = [g.labels[i] for i in g.regular]
     doc = {
@@ -227,10 +223,10 @@ def cmd_select(args) -> int:
             "method": result.method,
             "chosen": [regular_labels[i] for i in result.chosen],
             "chosen_regular_index": list(result.chosen),
-            "gains": list(result.gains),
-            "f_values": list(result.f_values),
-            "g_values": list(result.g_values),
-            "var_y": result.var_y,
+            "gains": _rescaled(args, scale, result.gains),
+            "f_values": _rescaled(args, scale, result.f_values),
+            "g_values": _rescaled(args, scale, result.g_values),
+            "var_y": _rescaled(args, scale, [result.var_y])[0],
             "residual_fractions": [gv / result.var_y for gv in result.g_values],
         },
         "regular_labels": regular_labels,
@@ -245,7 +241,7 @@ def cmd_score(args) -> int:
     measures = _names(args.measures, centrality.MEASURES, "measure")
     if math.isnan(args.attenuation):
         raise GraphError("--attenuation must be a number, not nan")
-    ops, mom = _moments_for(args, g)
+    ops, mom, scale = _moments_for(args, g)
     if args.matrix == "normalized":
         G = ops
     else:
@@ -269,7 +265,10 @@ def cmd_score(args) -> int:
         "meta": _meta(args, "score", t0),
         "graph": _graph_summary(g),
         "moments_method": mom.method_tag,
-        "scores": {s.measure: list(s.scores) for s in scores},
+        # var_reduction alone depends on the noise scale; ranks do not
+        "scores": {s.measure: _rescaled(args, scale, s.scores)
+                   if s.measure == "var_reduction" else list(s.scores)
+                   for s in scores},
         "normalized_scores": {s.measure: list(s.normalized) for s in scores},
         "argmax": {m: regular_labels[i] for m, i in rep.argmax.items()},
         # null, not NaN, where tau is undefined (a constant score vector)
@@ -292,9 +291,10 @@ def cmd_curve(args) -> int:
     if "exact" in methods:
         for k in range(args.max_k + 1):
             selector.check_exact_budget(len(g.regular), k)
-    # the dense C: exact selection needs it, and on a long greedy curve its
-    # rows beat the operator's
-    method_tag, C = _covariance_for(args, g)
+    # the dense C alone: exact selection needs it, and on a long greedy curve
+    # its rows beat the operator's. The rows are ratios, free of the scale
+    mom = _moments_for(args, g)[1]
+    method_tag, C, mom = mom.method_tag, mom.C, None
     rows = []
     for method in methods:
         if method == "greedy":

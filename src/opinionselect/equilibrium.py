@@ -49,12 +49,12 @@ SYMMETRIZE_BLOCK = 64     # rows per block of the in-place symmetrization
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-regular-agent noise variances (diagonal of Sigma)."""
+    """Per-regular-agent noise variances (diagonal of Sigma), a frozen copy."""
 
     sigma2: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.sigma2, dtype=float)
+        s = np.array(self.sigma2, dtype=float)
         if s.ndim != 1:
             raise ValueError("sigma2 must be a vector")
         if not np.all(np.isfinite(s) & (s > 0)):

@@ -1,5 +1,7 @@
 import argparse
+import copy
 import json
+import math
 import os
 import re
 import stat
@@ -560,73 +562,145 @@ def test_score_undefined_tau_is_null(tmp_path):
                                   "eta|bonacich": None}
 
 
-def test_overflowing_sigma2_refused(tmp_path, capsys):
-    # r_i^2 and 1'C1 overflow float64 at these scales: one error line that
-    # names the --sigma2 scale, exit 4, no RuntimeWarning (warnings are
-    # errors here) and no output; 1e150 still fits. On the cycle, whose
-    # uniform noise takes the diagonal path, no numpy step overflows: the
-    # gains alone would.
+def _ws20_and_cycle20(tmp_path):
     ws, cycle = tmp_path / "ws20", tmp_path / "cycle20"
     assert run_cli(["generate", "--model", "ws", "--n", "20", "--n-stubborn",
                     "3", "--seed", "1", "--out-prefix", str(ws)]) == 0
     assert run_cli(["generate", "--model", "cycle", "--n", "20",
                     "--n-stubborn", "3", "--out-prefix", str(cycle)]) == 0
-    out = tmp_path / "never.json"
-    commands = (["select", "--k", "2"], ["select", "--k", "2", "--method",
-                                         "exact"],
-                ["score", "--measures", "var_reduction,eta"],
-                ["curve", "--max-k", "2", "--methods", "greedy,exact",
-                 "--format", "json"])
-    for prefix in (ws, cycle):
+    return ws, cycle
+
+
+SCALE_COMMANDS = (["select", "--k", "2"],
+                  ["select", "--k", "2", "--method", "exact"],
+                  ["score", "--measures", "var_reduction,eta,bonacich"],
+                  ["curve", "--max-k", "2", "--methods", "greedy,exact",
+                   "--format", "json"])
+
+
+def _scale_doc(doc, scale):
+    """``doc`` without its timing, and with every value that is linear in
+    the noise times ``scale``, as the CLI rescales it."""
+    del doc["meta"]["timing_s"]
+    if "selection" in doc:
+        sel = doc["selection"]
+        for key in ("gains", "f_values", "g_values"):
+            sel[key] = [v * scale for v in sel[key]]
+        sel["var_y"] *= scale
+    if "scores" in doc:
+        doc["scores"]["var_reduction"] = [
+            v * scale for v in doc["scores"]["var_reduction"]]
+    return doc
+
+
+def _run_doc(command, graph, sigma2, out):
+    assert run_cli([*command, *graph, "--sigma2", sigma2]) == 0, command
+    doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    out.unlink()
+    return doc
+
+
+def test_noise_scale_rescales_bit_for_bit(tmp_path):
+    # C is linear in Sigma and sqrt(4^e) is exact: at a power of 4, every
+    # document is the scale-1 document with its noise-linear values times
+    # the scale, bit for bit; picks, tags, fractions, ranks and tau do not
+    # move. 4^-510 puts many of those values among the subnormals.
+    out = tmp_path / "doc.json"
+    for prefix in _ws20_and_cycle20(tmp_path):
         graph = ["--graph", f"{prefix}.edges", "--stubborn-file",
                  f"{prefix}.stubborn", "--out", str(out)]
-        for scale in ("1e160", "1e200", "1e308"):
-            for command in commands:
-                capsys.readouterr()
-                assert run_cli([*command, *graph,
-                                "--sigma2", f"uniform:{scale}"]) == 4, command
-                err = capsys.readouterr().err.splitlines()
-                assert err == [f"error: --sigma2 uniform:{scale}: the "
-                               "covariance overflows float64 at this scale; "
-                               "divide the noise variances by a common factor"]
-                assert not out.exists()
-        for command in commands:
+        for command in SCALE_COMMANDS:
+            at_one = _run_doc(command, graph, "uniform:1", out)
+            for e in (100, -100, -510):
+                scale = math.ldexp(1.0, 2 * e)
+                doc = _run_doc(command, graph, f"uniform:{scale!r}", out)
+                assert _scale_doc(doc, 1.0) == \
+                    _scale_doc(copy.deepcopy(at_one), scale), (command, e)
+
+
+def test_overflowing_sigma2_refused(tmp_path, capsys):
+    # at 1e308 the variances themselves overflow float64: select and score
+    # write one error line that names the --sigma2 scale, exit 4, no
+    # RuntimeWarning (warnings are errors here) and no output. curve writes
+    # ratios only, so it answers with the scale-1 rows; 1e150 fits.
+    out = tmp_path / "doc.json"
+    for prefix in _ws20_and_cycle20(tmp_path):
+        graph = ["--graph", f"{prefix}.edges", "--stubborn-file",
+                 f"{prefix}.stubborn", "--out", str(out)]
+        for command in SCALE_COMMANDS[:3]:
+            capsys.readouterr()
             assert run_cli([*command, *graph,
-                            "--sigma2", "uniform:1e150"]) == 0
-            json.loads(out.read_text(), parse_constant=_refuse_constant)
-            out.unlink()
+                            "--sigma2", "uniform:1e308"]) == 4, command
+            assert capsys.readouterr().err.splitlines() == [
+                "error: --sigma2 uniform:1e308: an output overflows float64; "
+                "divide the noise variances by a constant"]
+            assert not out.exists()
+        curve = SCALE_COMMANDS[3]
+        rows = _run_doc(curve, graph, "uniform:1e308", out)["curve"]
+        at_one = _run_doc(curve, graph, "uniform:1", out)["curve"]
+        assert [(r["k"], r["method"]) for r in rows] == \
+            [(r["k"], r["method"]) for r in at_one]
+        for r, r1 in zip(rows, at_one):
+            assert r["residual_pct"] == pytest.approx(r1["residual_pct"],
+                                                      rel=1e-12, abs=0)
+        for command in SCALE_COMMANDS:
+            _run_doc(command, graph, "uniform:1e150", out)
 
 
 def test_underflowing_sigma2_refused(tmp_path, capsys):
-    # at these scales even the largest (C1)_i^2, the numerator of a greedy
-    # gain, is below the smallest normal float: the gains lose digits or
-    # read 0 and picks would go by index. One error line that names the
-    # --sigma2 scale, exit 4 and no output; 1e-100 picks as 1 does.
-    ws = tmp_path / "ws20"
-    assert run_cli(["generate", "--model", "ws", "--n", "20", "--n-stubborn",
-                    "3", "--seed", "1", "--out-prefix", str(ws)]) == 0
+    # Tiny and huge uniform scales run at the canonical scale, so they pick
+    # as scale 1 does, with values within 1e-12 of the scale-1 values times
+    # the scale wherever those are normal floats (5e-324 leaves none). Only
+    # a noise table whose smallest entry underflows to 0 beside its largest
+    # is refused: exit 2, one line naming --sigma2, no output.
+    ws = _ws20_and_cycle20(tmp_path)[0]
     out = tmp_path / "select.json"
     graph = ["--graph", f"{ws}.edges", "--stubborn-file", f"{ws}.stubborn",
              "--out", str(out)]
-    refused = ((["select", "--k", "2"], ("1e-160", "1e-300")),
-               (["score", "--measures", "var_reduction,eta"], ("1e-300",)),
-               (["curve", "--max-k", "2", "--methods", "greedy,exact",
-                 "--format", "json"], ("1e-300",)))
-    for command, scales in refused:
-        for scale in scales:
-            capsys.readouterr()
-            assert run_cli([*command, *graph,
-                            "--sigma2", f"uniform:{scale}"]) == 4, command
-            err = capsys.readouterr().err.splitlines()
-            assert err == [f"error: --sigma2 uniform:{scale}: the variance "
-                           "reductions underflow float64 at this scale; "
-                           "multiply the noise variances by a common factor"]
-            assert not out.exists()
-    for scale in ("1", "1e-100"):
-        assert run_cli(["select", "--k", "2", *graph,
-                        "--sigma2", f"uniform:{scale}"]) == 0
-        assert json.loads(out.read_text())["selection"]["chosen"] == [1, 19]
-        out.unlink()
+    at_one = _run_doc(["select", "--k", "2"], graph, "uniform:1", out)
+    for scale in (1e160, 1e-160, 1e300, 1e-300, 5e-324):
+        doc = _run_doc(["select", "--k", "2"], graph, f"uniform:{scale!r}",
+                       out)
+        assert doc["moments_method"] == at_one["moments_method"]
+        sel, sel1 = doc["selection"], at_one["selection"]
+        assert sel["chosen"] == sel1["chosen"] == [1, 19]
+        assert sel["residual_fractions"] == pytest.approx(
+            sel1["residual_fractions"], rel=1e-12, abs=0)
+        for key in ("gains", "f_values", "g_values", "var_y"):
+            got, want = np.ravel(sel[key]), np.ravel(sel1[key]) * scale
+            normal = np.abs(want) >= np.finfo(float).tiny
+            assert got[normal] == pytest.approx(want[normal], rel=1e-12,
+                                                abs=0), (scale, key)
+    stubborn = {int(t) for t in Path(f"{ws}.stubborn").read_text().split()}
+    table = tmp_path / "span.sigma2"
+    table.write_text("".join(f"{i} {1e-300 if i == 0 else 1e300}\n"
+                             for i in range(20) if i not in stubborn))
+    capsys.readouterr()
+    assert run_cli(["select", "--k", "2", *graph, "--sigma2", str(table)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --sigma2 {table}: the noise variances span too wide a "
+        "range; the smallest underflows to 0"]
+    assert not out.exists()
+
+
+def test_overflowing_strength_refused(tmp_path, capsys):
+    # node 1's strength times sigma^2 = 3 overflows inside the covariance
+    # solve, where no noise scale can help: exit 4 with one line naming the
+    # strength, no RuntimeWarning and no output, for every command
+    edges = tmp_path / "big.edges"
+    edges.write_text("0 1 1e308\n1 2 1\n2 0 1\n2 3 1\n3 0 1\n")
+    out = tmp_path / "never.json"
+    graph = ["--graph", str(edges), "--stubborn", "0", "--sigma2", "uniform:3",
+             "--out", str(out)]
+    for command in (["select", "--k", "1"], ["score"],
+                    ["curve", "--max-k", "1"]):
+        capsys.readouterr()
+        assert run_cli([*command, *graph]) == 4, command
+        assert capsys.readouterr().err.splitlines() == [
+            "error: a regular strength (the largest is 1e+308) overflows "
+            "float64 in the covariance; divide the edge weights by a common "
+            "factor"]
+        assert not out.exists()
 
 
 def test_out_of_memory_gets_the_budget_exit_code(tmp_path, capsys,

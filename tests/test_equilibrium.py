@@ -24,6 +24,14 @@ def test_noise_model_requires_positive_variances():
             NoiseModel.uniform(3, bad)
 
 
+def test_noise_model_copies_the_callers_array():
+    s = np.ones(4)
+    noise = NoiseModel(s)
+    s[0] = 2.0
+    assert noise.sigma2.tolist() == [1.0] * 4
+    assert not noise.sigma2.flags.writeable
+
+
 def test_mean_consensus_absorption():
     # all stubborn opinions equal -> every regular agent absorbs that value
     for seed in range(5):
