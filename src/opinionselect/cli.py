@@ -148,9 +148,11 @@ def _moments_for(args, g: SocialGraph):
     sigma2 = _sigma2_from_args(args, g).sigma2
     e = (math.frexp(sigma2.max())[1] - 1) // 2
     canonical = np.ldexp(sigma2, -2 * e)
-    if canonical.min() == 0.0:
+    smallest = canonical.min()
+    if smallest < np.finfo(float).tiny:     # 0 or a subnormal, rounded
         raise GraphError(f"--sigma2 {args.sigma2}: the noise variances span "
-                         "too wide a range; the smallest underflows to 0")
+                         "too wide a range; the smallest underflows to "
+                         f"{'0' if smallest == 0.0 else 'a subnormal'}")
     with np.errstate(over="raise", invalid="raise"):
         try:
             mom = equilibrium.moments(ops, NoiseModel(canonical))

@@ -5,18 +5,16 @@ All quantities are carried at the unnormalized scale F(K) = (C1)_K' (C_KK)^-1
 argmax. F and G always satisfy F(K) + G(K) = 1'C1, so G is read as
 ``var_y(C)`` - F from C alone, and ``f_score`` is the one path to both.
 
-Every F and estimator evaluation ends in one small symmetric positive
-definite solve, a single LAPACK ``dposv`` call (Cholesky factor and both
-triangular solves) between a finiteness check that LAPACK does not make and
-a degenerate-pivot check. Per subset, exact selection pays that call, the
-product C1 and a gather of C_KK. ``dposv`` is imported from
-``scipy.linalg.lapack`` on the first solve and bound once, so greedy
-selection and scoring, which never solve a subset, run on numpy alone.
+Every F and estimator evaluation factors the small symmetric positive
+definite block C_KK with numpy's Cholesky, between a finiteness check that
+LAPACK does not make and a degenerate-pivot check, then solves against the
+factor. Selection does not call ``f_score`` per subset: exact selection
+scores subsets by its own walk and calls it for the winner's prefixes only,
+so no path needs scipy.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import Sequence
 
@@ -39,32 +37,36 @@ def _check_set(K: Sequence[int], n: int) -> list[int]:
     return members
 
 
-@functools.cache
-def _dposv():
-    # bound on first use: only subset solves need scipy, and importing it
-    # would more than double the start-up of every command. Cached, because
-    # a function-level import costs ~1 us of a ~20 us f_score call.
-    from scipy.linalg.lapack import dposv
-    return dposv
+def _require_finite(M: np.ndarray) -> None:
+    # LAPACK does not check its inputs: NaN passes through a factorization
+    if not np.isfinite(M).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _cholesky(M: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of a symmetric positive definite block M.
+
+    The squared pivot L_jj^2 is the Schur complement of the j-th index given
+    those before it; as in selection, one at or below SCHUR_GUARD * M_jj
+    counts as singular. Rounding leaves a tiny positive pivot on some exactly
+    singular blocks, and a solve is garbage there.
+    """
+    _require_finite(M)
+    try:
+        L = np.linalg.cholesky(M)
+        if (np.diagonal(L) ** 2 > SCHUR_GUARD * np.diagonal(M)).all():
+            return L
+    except np.linalg.LinAlgError:
+        pass
+    raise NumericalError("principal submatrix not positive definite")
 
 
 def _spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with M x = rhs for a symmetric positive definite block M.
-
-    The squared Cholesky pivot U_jj^2 is the Schur complement of the j-th
-    index given those before it; as in greedy selection, one at or below
-    SCHUR_GUARD * M_jj counts as singular. Rounding leaves a tiny positive
-    pivot on some exactly singular blocks, and the solve is garbage there.
-    """
-    # LAPACK does not check its inputs: NaN passes through with info == 0
-    if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    U, x, info = _dposv()(M, rhs)
-    # a Python loop: on blocks of a few nodes it beats four NumPy calls
-    if info != 0 or any(u * u <= SCHUR_GUARD * m for u, m in
-                        zip(U.diagonal().tolist(), M.diagonal().tolist())):
-        raise NumericalError("principal submatrix not positive definite")
-    return x
+    """x with M x = rhs for a symmetric positive definite block M, by the
+    two triangular solves against ``_cholesky(M)``."""
+    L = _cholesky(M)
+    _require_finite(rhs)
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
 
 
 def _gather(C: np.ndarray, K: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -87,7 +89,10 @@ def f_score(C: np.ndarray, K: Sequence[int]) -> float:
     if not K:
         return 0.0
     v, CKK = _gather(C, K)
-    return float(v @ _spd_solve(CKK, v))
+    L = _cholesky(CKK)
+    _require_finite(v)
+    w = np.linalg.solve(L, v)       # F = |L^-1 v|^2
+    return float(w @ w)
 
 
 def estimator_coefficients(C: np.ndarray, K: Sequence[int],

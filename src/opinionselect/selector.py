@@ -10,18 +10,29 @@ degenerate skips. Greedy reads C only through C 1, diag C and one row per
 pick, so it runs on the ``moments`` operator as well as on a dense C, never
 forming C.
 
-Exact selection enumerates all subsets of a dense C, skipping degenerate
-ones as greedy skips degenerate candidates, and doubles as the oracle for
-the greedy guarantee and for the incremental algebra. It runs only when
-C(n, s) is at most ``EXACT_BUDGET``. Both share one tie rule: the lowest
-index (greedy) or the lexicographically first subset (exact) among the
-values v within ``TIE_RTOL`` |v| of the best, so that rounding, which the
-BLAS thread count changes, does not decide between mirror nodes.
+Exact selection scores all C(n, s) subsets of a dense C in one depth-first
+walk over the combinations in lexicographic order (the all-subsets scheme of
+Furnival and Wilson's "Regressions by Leaps and Bounds", 1974, as F / Var(Y)
+is a regression R^2). The walk carries greedy's state for each subset K on
+its stack: r, d and the rows of L. It forms the states of all of K's
+one-node extensions at once, one row each, and scores all of their own
+extensions, F(K + i) + r_j^2 / d_j, in one numpy expression; at depth s - 1
+these are the leaves. A branch whose pivot d_i is at or below
+``SCHUR_GUARD`` c_ii is pruned, and its subsets are skipped with a warning,
+as greedy skips a degenerate candidate. Each block of leaves is folded into
+the tie rule as it comes, so memory is O(s n^2) whatever C(n, s) is, and
+the numpy calls are a dozen or two per subset of at most s - 2 nodes.
+Exact selection runs only when C(n, s) is at most ``EXACT_BUDGET``.
+Greedy and exact share one tie rule: the lowest index (greedy) or the
+lexicographically first subset (exact) among the values v within
+``TIE_RTOL`` |v| of the best, so that rounding, which the BLAS thread count
+changes, does not decide between mirror nodes.
 
-The submodularity audit checks diminishing returns of F on every triple
-A <= B, k not in B in one vectorised pass over the 3^n pairs (A, B) of a
-dense C; it too runs only when its n 3^(n-1) triples are at most
-``EXACT_BUDGET``. Every path reads G as var_y(C) - F.
+The submodularity audit reads the 2^n values of F from the same walk taken
+to every depth, then checks diminishing returns on every triple A <= B,
+k not in B in one vectorised pass over the 3^n pairs (A, B) of a dense C; it
+too runs only when its n 3^(n-1) triples are at most ``EXACT_BUDGET``. Every
+path reads G as var_y(C) - F.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, NumericalError
-from .objective import SCHUR_GUARD, f_score, var_y
+from .objective import SCHUR_GUARD, _require_finite, f_score, var_y
 
 EXACT_BUDGET = 10 ** 7
 GREEDY_BOUND = 1.0 - 1.0 / math.e - 1e-9   # 1 - 1/e, less rounding slack
@@ -51,6 +62,9 @@ class SelectionResult:
     var_y: float
     eval_count: int
     method: str
+    # one entry per skip warning, in order: the degenerate candidate's index
+    # (greedy, once per round it is skipped) or the degenerate subset (exact)
+    skipped: tuple = ()
 
     @property
     def g_values(self) -> tuple[float, ...]:
@@ -84,21 +98,41 @@ def marginal_gain(r_i: float, d_i: float, c_ii: float) -> float:
     return r_i * r_i / d_i
 
 
-def _first_near_best(pairs):
-    """The first (key, value) of ``pairs`` whose value is at least
-    v - ``TIE_RTOL`` |v|, v the largest value; None when ``pairs`` is empty.
+class _NearBest:
+    """The tie rule, folded over values met in order: the first key whose
+    value is at least v - ``TIE_RTOL`` |v|, v the largest value met.
 
-    One pass that keeps the pairs within the tolerance of the running best.
-    Values that straddle the tolerance edge can still flip."""
-    best = floor = -math.inf
-    near = []
-    for key, value in pairs:
-        if value >= floor:
-            if value > best:
-                best, floor = value, value - TIE_RTOL * abs(value)
-                near = [(k, v) for k, v in near if v >= floor]
-            near.append((key, value))
-    return near[0] if near else None
+    Of the values met at or above the running floor it keeps only those
+    larger than every value kept before them: an earlier value at least as
+    large wins whenever the later one would. So it holds a handful of keys,
+    however many values it meets. Values that straddle the tolerance edge
+    can still flip."""
+
+    def __init__(self):
+        self.best = self.floor = -math.inf
+        self.near: list = []     # (key, value), values rising, all >= floor
+
+    def fold(self, values: np.ndarray, key) -> None:
+        """Meet ``values``, a float array read in row-major order with -inf
+        for a skipped entry; ``key(j)`` names entry j of that order."""
+        values = values.ravel()
+        top = float(values.max())
+        if top == -math.inf or top < self.floor:
+            return
+        if top > self.best:
+            self.best, self.floor = top, top - TIE_RTOL * abs(top)
+            self.near = [(k, v) for k, v in self.near if v >= self.floor]
+        last = self.near[-1][1] if self.near else -math.inf
+        for j in np.flatnonzero(values >= self.floor).tolist():
+            v = float(values[j])
+            if v > last:
+                self.near.append((key(j), v))
+                last = v
+
+    @property
+    def first(self):
+        """The winning (key, value), or None when every value was skipped."""
+        return self.near[0] if self.near else None
 
 
 def greedy_select(C, s: int) -> SelectionResult:
@@ -123,24 +157,26 @@ def greedy_select(C, s: int) -> SelectionResult:
     taken = [False] * n
     chosen: list[int] = []
     gains: list[float] = []
+    skipped: list[int] = []
     eval_count = 0
-
-    def candidate_gains():      # over the current round's r_vals, d_vals
-        for i in range(n):
-            if taken[i]:
-                continue
-            try:
-                yield i, marginal_gain(r_vals[i], d_vals[i], c_diag[i])
-            except NumericalError as exc:
-                warnings.warn(f"skipping candidate {i}: {exc} for candidate {i}")
-
     for t in range(s):
         r_vals, d_vals = r.tolist(), d.tolist()
         eval_count += n - t     # one per unpicked candidate
-        picked = _first_near_best(candidate_gains())
-        if picked is None:
+        cands = [i for i in range(n) if not taken[i]]
+        round_gains = []
+        for i in cands:
+            try:
+                round_gains.append(marginal_gain(r_vals[i], d_vals[i],
+                                                 c_diag[i]))
+            except NumericalError as exc:
+                warnings.warn(f"skipping candidate {i}: {exc} for candidate {i}")
+                skipped.append(i)
+                round_gains.append(-math.inf)
+        tie = _NearBest()
+        tie.fold(np.array(round_gains), cands.__getitem__)
+        if tie.first is None:
             raise NumericalError("all candidates degenerate in this round")
-        i, gain = picked
+        i, gain = tie.first
         root = math.sqrt(d_vals[i])
         L[t] = (C[i] - L[:t, i] @ L[:t]) / root
         r -= L[t] * (r_vals[i] / root)
@@ -151,7 +187,7 @@ def greedy_select(C, s: int) -> SelectionResult:
     return SelectionResult(chosen=tuple(chosen), gains=tuple(gains),
                            f_values=(0.0, *itertools.accumulate(gains)),
                            var_y=var_y(C), eval_count=eval_count,
-                           method="greedy")
+                           method="greedy", skipped=tuple(skipped))
 
 
 def check_exact_budget(n: int, s: int) -> None:
@@ -173,37 +209,97 @@ def check_audit_budget(n: int) -> int:
     return n_triples
 
 
+def _walk(C: np.ndarray, depth: int, complete: bool, pruned: list):
+    """Depth first, in lexicographic order, over the subsets of fewer than
+    ``depth`` nodes whose pivots all clear the guard. It yields (heads, V)
+    for each group of sibling subsets, heads in order: V[a, j] is
+    F(heads[a] + (j,)) for each extension j on the walk (after the last node
+    of heads[a]), and -inf elsewhere. An extension whose pivot is at or
+    below ``SCHUR_GUARD`` c_jj gets -inf too: it goes to ``pruned`` and is
+    not extended further.
+
+    With ``complete`` the extensions are only those that still leave room
+    for a subset of ``depth`` nodes, so the groups of size depth - 1 cover
+    exactly the size-``depth`` subsets; without it, the walk covers every
+    nonempty subset of at most ``depth`` nodes. Each group carries greedy's
+    state for its heads, one row each: F, r = (C|K) 1, d = diag(C|K) and
+    the row of L of each head's last node, C|K = C - L'L, L's rows for the
+    nodes before it being those of the group's ancestors in ``L``.
+    """
+    _require_finite(C)
+    n = C.shape[0]
+    cols = np.arange(n)
+    guard = SCHUR_GUARD * C.diagonal()
+    L = np.empty((depth, n))
+
+    def visit(heads, last, f, R, D, L_last):
+        t = len(heads[0])
+        end = n - (depth - t - 1) if complete else n
+        ext = (cols > last[:, None]) & (cols < end)
+        ok = D > guard
+        V = f[:, None] + np.divide(R * R, D, out=np.full(D.shape, -np.inf),
+                                   where=ext & ok)
+        bad = ext & ~ok
+        if bad.any():
+            pruned.extend(heads[a] + (j,) for a, j in np.argwhere(bad).tolist())
+        yield heads, V
+        if t + 1 == depth:
+            return
+        for a, K in enumerate(heads):
+            # the scored extensions of K, but the last node, which has none
+            I = np.flatnonzero(V[a, :n - 1] > -np.inf)
+            if not I.size:
+                continue
+            if t:
+                L[t - 1] = L_last[a]
+            roots = np.sqrt(D[a, I])
+            Lk = (C[I] - L[:t, I].T @ L[:t]) / roots[:, None]
+            yield from visit([K + (i,) for i in I.tolist()], I, V[a, I],
+                             R[a] - Lk * (R[a, I] / roots)[:, None],
+                             D[a] - Lk * Lk, Lk)
+
+    if depth > 0:
+        yield from visit([()], np.array([-1]), np.zeros(1),
+                         (C @ np.ones(n))[None], C.diagonal()[None], None)
+
+
 def exact_select(C: np.ndarray, s: int) -> SelectionResult:
-    """Enumerate all size-s subsets and return the lexicographically first
-    whose F is within ``TIE_RTOL`` of the maximum, by greedy's tie rule.
+    """Score all size-s subsets in one depth-first walk and return the
+    lexicographically first whose F is within ``TIE_RTOL`` of the maximum,
+    by greedy's tie rule.
 
     Refuses a request over budget (see ``check_exact_budget``) before any work.
-    A subset whose block is degenerate is skipped with a warning, as greedy
-    skips such a candidate; only when every subset is degenerate does this
-    raise ``NumericalError``.
+    A subset with a degenerate pivot is skipped with a warning, one per
+    subset in lexicographic order, as greedy skips such a candidate; only
+    when every subset is degenerate does this raise ``NumericalError``. The
+    F values of the winner's s + 1 prefixes come from ``f_score``.
     """
     n = C.shape[0]
     s = _cardinality(s, n)
     check_exact_budget(n, s)
-
-    def subset_values():
-        for K in itertools.combinations(range(n), s):
-            try:
-                yield K, f_score(C, K)
-            except NumericalError as exc:
-                warnings.warn(f"skipping subset {K}: {exc}")
-
-    best = _first_near_best(subset_values())
-    if best is None:
+    tie = _NearBest()
+    pruned: list = []
+    if s == 0:
+        tie.fold(np.zeros(1), lambda j: ())
+    for heads, V in _walk(C, s, True, pruned):
+        if len(heads[0]) == s - 1:
+            tie.fold(V, lambda j: heads[j // n] + (j % n,))
+    # every size-s subset through a pruned branch is skipped
+    skipped = sorted(K + rest for K in pruned for rest in
+                     itertools.combinations(range(K[-1] + 1, n), s - len(K)))
+    for K in skipped:
+        warnings.warn(f"skipping subset {K}: principal submatrix not "
+                      "positive definite")
+    if tie.first is None:
         raise NumericalError(
             f"all {math.comb(n, s)} subsets of size {s} degenerate")
-    best_K = best[0]
+    best_K = tie.first[0]
     f_values = [f_score(C, best_K[:t]) for t in range(s + 1)]
     return SelectionResult(chosen=best_K,
                            gains=tuple(np.diff(f_values)),
                            f_values=tuple(f_values),
                            var_y=var_y(C), eval_count=math.comb(n, s),
-                           method="exact")
+                           method="exact", skipped=tuple(skipped))
 
 
 @dataclass(frozen=True)
@@ -219,27 +315,27 @@ class AuditReport:
         return self.violations_f == 0 and self.violations_g == 0
 
 
-def _all_subset_values(C: np.ndarray) -> np.ndarray:
-    """F of every subset, indexed by its bit mask."""
-    n = C.shape[0]
-    F = np.empty(1 << n)
-    for mask in range(1 << n):
-        F[mask] = f_score(C, [i for i in range(n) if mask >> i & 1])
-    return F
-
-
 def submodularity_audit(C: np.ndarray) -> AuditReport:
     """Check diminishing returns of F (and increasing returns of G) exhaustively.
 
-    Every triple A <= B, k not in B is checked, n 3^(n-1) in all, over 2^n
-    values of F, one ``f_score`` per subset. Slack below -AUDIT_TOL*(1 + |F|)
-    counts as a violation, and likewise for G = var_y(C) - F. Raises
-    ``BudgetExceededError`` before any F is evaluated when the triple count
-    exceeds ``EXACT_BUDGET``: 13 nodes fit, 14 do not.
+    Every triple A <= B, k not in B is checked, n 3^(n-1) in all, over the
+    2^n values of F that one walk to every depth gives. Slack below
+    -AUDIT_TOL*(1 + |F|) counts as a violation, and likewise for
+    G = var_y(C) - F. Raises ``BudgetExceededError`` before any F is
+    evaluated when the triple count exceeds ``EXACT_BUDGET``: 13 nodes fit,
+    14 do not, and ``NumericalError`` on a subset with a degenerate pivot.
     """
     n = C.shape[0]
     n_triples = check_audit_budget(n)
-    F = _all_subset_values(C)
+    F = np.zeros(1 << n)    # indexed by bit mask
+    bits = 1 << np.arange(n)
+    pruned: list = []
+    for heads, V in _walk(C, n, False, pruned):
+        if pruned:
+            raise NumericalError("principal submatrix not positive definite")
+        masks = np.array([sum(1 << k for k in K) for K in heads])
+        scored = V > -np.inf
+        F[(masks[:, None] | bits)[scored]] = V[scored]
     G = var_y(C) - F
     # row r is one pair A <= B: base-3 digit i of r is 0 when node i is
     # outside B, 1 when it is in B but not A, and 2 when it is in A

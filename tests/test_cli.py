@@ -651,8 +651,9 @@ def test_underflowing_sigma2_refused(tmp_path, capsys):
     # Tiny and huge uniform scales run at the canonical scale, so they pick
     # as scale 1 does, with values within 1e-12 of the scale-1 values times
     # the scale wherever those are normal floats (5e-324 leaves none). Only
-    # a noise table whose smallest entry underflows to 0 beside its largest
-    # is refused: exit 2, one line naming --sigma2, no output.
+    # a noise table whose smallest entry underflows beside its largest, to 0
+    # or to a subnormal that would round it, is refused: exit 2, one line
+    # naming --sigma2, no output.
     ws = _ws20_and_cycle20(tmp_path)[0]
     out = tmp_path / "select.json"
     graph = ["--graph", f"{ws}.edges", "--stubborn-file", f"{ws}.stubborn",
@@ -673,14 +674,19 @@ def test_underflowing_sigma2_refused(tmp_path, capsys):
                                                 abs=0), (scale, key)
     stubborn = {int(t) for t in Path(f"{ws}.stubborn").read_text().split()}
     table = tmp_path / "span.sigma2"
-    table.write_text("".join(f"{i} {1e-300 if i == 0 else 1e300}\n"
-                             for i in range(20) if i not in stubborn))
-    capsys.readouterr()
-    assert run_cli(["select", "--k", "2", *graph, "--sigma2", str(table)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: --sigma2 {table}: the noise variances span too wide a "
-        "range; the smallest underflows to 0"]
-    assert not out.exists()
+    # 1e-300 rescales to 0; 1e-10 to 1e-10 4^-498, about 1.5e-310
+    for smallest, underflow in (("1e-300", "0"), ("1e-10", "a subnormal")):
+        regular = [i for i in range(20) if i not in stubborn]
+        table.write_text("".join(
+            f"{i} {smallest if i == regular[0] else 1e300}\n"
+            for i in regular))
+        capsys.readouterr()
+        assert run_cli(["select", "--k", "2", *graph, "--sigma2",
+                        str(table)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --sigma2 {table}: the noise variances span too wide a "
+            f"range; the smallest underflows to {underflow}"]
+        assert not out.exists()
 
 
 def test_overflowing_strength_refused(tmp_path, capsys):
@@ -737,26 +743,24 @@ _STARTUP_SCRIPT = textwrap.dedent("""
     from opinionselect import cli
     for argv in json.loads(sys.argv[1]):
         assert cli.main(argv) == 0, argv
-    heavy = ("scipy.stats", "scipy.sparse", "networkx")
-    after_ops = [m for m in heavy if m in sys.modules]
-    scipy_after_ops = sorted(m for m in sys.modules if m.startswith("scipy"))
+    def heavy():
+        return sorted(m for m in sys.modules
+                      if m.split(".")[0] in ("scipy", "networkx"))
+    after_ops = heavy()
     assert cli.main(json.loads(sys.argv[2])) == 0
-    after_exact = [m for m in heavy if m in sys.modules]
-    lapack_after_exact = "scipy.linalg.lapack" in sys.modules
+    after_exact = heavy()
     assert cli.main(json.loads(sys.argv[3])) == 0
-    print(json.dumps({"after_ops": after_ops,
-                      "scipy_after_ops": scipy_after_ops,
-                      "after_exact": after_exact,
-                      "lapack_after_exact": lapack_after_exact,
+    print(json.dumps({"after_ops": after_ops, "after_exact": after_exact,
+                      "scipy_after_generate": sorted(
+                          m for m in sys.modules if m.startswith("scipy")),
                       "networkx_after_generate": "networkx" in sys.modules}))
 """)
 
 
 def test_commands_leave_heavy_imports_unloaded(tmp_path):
-    # select, greedy curves and score need numpy alone; an exact curve loads
-    # scipy's LAPACK for its subset solves, only the graph generators import
-    # networkx, and nothing imports scipy.stats or scipy.sparse. A fresh
-    # interpreter sees what the commands load.
+    # select, curves (exact ones included) and score need numpy alone, only
+    # the graph generators import networkx, and no command imports any scipy
+    # module. A fresh interpreter sees what the commands load.
     prefix = tmp_path / "g"
     save_graph(generate_random_reachable(14, 3, seed=5),
                f"{prefix}.edges", f"{prefix}.stubborn")
@@ -781,8 +785,8 @@ def test_commands_leave_heavy_imports_unloaded(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"after_ops": [], "scipy_after_ops": [],
-                    "after_exact": [], "lapack_after_exact": True,
+    assert seen == {"after_ops": [], "after_exact": [],
+                    "scipy_after_generate": [],
                     "networkx_after_generate": True}
     assert (tmp_path / "ws.edges").stat().st_size > 0
     assert json.loads((tmp_path / "score.json").read_text())["kendall_tau"]

@@ -1,17 +1,19 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from opinionselect import (EXACT_BUDGET, BudgetExceededError, NoiseModel,
                            check_exact_budget, exact_select, f_score,
-                           generate_random_regular, generate_watts_strogatz,
+                           generate_cycle, generate_random_regular,
+                           generate_watts_strogatz,
                            greedy_select, guarantee_check, marginal_gain,
                            moments, normalize, submodularity_audit, var_y)
 from opinionselect.objective import SCHUR_GUARD
-from opinionselect.selector import check_audit_budget
+from opinionselect.selector import TIE_RTOL, _walk, check_audit_budget
 from opinionselect.errors import NumericalError
 from conftest import (covariance_closed_form, g_score, gains_by_round,
                       naive_best_subset, naive_f, precision, random_instance)
@@ -145,6 +147,7 @@ def test_greedy_skips_degenerate_twin(gain_calls):
              if f"skipping candidate {n}: degenerate Schur" in str(w.message)]
     assert sorted(res.chosen) == list(range(n))   # the twin is never picked
     assert len(skips) == n - 1 - res.chosen.index(j) > 0
+    assert res.skipped == (n,) * len(skips)
     assert res.eval_count == (n + 1) * n - n * (n - 1) // 2
     # marginal_gain runs for every candidate, the degenerate ones included
     assert len(gain_calls) == res.eval_count
@@ -263,39 +266,71 @@ def test_exact_matches_independent_brute_force():
             assert tuple(sorted(res.chosen)) == K_oracle
 
 
-@pytest.fixture
-def f_score_calls(monkeypatch):
-    """The list of the sets K that selector passes to f_score."""
-    import opinionselect.selector as selector
-    calls = []
-
-    def spy(C, K):
-        calls.append(K)
-        return f_score(C, K)
-
-    monkeypatch.setattr(selector, "f_score", spy)
-    return calls
+def walk_values(C, s):
+    """F of every size-s subset the exact walk scores, by subset; the
+    degenerate ones are left out."""
+    out = {}
+    for heads, V in _walk(C, s, True, []):
+        if len(heads[0]) == s - 1:
+            for a, j in zip(*np.nonzero(V > -np.inf)):
+                out[heads[a] + (int(j),)] = float(V[a, j])
+    return out
 
 
-def test_exact_f_score_count_law(f_score_calls):
-    # one f_score call per size-s subset, then one per prefix of the optimum
-    for seed, (n, s) in enumerate([(5, 0), (6, 1), (8, 3), (9, 4), (7, 7)]):
-        _, _, C = random_instance(seed, n=n + 2, n_stubborn=2)
-        assert C.shape[0] == n
-        f_score_calls.clear()
-        res = exact_select(C, s)
-        assert res.eval_count == math.comb(n, s)
-        assert len(f_score_calls) == math.comb(n, s) + s + 1
-
-
-def test_exact_skips_degenerate_twin(f_score_calls):
-    # the twin instance of test_greedy_skips_degenerate_twin: node n copies
-    # node j, so every subset holding both is skipped with a warning
-    _, _, C0 = random_instance(3, n=12, n_stubborn=2)
+def twin_instance(seed, n_nodes):
+    """(C, j, n): random_instance's C with node n appended as a copy of
+    node j, greedy's first pick."""
+    _, _, C0 = random_instance(seed, n=n_nodes, n_stubborn=2)
     n = C0.shape[0]
     j = greedy_select(C0, 1).chosen[0]
     idx = list(range(n)) + [j]
-    C = C0[np.ix_(idx, idx)]
+    return C0[np.ix_(idx, idx)], j, n
+
+
+def test_exact_eval_count_law():
+    # eval_count is C(n, s); the F values are the winner's prefixes, and the
+    # winner is the best subset the walk scored
+    for seed, (n, s) in enumerate([(5, 0), (6, 1), (8, 3), (9, 4), (7, 7)]):
+        _, _, C = random_instance(seed, n=n + 2, n_stubborn=2)
+        assert C.shape[0] == n
+        res = exact_select(C, s)
+        assert res.eval_count == math.comb(n, s)
+        assert res.skipped == ()
+        assert res.f_values == tuple(f_score(C, res.chosen[:t])
+                                     for t in range(s + 1))
+        values = walk_values(C, s) if s else {(): 0.0}
+        assert sorted(values) == list(itertools.combinations(range(n), s))
+        top = max(values.values())
+        assert res.chosen == min(K for K, v in values.items()
+                                 if v >= top - TIE_RTOL * abs(top))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_walk_scores_every_subset_as_f_score(seed):
+    # weighted random graphs with heterogeneous noise, and the same with a
+    # twin node appended: every subset the walk scores matches f_score, and
+    # it leaves out exactly the subsets f_score finds degenerate
+    _, _, C = random_instance(seed, n=12 + seed % 3, n_stubborn=2)
+    C_twin, j, n = twin_instance(seed, 13)
+    for M in (C, C_twin):
+        m = M.shape[0]
+        assert m <= 12
+        for s in range(1, 7):
+            values = walk_values(M, s)
+            for K in itertools.combinations(range(m), s):
+                if M is C_twin and j in K and n in K:
+                    assert K not in values
+                    with pytest.raises(NumericalError):
+                        f_score(M, K)
+                else:
+                    assert values[K] == pytest.approx(f_score(M, K),
+                                                      rel=1e-12, abs=0)
+
+
+def test_exact_skips_degenerate_twin():
+    # the twin instance of test_greedy_skips_degenerate_twin: node n copies
+    # node j, so every subset holding both is skipped with a warning
+    C, j, n = twin_instance(3, 12)
     s = 3
     with pytest.warns(UserWarning):
         greedy = greedy_select(C, s)
@@ -306,18 +341,77 @@ def test_exact_skips_degenerate_twin(f_score_calls):
     assert [str(w.message) for w in record] == [
         f"skipping subset {K}: principal submatrix not positive definite"
         for K in twins]
+    assert res.skipped == tuple(twins)
     assert res.eval_count == math.comb(n + 1, s)
-    assert len(f_score_calls) == math.comb(n + 1, s) + s + 1
+    values = walk_values(C, s)
+    assert sorted(values) == [K for K in itertools.combinations(range(n + 1), s)
+                              if K not in twins]
     best, best_f = None, -np.inf
     for K in itertools.combinations(range(n + 1), s):
         if K in twins:
             continue
         f = naive_f(C, K)
+        assert values[K] == pytest.approx(f, rel=1e-9)
         if f > best_f:
             best, best_f = K, f
     assert res.chosen == best
     assert res.f_values[-1] == pytest.approx(best_f, rel=1e-9)
     assert res.f_values[-1] >= greedy.f_values[-1]
+
+
+def test_exact_pruned_branches_warn_in_lexicographic_order():
+    # node 0 copies node 3, so the walk prunes the branch (0, 3) two levels
+    # above the leaves, before it visits (0, 1) and (0, 2), whose own pruned
+    # subsets (0, 1, 3, x) and (0, 2, 3, x) come first in lexicographic order
+    _, _, C0 = random_instance(5, n=9, n_stubborn=2)
+    idx = [2] + list(range(C0.shape[0]))
+    C = C0[np.ix_(idx, idx)]
+    n, s = C.shape[0], 4
+    with pytest.warns(UserWarning) as record:
+        res = exact_select(C, s)
+    twins = [K for K in itertools.combinations(range(n), s)
+             if 0 in K and 3 in K]
+    assert res.skipped == tuple(twins)
+    assert [str(w.message) for w in record] == [
+        f"skipping subset {K}: principal submatrix not positive definite"
+        for K in twins]
+
+
+def test_exact_mirror_ties_go_to_the_first_subset():
+    # on a cycle with one stubborn node, regular node i mirrors node n-1-i,
+    # so the best subset and its mirror image tie up to rounding; exact
+    # takes the lexicographically first of the two
+    ops = normalize(generate_cycle(12, 1))
+    n = ops.n_regular
+    C = moments(ops, NoiseModel.uniform(n, 1.0)).C
+    for s in (2, 3, 4):
+        res = exact_select(C, s)
+        mirror = tuple(sorted(n - 1 - i for i in res.chosen))
+        assert mirror != res.chosen
+        assert res.chosen < mirror
+        assert f_score(C, mirror) == pytest.approx(res.f_values[-1], rel=1e-12)
+        best = max(naive_f(C, K) for K in itertools.combinations(range(n), s))
+        near = [K for K in itertools.combinations(range(n), s)
+                if naive_f(C, K) >= best - 1e-9 * best]
+        assert res.chosen == near[0]
+
+
+def test_exact_memory_does_not_grow_with_the_subset_count():
+    # the walk folds each block of leaves into the tie rule as it comes, so
+    # it holds a few arrays of n floats per head on its stack, O(s n^2),
+    # however many subsets it scores: at s = 3 that bound is under two
+    # thirds of a float per subset, and s = 2 to 3 multiplies the subsets
+    # by 53
+    n = 160
+    X = np.random.default_rng(0).normal(size=(n, n))
+    C = X @ X.T / n + np.eye(n)
+    assert 8 * 5 * 3 * n * n < 8 * math.comb(n, 3) / 1.5
+    for s in (2, 3):
+        tracemalloc.start()
+        exact_select(C, s)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 8 * 5 * s * n * n, s
 
 
 def test_exact_all_subsets_degenerate_raises():
@@ -379,7 +473,7 @@ def test_audit_exhaustive_budget(monkeypatch):
         raise AssertionError("F evaluated before the budget check")
 
     monkeypatch.setattr(selector, "EXACT_BUDGET", n_triples - 1)
-    monkeypatch.setattr(selector, "f_score", refuse)
+    monkeypatch.setattr(selector, "_walk", refuse)
     with pytest.raises(BudgetExceededError, match="1458 triples"):
         submodularity_audit(C)
 
@@ -462,21 +556,19 @@ def _all_triples(n):
                         yield list(A), list(B), k
 
 
-def test_audit_g_fields_match_precision_oracle_exhaustive(f_score_calls):
+def test_audit_g_fields_match_precision_oracle_exhaustive():
     # seeds 0, 3, 4, 7 break diminishing returns, 1 and 2 do not; the last
     # instance has 10 regular nodes, 10 * 3^9 triples
     for seed, n_nodes in [(0, 8), (1, 9), (2, 8), (3, 8), (4, 9), (7, 9),
                           (0, 12)]:
         _, _, C = random_instance(seed, n=n_nodes, n_stubborn=2)
         n = C.shape[0]
-        f_score_calls.clear()
         rep = submodularity_audit(C)
-        assert len(f_score_calls) == 1 << n     # one F per subset, no G solve
         (min_f, viol_f), (min_g, viol_g), checks = _audit_oracle(
             C, _all_triples(n))
         assert rep.n_checks == checks == n * 3 ** (n - 1)
-        # F comes from the same f_score values, so its fields match exactly
-        assert rep.min_slack_f == min_f
+        # the walk's F values agree with f_score's to rounding
+        assert abs(rep.min_slack_f - min_f) <= 1e-12 * var_y(C)
         assert rep.violations_f == viol_f
         assert abs(rep.min_slack_g - min_g) <= 1e-12 * var_y(C)
         assert rep.violations_g == viol_g
