@@ -2,11 +2,12 @@
 
 Greedy selection is one loop. It keeps C|K = C - L'L for the chosen set K,
 row t of the preallocated (s, n) array L written at pick t, so each pick is
-one rank-1 downdate in O(|K| n). Each round turns r = (C|K)1 and
-d = diag(C|K) into lists once and calls ``marginal_gain(r_i, d_i, c_ii)``,
-r_i^2 / d_i, once per unpicked candidate. That function stays public so that
-a tracer wrapping it counts the n s - s(s-1)/2 gain evaluations and the
-degenerate skips. Greedy reads C only through C 1, diag C and one row per
+one rank-1 downdate in O(|K| n). Each round scores every candidate at once:
+``marginal_gain(r, d, c_diag, taken)`` returns the vector r_i^2 / d_i for
+r = (C|K)1 and d = diag(C|K), with -inf for the picked and the degenerate
+candidates, and the tie rule folds that vector once. The round function
+stays public, so a wrapper sees all n s - s(s-1)/2 gains and every
+degenerate candidate. Greedy reads C only through C 1, diag C and one row per
 pick, so it runs on the ``moments`` operator as well as on a dense C, never
 forming C.
 
@@ -85,17 +86,22 @@ def _cardinality(s, n: int) -> int:
     return s
 
 
-def marginal_gain(r_i: float, d_i: float, c_ii: float) -> float:
-    """F(K + i) - F(K) = r_i^2 / d_i, for r_i = ((C|K) 1)_i, d_i = (C|K)_ii
-    and c_ii = C_ii. Raises ``NumericalError`` on a degenerate Schur
-    complement, d_i <= ``SCHUR_GUARD`` * c_ii.
+def marginal_gain(r: np.ndarray, d: np.ndarray, c_diag: np.ndarray,
+                  taken: np.ndarray) -> np.ndarray:
+    """One greedy round's gains F(K + i) - F(K) = r_i^2 / d_i, for
+    r = (C|K) 1, d = diag(C|K), c_diag = diag C and ``taken`` the boolean
+    mask of K. Entry i is -inf when i is in K or its Schur complement is
+    degenerate, d_i <= ``SCHUR_GUARD`` c_ii; only the other entries are
+    divided.
 
-    ``greedy_select`` calls it once per candidate and round, degenerate
-    candidates included, so wrapping it counts the n s - s(s-1)/2 gain
-    evaluations and the skips."""
-    if d_i <= SCHUR_GUARD * c_ii:
-        raise NumericalError(f"degenerate Schur complement {d_i:.3e}")
-    return r_i * r_i / d_i
+    ``greedy_select`` calls it once per round, so wrapping it sees every
+    gain of the n s - s(s-1)/2 evaluations and every degenerate candidate.
+    Elementwise r * r / d rounds as the scalar r_i * r_i / d_i does; as with
+    Python floats, an overflow gives inf and inf / inf nan, silently."""
+    skip = taken | (d <= SCHUR_GUARD * c_diag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.divide(r * r, d, out=np.full(d.shape, -math.inf),
+                         where=~skip)
 
 
 class _NearBest:
@@ -138,10 +144,13 @@ class _NearBest:
 def greedy_select(C, s: int) -> SelectionResult:
     """s rounds of best-marginal-gain insertion.
 
-    Each round evaluates every candidate's gain in one pass and picks the
-    lowest index among the gains within ``TIE_RTOL`` of the best, so mirror
-    nodes whose gains differ only by rounding resolve the same way under any
-    BLAS. A degenerate candidate is skipped with a warning.
+    Each round scores every candidate in one ``marginal_gain`` call and picks
+    the lowest index among the gains within ``TIE_RTOL`` of the best, so
+    mirror nodes whose gains differ only by rounding resolve the same way
+    under any BLAS. A degenerate candidate is skipped with a warning, one
+    per round in index order; ``NumericalError`` if all of a round's
+    candidates are degenerate. ``eval_count`` counts one gain per unpicked
+    candidate and round, n s - s(s-1)/2.
 
     ``C`` is a dense covariance or the ``moments`` operator: only ``C @ 1``,
     ``1 @ C``, ``C.diagonal()`` and one row ``C[i]`` per pick are read, and
@@ -151,42 +160,37 @@ def greedy_select(C, s: int) -> SelectionResult:
     s = _cardinality(s, n)
     # C|K = C - L'L: row t of L is the pivoted-Cholesky column of pick t
     r = C @ np.ones(n)
-    d = C.diagonal().copy()
-    c_diag = d.tolist()
+    c_diag = C.diagonal()
+    d = c_diag.copy()
     L = np.empty((s, n))
-    taken = [False] * n
+    taken = np.zeros(n, dtype=bool)
     chosen: list[int] = []
     gains: list[float] = []
     skipped: list[int] = []
-    eval_count = 0
     for t in range(s):
-        r_vals, d_vals = r.tolist(), d.tolist()
-        eval_count += n - t     # one per unpicked candidate
-        cands = [i for i in range(n) if not taken[i]]
-        round_gains = []
-        for i in cands:
-            try:
-                round_gains.append(marginal_gain(r_vals[i], d_vals[i],
-                                                 c_diag[i]))
-            except NumericalError as exc:
-                warnings.warn(f"skipping candidate {i}: {exc} for candidate {i}")
-                skipped.append(i)
-                round_gains.append(-math.inf)
+        round_gains = marginal_gain(r, d, c_diag, taken)
+        # C_ii >= 0 keeps every divided gain above -inf, so -inf off K marks
+        # exactly the degenerate candidates
+        for i in np.flatnonzero((round_gains == -math.inf) & ~taken).tolist():
+            warnings.warn(f"skipping candidate {i}: degenerate Schur "
+                          f"complement {d[i]:.3e} for candidate {i}")
+            skipped.append(i)
         tie = _NearBest()
-        tie.fold(np.array(round_gains), cands.__getitem__)
+        tie.fold(round_gains, int)
         if tie.first is None:
             raise NumericalError("all candidates degenerate in this round")
         i, gain = tie.first
-        root = math.sqrt(d_vals[i])
+        root = math.sqrt(d[i])
         L[t] = (C[i] - L[:t, i] @ L[:t]) / root
-        r -= L[t] * (r_vals[i] / root)
+        r -= L[t] * (r[i] / root)
         d -= L[t] * L[t]
         taken[i] = True
         chosen.append(i)
         gains.append(gain)
     return SelectionResult(chosen=tuple(chosen), gains=tuple(gains),
                            f_values=(0.0, *itertools.accumulate(gains)),
-                           var_y=var_y(C), eval_count=eval_count,
+                           var_y=var_y(C),
+                           eval_count=n * s - s * (s - 1) // 2,
                            method="greedy", skipped=tuple(skipped))
 
 

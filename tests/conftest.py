@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -199,46 +201,99 @@ def ws15_instance():
 
 
 class GainCall(NamedTuple):
-    """One ``selector.marginal_gain`` call: its arguments, and the gain it
-    returned or the ``NumericalError`` it raised."""
+    """One candidate's entry in a ``selector.marginal_gain`` round: its r, d
+    and c_ii, and the gain computed, -inf when the candidate is degenerate."""
 
     r: float
     d: float
     c: float
-    gain: float | NumericalError
+    gain: float
+
+    @property
+    def degenerate(self) -> bool:
+        return self.gain == -math.inf
 
 
 @pytest.fixture
 def gain_calls(monkeypatch):
-    """Every ``selector.marginal_gain`` call as a ``GainCall``, in call order:
-    greedy's rounds one after the other, each in the index order of the
-    candidates not yet picked (see ``gains_by_round``)."""
+    """Every ``selector.marginal_gain`` round, in call order: a dict mapping
+    each candidate not yet picked, in index order, to its ``GainCall`` (see
+    ``gains_by_round``). The spy asserts that a round returns one entry per
+    node, -inf for each node already picked."""
     import opinionselect.selector as selector
-    calls = []
+    rounds = []
     real = selector.marginal_gain
 
-    def spy(r_i, d_i, c_ii):
-        try:
-            gain = real(r_i, d_i, c_ii)
-        except NumericalError as exc:
-            calls.append(GainCall(r_i, d_i, c_ii, exc))
-            raise
-        calls.append(GainCall(r_i, d_i, c_ii, gain))
-        return gain
+    def spy(r, d, c_diag, taken):
+        gains = real(r, d, c_diag, taken)
+        assert gains.shape == taken.shape
+        assert np.all(gains[taken] == -math.inf)
+        rounds.append({i: GainCall(*map(float, (r[i], d[i], c_diag[i],
+                                                gains[i])))
+                       for i in np.flatnonzero(~taken).tolist()})
+        return gains
 
     monkeypatch.setattr(selector, "marginal_gain", spy)
-    return calls
+    return rounds
 
 
 def gains_by_round(calls, n, chosen):
-    """Split the ``gain_calls`` of one greedy run over n candidates that
-    picked ``chosen``: round t maps each candidate outside chosen[:t], in
-    index order, to its ``GainCall``. Asserts that the calls are exactly one
-    per candidate and round."""
-    rounds, k = [], 0
-    for t in range(len(chosen)):
-        cands = [i for i in range(n) if i not in chosen[:t]]
-        rounds.append(dict(zip(cands, calls[k:k + len(cands)])))
-        k += len(cands)
-    assert k == len(calls)
-    return rounds
+    """Check the ``gain_calls`` of one greedy run over n candidates that
+    picked ``chosen`` and return them: one round per pick, round t holding
+    exactly the candidates outside chosen[:t]."""
+    assert len(calls) == len(chosen)    # one round function call per pick
+    for t, by_candidate in enumerate(calls):
+        assert list(by_candidate) == [i for i in range(n)
+                                      if i not in chosen[:t]]
+    return calls
+
+
+def scalar_greedy(C, s):
+    """Greedy with one Python call per unpicked candidate and round: the
+    scalar loop ``greedy_select`` ran before its rounds became one numpy
+    vector each, kept as an oracle for its picks, gains, F values, skips and
+    warnings, bit for bit."""
+    from opinionselect.selector import SelectionResult, _NearBest
+    from opinionselect.objective import SCHUR_GUARD, var_y
+
+    def gain(r_i, d_i, c_ii):
+        if d_i <= SCHUR_GUARD * c_ii:
+            raise NumericalError(f"degenerate Schur complement {d_i:.3e}")
+        return r_i * r_i / d_i
+
+    n = C.shape[0]
+    r = C @ np.ones(n)
+    d = C.diagonal().copy()
+    c_diag = d.tolist()
+    L = np.empty((s, n))
+    taken = [False] * n
+    chosen, gains, skipped = [], [], []
+    eval_count = 0
+    for t in range(s):
+        r_vals, d_vals = r.tolist(), d.tolist()
+        eval_count += n - t
+        cands = [i for i in range(n) if not taken[i]]
+        round_gains = []
+        for i in cands:
+            try:
+                round_gains.append(gain(r_vals[i], d_vals[i], c_diag[i]))
+            except NumericalError as exc:
+                warnings.warn(f"skipping candidate {i}: {exc} for candidate {i}")
+                skipped.append(i)
+                round_gains.append(-math.inf)
+        tie = _NearBest()
+        tie.fold(np.array(round_gains), cands.__getitem__)
+        if tie.first is None:
+            raise NumericalError("all candidates degenerate in this round")
+        i, g = tie.first
+        root = math.sqrt(d_vals[i])
+        L[t] = (C[i] - L[:t, i] @ L[:t]) / root
+        r -= L[t] * (r_vals[i] / root)
+        d -= L[t] * L[t]
+        taken[i] = True
+        chosen.append(i)
+        gains.append(g)
+    return SelectionResult(chosen=tuple(chosen), gains=tuple(gains),
+                           f_values=(0.0, *itertools.accumulate(gains)),
+                           var_y=var_y(C), eval_count=eval_count,
+                           method="greedy", skipped=tuple(skipped))

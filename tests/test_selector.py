@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from opinionselect import (EXACT_BUDGET, BudgetExceededError, NoiseModel,
                            generate_watts_strogatz,
                            greedy_select, guarantee_check, marginal_gain,
                            moments, normalize, submodularity_audit, var_y)
+from opinionselect.equilibrium import EquilibriumMoments
 from opinionselect.objective import SCHUR_GUARD
 from opinionselect.selector import TIE_RTOL, _walk, check_audit_budget
 from opinionselect.errors import NumericalError
 from conftest import (covariance_closed_form, g_score, gains_by_round,
-                      naive_best_subset, naive_f, precision, random_instance)
+                      naive_best_subset, naive_f, precision, random_instance,
+                      scalar_greedy)
 
 
 def test_marginal_gain_from_empty_equals_single_node_score(gain_calls):
@@ -80,11 +83,14 @@ def test_marginal_gain_random_larger_instances(gain_calls):
 
 
 def test_marginal_gain_degenerate_schur(gain_calls):
-    # d_i at or below SCHUR_GUARD * c_ii is degenerate
-    assert marginal_gain(3.0, 2.0, 4.0) == pytest.approx(4.5)
-    for d_i in (0.0, SCHUR_GUARD * 2.0, -1e-3):
-        with pytest.raises(NumericalError, match="Schur"):
-            marginal_gain(1.0, d_i, 2.0)
+    # d_i at or below SCHUR_GUARD * c_ii is degenerate and, like a picked
+    # candidate, gets -inf without being divided, so no warning is raised
+    gains = marginal_gain(np.array([3.0, 1.0, 1.0, 1.0, 3.0]),
+                          np.array([2.0, 0.0, SCHUR_GUARD * 2.0, -1e-3, 2.0]),
+                          np.array([4.0, 2.0, 2.0, 2.0, 4.0]),
+                          np.array([False, False, False, False, True]))
+    assert gains[0] == pytest.approx(4.5)
+    assert gains[1:].tolist() == [-math.inf] * 4
     # duplicate a row/column: C stays PSD but the Schur complement vanishes,
     # so once node 0 is picked greedy skips node 2 with a warning
     base = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -100,7 +106,7 @@ def test_marginal_gain_degenerate_schur(gain_calls):
     assert len(record) == 1
     assert res.chosen == (0, 1)
     second = gains_by_round(gain_calls, 3, res.chosen)[1]
-    assert isinstance(second[2].gain, NumericalError)
+    assert second[2].degenerate
 
 
 def test_greedy_conditional_state_matches_explicit_inverse(gain_calls):
@@ -149,17 +155,19 @@ def test_greedy_skips_degenerate_twin(gain_calls):
     assert len(skips) == n - 1 - res.chosen.index(j) > 0
     assert res.skipped == (n,) * len(skips)
     assert res.eval_count == (n + 1) * n - n * (n - 1) // 2
-    # marginal_gain runs for every candidate, the degenerate ones included
-    assert len(gain_calls) == res.eval_count
-    raised = [c for c in gain_calls if isinstance(c.gain, NumericalError)]
-    assert len(raised) == len(skips)
+    # marginal_gain evaluates every candidate, the degenerate ones included
+    rounds = gains_by_round(gain_calls, n + 1, res.chosen)
+    assert sum(map(len, rounds)) == res.eval_count
+    degenerate = [c for rnd in rounds for c in rnd.values() if c.degenerate]
+    assert len(degenerate) == len(skips)
     for t in range(n + 1):
         assert res.f_values[t] == pytest.approx(f_score(C, res.chosen[:t]),
                                                 rel=1e-8, abs=1e-12)
 
 
 def test_greedy_eval_count_law(gain_calls):
-    # eval_count and the marginal_gain calls a tracer counts: n s - s(s-1)/2
+    # eval_count and the candidates marginal_gain evaluates: n s - s(s-1)/2,
+    # in one round function call per pick
     for seed, (n, s) in enumerate([(8, 3), (12, 5), (20, 7), (15, 15)]):
         _, _, C = random_instance(seed, n=n + 2, n_stubborn=2)
         m = C.shape[0]
@@ -167,7 +175,71 @@ def test_greedy_eval_count_law(gain_calls):
         gain_calls.clear()
         res = greedy_select(C, s_eff)
         assert res.eval_count == m * s_eff - s_eff * (s_eff - 1) // 2
-        assert len(gain_calls) == res.eval_count
+        assert len(gain_calls) == s_eff
+        rounds = gains_by_round(gain_calls, m, res.chosen)
+        assert sum(map(len, rounds)) == res.eval_count
+
+
+def _run_recording_warnings(select, C, s):
+    """select(C, s) and the text of every warning it raised, in order; the
+    result is the ``NumericalError`` instead when it raised one."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        try:
+            res = select(C, s)
+        except NumericalError as exc:
+            res = exc
+    return res, [str(w.message) for w in record]
+
+
+def _bits(res):
+    if isinstance(res, NumericalError):
+        return str(res)
+    return (res.chosen, [g.hex() for g in res.gains],
+            [f.hex() for f in res.f_values], res.var_y.hex(), res.eval_count,
+            res.skipped, res.method)
+
+
+def _oracle_cases(form):
+    """(C, s) pairs in ``form``, dense or the ``moments`` operator: random
+    heterogeneous instances up to s = n, the degenerate twin, a 12-node
+    cycle whose mirror nodes tie, and a C whose candidates are all
+    degenerate."""
+    def as_form(C):
+        # a covariance operator whose C is the given one: P = C, Q = I
+        n = C.shape[0]
+        return C if form == "dense" else EquilibriumMoments(
+            "lyapunov", C, np.eye(n), np.ones(n))
+
+    for seed in range(6):
+        ops, noise, C = random_instance(seed, n=12 + 2 * seed, n_stubborn=2)
+        mom = moments(ops, noise)
+        for s in (1, C.shape[0] // 2, C.shape[0]):
+            yield (C, s) if form == "dense" else (mom, s)
+    _, _, C0 = random_instance(3, n=12, n_stubborn=2)
+    j = greedy_select(C0, 1).chosen[0]
+    idx = list(range(C0.shape[0])) + [j]
+    yield as_form(C0[np.ix_(idx, idx)]), len(idx) - 1
+    ops = normalize(generate_cycle(12, 1))
+    mom = moments(ops, NoiseModel.uniform(ops.n_regular, 1.0))
+    for s in (1, 2, 5, ops.n_regular):
+        yield (mom.C, s) if form == "dense" else (mom, s)
+    yield as_form(np.zeros((3, 3))), 1
+
+
+@pytest.mark.parametrize("form", ["dense", "operator"])
+def test_greedy_equals_scalar_oracle_bit_for_bit(form):
+    # the vectorised round against one scalar gain call per candidate:
+    # picks, gains, F, eval_count, skips and warning texts all identical
+    seen_skip = seen_raise = False
+    for C, s in _oracle_cases(form):
+        got, got_warnings = _run_recording_warnings(greedy_select, C, s)
+        want, want_warnings = _run_recording_warnings(scalar_greedy, C, s)
+        assert _bits(got) == _bits(want)
+        assert got_warnings == want_warnings
+        seen_skip |= bool(want_warnings)
+        seen_raise |= isinstance(want, NumericalError)
+    assert seen_skip and seen_raise
 
 
 def test_greedy_gains_nonincreasing_and_consistent():
