@@ -12,9 +12,9 @@ from .equilibrium import (EquilibriumMoments, NoiseModel, covariance_lyapunov,
                           mean, moments)
 from .objective import estimator_coefficients, f_score, var_y
 from .selector import (EXACT_BUDGET, AuditReport, GuaranteeReport,
-                       SelectionResult, check_exact_budget, exact_select,
-                       greedy_select, guarantee_check, marginal_gain,
-                       submodularity_audit)
+                       SelectionResult, check_exact_budget, exact_curve,
+                       exact_select, greedy_select, guarantee_check,
+                       marginal_gain, submodularity_audit)
 from .centrality import (NodeScores, RankingReport, bonacich, eta_scores,
                          intercentrality, kendall_tau_b, ranking_report,
                          var_reduction_scores)

@@ -4,8 +4,9 @@ Commands: generate, select, score, curve, validate. Every command that takes
 --out writes atomically (temp file + rename) so no partial output survives a
 failure. Exit codes: 0 ok, 1 validation-suite failure, 2 bad input, 3 exact
 budget exceeded or out of memory, 4 numerical failure, among them an output
-that overflows float64 at the --sigma2 scale and a regular strength at which
-the covariance overflows.
+that overflows float64 at the --sigma2 scale, a regular strength at which
+the covariance overflows, and a covariance that misses its own Lyapunov
+equation because the regular strengths span too wide a range.
 """
 
 from __future__ import annotations
@@ -303,10 +304,8 @@ def cmd_curve(args) -> int:
             result = selector.greedy_select(C, args.max_k)
             fractions = [gv / result.var_y for gv in result.g_values]
         else:
-            fractions = []
-            for k in range(args.max_k + 1):
-                res = selector.exact_select(C, k)
-                fractions.append(res.g_values[-1] / res.var_y)
+            fractions = [res.g_values[-1] / res.var_y
+                         for res in selector.exact_curve(C, args.max_k)]
         for k, frac in enumerate(fractions):
             rows.append((k, method, 100.0 * frac))
     if args.format == "csv":

@@ -27,6 +27,10 @@ that regime (A Sigma = t0 D^-1 W D^-1); otherwise the tag is read from the
 regular-regular edges alone. The tag names the regime, not a second
 solver: C comes from the spectrum either way.
 
+``moments`` also checks C 1 against its own equation, in O(n^2), and
+refuses a C whose relative residual exceeds ``RESIDUAL_TOL``: a wide range
+of regular strengths costs the spectral C its accuracy.
+
 ``covariance_lyapunov``, the squaring-doubling solver on ``ops.A`` (formed
 from the weights, not from the spectrum), is an independent oracle that the
 benchmark's reference set-up and the tests import; no command calls it.
@@ -44,6 +48,7 @@ from .errors import NumericalError
 from .graph import NetworkOperators
 
 SYMMETRY_TOL = 1e-10
+RESIDUAL_TOL = 1e-8       # of C 1 in its own Lyapunov equation, relative
 SYMMETRIZE_BLOCK = 64     # rows per block of the in-place symmetrization
 
 
@@ -202,5 +207,31 @@ def moments(ops: NetworkOperators, noise: NoiseModel) -> EquilibriumMoments:
         del denom
         P = Q @ X
         method = _regime_tag(ops, noise.sigma2)
-    return EquilibriumMoments(method_tag=method, P=P, Q=Q,
-                              scale=1.0 / np.sqrt(ops.w))
+    mom = EquilibriumMoments(method_tag=method, P=P, Q=Q,
+                             scale=1.0 / np.sqrt(ops.w))
+    if ops.n_regular:
+        _check_residual(ops, noise.sigma2, mom)
+    return mom
+
+
+def _check_residual(ops: NetworkOperators, sigma2: np.ndarray,
+                    mom: EquilibriumMoments) -> None:
+    """``NumericalError`` unless ||C1 - A C A'1 - Sigma 1|| is at most
+    ``RESIDUAL_TOL`` ||C1||: the spectral C loses its accuracy when the
+    regular strengths span too wide a range. A and A' are applied from the
+    regular-regular edges in O(m), C through the operator in O(n^2)."""
+    row, col, wgt = ops.graph.regular_arcs
+    a = wgt / ops.w[row]                            # the nonzeros of A
+    n = ops.n_regular
+    c1 = mom @ np.ones(n)
+    at1 = np.bincount(col, a, minlength=n)          # A' 1
+    r = c1 - np.bincount(row, a * (mom @ at1)[col], minlength=n) - sigma2
+    # both norms of vectors divided by max |C1|: neither over- nor underflows
+    top = np.abs(c1).max()
+    res = float(np.linalg.norm(r / top) / np.linalg.norm(c1 / top))
+    if not res <= RESIDUAL_TOL:
+        raise NumericalError(
+            f"Lyapunov residual {res:.1e} of the covariance exceeds "
+            f"{RESIDUAL_TOL:g}: the regular strengths span "
+            f"{float(ops.w.min())!r} to {float(ops.w.max())!r}, too wide a "
+            "range for the spectral solve")

@@ -11,19 +11,19 @@ degenerate candidate. Greedy reads C only through C 1, diag C and one row per
 pick, so it runs on the ``moments`` operator as well as on a dense C, never
 forming C.
 
-Exact selection scores all C(n, s) subsets of a dense C in one depth-first
-walk over the combinations in lexicographic order (the all-subsets scheme of
+Exact selection scores the subsets of a dense C in one depth-first walk
+over the combinations in lexicographic order (the all-subsets scheme of
 Furnival and Wilson's "Regressions by Leaps and Bounds", 1974, as F / Var(Y)
 is a regression R^2). The walk carries greedy's state for each subset K on
 its stack: r, d and the rows of L. It forms the states of all of K's
 one-node extensions at once, one row each, and scores all of their own
-extensions, F(K + i) + r_j^2 / d_j, in one numpy expression; at depth s - 1
-these are the leaves. A branch whose pivot d_i is at or below
-``SCHUR_GUARD`` c_ii is pruned, and its subsets are skipped with a warning,
-as greedy skips a degenerate candidate. Each block of leaves is folded into
-the tie rule as it comes, so memory is O(s n^2) whatever C(n, s) is, and
-the numpy calls are a dozen or two per subset of at most s - 2 nodes.
-Exact selection runs only when C(n, s) is at most ``EXACT_BUDGET``.
+extensions, F(K + i) + r_j^2 / d_j, in one numpy expression. A branch whose
+pivot d_i is at or below ``SCHUR_GUARD`` c_ii is pruned, and its subsets
+are skipped with a warning, as greedy skips a degenerate candidate. A walk
+to depth s folds each block of subsets into the tie rule of its size, so it
+serves ``exact_select`` (size s) and ``exact_curve`` (every size up to s)
+alike, in O(s n^2) memory and a dozen or two numpy calls per subset of at
+most s - 2 nodes. Each size k answered needs C(n, k) <= ``EXACT_BUDGET``.
 Greedy and exact share one tie rule: the lowest index (greedy) or the
 lexicographically first subset (exact) among the values v within
 ``TIE_RTOL`` |v| of the best, so that rounding, which the BLAS thread count
@@ -213,22 +213,19 @@ def check_audit_budget(n: int) -> int:
     return n_triples
 
 
-def _walk(C: np.ndarray, depth: int, complete: bool, pruned: list):
-    """Depth first, in lexicographic order, over the subsets of fewer than
-    ``depth`` nodes whose pivots all clear the guard. It yields (heads, V)
-    for each group of sibling subsets, heads in order: V[a, j] is
-    F(heads[a] + (j,)) for each extension j on the walk (after the last node
-    of heads[a]), and -inf elsewhere. An extension whose pivot is at or
-    below ``SCHUR_GUARD`` c_jj gets -inf too: it goes to ``pruned`` and is
-    not extended further.
-
-    With ``complete`` the extensions are only those that still leave room
-    for a subset of ``depth`` nodes, so the groups of size depth - 1 cover
-    exactly the size-``depth`` subsets; without it, the walk covers every
-    nonempty subset of at most ``depth`` nodes. Each group carries greedy's
-    state for its heads, one row each: F, r = (C|K) 1, d = diag(C|K) and
-    the row of L of each head's last node, C|K = C - L'L, L's rows for the
-    nodes before it being those of the group's ancestors in ``L``.
+def _walk(C: np.ndarray, depth: int, pruned: list):
+    """Depth first, in lexicographic order, over every nonempty subset of at
+    most ``depth`` nodes whose pivots all clear the guard, so one walk serves
+    every size. It yields (heads, V) for each group of sibling subsets of
+    fewer than ``depth`` nodes, heads in order: V[a, j] is F(heads[a] + (j,))
+    for each node j after the last node of heads[a], and -inf elsewhere; the
+    groups of t-node heads cover the subsets of size t + 1 in lexicographic
+    order. An extension whose pivot is at or below ``SCHUR_GUARD`` c_jj gets
+    -inf too: it goes to ``pruned`` and is not extended further. Each group
+    carries greedy's state for its heads, one row each: F, r = (C|K) 1,
+    d = diag(C|K) and the row of L of each head's last node, C|K = C - L'L,
+    L's rows for the nodes before it being those of the group's ancestors
+    in ``L``.
     """
     _require_finite(C)
     n = C.shape[0]
@@ -238,8 +235,7 @@ def _walk(C: np.ndarray, depth: int, complete: bool, pruned: list):
 
     def visit(heads, last, f, R, D, L_last):
         t = len(heads[0])
-        end = n - (depth - t - 1) if complete else n
-        ext = (cols > last[:, None]) & (cols < end)
+        ext = cols > last[:, None]
         ok = D > guard
         V = f[:, None] + np.divide(R * R, D, out=np.full(D.shape, -np.inf),
                                    where=ext & ok)
@@ -267,6 +263,38 @@ def _walk(C: np.ndarray, depth: int, complete: bool, pruned: list):
                          (C @ np.ones(n))[None], C.diagonal()[None], None)
 
 
+def _exact(C: np.ndarray, s: int, sizes) -> list[SelectionResult]:
+    """Fold one walk to depth s into the tie rule of each size 0..s, then
+    build the result of each size in ``sizes`` in turn: warn once per skipped
+    subset, in lexicographic order, and score the winner's prefixes."""
+    n = C.shape[0]
+    ties = [_NearBest() for _ in range(s + 1)]
+    ties[0].fold(np.zeros(1), lambda j: ())
+    pruned: list = []
+    for heads, V in _walk(C, s, pruned):
+        ties[len(heads[0]) + 1].fold(V, lambda j: heads[j // n] + (j % n,))
+    results = []
+    for k in sizes:
+        # every size-k subset through a pruned branch is skipped
+        skipped = sorted(K + rest for K in pruned if len(K) <= k
+                         for rest in itertools.combinations(
+                             range(K[-1] + 1, n), k - len(K)))
+        for K in skipped:
+            warnings.warn(f"skipping subset {K}: principal submatrix not "
+                          "positive definite")
+        if ties[k].first is None:
+            raise NumericalError(
+                f"all {math.comb(n, k)} subsets of size {k} degenerate")
+        best_K = ties[k].first[0]
+        f_values = [f_score(C, best_K[:t]) for t in range(k + 1)]
+        results.append(SelectionResult(
+            chosen=best_K, gains=tuple(np.diff(f_values)),
+            f_values=tuple(f_values), var_y=var_y(C),
+            eval_count=math.comb(n, k), method="exact",
+            skipped=tuple(skipped)))
+    return results
+
+
 def exact_select(C: np.ndarray, s: int) -> SelectionResult:
     """Score all size-s subsets in one depth-first walk and return the
     lexicographically first whose F is within ``TIE_RTOL`` of the maximum,
@@ -281,29 +309,18 @@ def exact_select(C: np.ndarray, s: int) -> SelectionResult:
     n = C.shape[0]
     s = _cardinality(s, n)
     check_exact_budget(n, s)
-    tie = _NearBest()
-    pruned: list = []
-    if s == 0:
-        tie.fold(np.zeros(1), lambda j: ())
-    for heads, V in _walk(C, s, True, pruned):
-        if len(heads[0]) == s - 1:
-            tie.fold(V, lambda j: heads[j // n] + (j % n,))
-    # every size-s subset through a pruned branch is skipped
-    skipped = sorted(K + rest for K in pruned for rest in
-                     itertools.combinations(range(K[-1] + 1, n), s - len(K)))
-    for K in skipped:
-        warnings.warn(f"skipping subset {K}: principal submatrix not "
-                      "positive definite")
-    if tie.first is None:
-        raise NumericalError(
-            f"all {math.comb(n, s)} subsets of size {s} degenerate")
-    best_K = tie.first[0]
-    f_values = [f_score(C, best_K[:t]) for t in range(s + 1)]
-    return SelectionResult(chosen=best_K,
-                           gains=tuple(np.diff(f_values)),
-                           f_values=tuple(f_values),
-                           var_y=var_y(C), eval_count=math.comb(n, s),
-                           method="exact", skipped=tuple(skipped))
+    return _exact(C, s, [s])[0]
+
+
+def exact_curve(C: np.ndarray, max_k: int) -> list[SelectionResult]:
+    """``exact_select(C, k)`` for k = 0..max_k from one walk, with the same
+    warnings in the same order and ``NumericalError`` at the same k as one
+    call per k; refuses before any work if a k is over budget."""
+    n = C.shape[0]
+    max_k = _cardinality(max_k, n)
+    for k in range(max_k + 1):
+        check_exact_budget(n, k)
+    return _exact(C, max_k, range(max_k + 1))
 
 
 @dataclass(frozen=True)
@@ -334,7 +351,7 @@ def submodularity_audit(C: np.ndarray) -> AuditReport:
     F = np.zeros(1 << n)    # indexed by bit mask
     bits = 1 << np.arange(n)
     pruned: list = []
-    for heads, V in _walk(C, n, False, pruned):
+    for heads, V in _walk(C, n, pruned):
         if pruned:
             raise NumericalError("principal submatrix not positive definite")
         masks = np.array([sum(1 << k for k in K) for K in heads])

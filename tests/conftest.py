@@ -73,6 +73,15 @@ def graph_from_dense(W, stubborn) -> SocialGraph:
     return SocialGraph(len(W), i, j, W[i, j], stubborn)
 
 
+def chorded_ring(W: float) -> SocialGraph:
+    """A 12-node ring with chords 0-6 (weight 1) and 3-9 (weight 2), and a
+    13th node joined to node 4 by weight W and to node 5 by 1; nodes 0 and
+    12 are stubborn, so node 4's strength is W + 2 and the others' 2 to 4."""
+    i = [*range(12), 0, 3, 4, 12]
+    j = [*((k + 1) % 12 for k in range(12)), 6, 9, 12, 5]
+    return SocialGraph(13, i, j, [1.0] * 12 + [1.0, 2.0, W, 1.0], [0, 12])
+
+
 def precision(C: np.ndarray) -> np.ndarray:
     """H = C^{-1} via Cholesky; raises if C is not numerically PD."""
     from scipy.linalg import cho_factor, cho_solve

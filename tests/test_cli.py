@@ -20,6 +20,7 @@ from opinionselect import (NoiseModel, SocialGraph, equilibrium,
                            load_graph, moments, normalize, save_graph, selector,
                            var_reduction_scores)
 from opinionselect.cli import build_parser, main
+from conftest import chorded_ring
 
 
 def run_cli(args):
@@ -709,6 +710,34 @@ def test_overflowing_strength_refused(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_covariance_missing_its_equation_refused(tmp_path, capsys):
+    # on the chorded ring, a strength of 1e16 beside 2 leaves C within 1e-8
+    # and every command runs; at 1e20 or 1e50 the covariance misses its own
+    # equation, and every command exits 4 with one line naming the residual
+    # and the strengths, no RuntimeWarning and no output
+    out = tmp_path / "doc.json"
+    for W, code in ((1e16, 0), (1e20, 4), (1e50, 4)):
+        prefix = tmp_path / f"ring{W:g}"
+        save_graph(chorded_ring(W), f"{prefix}.edges", f"{prefix}.stubborn")
+        graph = ["--graph", f"{prefix}.edges", "--stubborn-file",
+                 f"{prefix}.stubborn", "--out", str(out)]
+        for command in (["select", "--k", "2"], ["score"],
+                        ["curve", "--methods", "greedy,exact", "--max-k", "2"]):
+            capsys.readouterr()
+            assert run_cli([*command, *graph]) == code, (W, command)
+            err = capsys.readouterr().err.splitlines()
+            if code:
+                assert len(err) == 1 and re.fullmatch(
+                    r"error: Lyapunov residual \S+ of the covariance exceeds "
+                    r"1e-08: the regular strengths span 2\.0 to "
+                    + re.escape(repr(W))
+                    + ", too wide a range for the spectral solve", err[0]), err
+                assert not out.exists()
+            else:
+                assert err == []
+                out.unlink()
+
+
 def test_out_of_memory_gets_the_budget_exit_code(tmp_path, capsys,
                                                  monkeypatch):
     # the moments suite's replicas x n state array is its one large
@@ -814,6 +843,24 @@ def test_curve_csv(ws_files, tmp_path):
     exact = dict(by_method["exact"])
     for k in range(5):
         assert greedy[k] >= exact[k] - 1e-9
+
+
+def test_curve_walks_the_subset_tree_once(ws_files, tmp_path, monkeypatch):
+    # every k of the exact curve comes from one walk to depth --max-k
+    edges, stub = ws_files
+    depths = []
+    walk = selector._walk
+
+    def spy(C, depth, *args):
+        depths.append(depth)
+        return walk(C, depth, *args)
+
+    monkeypatch.setattr(selector, "_walk", spy)
+    out = tmp_path / "curve.csv"
+    assert run_cli(["curve", "--graph", edges, "--stubborn-file", stub,
+                    "--max-k", "5", "--methods", "greedy,exact",
+                    "--out", str(out)]) == 0
+    assert depths == [5]
 
 
 def test_curve_rejects_out_of_range_max_k(ws_files, tmp_path):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,10 @@ from opinionselect import (NoiseModel, SocialGraph, covariance_lyapunov,
                            generate_random_regular, generate_watts_strogatz,
                            mean, moments, normalize, var_y)
 from opinionselect.equilibrium import SYMMETRY_TOL
-from conftest import (covariance_closed_form, graph_from_dense, precision,
-                      precision_direct, random_instance, series_covariance)
+from opinionselect.errors import NumericalError
+from conftest import (chorded_ring, covariance_closed_form, graph_from_dense,
+                      precision, precision_direct, random_instance,
+                      series_covariance)
 
 
 def test_noise_model_requires_positive_variances():
@@ -397,3 +400,37 @@ def test_operator_rows_shape_and_left_product():
     for key in ((0, 0), 1.0, slice(0, 2)):
         with pytest.raises(TypeError, match="int"):
             mom[key]
+
+
+def _triangle_tail(W: float) -> SocialGraph:
+    """Stubborn node 0 joined to node 1 by weight W, in the triangle 0-1-2
+    with the tail 2-3-0 of unit weights."""
+    return SocialGraph(4, [0, 1, 2, 2, 3], [1, 2, 0, 3, 0], [W, 1, 1, 1, 1],
+                       [0])
+
+
+@pytest.mark.parametrize("graph, W, accepted", [
+    (chorded_ring, 1e16, True),     # residual 1.4e-9, C off by 2.4e-9
+    (chorded_ring, 1e20, False),    # residual 2.5e-7, C off by 8.9e-7
+    (chorded_ring, 1e50, False),    # residual 0.98, C off by 1e17
+    (_triangle_tail, 1.45e307, True),
+    (_triangle_tail, 1.5e307, False)])  # C off by 8.7%
+def test_moments_refuses_a_covariance_that_misses_its_equation(graph, W,
+                                                                accepted):
+    # a wide range of regular strengths costs the spectral C its accuracy:
+    # moments checks C 1 against its own Lyapunov equation and refuses,
+    # naming the residual and the strengths, past a relative 1e-8; an
+    # accepted C agrees with the doubling oracle to that order
+    ops = normalize(graph(W))
+    for sigma2 in (1.0, 3.0):
+        noise = NoiseModel.uniform(ops.n_regular, sigma2)
+        if accepted:
+            C = moments(ops, noise).C
+            oracle = covariance_lyapunov(ops.A, noise)
+            assert np.abs(C - oracle).max() <= 1e-8 * np.abs(oracle).max()
+        else:
+            with pytest.raises(NumericalError, match=(
+                    r"^Lyapunov residual \S+ of the covariance exceeds 1e-08: "
+                    rf"the regular strengths span 2\.0 to {re.escape(repr(W))}, "
+                    r"too wide a range for the spectral solve$")):
+                moments(ops, noise)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from opinionselect import (EXACT_BUDGET, BudgetExceededError, NoiseModel,
-                           check_exact_budget, exact_select, f_score,
-                           generate_cycle, generate_random_regular,
+                           check_exact_budget, exact_curve, exact_select,
+                           f_score, generate_cycle, generate_random_regular,
                            generate_watts_strogatz,
                            greedy_select, guarantee_check, marginal_gain,
                            moments, normalize, submodularity_audit, var_y)
@@ -342,7 +342,7 @@ def walk_values(C, s):
     """F of every size-s subset the exact walk scores, by subset; the
     degenerate ones are left out."""
     out = {}
-    for heads, V in _walk(C, s, True, []):
+    for heads, V in _walk(C, s, []):
         if len(heads[0]) == s - 1:
             for a, j in zip(*np.nonzero(V > -np.inf)):
                 out[heads[a] + (int(j),)] = float(V[a, j])
@@ -357,6 +357,13 @@ def twin_instance(seed, n_nodes):
     j = greedy_select(C0, 1).chosen[0]
     idx = list(range(n)) + [j]
     return C0[np.ix_(idx, idx)], j, n
+
+
+def pruned_early_instance():
+    """random_instance's C with node 0 inserted as a copy of node 3."""
+    _, _, C0 = random_instance(5, n=9, n_stubborn=2)
+    idx = [2] + list(range(C0.shape[0]))
+    return C0[np.ix_(idx, idx)]
 
 
 def test_exact_eval_count_law():
@@ -435,9 +442,7 @@ def test_exact_pruned_branches_warn_in_lexicographic_order():
     # node 0 copies node 3, so the walk prunes the branch (0, 3) two levels
     # above the leaves, before it visits (0, 1) and (0, 2), whose own pruned
     # subsets (0, 1, 3, x) and (0, 2, 3, x) come first in lexicographic order
-    _, _, C0 = random_instance(5, n=9, n_stubborn=2)
-    idx = [2] + list(range(C0.shape[0]))
-    C = C0[np.ix_(idx, idx)]
+    C = pruned_early_instance()
     n, s = C.shape[0], 4
     with pytest.warns(UserWarning) as record:
         res = exact_select(C, s)
@@ -478,12 +483,13 @@ def test_exact_memory_does_not_grow_with_the_subset_count():
     X = np.random.default_rng(0).normal(size=(n, n))
     C = X @ X.T / n + np.eye(n)
     assert 8 * 5 * 3 * n * n < 8 * math.comb(n, 3) / 1.5
-    for s in (2, 3):
-        tracemalloc.start()
-        exact_select(C, s)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak < 8 * 5 * s * n * n, s
+    for search in (exact_select, exact_curve):
+        for s in (2, 3):
+            tracemalloc.start()
+            search(C, s)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 8 * 5 * s * n * n, (search.__name__, s)
 
 
 def test_exact_all_subsets_degenerate_raises():
@@ -492,6 +498,43 @@ def test_exact_all_subsets_degenerate_raises():
     with pytest.warns(UserWarning):
         with pytest.raises(NumericalError, match="all 6 subsets"):
             exact_select(C, 2)
+
+
+@pytest.mark.parametrize("case", ["random0", "random1", "random2", "twin",
+                                  "pruned-early", "rank-one"])
+def test_exact_curve_is_exact_select_per_size(case):
+    # one walk to depth s gives each k <= s the result, the warnings and the
+    # NumericalError that exact_select(C, k) gives, called once per k in turn:
+    # the twin instances skip subsets at several sizes, and the rank-one C
+    # has no nondegenerate pair, so the curve stops at size 2
+    if case == "twin":
+        C, s = twin_instance(3, 12)[0], 5
+    elif case == "pruned-early":
+        C, s = pruned_early_instance(), 5
+    elif case == "rank-one":
+        C, s = np.ones((4, 4)), 3
+    else:
+        seed = int(case[-1])
+        C, s = random_instance(seed, n=12 + seed, n_stubborn=2)[2], 5
+    curve, curve_warned = _run_recording_warnings(exact_curve, C, s)
+    per_k, per_k_warned = [], []
+    for k in range(s + 1):
+        res, warned = _run_recording_warnings(exact_select, C, k)
+        per_k_warned += warned
+        if isinstance(res, NumericalError):
+            per_k = res
+            break
+        per_k.append(res)
+    assert curve_warned == per_k_warned
+    if case == "rank-one":
+        assert _bits(curve) == _bits(per_k) == \
+            "all 6 subsets of size 2 degenerate"
+    else:
+        assert list(map(_bits, curve)) == list(map(_bits, per_k))
+        assert [r.eval_count for r in curve] == [math.comb(len(C), k)
+                                                 for k in range(s + 1)]
+    if case in ("twin", "pruned-early"):
+        assert sum(len(r.skipped) > 0 for r in curve) >= 3
 
 
 def test_exact_budget_guard():
