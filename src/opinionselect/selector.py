@@ -20,10 +20,12 @@ one-node extensions at once, one row each, and scores all of their own
 extensions, F(K + i) + r_j^2 / d_j, in one numpy expression. A branch whose
 pivot d_i is at or below ``SCHUR_GUARD`` c_ii is pruned, and its subsets
 are skipped with a warning, as greedy skips a degenerate candidate. A walk
-to depth s folds each block of subsets into the tie rule of its size, so it
-serves ``exact_select`` (size s) and ``exact_curve`` (every size up to s)
-alike, in O(s n^2) memory and a dozen or two numpy calls per subset of at
-most s - 2 nodes. Each size k answered needs C(n, k) <= ``EXACT_BUDGET``.
+over the sizes lo..s goes to depth s, skips the extensions that leave no
+room for lo nodes, and folds each block of subsets into the tie rule of its
+size, so it serves ``exact_select`` (lo = s: only the at most s C(n, s)
+prefixes of size-s subsets) and ``exact_curve`` (lo = 0: every size up to
+s) alike, in O(s n^2) memory and a dozen or two numpy calls per subset of
+at most s - 2 nodes. Each size k answered needs C(n, k) <= ``EXACT_BUDGET``.
 Greedy and exact share one tie rule: the lowest index (greedy) or the
 lexicographically first subset (exact) among the values v within
 ``TIE_RTOL`` |v| of the best, so that rounding, which the BLAS thread count
@@ -213,29 +215,33 @@ def check_audit_budget(n: int) -> int:
     return n_triples
 
 
-def _walk(C: np.ndarray, depth: int, pruned: list):
-    """Depth first, in lexicographic order, over every nonempty subset of at
-    most ``depth`` nodes whose pivots all clear the guard, so one walk serves
-    every size. It yields (heads, V) for each group of sibling subsets of
-    fewer than ``depth`` nodes, heads in order: V[a, j] is F(heads[a] + (j,))
-    for each node j after the last node of heads[a], and -inf elsewhere; the
-    groups of t-node heads cover the subsets of size t + 1 in lexicographic
-    order. An extension whose pivot is at or below ``SCHUR_GUARD`` c_jj gets
-    -inf too: it goes to ``pruned`` and is not extended further. Each group
-    carries greedy's state for its heads, one row each: F, r = (C|K) 1,
-    d = diag(C|K) and the row of L of each head's last node, C|K = C - L'L,
-    L's rows for the nodes before it being those of the group's ancestors
-    in ``L``.
+def _walk(C: np.ndarray, sizes: range, pruned: list):
+    """Depth first, in lexicographic order, over the nonempty subsets of at
+    most ``sizes[-1]`` nodes whose pivots all clear the guard and that still
+    leave room for ``sizes[0]`` nodes, so one walk serves every size in
+    ``sizes``. It yields (heads, V) for each group of sibling subsets of
+    fewer than ``sizes[-1]`` nodes, heads in order: V[a, j] is
+    F(heads[a] + (j,)) for each extension j on the walk (after the last
+    node of heads[a] and not so late that fewer than ``sizes[0]`` nodes fit),
+    and -inf elsewhere; the groups of t-node heads cover the subsets of size
+    t + 1 in ``sizes`` in lexicographic order. An extension whose pivot is
+    at or below ``SCHUR_GUARD`` c_jj gets -inf too: it goes to ``pruned``
+    and is not extended further. Each group carries greedy's state for its
+    heads, one row each: F, r = (C|K) 1, d = diag(C|K) and the row of L of
+    each head's last node, C|K = C - L'L, L's rows for the nodes before it
+    being those of the group's ancestors in ``L``.
     """
     _require_finite(C)
     n = C.shape[0]
     cols = np.arange(n)
     guard = SCHUR_GUARD * C.diagonal()
+    lo, depth = sizes[0], sizes[-1]
     L = np.empty((depth, n))
 
     def visit(heads, last, f, R, D, L_last):
         t = len(heads[0])
-        ext = cols > last[:, None]
+        # after extension j, lo - t - 1 more nodes must still fit
+        ext = (cols > last[:, None]) & (cols < n - max(lo - t - 1, 0))
         ok = D > guard
         V = f[:, None] + np.divide(R * R, D, out=np.full(D.shape, -np.inf),
                                    where=ext & ok)
@@ -263,15 +269,15 @@ def _walk(C: np.ndarray, depth: int, pruned: list):
                          (C @ np.ones(n))[None], C.diagonal()[None], None)
 
 
-def _exact(C: np.ndarray, s: int, sizes) -> list[SelectionResult]:
-    """Fold one walk to depth s into the tie rule of each size 0..s, then
-    build the result of each size in ``sizes`` in turn: warn once per skipped
-    subset, in lexicographic order, and score the winner's prefixes."""
+def _exact(C: np.ndarray, sizes: range) -> list[SelectionResult]:
+    """Fold one walk over ``sizes`` into the tie rule of each size, then
+    build the result of each size in turn: warn once per skipped subset, in
+    lexicographic order, and score the winner's prefixes."""
     n = C.shape[0]
-    ties = [_NearBest() for _ in range(s + 1)]
+    ties = [_NearBest() for _ in range(sizes[-1] + 1)]
     ties[0].fold(np.zeros(1), lambda j: ())
     pruned: list = []
-    for heads, V in _walk(C, s, pruned):
+    for heads, V in _walk(C, sizes, pruned):
         ties[len(heads[0]) + 1].fold(V, lambda j: heads[j // n] + (j % n,))
     results = []
     for k in sizes:
@@ -309,7 +315,7 @@ def exact_select(C: np.ndarray, s: int) -> SelectionResult:
     n = C.shape[0]
     s = _cardinality(s, n)
     check_exact_budget(n, s)
-    return _exact(C, s, [s])[0]
+    return _exact(C, range(s, s + 1))[0]
 
 
 def exact_curve(C: np.ndarray, max_k: int) -> list[SelectionResult]:
@@ -320,7 +326,7 @@ def exact_curve(C: np.ndarray, max_k: int) -> list[SelectionResult]:
     max_k = _cardinality(max_k, n)
     for k in range(max_k + 1):
         check_exact_budget(n, k)
-    return _exact(C, max_k, range(max_k + 1))
+    return _exact(C, range(max_k + 1))
 
 
 @dataclass(frozen=True)
@@ -351,7 +357,7 @@ def submodularity_audit(C: np.ndarray) -> AuditReport:
     F = np.zeros(1 << n)    # indexed by bit mask
     bits = 1 << np.arange(n)
     pruned: list = []
-    for heads, V in _walk(C, n, pruned):
+    for heads, V in _walk(C, range(n + 1), pruned):
         if pruned:
             raise NumericalError("principal submatrix not positive definite")
         masks = np.array([sum(1 << k for k in K) for K in heads])

@@ -848,19 +848,19 @@ def test_curve_csv(ws_files, tmp_path):
 def test_curve_walks_the_subset_tree_once(ws_files, tmp_path, monkeypatch):
     # every k of the exact curve comes from one walk to depth --max-k
     edges, stub = ws_files
-    depths = []
+    walks = []
     walk = selector._walk
 
-    def spy(C, depth, *args):
-        depths.append(depth)
-        return walk(C, depth, *args)
+    def spy(C, sizes, *args):
+        walks.append(sizes)
+        return walk(C, sizes, *args)
 
     monkeypatch.setattr(selector, "_walk", spy)
     out = tmp_path / "curve.csv"
     assert run_cli(["curve", "--graph", edges, "--stubborn-file", stub,
                     "--max-k", "5", "--methods", "greedy,exact",
                     "--out", str(out)]) == 0
-    assert depths == [5]
+    assert walks == [range(6)]
 
 
 def test_curve_rejects_out_of_range_max_k(ws_files, tmp_path):

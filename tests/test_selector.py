@@ -342,7 +342,7 @@ def walk_values(C, s):
     """F of every size-s subset the exact walk scores, by subset; the
     degenerate ones are left out."""
     out = {}
-    for heads, V in _walk(C, s, []):
+    for heads, V in _walk(C, range(s, s + 1), []):
         if len(heads[0]) == s - 1:
             for a, j in zip(*np.nonzero(V > -np.inf)):
                 out[heads[a] + (int(j),)] = float(V[a, j])
@@ -490,6 +490,32 @@ def test_exact_memory_does_not_grow_with_the_subset_count():
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak < 8 * 5 * s * n * n, (search.__name__, s)
+
+
+@pytest.mark.parametrize("s", [28, 29, 30])
+def test_exact_walk_visits_only_prefixes_of_size_s_subsets(s, monkeypatch):
+    # each size-s subset has s prefixes, so exact_select(C, s) walks at most
+    # s C(n, s) heads; near s = n that is a few hundred, where a walk over
+    # every subset of at most s nodes would visit about 2^n
+    import opinionselect.selector as selector
+    n = 30
+    X = np.random.default_rng(1).normal(size=(n, n))
+    C = X @ X.T / n + np.eye(n)
+    bound = s * math.comb(n, s)
+    heads = 0
+    walk = selector._walk
+
+    def spy(*args):
+        nonlocal heads
+        for group in walk(*args):
+            heads += len(group[0])
+            assert heads <= bound, "walked past the prefixes of size-s subsets"
+            yield group
+
+    monkeypatch.setattr(selector, "_walk", spy)
+    res = exact_select(C, s)
+    assert len(res.chosen) == s and res.skipped == ()
+    assert 0 < heads <= bound
 
 
 def test_exact_all_subsets_degenerate_raises():
