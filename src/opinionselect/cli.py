@@ -24,13 +24,10 @@ import time
 import numpy as np
 
 from . import __version__
-from . import centrality, equilibrium, objective, selector
-from .simulate import (NOISE_FAMILIES, SimConfig, empirical_moments,
-                       simulate as run_simulation)
+from . import centrality, equilibrium, selector, validation
 from .equilibrium import NoiseModel
 from .errors import BudgetExceededError, GraphError, NumericalError
-from .graph import (SocialGraph, generate_cycle, generate_random_reachable,
-                    generate_random_regular, generate_watts_strogatz,
+from .graph import (SocialGraph, generate_cycle, generate_watts_strogatz,
                     load_graph, normalize, read_records, save_graph)
 
 SCHEMA_VERSION = 1
@@ -207,7 +204,7 @@ def cmd_select(args) -> int:
     g = _load_graph_from_args(args)
     _check_size("--k", args.k, g)
     if args.method == "exact":
-        selector.check_exact_budget(len(g.regular), args.k)
+        selector.check_exact_budget(len(g.regular), range(args.k, args.k + 1))
     mom, scale = _moments_for(args, g)[1:]
     method_tag = mom.method_tag
     if args.method == "greedy":
@@ -292,8 +289,7 @@ def cmd_curve(args) -> int:
     methods = _names(args.methods, ("greedy", "exact"), "method")
     _check_size("--max-k", args.max_k, g)
     if "exact" in methods:
-        for k in range(args.max_k + 1):
-            selector.check_exact_budget(len(g.regular), k)
+        selector.check_exact_budget(len(g.regular), range(args.max_k + 1))
     # the dense C alone: exact selection needs it, and on a long greedy curve
     # its rows beat the operator's. The rows are ratios, free of the scale
     mom = _moments_for(args, g)[1]
@@ -325,113 +321,12 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
-def _suite_moments(args) -> dict:
-    g = generate_watts_strogatz(15, 4, 0.3, args.seed, 3)
-    ops = normalize(g)
-    noise = NoiseModel.uniform(ops.n_regular, 1.0)
-    u = np.linspace(0.0, 1.0, len(ops.stubborn))
-    mu = equilibrium.mean(ops, u)
-    C = equilibrium.moments(ops, noise).C
-    worst = 0.0
-    ok = True
-    for family in NOISE_FAMILIES:
-        cfg = SimConfig(replicas=args.replicas, seed=args.seed,
-                                 u=u, noise_family=family)
-        emp = empirical_moments(run_simulation(ops, noise, cfg))
-        dev_mean = np.max(np.abs(emp.mean - mu) / emp.se_mean)
-        dev_cov = np.max(np.abs(emp.cov - C) / emp.se_cov)
-        worst = max(worst, float(dev_mean), float(dev_cov))
-        if dev_mean > 3.0 or dev_cov > 3.0:
-            ok = False
-    return {"suite": "moments", "ok": ok, "worst_dev_in_se": worst,
-            "replicas": args.replicas}
-
-
-def _suite_submodularity(args) -> dict:
-    if args.max_r < 3:
-        raise GraphError(f"--max-r {args.max_r}: the submodularity suite "
-                         "needs at least 3")
-    # trials draw up to --max-r regular nodes: refuse an over-budget audit
-    # before the first one
-    selector.check_audit_budget(args.max_r)
-    rng = np.random.default_rng(args.seed)
-    slack_f, slack_g = [], []
-    viol = 0
-    for t in range(args.trials):
-        n = int(rng.integers(max(4, args.max_r - 2), args.max_r + 2))
-        d = int(rng.choice([2, 3]))
-        if (n * d) % 2:
-            n += 1
-        n_stub = max(1, n - args.max_r)
-        g = generate_random_regular(n, d, int(rng.integers(1 << 31)), n_stub)
-        ops = normalize(g)
-        noise = NoiseModel.uniform(ops.n_regular, float(rng.uniform(0.5, 2.0)))
-        # uniform noise on a degree-regular graph: A Sigma is symmetric, so
-        # every instance is in the closed-form regime
-        C = equilibrium.moments(ops, noise).C
-        rep = selector.submodularity_audit(C)
-        viol += rep.violations_f + rep.violations_g
-        slack_f.append(rep.min_slack_f)
-        slack_g.append(rep.min_slack_g)
-    return {"suite": "submodularity", "ok": viol == 0, "violations": viol,
-            # null, not Infinity, when no trial ran
-            "min_slack_f": min(slack_f, default=None),
-            "min_slack_g": min(slack_g, default=None),
-            "trials": args.trials}
-
-
-def _suite_guarantee(args) -> dict:
-    if args.max_r < 6:
-        raise GraphError(f"--max-r {args.max_r}: the greedy-guarantee suite "
-                         "needs at least 6")
-    rng = np.random.default_rng(args.seed)
-    worst = 1.0
-    ok = True
-    for _ in range(args.trials):
-        n = int(rng.integers(6, min(args.max_r, 14) + 1))
-        g = generate_random_reachable(n + 2, 2, int(rng.integers(1 << 31)))
-        ops = normalize(g)
-        noise = NoiseModel(rng.uniform(0.5, 2.0, ops.n_regular))
-        C = equilibrium.moments(ops, noise).C
-        s = int(rng.integers(1, min(5, ops.n_regular) + 1))
-        rep = selector.guarantee_check(C, s)
-        worst = min(worst, rep.ratio)
-        ok = ok and rep.ok
-    return {"suite": "greedy-guarantee", "ok": ok, "worst_ratio": worst,
-            "bound": selector.GREEDY_BOUND, "trials": args.trials}
-
-
-def _suite_incremental(args) -> dict:
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.trials):
-        n = int(rng.integers(10, max(args.max_r, 12) + 1))
-        g = generate_random_reachable(n + 3, 3, int(rng.integers(1 << 31)))
-        ops = normalize(g)
-        noise = NoiseModel(rng.uniform(0.5, 2.0, ops.n_regular))
-        C = equilibrium.moments(ops, noise).C
-        s = int(rng.integers(1, min(10, ops.n_regular) + 1))
-        res = selector.greedy_select(C, s)
-        for t in range(1, s + 1):
-            direct = objective.f_score(C, res.chosen[:t])
-            dev = abs(res.f_values[t] - direct) / max(abs(direct), 1e-300)
-            worst = max(worst, dev)
-    return {"suite": "incremental", "ok": worst <= 1e-8,
-            "max_relative_deviation": worst, "trials": args.trials}
-
-
-SUITES = {"moments": _suite_moments,
-          "submodularity": _suite_submodularity,
-          "greedy-guarantee": _suite_guarantee,
-          "incremental": _suite_incremental}
-
-
 def cmd_validate(args) -> int:
     t0 = time.perf_counter()
     _check_seed(args)
     if args.trials < 0:
         raise GraphError(f"--trials {args.trials}: must be at least 0")
-    report = SUITES[args.suite](args)
+    report = validation.SUITES[args.suite](args)
     doc = {"schema": SCHEMA_VERSION,
            "meta": _meta(args, "validate", t0),
            "validation": report}
@@ -486,10 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("validate", help="run a statistical/structural audit")
-    p.add_argument("--suite", required=True, choices=list(SUITES))
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--max-r", type=int, default=7)
-    p.add_argument("--replicas", type=int, default=20000)
+    p.add_argument("--suite", required=True, choices=list(validation.SUITES))
+    p.add_argument("--trials", type=int, default=50,
+                   help="instances drawn; moments ignores it")
+    p.add_argument("--max-r", type=int, default=7,
+                   help="regular nodes: submodularity <= MAX_R in 3..13, "
+                        "greedy-guarantee 6..min(MAX_R, 14) with MAX_R >= 6, "
+                        "incremental 10..max(MAX_R, 12); moments ignores it")
+    p.add_argument("--replicas", type=int, default=20000,
+                   help="Monte Carlo replicas, at least 2 (moments only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output file (atomic write)")
     p.set_defaults(func=cmd_validate)

@@ -196,12 +196,14 @@ def greedy_select(C, s: int) -> SelectionResult:
                            method="greedy", skipped=tuple(skipped))
 
 
-def check_exact_budget(n: int, s: int) -> None:
-    """Raise ``BudgetExceededError`` unless C(n, s) <= ``EXACT_BUDGET``."""
-    n_subsets = math.comb(n, s)
-    if n_subsets > EXACT_BUDGET:
-        raise BudgetExceededError(
-            f"C({n},{s}) = {n_subsets} subsets exceeds the budget of {EXACT_BUDGET}")
+def check_exact_budget(n: int, sizes: range) -> None:
+    """Raise ``BudgetExceededError``, naming the first k in ``sizes`` over
+    it, unless C(n, k) <= ``EXACT_BUDGET`` for every k in ``sizes``."""
+    for k in sizes:
+        n_subsets = math.comb(n, k)
+        if n_subsets > EXACT_BUDGET:
+            raise BudgetExceededError(f"C({n},{k}) = {n_subsets} subsets "
+                                      f"exceeds the budget of {EXACT_BUDGET}")
 
 
 def check_audit_budget(n: int) -> int:
@@ -270,10 +272,11 @@ def _walk(C: np.ndarray, sizes: range, pruned: list):
 
 
 def _exact(C: np.ndarray, sizes: range) -> list[SelectionResult]:
-    """Fold one walk over ``sizes`` into the tie rule of each size, then
-    build the result of each size in turn: warn once per skipped subset, in
-    lexicographic order, and score the winner's prefixes."""
+    """Refuse ``sizes`` over budget, fold one walk over them into each
+    size's tie rule, then build each size's result: warn once per skipped
+    subset, in lexicographic order, and score the winner's prefixes."""
     n = C.shape[0]
+    check_exact_budget(n, sizes)
     ties = [_NearBest() for _ in range(sizes[-1] + 1)]
     ties[0].fold(np.zeros(1), lambda j: ())
     pruned: list = []
@@ -314,7 +317,6 @@ def exact_select(C: np.ndarray, s: int) -> SelectionResult:
     """
     n = C.shape[0]
     s = _cardinality(s, n)
-    check_exact_budget(n, s)
     return _exact(C, range(s, s + 1))[0]
 
 
@@ -324,8 +326,6 @@ def exact_curve(C: np.ndarray, max_k: int) -> list[SelectionResult]:
     call per k; refuses before any work if a k is over budget."""
     n = C.shape[0]
     max_k = _cardinality(max_k, n)
-    for k in range(max_k + 1):
-        check_exact_budget(n, k)
     return _exact(C, range(max_k + 1))
 
 

@@ -1,0 +1,224 @@
+"""The ``validate`` suites and the Monte Carlo oracle they and the tests use.
+
+The oracle starts its replicas at the equilibrium mean and steps them past a
+burn-in horizon set by the spectral radius, so the final states are draws
+from (numerically) the stationary distribution.
+
+``SUITES`` maps each suite to a function of the ``validate`` flags; all read
+``--seed``. ``moments`` alone reads ``--replicas`` (at least 2) and ignores
+``--trials`` and ``--max-r``. The others draw ``--trials`` instances whose
+regular nodes number: at most ``--max-r``, in 3..13 (``submodularity``);
+6..min(``--max-r``, 14), ``--max-r`` >= 6 (``greedy-guarantee``); and
+10..max(``--max-r``, 12), so values below 12 act as 12 (``incremental``).
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import selector
+from .equilibrium import NoiseModel, mean, moments
+from .errors import GraphError
+from .graph import (NetworkOperators, generate_random_reachable,
+                    generate_random_regular, generate_watts_strogatz,
+                    normalize)
+from .objective import f_score
+
+NOISE_FAMILIES = ("gaussian", "uniform", "rademacher")
+
+HORIZON_CAP = 10 ** 6
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    replicas: int
+    seed: int
+    u: np.ndarray
+    noise_family: str = "gaussian"
+
+    def __post_init__(self):
+        if self.replicas < 1:
+            raise ValueError("replicas must be >= 1")
+        if self.noise_family not in NOISE_FAMILIES:
+            raise ValueError(f"unknown noise family {self.noise_family!r}")
+        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
+
+
+def horizon_for(rho: float, tol: float) -> int:
+    """Smallest T with rho^T <= tol; with rho = rho(A) the transient decays
+    at that rate."""
+    if not (0.0 <= rho < 1.0):
+        raise ValueError("need 0 <= rho < 1")
+    if rho == 0.0 or tol >= 1.0:
+        return 1
+    T = math.ceil(math.log(tol) / math.log(rho))
+    if T > HORIZON_CAP:
+        warnings.warn(f"burn-in horizon {T} capped at {HORIZON_CAP}")
+        return HORIZON_CAP
+    return max(1, T)
+
+
+def _draw_noise(rng: np.random.Generator, family: str, sigma: np.ndarray,
+                shape: tuple[int, int]) -> np.ndarray:
+    # each family is zero mean with per-coordinate std exactly sigma
+    if family == "gaussian":
+        return rng.standard_normal(shape) * sigma
+    if family == "uniform":
+        half = sigma * math.sqrt(3.0)
+        return rng.uniform(-1.0, 1.0, shape) * half
+    if family == "rademacher":
+        return (2.0 * rng.integers(0, 2, shape) - 1.0) * sigma
+    raise ValueError(f"unknown noise family {family!r}")
+
+
+def simulate(ops: NetworkOperators, noise: NoiseModel | np.ndarray,
+             cfg: SimConfig) -> np.ndarray:
+    """Run independent replicas and return their final states (replicas x R).
+
+    Accepts a raw variance vector (zeros allowed) so the noiseless fixed point
+    can be exercised; NoiseModel itself requires strictly positive variances.
+    """
+    sigma2 = noise.sigma2 if isinstance(noise, NoiseModel) else \
+        np.asarray(noise, dtype=float)
+    if not np.all(np.isfinite(sigma2) & (sigma2 >= 0)):
+        raise ValueError("variances must be finite and nonnegative")
+    if sigma2.shape != (ops.n_regular,):
+        raise ValueError("variance vector must cover the regular nodes")
+    sigma = np.sqrt(sigma2)
+    mu = mean(ops, cfg.u)
+    T = horizon_for(ops.rho, 1e-8)
+    A_T = ops.A.T
+    drift = ops.B @ cfg.u
+    rng = np.random.default_rng(cfg.seed)
+    X = np.tile(mu, (cfg.replicas, 1))
+    for _ in range(T):
+        V = _draw_noise(rng, cfg.noise_family, sigma, X.shape)
+        X = X @ A_T + drift + V
+    return X
+
+
+@dataclass(frozen=True)
+class EmpiricalMoments:
+    mean: np.ndarray
+    cov: np.ndarray
+    se_mean: np.ndarray
+    se_cov: np.ndarray
+
+
+def empirical_moments(samples: np.ndarray) -> EmpiricalMoments:
+    """Unbiased sample mean/covariance with entrywise standard errors.
+
+    Covariance standard errors use the Gaussian formula
+    sqrt((C_ii C_jj + C_ij^2) / (m - 1)); it is conservative for the
+    lighter-tailed uniform and rademacher families.
+    """
+    samples = np.asarray(samples, dtype=float)
+    m = samples.shape[0]
+    if m < 2:
+        raise ValueError("need at least two replicas")
+    mu = samples.mean(axis=0)
+    cov = np.cov(samples, rowvar=False, ddof=1)
+    cov = np.atleast_2d(cov)
+    d = np.diag(cov)
+    se_mean = np.sqrt(d / m)
+    se_cov = np.sqrt((np.outer(d, d) + cov ** 2) / (m - 1))
+    return EmpiricalMoments(mean=mu, cov=cov, se_mean=se_mean, se_cov=se_cov)
+
+
+def _suite_moments(args) -> dict:
+    if args.replicas < 2:
+        raise GraphError(f"--replicas {args.replicas}: must be at least 2")
+    g = generate_watts_strogatz(15, 4, 0.3, args.seed, 3)
+    ops = normalize(g)
+    noise = NoiseModel.uniform(ops.n_regular, 1.0)
+    u = np.linspace(0.0, 1.0, len(ops.stubborn))
+    mu = mean(ops, u)
+    C = moments(ops, noise).C
+    worst = 0.0
+    for family in NOISE_FAMILIES:
+        cfg = SimConfig(replicas=args.replicas, seed=args.seed,
+                        u=u, noise_family=family)
+        emp = empirical_moments(simulate(ops, noise, cfg))
+        dev_mean = np.max(np.abs(emp.mean - mu) / emp.se_mean)
+        dev_cov = np.max(np.abs(emp.cov - C) / emp.se_cov)
+        worst = max(worst, float(dev_mean), float(dev_cov))
+    return {"suite": "moments", "ok": worst <= 3.0, "worst_dev_in_se": worst,
+            "replicas": args.replicas}
+
+
+def _suite_submodularity(args) -> dict:
+    if args.max_r < 3:
+        raise GraphError(f"--max-r {args.max_r}: the submodularity suite "
+                         "needs at least 3")
+    # trials draw up to --max-r regular nodes: refuse an over-budget audit
+    # before the first one
+    selector.check_audit_budget(args.max_r)
+    rng = np.random.default_rng(args.seed)
+    reps = []
+    for _ in range(args.trials):
+        n = int(rng.integers(max(4, args.max_r - 2), args.max_r + 2))
+        d = int(rng.choice([2, 3]))
+        if (n * d) % 2:
+            n += 1
+        n_stub = max(1, n - args.max_r)
+        g = generate_random_regular(n, d, int(rng.integers(1 << 31)), n_stub)
+        ops = normalize(g)
+        noise = NoiseModel.uniform(ops.n_regular, float(rng.uniform(0.5, 2.0)))
+        # uniform noise on a degree-regular graph: A Sigma is symmetric, so
+        # every instance is in the closed-form regime
+        reps.append(selector.submodularity_audit(moments(ops, noise).C))
+    viol = sum(rep.violations_f + rep.violations_g for rep in reps)
+    return {"suite": "submodularity", "ok": viol == 0, "violations": viol,
+            # null, not Infinity, when no trial ran
+            "min_slack_f": min((rep.min_slack_f for rep in reps), default=None),
+            "min_slack_g": min((rep.min_slack_g for rep in reps), default=None),
+            "trials": args.trials}
+
+
+def _draw_covariance(rng, lo: int, hi: int, n_stubborn: int) -> np.ndarray:
+    """The dense C of a random reachable graph with lo..hi regular nodes and
+    ``n_stubborn`` stubborn ones, under noise U(0.5, 2), drawn from ``rng``."""
+    n = int(rng.integers(lo, hi + 1))
+    g = generate_random_reachable(n + n_stubborn, n_stubborn,
+                                  int(rng.integers(1 << 31)))
+    return moments(normalize(g), NoiseModel(rng.uniform(0.5, 2.0, n))).C
+
+
+def _suite_guarantee(args) -> dict:
+    if args.max_r < 6:
+        raise GraphError(f"--max-r {args.max_r}: the greedy-guarantee suite "
+                         "needs at least 6")
+    rng = np.random.default_rng(args.seed)
+    reps = []
+    for _ in range(args.trials):
+        C = _draw_covariance(rng, 6, min(args.max_r, 14), 2)
+        s = int(rng.integers(1, min(5, len(C)) + 1))
+        reps.append(selector.guarantee_check(C, s))
+    return {"suite": "greedy-guarantee", "ok": all(rep.ok for rep in reps),
+            "worst_ratio": min([1.0] + [rep.ratio for rep in reps]),
+            "bound": selector.GREEDY_BOUND, "trials": args.trials}
+
+
+def _suite_incremental(args) -> dict:
+    rng = np.random.default_rng(args.seed)
+    worst = 0.0
+    for _ in range(args.trials):
+        C = _draw_covariance(rng, 10, max(args.max_r, 12), 3)
+        s = int(rng.integers(1, min(10, len(C)) + 1))
+        res = selector.greedy_select(C, s)
+        for t in range(1, s + 1):
+            direct = f_score(C, res.chosen[:t])
+            dev = abs(res.f_values[t] - direct) / max(abs(direct), 1e-300)
+            worst = max(worst, dev)
+    return {"suite": "incremental", "ok": worst <= 1e-8,
+            "max_relative_deviation": worst, "trials": args.trials}
+
+
+SUITES = {"moments": _suite_moments,
+          "submodularity": _suite_submodularity,
+          "greedy-guarantee": _suite_guarantee,
+          "incremental": _suite_incremental}

@@ -7,9 +7,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import pytest
 
-from opinionselect import (NoiseModel, SocialGraph, covariance_lyapunov,
-                           generate_random_reachable, normalize)
-from opinionselect.equilibrium import SYMMETRY_TOL
+from opinionselect import (NoiseModel, SocialGraph, generate_random_reachable,
+                           normalize)
+from opinionselect.equilibrium import SYMMETRY_TOL, covariance_lyapunov
 from opinionselect.errors import NumericalError
 from opinionselect.objective import _check_set, _spd_solve
 

@@ -23,15 +23,15 @@ import time
 import numpy as np
 import pytest
 
-from opinionselect import (BudgetExceededError, NoiseModel, SimConfig,
-                           bonacich, covariance_lyapunov, empirical_moments,
+from opinionselect import (BudgetExceededError, NoiseModel, bonacich,
                            eta_scores, exact_select, f_score,
                            generate_random_reachable,
                            generate_random_regular, generate_watts_strogatz,
-                           greedy_select, guarantee_check, mean, moments,
-                           normalize, ranking_report, submodularity_audit,
+                           greedy_select, moments, normalize, ranking_report,
                            var_y, var_reduction_scores)
-from opinionselect.simulate import simulate
+from opinionselect.equilibrium import covariance_lyapunov, mean
+from opinionselect.selector import guarantee_check, submodularity_audit
+from opinionselect.validation import SimConfig, empirical_moments, simulate
 from conftest import (covariance_closed_form, dense_intercentrality, g_score,
                       gains_by_round, graph_from_dense, precision)
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau
 
-from opinionselect import (NoiseModel, bonacich,
-                           covariance_lyapunov, eta_scores, f_score,
+from opinionselect import (NoiseModel, bonacich, eta_scores, f_score,
                            generate_cycle, generate_random_reachable,
                            generate_watts_strogatz, intercentrality,
-                           kendall_tau_b, normalize, ranking_report,
-                           var_reduction_scores)
+                           normalize, ranking_report, var_reduction_scores)
+from opinionselect.centrality import kendall_tau_b
+from opinionselect.equilibrium import covariance_lyapunov
 from opinionselect.errors import NumericalError
 from conftest import (dense_intercentrality, dense_resolvent, graph_from_dense,
                       random_instance)

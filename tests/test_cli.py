@@ -1,14 +1,17 @@
 import argparse
 import copy
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import stat
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -304,6 +307,30 @@ def test_graph_command_flags():
     for name, flags in expected.items():
         seen = {opt for a in commands[name]._actions for opt in a.option_strings}
         assert seen == flags, name
+
+
+def test_package_root_exports_the_pipeline():
+    # the root's whole public surface besides its submodules: a new export
+    # must be added here on purpose
+    exported = {name for name, obj in vars(opinionselect).items()
+                if not name.startswith("_") and not isinstance(obj, ModuleType)}
+    assert exported == {
+        "BudgetExceededError", "GraphError", "NumericalError",
+        "ReachabilityError", "SocialGraph", "load_graph", "save_graph",
+        "normalize", "generate_cycle", "generate_random_reachable",
+        "generate_random_regular", "generate_watts_strogatz", "NoiseModel",
+        "moments", "f_score", "var_y", "estimator_coefficients",
+        "SelectionResult", "greedy_select", "exact_select", "exact_curve",
+        "var_reduction_scores", "eta_scores", "bonacich", "intercentrality",
+        "ranking_report"}
+
+
+def test_no_export_shadows_a_submodule():
+    # an exported name equal to a submodule's would hide the module from
+    # ``import opinionselect.<name> as m``
+    for info in pkgutil.iter_modules(opinionselect.__path__):
+        module = importlib.import_module(f"opinionselect.{info.name}")
+        assert getattr(opinionselect, info.name) is module, info.name
 
 
 def test_select_seeded_reproducible(ws_files, tmp_path):
@@ -920,6 +947,13 @@ def test_validate_submodularity_refusals(tmp_path, capsys, monkeypatch):
         assert run_cli(["validate", "--suite", suite, "--trials", "-2",
                         "--seed", "0", "--out", str(out)]) == 2
         assert "--trials -2" in capsys.readouterr().err
+        assert not out.exists()
+    # the moments suite needs two replicas for a sample covariance
+    for replicas in ("1", "0"):
+        assert run_cli(["validate", "--suite", "moments", "--replicas",
+                        replicas, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --replicas {replicas}: must be at least 2\n"
         assert not out.exists()
     assert run_cli(["validate", "--suite", "submodularity", "--trials", "0",
                     "--seed", "0", "--out", str(out)]) == 0

@@ -4,11 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opinionselect import (NoiseModel, SocialGraph, covariance_lyapunov,
-                           generate_cycle, generate_random_reachable,
-                           generate_random_regular, generate_watts_strogatz,
-                           mean, moments, normalize, var_y)
-from opinionselect.equilibrium import SYMMETRY_TOL
+from opinionselect import (NoiseModel, SocialGraph, generate_cycle,
+                           generate_random_reachable, generate_random_regular,
+                           generate_watts_strogatz, moments, normalize, var_y)
+from opinionselect.equilibrium import SYMMETRY_TOL, covariance_lyapunov, mean
 from opinionselect.errors import NumericalError
 from conftest import (chorded_ring, covariance_closed_form, graph_from_dense,
                       precision, precision_direct, random_instance,

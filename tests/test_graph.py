@@ -10,7 +10,8 @@ from scipy.sparse.csgraph import connected_components
 from opinionselect import (GraphError, ReachabilityError, SocialGraph,
                            generate_cycle, generate_random_reachable,
                            generate_watts_strogatz, load_graph, normalize,
-                           save_graph, validate_reachability)
+                           save_graph)
+from opinionselect.graph import validate_reachability
 from conftest import graph_from_dense
 
 

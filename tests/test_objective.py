@@ -21,7 +21,7 @@ def test_var_y_identity_and_diagonal():
 
 def test_var_y_matches_oracle_on_chain(chain_instance):
     _, ops = chain_instance
-    from opinionselect import covariance_lyapunov
+    from opinionselect.equilibrium import covariance_lyapunov
     C = covariance_lyapunov(ops.A, NoiseModel(np.ones(2)))
     ones = np.ones(2)
     assert var_y(C) == pytest.approx(float(ones @ C @ ones))

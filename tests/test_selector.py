@@ -7,15 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
-from opinionselect import (EXACT_BUDGET, BudgetExceededError, NoiseModel,
-                           check_exact_budget, exact_curve, exact_select,
-                           f_score, generate_cycle, generate_random_regular,
-                           generate_watts_strogatz,
-                           greedy_select, guarantee_check, marginal_gain,
-                           moments, normalize, submodularity_audit, var_y)
+from opinionselect import (BudgetExceededError, NoiseModel, exact_curve,
+                           exact_select, f_score, generate_cycle,
+                           generate_random_regular, generate_watts_strogatz,
+                           greedy_select, moments, normalize, var_y)
 from opinionselect.equilibrium import EquilibriumMoments
 from opinionselect.objective import SCHUR_GUARD
-from opinionselect.selector import TIE_RTOL, _walk, check_audit_budget
+from opinionselect.selector import (EXACT_BUDGET, TIE_RTOL, _walk,
+                                    check_audit_budget, check_exact_budget,
+                                    guarantee_check, marginal_gain,
+                                    submodularity_audit)
 from opinionselect.errors import NumericalError
 from conftest import (covariance_closed_form, g_score, gains_by_round,
                       naive_best_subset, naive_f, precision, random_instance,
@@ -570,8 +571,7 @@ def test_exact_budget_guard():
     # the budget is C(n, s) alone: every size on 25 nodes fits, 26 choose 13
     # does not
     assert max(math.comb(25, s) for s in range(26)) <= EXACT_BUDGET
-    for s in range(26):
-        check_exact_budget(25, s)
+    check_exact_budget(25, range(26))
     assert math.comb(26, 13) > EXACT_BUDGET
     with pytest.raises(BudgetExceededError, match=r"C\(26,13\)"):
         exact_select(np.eye(26), 13)

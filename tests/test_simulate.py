@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from opinionselect import (NoiseModel, SimConfig, covariance_lyapunov,
-                           empirical_moments, horizon_for, mean, normalize,
-                           simulate)
+from opinionselect import NoiseModel, normalize
+from opinionselect.equilibrium import covariance_lyapunov, mean
+from opinionselect.validation import (SimConfig, empirical_moments,
+                                      horizon_for, simulate)
 from conftest import graph_from_dense, random_instance
 
 
@@ -66,7 +67,7 @@ def test_seeded_reproducibility(chain_instance):
 
 
 def test_noise_families_have_exact_variance():
-    from opinionselect.simulate import _draw_noise
+    from opinionselect.validation import _draw_noise
     rng = np.random.default_rng(0)
     sigma = np.array([2.0])
     v = _draw_noise(rng, "rademacher", sigma, (10_000, 1))
