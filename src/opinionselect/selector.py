@@ -14,18 +14,23 @@ forming C.
 Exact selection scores the subsets of a dense C in one depth-first walk
 over the combinations in lexicographic order (the all-subsets scheme of
 Furnival and Wilson's "Regressions by Leaps and Bounds", 1974, as F / Var(Y)
-is a regression R^2). The walk carries greedy's state for each subset K on
-its stack: r, d and the rows of L. It forms the states of all of K's
-one-node extensions at once, one row each, and scores all of their own
-extensions, F(K + i) + r_j^2 / d_j, in one numpy expression. A branch whose
-pivot d_i is at or below ``SCHUR_GUARD`` c_ii is pruned, and its subsets
-are skipped with a warning, as greedy skips a degenerate candidate. A walk
-over the sizes lo..s goes to depth s, skips the extensions that leave no
-room for lo nodes, and folds each block of subsets into the tie rule of its
+is a regression R^2). It walks chunks of same-size subsets, the heads, and
+a chunk carries greedy's state for each of its heads, one row each: F, r,
+d and all the head's rows of L. One masked divide scores every one-node
+extension of every head, F(K) + r_j^2 / d_j. The scored extensions, in
+(head, j) order, which is lexicographic, become the next level's heads, cut
+into chunks of at most ``WALK_FLOATS`` floats of state, and one batched
+product forms each chunk's new rows of L. A branch whose pivot d_i is at or
+below ``SCHUR_GUARD`` c_ii is pruned, and its subsets are skipped with a
+warning, as greedy skips a degenerate candidate. A walk over the sizes
+lo..s goes to depth s, skips the extensions that leave no room for lo
+nodes, and folds each chunk's block of subsets into the tie rule of its
 size, so it serves ``exact_select`` (lo = s: only the at most s C(n, s)
 prefixes of size-s subsets) and ``exact_curve`` (lo = 0: every size up to
-s) alike, in O(s n^2) memory and a dozen or two numpy calls per subset of
-at most s - 2 nodes. Each size k answered needs C(n, k) <= ``EXACT_BUDGET``.
+s) alike. It holds one chunk per level, so its memory is s times the chunk
+budget plus O(s n^2), however many subsets it scores, and its numpy calls
+come a few dozen per chunk, not per subset. Each size k answered needs
+C(n, k) <= ``EXACT_BUDGET``.
 Greedy and exact share one tie rule: the lowest index (greedy) or the
 lexicographically first subset (exact) among the values v within
 ``TIE_RTOL`` |v| of the best, so that rounding, which the BLAS thread count
@@ -55,6 +60,7 @@ EXACT_BUDGET = 10 ** 7
 GREEDY_BOUND = 1.0 - 1.0 / math.e - 1e-9   # 1 - 1/e, less rounding slack
 AUDIT_TOL = 1e-9
 TIE_RTOL = 1e-9     # gains or F values this close, relative, count as a tie
+WALK_FLOATS = 6144  # floats of state per chunk of the exact walk's heads
 
 
 @dataclass(frozen=True)
@@ -221,27 +227,29 @@ def _walk(C: np.ndarray, sizes: range, pruned: list):
     """Depth first, in lexicographic order, over the nonempty subsets of at
     most ``sizes[-1]`` nodes whose pivots all clear the guard and that still
     leave room for ``sizes[0]`` nodes, so one walk serves every size in
-    ``sizes``. It yields (heads, V) for each group of sibling subsets of
-    fewer than ``sizes[-1]`` nodes, heads in order: V[a, j] is
-    F(heads[a] + (j,)) for each extension j on the walk (after the last
-    node of heads[a] and not so late that fewer than ``sizes[0]`` nodes fit),
-    and -inf elsewhere; the groups of t-node heads cover the subsets of size
-    t + 1 in ``sizes`` in lexicographic order. An extension whose pivot is
-    at or below ``SCHUR_GUARD`` c_jj gets -inf too: it goes to ``pruned``
-    and is not extended further. Each group carries greedy's state for its
-    heads, one row each: F, r = (C|K) 1, d = diag(C|K) and the row of L of
-    each head's last node, C|K = C - L'L, L's rows for the nodes before it
-    being those of the group's ancestors in ``L``.
+    ``sizes``. It yields (heads, V) for each chunk of same-size subsets of
+    fewer than ``sizes[-1]`` nodes: heads is a (B, t) int array whose rows
+    are the chunk's subsets in order, and V[a, j] is F(heads[a] + (j,)) for
+    each extension j on the walk (after the last node of heads[a] and not so
+    late that fewer than ``sizes[0]`` nodes fit), and -inf elsewhere; the
+    chunks of t-node heads cover the subsets of size t + 1 in ``sizes`` in
+    lexicographic order. An extension whose pivot is at or below
+    ``SCHUR_GUARD`` c_jj gets -inf too: it goes to ``pruned`` and is not
+    extended further. Each chunk carries greedy's state for its heads, one
+    row each: F, r = (C|K) 1, d = diag(C|K) and all t rows of L, C|K = C -
+    L'L. Its scored extensions become the next level's heads in (head, j)
+    order, cut into chunks of ``WALK_FLOATS`` // ((t + 3) n) heads of t
+    nodes, at least one: a head holds t rows of L, r, d and its row of V.
     """
     _require_finite(C)
     n = C.shape[0]
     cols = np.arange(n)
     guard = SCHUR_GUARD * C.diagonal()
     lo, depth = sizes[0], sizes[-1]
-    L = np.empty((depth, n))
 
-    def visit(heads, last, f, R, D, L_last):
-        t = len(heads[0])
+    def visit(heads, f, R, D, L):
+        t = heads.shape[1]
+        last = heads[:, -1] if t else np.full(1, -1)
         # after extension j, lo - t - 1 more nodes must still fit
         ext = (cols > last[:, None]) & (cols < n - max(lo - t - 1, 0))
         ok = D > guard
@@ -249,26 +257,31 @@ def _walk(C: np.ndarray, sizes: range, pruned: list):
                                    where=ext & ok)
         bad = ext & ~ok
         if bad.any():
-            pruned.extend(heads[a] + (j,) for a, j in np.argwhere(bad).tolist())
+            pruned.extend(tuple(heads[a].tolist()) + (j,)
+                          for a, j in np.argwhere(bad).tolist())
         yield heads, V
         if t + 1 == depth:
             return
-        for a, K in enumerate(heads):
-            # the scored extensions of K, but the last node, which has none
-            I = np.flatnonzero(V[a, :n - 1] > -np.inf)
-            if not I.size:
-                continue
-            if t:
-                L[t - 1] = L_last[a]
-            roots = np.sqrt(D[a, I])
-            Lk = (C[I] - L[:t, I].T @ L[:t]) / roots[:, None]
-            yield from visit([K + (i,) for i in I.tolist()], I, V[a, I],
-                             R[a] - Lk * (R[a, I] / roots)[:, None],
-                             D[a] - Lk * Lk, Lk)
+        # the scored extensions, but of the last node, which has none
+        a, j = np.nonzero(V[:, :n - 1] > -np.inf)
+        per_chunk = max(WALK_FLOATS // ((t + 4) * n), 1)
+        for c in range(0, a.size, per_chunk):
+            ac, jc = a[c:c + per_chunk], j[c:c + per_chunk]
+            roots = np.sqrt(D[ac, jc])
+            L_next = np.empty((ac.size, t + 1, n))
+            L_next[:, :t] = L[ac]
+            Lk = L_next[:, t]       # each extension's new row of L, in place
+            np.divide(C[jc] - np.einsum("mt,mtn->mn", L[ac, :, jc],
+                                        L_next[:, :t]),
+                      roots[:, None], out=Lk)
+            yield from visit(np.column_stack((heads[ac], jc)), V[ac, jc],
+                             R[ac] - Lk * (R[ac, jc] / roots)[:, None],
+                             D[ac] - Lk * Lk, L_next)
 
     if depth > 0:
-        yield from visit([()], np.array([-1]), np.zeros(1),
-                         (C @ np.ones(n))[None], C.diagonal()[None], None)
+        yield from visit(np.zeros((1, 0), dtype=np.intp), np.zeros(1),
+                         (C @ np.ones(n))[None], C.diagonal()[None],
+                         np.zeros((1, 0, n)))
 
 
 def _exact(C: np.ndarray, sizes: range) -> list[SelectionResult]:
@@ -281,7 +294,8 @@ def _exact(C: np.ndarray, sizes: range) -> list[SelectionResult]:
     ties[0].fold(np.zeros(1), lambda j: ())
     pruned: list = []
     for heads, V in _walk(C, sizes, pruned):
-        ties[len(heads[0]) + 1].fold(V, lambda j: heads[j // n] + (j % n,))
+        ties[heads.shape[1] + 1].fold(
+            V, lambda j: tuple(heads[j // n].tolist()) + (j % n,))
     results = []
     for k in sizes:
         # every size-k subset through a pruned branch is skipped
@@ -360,7 +374,7 @@ def submodularity_audit(C: np.ndarray) -> AuditReport:
     for heads, V in _walk(C, range(n + 1), pruned):
         if pruned:
             raise NumericalError("principal submatrix not positive definite")
-        masks = np.array([sum(1 << k for k in K) for K in heads])
+        masks = (1 << heads).sum(axis=1)
         scored = V > -np.inf
         F[(masks[:, None] | bits)[scored]] = V[scored]
     G = var_y(C) - F

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
-from types import ModuleType
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -801,7 +801,8 @@ _STARTUP_SCRIPT = textwrap.dedent("""
         assert cli.main(argv) == 0, argv
     def heavy():
         return sorted(m for m in sys.modules
-                      if m.split(".")[0] in ("scipy", "networkx"))
+                      if m.split(".")[0] in ("scipy", "networkx",
+                                             "statistics"))
     after_ops = heavy()
     assert cli.main(json.loads(sys.argv[2])) == 0
     after_exact = heavy()
@@ -816,7 +817,8 @@ _STARTUP_SCRIPT = textwrap.dedent("""
 def test_commands_leave_heavy_imports_unloaded(tmp_path):
     # select, curves (exact ones included) and score need numpy alone, only
     # the graph generators import networkx, and no command imports any scipy
-    # module. A fresh interpreter sees what the commands load.
+    # module; statistics waits for the moments suite. A fresh interpreter
+    # sees what the commands load.
     prefix = tmp_path / "g"
     save_graph(generate_random_reachable(14, 3, seed=5),
                f"{prefix}.edges", f"{prefix}.stubborn")
@@ -977,10 +979,30 @@ def test_validate_submodularity_refusals(tmp_path, capsys, monkeypatch):
 
 
 def test_validate_moments_small(tmp_path):
+    # seed 2's worst deviation, 4.26 SE on a rademacher covariance, is chance:
+    # it is one of 3 * (12 + 78) comparisons, and the Sidak bound for those
+    # at a family-wise level of 1e-3 is 4.63 SE
     out = tmp_path / "mom.json"
     code = run_cli(["validate", "--suite", "moments", "--replicas", "20000",
                     "--seed", "2", "--out", str(out)])
-    doc = json.loads(out.read_text())
-    assert code in (0, 1)
-    assert doc["validation"]["suite"] == "moments"
-    assert (code == 0) == doc["validation"]["ok"]
+    doc = json.loads(out.read_text())["validation"]
+    assert code == 0
+    assert doc["suite"] == "moments" and doc["ok"]
+    assert doc["bound_in_se"] == pytest.approx(4.6272, abs=1e-4)
+    assert 4.0 < doc["worst_dev_in_se"] < doc["bound_in_se"]
+
+
+def test_validate_moments_catches_a_scaled_covariance(tmp_path, monkeypatch):
+    # a covariance 5% too large is off by more than the bound at the
+    # default replicas
+    from opinionselect import validation
+    exact = validation.moments
+    monkeypatch.setattr(validation, "moments", lambda ops, noise:
+                        SimpleNamespace(C=1.05 * exact(ops, noise).C))
+    out = tmp_path / "mom.json"
+    code = run_cli(["validate", "--suite", "moments", "--seed", "0",
+                    "--out", str(out)])
+    doc = json.loads(out.read_text())["validation"]
+    assert code == 1 and not doc["ok"]
+    assert doc["replicas"] == 20000
+    assert doc["worst_dev_in_se"] > doc["bound_in_se"]

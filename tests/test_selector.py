@@ -13,8 +13,9 @@ from opinionselect import (BudgetExceededError, NoiseModel, exact_curve,
                            greedy_select, moments, normalize, var_y)
 from opinionselect.equilibrium import EquilibriumMoments
 from opinionselect.objective import SCHUR_GUARD
-from opinionselect.selector import (EXACT_BUDGET, TIE_RTOL, _walk,
-                                    check_audit_budget, check_exact_budget,
+from opinionselect.selector import (EXACT_BUDGET, TIE_RTOL, AuditReport,
+                                    _walk, check_audit_budget,
+                                    check_exact_budget,
                                     guarantee_check, marginal_gain,
                                     submodularity_audit)
 from opinionselect.errors import NumericalError
@@ -346,7 +347,7 @@ def walk_values(C, s):
     for heads, V in _walk(C, range(s, s + 1), []):
         if len(heads[0]) == s - 1:
             for a, j in zip(*np.nonzero(V > -np.inf)):
-                out[heads[a] + (int(j),)] = float(V[a, j])
+                out[tuple(heads[a].tolist()) + (int(j),)] = float(V[a, j])
     return out
 
 
@@ -475,11 +476,12 @@ def test_exact_mirror_ties_go_to_the_first_subset():
 
 
 def test_exact_memory_does_not_grow_with_the_subset_count():
-    # the walk folds each block of leaves into the tie rule as it comes, so
-    # it holds a few arrays of n floats per head on its stack, O(s n^2),
-    # however many subsets it scores: at s = 3 that bound is under two
-    # thirds of a float per subset, and s = 2 to 3 multiplies the subsets
-    # by 53
+    # the walk folds each chunk of leaves into the tie rule as it comes, so
+    # each level holds one chunk of at most WALK_FLOATS floats, or one head
+    # when a head alone is larger, and the index arrays of its extensions:
+    # s chunk budgets plus O(s n^2) in all, however many subsets it scores;
+    # at s = 3 the bound below is under two thirds of a float per subset,
+    # and s = 2 to 3 multiplies the subsets by 53
     n = 160
     X = np.random.default_rng(0).normal(size=(n, n))
     C = X @ X.T / n + np.eye(n)
@@ -562,6 +564,69 @@ def test_exact_curve_is_exact_select_per_size(case):
                                                  for k in range(s + 1)]
     if case in ("twin", "pruned-early"):
         assert sum(len(r.skipped) > 0 for r in curve) >= 3
+
+
+def _walk_outcomes(C, s):
+    """exact_select(C, s), exact_curve(C, s) and the audit of C, each as its
+    result's bits (or the error it raised) and its warnings' text."""
+    out = []
+    for search in (exact_select, exact_curve,
+                   lambda C, s: submodularity_audit(C)):
+        res, warned = _run_recording_warnings(search, C, s)
+        bits = ([_bits(r) for r in res] if isinstance(res, list) else
+                res if isinstance(res, AuditReport) else _bits(res))
+        out.append((bits, warned))
+    return out
+
+
+@pytest.mark.parametrize("case", ["twin", "mirror", "rank-deficient",
+                                  "random"])
+def test_exact_chunk_boundaries_move_no_tie_or_skip(case, monkeypatch):
+    # WALK_FLOATS = 1 puts every head in a chunk of its own, so a chunk
+    # boundary falls between every two tied or skipped subsets: the twin
+    # skips every subset holding both copies, the cycle's mirror subsets
+    # tie, and a rank-6 C of 10 nodes has no nondegenerate 7-subset
+    import opinionselect.selector as selector
+    if case == "twin":
+        C, s = twin_instance(3, 12)[0], 5
+    elif case == "mirror":
+        ops = normalize(generate_cycle(12, 1))
+        C, s = moments(ops, NoiseModel.uniform(ops.n_regular, 1.0)).C, 4
+    elif case == "rank-deficient":
+        X = np.random.default_rng(2).normal(size=(10, 6))
+        C, s = X @ X.T, 7
+    else:
+        C, s = random_instance(0, n=12, n_stubborn=2)[2], 5
+    default = _walk_outcomes(C, s)
+    monkeypatch.setattr(selector, "WALK_FLOATS", 1)
+    assert _walk_outcomes(C, s) == default
+    (select, select_warned), (curve, _), (audit, _) = default
+    if case in ("twin", "rank-deficient"):
+        assert select_warned
+        assert audit == "principal submatrix not positive definite"
+    if case == "rank-deficient":
+        assert select == "all 120 subsets of size 7 degenerate"
+    if case in ("mirror", "random"):
+        assert isinstance(audit, AuditReport) and len(curve) == s + 1
+
+
+def test_exact_chunks_find_the_brute_force_optimum_at_30_nodes(monkeypatch):
+    # the lexicographically first subset within TIE_RTOL of the explicit-
+    # inverse optimum, with the default chunks and with one head per chunk
+    import opinionselect.selector as selector
+    C = random_instance(0, n=32, n_stubborn=2)[2]
+    n, s = C.shape[0], 5
+    assert n == 30
+    subsets = list(itertools.combinations(range(n), s))
+    values = [naive_f(C, K) for K in subsets]
+    best = max(values)
+    first = next(K for K, v in zip(subsets, values)
+                 if v >= best - TIE_RTOL * abs(best))
+    for walk_floats in (selector.WALK_FLOATS, 1):
+        monkeypatch.setattr(selector, "WALK_FLOATS", walk_floats)
+        res = exact_select(C, s)
+        assert res.chosen == first, walk_floats
+        assert res.f_values[-1] == pytest.approx(best, rel=1e-9)
 
 
 def test_exact_budget_guard():
