@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -259,7 +260,7 @@ def cmd_score(args) -> int:
         else:
             scores.append(centrality.intercentrality(G, args.attenuation))
     rep = centrality.ranking_report(scores)
-    regular_labels = [g.labels[i] for i in ops.regular]
+    regular_labels = [g.labels[i] for i in g.regular]
     doc = {
         "schema": SCHEMA_VERSION,
         "meta": _meta(args, "score", t0),
@@ -334,6 +335,8 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_AUDIT_FAIL
 
 
+# built once, for every ``main`` call: a build costs about ten parses
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opinionselect",

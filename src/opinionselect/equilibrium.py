@@ -1,12 +1,10 @@
-"""Equilibrium mean and covariance of the noisy averaging dynamics.
+"""Equilibrium covariance of the noisy averaging dynamics.
 
-``mean`` solves for the equilibrium mean; ``moments`` returns the covariance
-alone, because the objective and every score read C and never the mean.
-The covariance is defined by the discrete-time Lyapunov equation
-C = A C A' + Sigma. ``moments`` is its one exact path, from the
-eigendecomposition that ``normalize`` stores: A = D^-1/2 S D^1/2 with
-S = Q diag(lam) Q' symmetric, so
-C = D^-1/2 Q M Q' D^-1/2 with M = Q' (D Sigma) Q / (1 - lam lam').
+The objective and every score read the covariance C alone, never the
+mean. C solves the discrete-time Lyapunov equation C = A C A' + Sigma;
+``moments`` is its one exact path, from the eigendecomposition that
+``normalize`` stores: A = D^-1/2 S D^1/2 with S = Q diag(lam) Q' symmetric,
+so C = D^-1/2 Q M Q' D^-1/2 with M = Q' (D Sigma) Q / (1 - lam lam').
 It returns C as an operator holding P = Q M and D^-1/2: C v, diag C and
 one row of C cost O(n^2), which is all that greedy selection and the
 variance-reduction score read, and the dense C is formed only when read, as
@@ -31,9 +29,9 @@ solver: C comes from the spectrum either way.
 refuses a C whose relative residual exceeds ``RESIDUAL_TOL``: a wide range
 of regular strengths costs the spectral C its accuracy.
 
-``covariance_lyapunov``, the squaring-doubling solver on ``ops.A`` (formed
-from the weights, not from the spectrum), is an independent oracle that the
-benchmark's reference set-up and the tests import; no command calls it.
+``covariance_lyapunov`` (squaring-doubling on the A of ``validation.blocks``,
+formed from the edge weights, not the spectrum) is an independent oracle for
+the benchmark's reference set-up and the tests; no command calls it.
 """
 
 from __future__ import annotations
@@ -121,17 +119,6 @@ class EquilibriumMoments:
     @cached_property
     def C(self) -> np.ndarray:
         return _dense_covariance(self.P, self.Q, self.scale)
-
-
-def mean(ops: NetworkOperators, u: np.ndarray) -> np.ndarray:
-    """Equilibrium mean of the regular agents: solve (I - A) mu = B u."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (len(ops.stubborn),):
-        raise ValueError("u must have one entry per stubborn node")
-    try:
-        return np.linalg.solve(np.eye(ops.n_regular) - ops.A, ops.B @ u)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular (I - A): reachability violated") from exc
 
 
 def covariance_lyapunov(A: np.ndarray, noise: NoiseModel) -> np.ndarray:

@@ -3,15 +3,10 @@
 A graph is stored as its edge list: each undirected edge once, as i < j in
 row-major order, with its positive weight, plus the set of stubborn node
 indices. ``SocialGraph(n_nodes, i, j, weights, stubborn)`` is the one
-constructor: ``load_graph`` and the generators pass it edge arrays. No
-command forms the n x n weight matrix; ``SocialGraph.weights`` forms it on
-each read, for the oracles, the blocks A and B and the simulator.
+constructor: ``load_graph`` and the generators pass it edge arrays.
 Normalization sums the strengths over the edges and stores one form of the
 DeGroot operator A = D^-1 W_RR: the eigendecomposition of the symmetric
 matrix similar to it, which it scatters from the regular-regular edges.
-The blocks A and B of the row-stochastic diag(w)^-1 W are formed from the
-weights when read, never from the spectrum, so the oracles stay
-independent.
 
 Reachability is a breadth-first search over the edge list, O(m) per level.
 networkx is imported only inside the two generators that draw from it
@@ -94,14 +89,6 @@ class SocialGraph:
     def n_edges(self) -> int:
         return len(self.edge_weights)
 
-    @property
-    def weights(self) -> np.ndarray:
-        """The dense symmetric weight matrix, formed on each read (O(n^2))."""
-        W = np.zeros((self.n_nodes, self.n_nodes))
-        W[self.edge_i, self.edge_j] = self.edge_weights
-        W[self.edge_j, self.edge_i] = self.edge_weights
-        return W
-
     # formed on each read, O(m), not cached: arrays cached on the graph stay
     # alive across normalize's eigh and split the free heap an n x n array
     # would reuse there (cached, peak RSS of a repeated 1,000-node `score`
@@ -124,18 +111,15 @@ class SocialGraph:
 class NetworkOperators:
     """The spectrum of A = D^-1 W_RR for the graph ``graph``.
 
-    D = diag(w) holds the strengths of the regular nodes in ``regular`` order
-    (edges to stubborn nodes included). A is similar to the symmetric matrix
-    S = D^-1/2 W_RR D^-1/2 = Q diag(eigvals) Q'. ``eigvals`` (ascending) and
-    the orthonormal ``eigvecs`` Q are that decomposition, and ``rho`` is
-    max |eigvals|. The blocks ``A`` = D^-1 W_RR and ``B`` = D^-1 W_RS, whose
-    rows together sum to one, are formed from W on each read (O(n^2)).
+    D = diag(w) holds the strengths of the regular nodes in
+    ``graph.regular`` order (edges to stubborn nodes included). A is similar
+    to the symmetric matrix S = D^-1/2 W_RR D^-1/2 = Q diag(eigvals) Q'.
+    ``eigvals`` (ascending) and the orthonormal ``eigvecs`` Q are that
+    decomposition, and ``rho`` is max |eigvals|.
     """
 
     graph: SocialGraph
     w: np.ndarray
-    regular: tuple[int, ...]
-    stubborn: tuple[int, ...]
     rho: float
     eigvals: np.ndarray
     eigvecs: np.ndarray
@@ -146,17 +130,7 @@ class NetworkOperators:
 
     @property
     def n_regular(self) -> int:
-        return len(self.regular)
-
-    @property
-    def A(self) -> np.ndarray:
-        W, R = self.graph.weights, self.regular
-        return W[np.ix_(R, R)] / self.w[:, None]
-
-    @property
-    def B(self) -> np.ndarray:
-        W, R = self.graph.weights, self.regular
-        return W[np.ix_(R, self.stubborn)] / self.w[:, None]
+        return len(self.w)
 
 
 @dataclass(frozen=True)
@@ -240,8 +214,7 @@ def normalize(g: SocialGraph) -> NetworkOperators:
     rho = float(np.max(np.abs(eigvals))) if R else 0.0
     if not rho < 1.0 - RHO_MARGIN:     # NaN fails too
         raise ReachabilityError(f"spectral radius of A is {rho:.12f}, expected < 1")
-    return NetworkOperators(graph=g, w=w, regular=R,
-                            stubborn=g.stubborn, rho=rho, eigvals=eigvals,
+    return NetworkOperators(graph=g, w=w, rho=rho, eigvals=eigvals,
                             eigvecs=eigvecs)
 
 

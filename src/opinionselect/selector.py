@@ -169,6 +169,9 @@ def greedy_select(C, s: int) -> SelectionResult:
     # C|K = C - L'L: row t of L is the pivoted-Cholesky column of pick t
     r = C @ np.ones(n)
     c_diag = C.diagonal()
+    # ValueError on a NaN or inf in C, which makes its row sum non-finite
+    _require_finite(r)
+    _require_finite(c_diag)
     d = c_diag.copy()
     L = np.empty((s, n))
     taken = np.zeros(n, dtype=bool)

@@ -4,6 +4,10 @@ The oracle starts its replicas at the equilibrium mean and steps them past a
 burn-in horizon set by the spectral radius, so the final states are draws
 from (numerically) the stationary distribution.
 
+Its dense view lives here alone, read by no command but ``validate``:
+``dense_weights`` forms W, ``blocks`` the A = D^-1 W_RR and B = D^-1 W_RS
+of W (not of the spectrum), and ``mean`` solves (I - A) mu = B u.
+
 ``SUITES`` maps each suite to a function of the ``validate`` flags; all read
 ``--seed``. ``moments`` alone reads ``--replicas`` (at least 2) and ignores
 ``--trials`` and ``--max-r``. The others draw ``--trials`` instances whose
@@ -21,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import selector
-from .equilibrium import NoiseModel, mean, moments
-from .errors import GraphError
-from .graph import (NetworkOperators, generate_random_reachable,
+from .equilibrium import NoiseModel, moments
+from .errors import GraphError, NumericalError
+from .graph import (NetworkOperators, SocialGraph, generate_random_reachable,
                     generate_random_regular, generate_watts_strogatz,
                     normalize)
 from .objective import f_score
@@ -47,6 +51,36 @@ class SimConfig:
         if self.noise_family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {self.noise_family!r}")
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
+
+
+def dense_weights(g: SocialGraph) -> np.ndarray:
+    """The dense symmetric weight matrix of ``g``, O(n^2) per call."""
+    W = np.zeros((g.n_nodes, g.n_nodes))
+    W[g.edge_i, g.edge_j] = g.edge_weights
+    W[g.edge_j, g.edge_i] = g.edge_weights
+    return W
+
+
+def blocks(ops: NetworkOperators) -> tuple[np.ndarray, np.ndarray]:
+    """A = D^-1 W_RR and B = D^-1 W_RS, whose rows together sum to one."""
+    W, R = dense_weights(ops.graph), ops.graph.regular
+    return (W[np.ix_(R, R)] / ops.w[:, None],
+            W[np.ix_(R, ops.graph.stubborn)] / ops.w[:, None])
+
+
+def _solve_mean(A: np.ndarray, B: np.ndarray, u: np.ndarray) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if u.shape != (B.shape[1],):
+        raise ValueError("u must have one entry per stubborn node")
+    try:
+        return np.linalg.solve(np.eye(len(A)) - A, B @ u)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("singular (I - A): reachability violated") from exc
+
+
+def mean(ops: NetworkOperators, u: np.ndarray) -> np.ndarray:
+    """Equilibrium mean of the regular agents: solve (I - A) mu = B u."""
+    return _solve_mean(*blocks(ops), u)
 
 
 def horizon_for(rho: float, tol: float) -> int:
@@ -90,15 +124,15 @@ def simulate(ops: NetworkOperators, noise: NoiseModel | np.ndarray,
     if sigma2.shape != (ops.n_regular,):
         raise ValueError("variance vector must cover the regular nodes")
     sigma = np.sqrt(sigma2)
-    mu = mean(ops, cfg.u)
+    A, B = blocks(ops)
+    mu = _solve_mean(A, B, cfg.u)
     T = horizon_for(ops.rho, 1e-8)
-    A_T = ops.A.T
-    drift = ops.B @ cfg.u
+    drift = B @ cfg.u
     rng = np.random.default_rng(cfg.seed)
     X = np.tile(mu, (cfg.replicas, 1))
     for _ in range(T):
         V = _draw_noise(rng, cfg.noise_family, sigma, X.shape)
-        X = X @ A_T + drift + V
+        X = X @ A.T + drift + V
     return X
 
 
@@ -140,7 +174,7 @@ def _suite_moments(args) -> dict:
     g = generate_watts_strogatz(15, 4, 0.3, args.seed, 3)
     ops = normalize(g)
     noise = NoiseModel.uniform(ops.n_regular, 1.0)
-    u = np.linspace(0.0, 1.0, len(ops.stubborn))
+    u = np.linspace(0.0, 1.0, len(g.stubborn))
     mu = mean(ops, u)
     C = moments(ops, noise).C
     # each family compares n means and the n(n+1)/2 distinct covariances;

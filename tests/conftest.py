@@ -12,6 +12,7 @@ from opinionselect import (NoiseModel, SocialGraph, generate_random_reachable,
 from opinionselect.equilibrium import SYMMETRY_TOL, covariance_lyapunov
 from opinionselect.errors import NumericalError
 from opinionselect.objective import _check_set, _spd_solve
+from opinionselect.validation import blocks
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,7 @@ def random_instance(seed, n=10, n_stubborn=2, heterogeneous=True):
         noise = NoiseModel(rng.uniform(0.5, 2.0, ops.n_regular))
     else:
         noise = NoiseModel.uniform(ops.n_regular, 1.0)
-    C = covariance_lyapunov(ops.A, noise)
+    C = covariance_lyapunov(blocks(ops)[0], noise)
     return ops, noise, C
 
 
@@ -205,7 +206,7 @@ def ws15_instance():
     g = generate_watts_strogatz(15, 4, 0.3, 7, 3)
     ops = normalize(g)
     noise = NoiseModel.uniform(ops.n_regular, 1.0)
-    C = covariance_lyapunov(ops.A, noise)
+    C = covariance_lyapunov(blocks(ops)[0], noise)
     return g, ops, noise, C
 
 

@@ -29,9 +29,10 @@ from opinionselect import (BudgetExceededError, NoiseModel, bonacich,
                            generate_random_regular, generate_watts_strogatz,
                            greedy_select, moments, normalize, ranking_report,
                            var_y, var_reduction_scores)
-from opinionselect.equilibrium import covariance_lyapunov, mean
+from opinionselect.equilibrium import covariance_lyapunov
 from opinionselect.selector import guarantee_check, submodularity_audit
-from opinionselect.validation import SimConfig, empirical_moments, simulate
+from opinionselect.validation import (SimConfig, blocks, empirical_moments,
+                                      mean, simulate)
 from conftest import (covariance_closed_form, dense_intercentrality, g_score,
                       gains_by_round, graph_from_dense, precision)
 
@@ -53,8 +54,9 @@ def test_criterion_01_lyapunov_correctness():
         n = int(rng.integers(6, 54))  # up to 50 regular nodes
         ops, noise = _hetero_instance(1000 + trial, n, 3)
         assert ops.n_regular <= 50
-        C = covariance_lyapunov(ops.A, noise)
-        residual = C - ops.A @ C @ ops.A.T - np.diag(noise.sigma2)
+        A = blocks(ops)[0]
+        C = covariance_lyapunov(A, noise)
+        residual = C - A @ C @ A.T - np.diag(noise.sigma2)
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(C)
         assert np.linalg.eigvalsh(C).min() > 0
     elapsed = time.perf_counter() - t0
@@ -73,9 +75,9 @@ def test_criterion_02_closed_form_valid_regime_and_statistics():
         g = generate_random_regular(n, d, seed, 2)
         ops = normalize(g)
         noise = NoiseModel.uniform(ops.n_regular, 0.5 + 0.05 * seed)
-        cf = covariance_closed_form(ops.A, noise)
+        cf = covariance_closed_form(blocks(ops)[0], noise)
         assert cf.accepted, f"rejected on regular instance seed={seed}"
-        C = covariance_lyapunov(ops.A, noise)
+        C = covariance_lyapunov(blocks(ops)[0], noise)
         rel = np.linalg.norm(cf.covariance - C) / np.linalg.norm(C)
         assert rel <= 1e-8
         checked += 1
@@ -83,7 +85,7 @@ def test_criterion_02_closed_form_valid_regime_and_statistics():
     accepted = rejected = 0
     for seed in range(50):
         ops, noise = _hetero_instance(seed, 12, 2)
-        cf = covariance_closed_form(ops.A, noise)
+        cf = covariance_closed_form(blocks(ops)[0], noise)
         accepted += cf.accepted
         rejected += not cf.accepted
     print(f"PASS criterion 2 (valid regime): direct formula accepted and "
@@ -117,8 +119,8 @@ def test_criterion_02_closed_form_noise_proportional_to_degree_irregular():
         w = ops.w
 
         noise = NoiseModel(0.7 * w)
-        cf = covariance_closed_form(ops.A, noise)
-        C = covariance_lyapunov(ops.A, noise)
+        cf = covariance_closed_form(blocks(ops)[0], noise)
+        C = covariance_lyapunov(blocks(ops)[0], noise)
         rel = np.linalg.norm(cf.covariance - C) / np.linalg.norm(C)
         assert cf.asymmetry <= 1e-10, f"candidate not symmetric (seed={seed})"
         assert not cf.accepted, (
@@ -138,8 +140,9 @@ def test_criterion_02_closed_form_noise_proportional_to_degree_irregular():
         min_rel = min(min_rel, rel)
 
         noise = NoiseModel(0.7 / w)
-        C = covariance_lyapunov(ops.A, noise)
-        direct = np.linalg.solve(np.eye(ops.n_regular) - ops.A @ ops.A,
+        A = blocks(ops)[0]
+        C = covariance_lyapunov(A, noise)
+        direct = np.linalg.solve(np.eye(ops.n_regular) - A @ A,
                                  np.diag(noise.sigma2))  # (I - A^2)^{-1} Sigma
         rel = np.linalg.norm(direct - C) / np.linalg.norm(C)
         assert rel <= 1e-8, (
@@ -152,7 +155,7 @@ def test_criterion_02_closed_form_noise_proportional_to_degree_irregular():
         assert rel_m <= 1e-8, (
             f"moments() differs from (I - A^2)^-1 Sigma: relative error "
             f"{rel_m:.3e} (seed={seed})")
-        cf = covariance_closed_form(ops.A, noise)
+        cf = covariance_closed_form(blocks(ops)[0], noise)
         if cf.accepted:
             accepted_inverse += 1
             assert (np.linalg.norm(cf.covariance - C) / np.linalg.norm(C)
@@ -169,7 +172,7 @@ def test_criterion_03_conservation():
     for seed in range(50):
         ops, noise = _hetero_instance(seed, 10, 2)
         assert ops.n_regular <= 8
-        C = covariance_lyapunov(ops.A, noise)
+        C = covariance_lyapunov(blocks(ops)[0], noise)
         H = precision(C)
         total = var_y(C)
         m = C.shape[0]
@@ -192,7 +195,7 @@ def test_criterion_04_submodularity_audit():
         ops = normalize(g)
         assert ops.n_regular <= 7
         noise = NoiseModel.uniform(ops.n_regular, 1.0)
-        cf = covariance_closed_form(ops.A, noise)
+        cf = covariance_closed_form(blocks(ops)[0], noise)
         assert cf.accepted
         rep = submodularity_audit(cf.covariance)
         assert rep.violations_f == 0, f"instance {n_instances}"
@@ -214,14 +217,15 @@ def test_criterion_05_greedy_guarantee():
         n = 6 + seed % 11  # up to 16 regular after removing stubborn
         ops, noise = _hetero_instance(seed, n + 2, 2)
         assert ops.n_regular <= 16
-        C = covariance_lyapunov(ops.A, noise)
+        C = covariance_lyapunov(blocks(ops)[0], noise)
         s = 1 + seed % 5
         rep = guarantee_check(C, min(s, C.shape[0]))
         assert rep.ratio >= bound - 1e-9
         ratios.append(rep.ratio)
     # seeded small-world reproduction, every feasible budget up to 5
     ops = normalize(generate_watts_strogatz(15, 4, 0.3, 7, 3))
-    C = covariance_lyapunov(ops.A, NoiseModel.uniform(ops.n_regular, 1.0))
+    C = covariance_lyapunov(blocks(ops)[0],
+                            NoiseModel.uniform(ops.n_regular, 1.0))
     for s in range(1, 6):
         rep = guarantee_check(C, s)
         assert rep.ratio >= bound - 1e-9
@@ -236,7 +240,7 @@ def test_criterion_06_incremental_equals_direct(gain_calls):
         n = int(rng.integers(12, 204)) if trial % 10 else 203
         ops, noise = _hetero_instance(2000 + trial, n, 3)
         assert ops.n_regular <= 200
-        C = covariance_lyapunov(ops.A, noise)
+        C = covariance_lyapunov(blocks(ops)[0], noise)
         m = C.shape[0]
         s = int(min(20, m, rng.integers(2, 21)))
         gain_calls.clear()
@@ -261,7 +265,7 @@ def test_criterion_07_evaluation_count_law():
     for seed, (n, s) in enumerate([(10, 1), (12, 4), (30, 10), (15, 13),
                                    (40, 20)]):
         ops, noise = _hetero_instance(3000 + seed, n + 2, 2)
-        C = covariance_lyapunov(ops.A, noise)
+        C = covariance_lyapunov(blocks(ops)[0], noise)
         m = C.shape[0]
         s_eff = min(s, m)
         res = greedy_select(C, s_eff)
@@ -273,7 +277,8 @@ def test_criterion_07_evaluation_count_law():
 def test_criterion_08_runtime_scaling():
     g = generate_watts_strogatz(86, 8, 0.1, 1, 3)
     ops = normalize(g)
-    C = covariance_lyapunov(ops.A, NoiseModel.uniform(ops.n_regular, 1.0))
+    C = covariance_lyapunov(blocks(ops)[0],
+                            NoiseModel.uniform(ops.n_regular, 1.0))
 
     def best_time(s, reps=5):
         best = np.inf
@@ -305,8 +310,8 @@ def test_criterion_09_monte_carlo_moments():
     worst = 0.0
     for ops, sigma2 in instances:
         noise = NoiseModel(sigma2)
-        C = covariance_lyapunov(ops.A, noise)
-        u = np.linspace(0.0, 1.0, len(ops.stubborn))
+        C = covariance_lyapunov(blocks(ops)[0], noise)
+        u = np.linspace(0.0, 1.0, len(ops.graph.stubborn))
         mu = mean(ops, u)
         for family in ("gaussian", "uniform", "rademacher"):
             cfg = SimConfig(replicas=100_000, seed=MC_SEED, u=u,
@@ -327,7 +332,8 @@ def test_criterion_10_single_node_identities():
         g = generate_random_reachable(11, 2, 4000 + seed)
         ops = normalize(g)
         eta = eta_scores(ops).scores
-        ic = dense_intercentrality(ops.A @ ops.A, 1.0)
+        A = blocks(ops)[0]
+        ic = dense_intercentrality(A @ A, 1.0)
         assert np.allclose(eta, ic, rtol=1e-10, atol=0.0)
     # single-node variance reduction on instances with an exact direct form
     for seed in range(20):
@@ -335,7 +341,7 @@ def test_criterion_10_single_node_identities():
         ops = normalize(g)
         sigma2 = 0.5 + 0.1 * seed
         noise = NoiseModel.uniform(ops.n_regular, sigma2)
-        cf = covariance_closed_form(ops.A, noise)
+        cf = covariance_closed_form(blocks(ops)[0], noise)
         assert cf.accepted
         eta = eta_scores(ops).scores
         for k in range(ops.n_regular):
@@ -349,7 +355,8 @@ def test_criterion_10_single_node_identities():
 
 def test_criterion_11_qualitative_curves_and_rankings():
     ops = normalize(generate_watts_strogatz(15, 4, 0.3, 7, 3))
-    C = covariance_lyapunov(ops.A, NoiseModel.uniform(ops.n_regular, 1.0))
+    C = covariance_lyapunov(blocks(ops)[0],
+                            NoiseModel.uniform(ops.n_regular, 1.0))
     m = C.shape[0]
     res = greedy_select(C, m)
     fracs = [g / res.var_y for g in res.g_values]

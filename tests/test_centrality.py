@@ -11,6 +11,7 @@ from opinionselect import (NoiseModel, bonacich, eta_scores, f_score,
 from opinionselect.centrality import kendall_tau_b
 from opinionselect.equilibrium import covariance_lyapunov
 from opinionselect.errors import NumericalError
+from opinionselect.validation import blocks, dense_weights
 from conftest import (dense_intercentrality, dense_resolvent, graph_from_dense,
                       random_instance)
 
@@ -60,7 +61,8 @@ def test_eta_equals_intercentrality_of_two_hop_operator():
     for seed in range(20):
         ops, _, _ = random_instance(seed, n=10, n_stubborn=2)
         eta = eta_scores(ops).scores
-        ic = dense_intercentrality(ops.A @ ops.A, 1.0)
+        A = blocks(ops)[0]
+        ic = dense_intercentrality(A @ A, 1.0)
         assert np.allclose(eta, ic, rtol=1e-10)
 
 
@@ -72,7 +74,7 @@ def test_bonacich_trivial_cases():
 
 def test_bonacich_regular_graph_closed_form():
     ring = generate_cycle(8, 0)
-    G = ring.weights
+    G = dense_weights(ring)
     a = 0.3  # d = 2, a < 1/d
     b = bonacich(G, a).scores
     assert np.allclose(b, 1.0 / (1.0 - a * 2))
@@ -89,7 +91,7 @@ def test_bonacich_divergent_attenuation():
 def test_intercentrality_trivial_and_symmetric():
     assert np.allclose(intercentrality(np.zeros((3, 3)), 1.0).scores, 1.0)
     ring = generate_cycle(7, 0)
-    c = intercentrality(ring.weights, 0.2).scores
+    c = intercentrality(dense_weights(ring), 0.2).scores
     assert np.allclose(c, c[0])
 
 
@@ -125,7 +127,7 @@ def _assert_rel(got, want, case):
 
 def test_spectral_scores_match_dense_oracles():
     for case, ops in _spectral_oracle_cases():
-        A = ops.A
+        A = blocks(ops)[0]
         attenuations = [1.0, 0.5, 0.0, -0.9]
         if case == "cycle12":
             # bipartite: the spectrum is symmetric, eigvals[0] = -rho
@@ -139,8 +141,8 @@ def test_spectral_scores_match_dense_oracles():
             _assert_rel(intercentrality(ops, a).scores,
                         dense_intercentrality(A, a), (case, a))
         # the 0/1 adjacency of the regular block (--matrix adjacency)
-        R = ops.regular
-        G = (ops.graph.weights[np.ix_(R, R)] > 0).astype(float)
+        R = ops.graph.regular
+        G = (dense_weights(ops.graph)[np.ix_(R, R)] > 0).astype(float)
         rho = np.max(np.abs(np.linalg.eigvals(G)))
         for a in (0.0, 0.9 / rho, -0.9 / rho, 0.999 / rho):
             _assert_rel(bonacich(G, a).scores, dense_bonacich(G, a),

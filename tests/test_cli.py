@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 import opinionselect
-from opinionselect import (NoiseModel, SocialGraph, equilibrium,
-                           generate_random_reachable,
+from opinionselect import (NoiseModel, equilibrium, generate_random_reachable,
                            generate_random_regular, generate_watts_strogatz,
                            load_graph, moments, normalize, save_graph, selector,
                            var_reduction_scores)
 from opinionselect.cli import build_parser, main
+from opinionselect.validation import dense_weights
 from conftest import chorded_ring
 
 
@@ -309,6 +309,24 @@ def test_graph_command_flags():
         assert seen == flags, name
 
 
+def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
+    # the first call builds the parser and later calls reuse it: a second
+    # main constructs no ArgumentParser, its subcommands' included
+    argv = ["generate", "--model", "cycle", "--n", "6", "--n-stubborn", "1",
+            "--out-prefix", str(tmp_path / "c")]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 0
+    assert built == []
+
+
 def test_package_root_exports_the_pipeline():
     # the root's whole public surface besides its submodules: a new export
     # must be added here on purpose
@@ -397,7 +415,7 @@ def test_score_adjacency_attenuation_bound(tmp_path, capsys):
     g = load_graph(f"{prefix}.edges",
                    [int(t) for t in Path(f"{prefix}.stubborn").read_text().split()])
     R = list(g.regular)
-    rho = np.max(np.abs(np.linalg.eigvalsh((g.weights[np.ix_(R, R)] > 0)
+    rho = np.max(np.abs(np.linalg.eigvalsh((dense_weights(g)[np.ix_(R, R)] > 0)
                                            .astype(float))))
     assert bound == pytest.approx(1.0 / rho, rel=1e-5)
     assert run_cli(graph + ["--attenuation", repr(bound / 2)]) == 0
@@ -472,8 +490,8 @@ def test_greedy_select_never_forms_the_covariance(tmp_path, monkeypatch):
 
 
 def test_commands_never_form_the_weight_matrix(tmp_path, monkeypatch):
-    # every command reads the graph through its edges, so with the dense
-    # weight matrix refused the documents come out unchanged
+    # every command reads the graph through its edges, so with the oracle's
+    # dense weight matrix refused the documents come out unchanged
     g = generate_random_reachable(22, 2, seed=4)
     prefix = tmp_path / "g"
     save_graph(g, f"{prefix}.edges", f"{prefix}.stubborn")
@@ -505,10 +523,10 @@ def test_commands_never_form_the_weight_matrix(tmp_path, monkeypatch):
 
     want = documents()
 
-    def refuse(self):
+    def refuse(g):
         raise AssertionError("a command formed the dense weight matrix")
 
-    monkeypatch.setattr(SocialGraph, "weights", property(refuse))
+    monkeypatch.setattr("opinionselect.validation.dense_weights", refuse)
     assert documents() == want
 
 

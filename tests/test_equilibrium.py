@@ -7,8 +7,9 @@ import pytest
 from opinionselect import (NoiseModel, SocialGraph, generate_cycle,
                            generate_random_reachable, generate_random_regular,
                            generate_watts_strogatz, moments, normalize, var_y)
-from opinionselect.equilibrium import SYMMETRY_TOL, covariance_lyapunov, mean
+from opinionselect.equilibrium import SYMMETRY_TOL, covariance_lyapunov
 from opinionselect.errors import NumericalError
+from opinionselect.validation import blocks, dense_weights, mean
 from conftest import (chorded_ring, covariance_closed_form, graph_from_dense,
                       precision, precision_direct, random_instance,
                       series_covariance)
@@ -56,9 +57,9 @@ def test_mean_A_zero_is_Bu():
     W[0, 2] = W[2, 0] = 1.0
     W[1, 2] = W[2, 1] = 2.0
     ops = normalize(graph_from_dense(W, (2,)))
-    assert np.allclose(ops.A, 0.0)
+    assert np.allclose(blocks(ops)[0], 0.0)
     u = np.array([0.3])
-    assert np.allclose(mean(ops, u), ops.B @ u)
+    assert np.allclose(mean(ops, u), blocks(ops)[1] @ u)
 
 
 def test_lyapunov_A_zero_returns_sigma():
@@ -81,7 +82,8 @@ def test_lyapunov_residual_and_pd_random():
     for seed in range(20):
         ops, noise, C = random_instance(seed, n=12, n_stubborn=2)
         Sigma = np.diag(noise.sigma2)
-        res = np.linalg.norm(C - ops.A @ C @ ops.A.T - Sigma)
+        A = blocks(ops)[0]
+        res = np.linalg.norm(C - A @ C @ A.T - Sigma)
         assert res <= 1e-10 * np.linalg.norm(C)
         assert np.min(np.linalg.eigvalsh(C)) > 0
         assert np.allclose(C, C.T)
@@ -90,7 +92,7 @@ def test_lyapunov_residual_and_pd_random():
 def test_lyapunov_linearity_in_noise():
     ops, noise, C = random_instance(3, n=10)
     for t in (0.25, 2.0, 7.5):
-        Ct = covariance_lyapunov(ops.A, NoiseModel(t * noise.sigma2))
+        Ct = covariance_lyapunov(blocks(ops)[0], NoiseModel(t * noise.sigma2))
         assert np.linalg.norm(Ct - t * C) <= 1e-10 * np.linalg.norm(Ct)
 
 
@@ -106,9 +108,9 @@ def test_closed_form_accepted_on_regular_graph_uniform_noise():
         g = generate_random_regular(10, 3, seed, 2)
         ops = normalize(g)
         noise = NoiseModel.uniform(ops.n_regular, 1.3)
-        cf = covariance_closed_form(ops.A, noise)
+        cf = covariance_closed_form(blocks(ops)[0], noise)
         assert cf.accepted
-        C_ly = covariance_lyapunov(ops.A, noise)
+        C_ly = covariance_lyapunov(blocks(ops)[0], noise)
         rel = np.linalg.norm(cf.covariance - C_ly) / np.linalg.norm(C_ly)
         assert rel < 1e-8
 
@@ -119,18 +121,18 @@ def test_closed_form_sigma_proportional_to_degree_is_symmetric_but_inconsistent(
     g = generate_random_reachable(10, 2, seed=4)
     ops = normalize(g)
     noise = NoiseModel(ops.w.copy())
-    cf = covariance_closed_form(ops.A, noise)
+    cf = covariance_closed_form(blocks(ops)[0], noise)
     assert cf.symmetric
     assert cf.asymmetry < 1e-12
     assert not cf.accepted
     assert cf.lyapunov_residual > 1e-3
-    C_ly = covariance_lyapunov(ops.A, noise)
+    C_ly = covariance_lyapunov(blocks(ops)[0], noise)
     assert np.linalg.norm(cf.covariance - C_ly) / np.linalg.norm(C_ly) > 1e-3
 
 
 def test_closed_form_heterogeneous_rejected_by_asymmetry():
     ops, noise, _ = random_instance(11, n=10)
-    cf = covariance_closed_form(ops.A, noise)
+    cf = covariance_closed_form(blocks(ops)[0], noise)
     # asymmetry of the raw candidate decides the symmetry flag
     expected = cf.asymmetry <= 1e-10
     assert cf.symmetric == expected
@@ -150,8 +152,8 @@ def test_accepted_implies_lyapunov_match():
             g = generate_random_reachable(9, 2, seed)
             ops = normalize(g)
             noise = NoiseModel(ops.w.copy())
-        cf = covariance_closed_form(ops.A, noise)
-        C_ly = covariance_lyapunov(ops.A, noise)
+        cf = covariance_closed_form(blocks(ops)[0], noise)
+        C_ly = covariance_lyapunov(blocks(ops)[0], noise)
         rel = np.linalg.norm(cf.covariance - C_ly) / np.linalg.norm(C_ly)
         if cf.accepted:
             assert rel < 1e-8
@@ -178,10 +180,10 @@ def test_precision_offdiagonals_nonpositive_on_accepted():
         g = generate_random_regular(10, 3, seed, 2)
         ops = normalize(g)
         noise = NoiseModel.uniform(ops.n_regular, 1.0)
-        cf = covariance_closed_form(ops.A, noise)
+        cf = covariance_closed_form(blocks(ops)[0], noise)
         assert cf.accepted
         H = precision(cf.covariance)
-        Hd = precision_direct(ops.A, noise)
+        Hd = precision_direct(blocks(ops)[0], noise)
         assert np.linalg.norm(H - Hd) / np.linalg.norm(H) < 1e-8
         off = H - np.diag(np.diag(H))
         assert np.max(off) <= 1e-12
@@ -213,34 +215,38 @@ def test_moments_spectral_solve_matches_oracles():
     cases = []
     for seed in range(10):
         ops, noise, C_ly = random_instance(seed, n=12, n_stubborn=2)
-        cases.append((ops, noise, C_ly, series_covariance(ops.A, noise.sigma2)))
+        cases.append((ops, noise, C_ly,
+                      series_covariance(blocks(ops)[0], noise.sigma2)))
     # bipartite regular block: the path left by one stubborn node on a cycle
     ops = normalize(generate_cycle(12, 1))
     assert abs(ops.eigvals[0] + ops.rho) <= 1e-12  # lambda = -rho
     noise = NoiseModel(np.linspace(0.5, 2.0, ops.n_regular))
-    C_ly = covariance_lyapunov(ops.A, noise)
-    cases.append((ops, noise, C_ly, series_covariance(ops.A, noise.sigma2)))
+    C_ly = covariance_lyapunov(blocks(ops)[0], noise)
+    cases.append((ops, noise, C_ly,
+                  series_covariance(blocks(ops)[0], noise.sigma2)))
     # near-unit spectral radius: long path hanging off one stubborn node
     ops = _path_instance(60)
     assert 1.0 - ops.rho < 1e-3
     noise = NoiseModel(np.random.default_rng(0).uniform(0.5, 2.0, ops.n_regular))
-    cases.append((ops, noise, covariance_lyapunov(ops.A, noise), None))
+    cases.append((ops, noise, covariance_lyapunov(blocks(ops)[0], noise),
+                  None))
 
     for ops, noise, C_ly, C_series in cases:
-        rho = np.max(np.abs(np.linalg.eigvals(ops.A)))
+        A = blocks(ops)[0]
+        rho = np.max(np.abs(np.linalg.eigvals(A)))
         assert abs(ops.rho - rho) <= 1e-12
         C = moments(ops, noise).C
         assert np.linalg.norm(C - C_ly) <= 1e-10 * np.linalg.norm(C_ly)
         if C_series is not None:
             assert (np.linalg.norm(C - C_series)
                     <= 1e-10 * np.linalg.norm(C_series))
-        res = np.linalg.norm(C - ops.A @ C @ ops.A.T - np.diag(noise.sigma2))
+        res = np.linalg.norm(C - A @ C @ A.T - np.diag(noise.sigma2))
         assert res <= 1e-10 * np.linalg.norm(C)
 
 
 def _dense_tag(ops, sigma2):
     """The regime tag from the dense product A Sigma (oracle path)."""
-    A_sigma = ops.A * sigma2[None, :]
+    A_sigma = blocks(ops)[0] * sigma2[None, :]
     asym = np.linalg.norm(A_sigma - A_sigma.T)
     return ("closed-form" if asym <= SYMMETRY_TOL * np.linalg.norm(A_sigma)
             else "lyapunov")
@@ -304,7 +310,7 @@ def test_moments_bit_identical_and_lean():
     noise = NoiseModel(np.random.default_rng(11).uniform(0.5, 2.0, n))
     C, moments_peak = _traced_peak(lambda: moments(ops, noise).C)
 
-    W_RR = g.weights[np.ix_(ops.regular, ops.regular)]
+    W_RR = dense_weights(g)[np.ix_(ops.graph.regular, ops.graph.regular)]
     scale = 1.0 / np.sqrt(ops.w)
     lam, Q = np.linalg.eigh(scale[:, None] * W_RR * scale[None, :])
     assert np.array_equal(lam, ops.eigvals) and np.array_equal(Q, ops.eigvecs)
@@ -351,7 +357,7 @@ def test_constant_noise_operator_matches_lyapunov():
         assert np.all(t == t[0])
         mom = moments(ops, noise)
         assert mom.method_tag == "closed-form"
-        C_ly = covariance_lyapunov(ops.A, noise)
+        C_ly = covariance_lyapunov(blocks(ops)[0], noise)
         ones = np.ones(ops.n_regular)
         assert _rel(mom.C, C_ly) <= 1e-10
         assert _rel(mom @ ones, C_ly @ ones) <= 1e-10
@@ -425,7 +431,7 @@ def test_moments_refuses_a_covariance_that_misses_its_equation(graph, W,
         noise = NoiseModel.uniform(ops.n_regular, sigma2)
         if accepted:
             C = moments(ops, noise).C
-            oracle = covariance_lyapunov(ops.A, noise)
+            oracle = covariance_lyapunov(blocks(ops)[0], noise)
             assert np.abs(C - oracle).max() <= 1e-8 * np.abs(oracle).max()
         else:
             with pytest.raises(NumericalError, match=(

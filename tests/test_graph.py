@@ -12,6 +12,7 @@ from opinionselect import (GraphError, ReachabilityError, SocialGraph,
                            generate_watts_strogatz, load_graph, normalize,
                            save_graph)
 from opinionselect.graph import validate_reachability
+from opinionselect.validation import blocks, dense_weights
 from conftest import graph_from_dense
 
 
@@ -20,7 +21,7 @@ def test_load_smallest_valid_instance():
     assert g.n_nodes == 2
     assert g.stubborn == (1,)
     assert g.regular == (0,)
-    assert g.weights[0, 1] == g.weights[1, 0] == 1.0
+    assert dense_weights(g)[0, 1] == dense_weights(g)[1, 0] == 1.0
 
 
 def test_load_rejects_empty_stubborn():
@@ -32,12 +33,12 @@ def test_load_comma_separator_and_comments():
     text = "# header\n0,1,2.5\n\n1 2 1.0\n"
     g = load_graph(io.StringIO(text), stubborn={2})
     assert g.n_nodes == 3
-    assert g.weights[0, 1] == 2.5
+    assert dense_weights(g)[0, 1] == 2.5
 
 
 def test_load_duplicate_edge_same_weight_ok():
     g = load_graph(io.StringIO("0 1 1.5\n1 0 1.5\n0 2 1.0\n"), stubborn={2})
-    assert g.weights[0, 1] == 1.5
+    assert dense_weights(g)[0, 1] == 1.5
 
 
 def test_load_conflicting_duplicate_is_error():
@@ -83,14 +84,14 @@ def test_watts_strogatz_paper_instance():
 def test_watts_strogatz_beta_zero_is_ring_lattice():
     g = generate_watts_strogatz(8, 2, 0.0, 0, 1)
     ring = generate_cycle(8, 0)
-    assert np.array_equal(g.weights, ring.weights)
+    assert np.array_equal(dense_weights(g), dense_weights(ring))
     assert len(g.stubborn) == 1
 
 
 def test_watts_strogatz_deterministic():
     g1 = generate_watts_strogatz(20, 4, 0.5, 11, 4)
     g2 = generate_watts_strogatz(20, 4, 0.5, 11, 4)
-    assert np.array_equal(g1.weights, g2.weights)
+    assert np.array_equal(dense_weights(g1), dense_weights(g2))
     assert g1.stubborn == g2.stubborn
 
 
@@ -125,23 +126,23 @@ def test_normalize_uniform_triangle(chain_instance):
                   [1., 1., 0.]])
     g = graph_from_dense(W, (2,))
     ops = normalize(g)
-    assert np.allclose(ops.A, [[0., .5], [.5, 0.]])
-    assert np.allclose(ops.B, [[.5], [.5]])
+    assert np.allclose(blocks(ops)[0], [[0., .5], [.5, 0.]])
+    assert np.allclose(blocks(ops)[1], [[.5], [.5]])
 
 
 def test_normalize_star_single_regular():
     W = np.array([[0., 1.], [1., 0.]])
     g = graph_from_dense(W, (1,))
     ops = normalize(g)
-    assert np.allclose(ops.A, [[0.]])
-    assert np.allclose(ops.B, [[1.]])
+    assert np.allclose(blocks(ops)[0], [[0.]])
+    assert np.allclose(blocks(ops)[1], [[1.]])
 
 
 def _assert_strengths(g, w):
     """w against the exact sum of each regular node's incident weights: equal
     on unit weights, else within (d - 1) eps relative for a node of degree d,
     the error bound of a sequential sum."""
-    W = g.weights
+    W = dense_weights(g)
     if np.all(g.edge_weights == 1.0):
         assert np.array_equal(w, W.sum(axis=1)[list(g.regular)])
     for wk, k in zip(w, g.regular):
@@ -154,13 +155,13 @@ def test_normalize_rows_sum_to_one():
     for seed in range(10):
         g = generate_random_reachable(12, 3, seed)
         ops = normalize(g)
-        rows = np.hstack([ops.A, ops.B]).sum(axis=1)
+        rows = np.hstack([blocks(ops)[0], blocks(ops)[1]]).sum(axis=1)
         assert np.max(np.abs(rows - 1.0)) < 1e-12
         # w holds the strengths of the regular nodes alone, in regular order
         assert ops.w.shape == (ops.n_regular,)
         _assert_strengths(g, ops.w)
-        assert np.all(ops.A >= 0)
-        assert np.all(ops.B >= 0)
+        assert np.all(blocks(ops)[0] >= 0)
+        assert np.all(blocks(ops)[1] >= 0)
 
 
 def test_normalize_requires_reachability():
@@ -199,7 +200,7 @@ def test_validate_reachability_reports():
 
 def _orphans_oracle(g):
     """Components without a stubborn node, from scipy's connected components."""
-    n_comp, comp = connected_components(g.weights > 0, directed=False)
+    n_comp, comp = connected_components(dense_weights(g) > 0, directed=False)
     members = [tuple(int(i) for i in np.flatnonzero(comp == c))
                for c in range(n_comp)]
     stub = set(g.stubborn)
@@ -251,7 +252,7 @@ def test_save_load_round_trip(tmp_path):
     stubborn = [int(s) for s in stub.read_text().split()]
     g2 = load_graph(edges, stubborn)
     # the weights are written in their shortest round-trip form
-    assert np.array_equal(g.weights, g2.weights)
+    assert np.array_equal(dense_weights(g), dense_weights(g2))
     assert g.stubborn == g2.stubborn
     assert g.labels == g2.labels
 
@@ -309,11 +310,11 @@ def test_dense_and_edge_list_constructions_agree():
     assert np.array_equal(h.edge_j, g.edge_j)
     assert np.array_equal(h.edge_weights, g.edge_weights)
     assert h.regular == g.regular and h.n_edges == g.n_edges
-    iu, ju = np.nonzero(np.triu(g.weights))
+    iu, ju = np.nonzero(np.triu(dense_weights(g)))
     assert np.array_equal(iu, g.edge_i) and np.array_equal(ju, g.edge_j)
     # regular_arcs are the nonzeros of W_RR, each once, in some order
     R = list(g.regular)
-    W_RR = g.weights[np.ix_(R, R)]
+    W_RR = dense_weights(g)[np.ix_(R, R)]
     r, c = np.nonzero(W_RR)
     row, col, wgt = g.regular_arcs
     arcs = set(zip(row.tolist(), col.tolist(), wgt.tolist()))
@@ -364,7 +365,7 @@ def test_normalize_strengths_and_eigh_input_match_dense():
             ops = normalize(g)
             _assert_strengths(g, ops.w)
             R = list(g.regular)
-            S = g.weights[np.ix_(R, R)]
+            S = dense_weights(g)[np.ix_(R, R)]
             scale = 1.0 / np.sqrt(ops.w)
             S *= scale[:, None]
             S *= scale

@@ -9,6 +9,7 @@ from opinionselect import (NoiseModel, eta_scores, estimator_coefficients,
                            f_score, generate_random_regular, greedy_select,
                            normalize, var_y)
 from opinionselect.errors import NumericalError
+from opinionselect.validation import blocks
 from conftest import (covariance_closed_form, g_score, naive_f, precision,
                       random_instance)
 
@@ -22,7 +23,7 @@ def test_var_y_identity_and_diagonal():
 def test_var_y_matches_oracle_on_chain(chain_instance):
     _, ops = chain_instance
     from opinionselect.equilibrium import covariance_lyapunov
-    C = covariance_lyapunov(ops.A, NoiseModel(np.ones(2)))
+    C = covariance_lyapunov(blocks(ops)[0], NoiseModel(np.ones(2)))
     ones = np.ones(2)
     assert var_y(C) == pytest.approx(float(ones @ C @ ones))
 
@@ -169,7 +170,7 @@ def test_single_node_reduction_formula_on_accepted_instances():
         ops = normalize(g)
         s2 = 1.7
         noise = NoiseModel.uniform(ops.n_regular, s2)
-        cf = covariance_closed_form(ops.A, noise)
+        cf = covariance_closed_form(blocks(ops)[0], noise)
         assert cf.accepted
         eta = eta_scores(ops).scores
         for k in range(ops.n_regular):

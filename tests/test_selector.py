@@ -19,6 +19,7 @@ from opinionselect.selector import (EXACT_BUDGET, TIE_RTOL, AuditReport,
                                     guarantee_check, marginal_gain,
                                     submodularity_audit)
 from opinionselect.errors import NumericalError
+from opinionselect.validation import blocks
 from conftest import (covariance_closed_form, g_score, gains_by_round,
                       naive_best_subset, naive_f, precision, random_instance,
                       scalar_greedy)
@@ -288,6 +289,19 @@ def test_selection_sizes_must_be_integers():
         with pytest.raises(ValueError, match="s=4 out of range"):
             select(C, 4)
         assert select(C, np.int64(2)).chosen == (0, 1)
+
+
+def test_selection_refuses_a_non_finite_covariance():
+    # a NaN on the diagonal would let greedy pick past it (the near-best
+    # floor never rises) and one off it would call every candidate
+    # degenerate; greedy refuses all three as exact does
+    C = np.array([[1.0, 0.1, 0.0], [0.1, 1.0, 0.2], [0.0, 0.2, 3.0]])
+    for i, j, bad in ((0, 0, np.nan), (0, 1, np.nan), (2, 2, np.inf)):
+        M = C.copy()
+        M[i, j] = M[j, i] = bad
+        for select in (greedy_select, exact_select):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                select(M, 1)
 
 
 def test_greedy_deterministic():
@@ -706,7 +720,8 @@ def test_audit_accepted_closed_form_instances():
     for seed in range(10):
         g = generate_random_regular(9, 2, seed, 2)
         ops = normalize(g)
-        cf = covariance_closed_form(ops.A, NoiseModel.uniform(ops.n_regular, 1.0))
+        cf = covariance_closed_form(blocks(ops)[0],
+                                    NoiseModel.uniform(ops.n_regular, 1.0))
         assert cf.accepted
         rep = submodularity_audit(cf.covariance)
         assert rep.violations_f == 0

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from opinionselect import NoiseModel, normalize
-from opinionselect.equilibrium import covariance_lyapunov, mean
-from opinionselect.validation import (SimConfig, empirical_moments,
-                                      horizon_for, simulate)
+from opinionselect.equilibrium import covariance_lyapunov
+from opinionselect.validation import (SimConfig, blocks, empirical_moments,
+                                      horizon_for, mean, simulate)
 from conftest import graph_from_dense, random_instance
 
 
@@ -52,7 +52,8 @@ def test_A_zero_sample_covariance_close_to_sigma():
     cfg = SimConfig(replicas=60_000, seed=3, u=np.array([0.5]))
     emp = empirical_moments(simulate(ops, noise, cfg))
     assert np.all(np.abs(emp.cov - np.diag(noise.sigma2)) <= 3.5 * emp.se_cov)
-    assert np.all(np.abs(emp.mean - ops.B @ cfg.u) <= 3.5 * emp.se_mean)
+    assert np.all(np.abs(emp.mean - blocks(ops)[1] @ cfg.u)
+                  <= 3.5 * emp.se_mean)
 
 
 def test_seeded_reproducibility(chain_instance):
@@ -93,7 +94,7 @@ def test_empirical_moments_formulas():
 def test_chain_covariance_within_standard_errors(chain_instance):
     _, ops = chain_instance
     noise = NoiseModel(np.array([1.0, 0.5]))
-    C = covariance_lyapunov(ops.A, noise)
+    C = covariance_lyapunov(blocks(ops)[0], noise)
     mu = mean(ops, np.array([1.0]))
     for family in ("gaussian", "uniform", "rademacher"):
         cfg = SimConfig(replicas=40_000, seed=17, u=np.array([1.0]),
