@@ -1,12 +1,14 @@
 """Command-line frontend.
 
-Commands: generate, select, score, curve, validate. Every command that takes
---out writes atomically (temp file + rename) so no partial output survives a
-failure. Exit codes: 0 ok, 1 validation-suite failure, 2 bad input, 3 exact
-budget exceeded or out of memory, 4 numerical failure, among them an output
-that overflows float64 at the --sigma2 scale, a regular strength at which
-the covariance overflows, and a covariance that misses its own Lyapunov
-equation because the regular strengths span too wide a range.
+Commands: generate, select, score, curve, validate. ``_write`` emits every
+JSON document, so all share one header: schema, meta, then graph if any.
+Every command that takes --out writes atomically (temp file + rename) so no
+partial output survives a failure. Exit codes: 0 ok, 1 validation-suite
+failure, 2 bad input, 3 exact budget exceeded or out of memory, 4 numerical
+failure, among them an output that overflows float64 at the --sigma2 scale,
+a regular strength at which the covariance overflows, and a covariance that
+misses its own Lyapunov equation because the regular strengths span too wide
+a range.
 """
 
 from __future__ import annotations
@@ -65,8 +67,6 @@ def _emit(args, text: str) -> None:
         _atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _load_graph_from_args(args) -> SocialGraph:
@@ -108,17 +108,19 @@ def _sigma2_from_args(args, g: SocialGraph) -> NoiseModel:
     return NoiseModel(np.array([table[label] for label in labels]))
 
 
-def _meta(args, command: str, t0: float, **extra) -> dict:
-    meta = {"tool": "opinionselect", "version": __version__,
-            "command": command, "seed": getattr(args, "seed", None),
-            "timing_s": round(time.perf_counter() - t0, 6)}
-    meta.update(extra)
-    return meta
-
-
-def _graph_summary(g: SocialGraph) -> dict:
-    return {"n": g.n_nodes, "n_stubborn": len(g.stubborn),
-            "n_regular": len(g.regular), "n_edges": g.n_edges}
+def _write(args, command: str, t0: float, g: SocialGraph | None, body: dict,
+           **meta) -> int:
+    """Emit one JSON document: ``schema``, ``meta`` (tool, version, command,
+    seed, timing_s, extras), ``graph`` if ``g`` is given, then ``body``."""
+    doc = {"schema": SCHEMA_VERSION,
+           "meta": {"tool": "opinionselect", "version": __version__,
+                    "command": command, "seed": getattr(args, "seed", None),
+                    "timing_s": round(time.perf_counter() - t0, 6), **meta}}
+    if g is not None:
+        doc["graph"] = {"n": g.n_nodes, "n_stubborn": len(g.stubborn),
+                        "n_regular": len(g.regular), "n_edges": g.n_edges}
+    _emit(args, json.dumps(doc | body, indent=2) + "\n")
+    return EXIT_OK
 
 
 def _check_size(flag: str, k: int, g: SocialGraph) -> None:
@@ -191,13 +193,9 @@ def cmd_generate(args) -> int:
         g = generate_cycle(args.n, args.n_stubborn)
     prefix = args.out_prefix
     save_graph(g, f"{prefix}.edges", f"{prefix}.stubborn")
-    summary = {"schema": SCHEMA_VERSION,
-               "meta": _meta(args, "generate", t0),
-               "graph": _graph_summary(g),
-               "files": {"edges": f"{prefix}.edges",
-                         "stubborn": f"{prefix}.stubborn"}}
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
-    return EXIT_OK
+    return _write(args, "generate", t0, g,
+                  {"files": {"edges": f"{prefix}.edges",
+                             "stubborn": f"{prefix}.stubborn"}})
 
 
 def cmd_select(args) -> int:
@@ -215,10 +213,7 @@ def cmd_select(args) -> int:
         C, mom = mom.C, None    # the search holds C alone, not P and Q
         result = selector.exact_select(C, args.k)
     regular_labels = [g.labels[i] for i in g.regular]
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "meta": _meta(args, "select", t0, eval_count=result.eval_count),
-        "graph": _graph_summary(g),
+    return _write(args, "select", t0, g, {
         "moments_method": method_tag,
         "selection": {
             "method": result.method,
@@ -231,9 +226,7 @@ def cmd_select(args) -> int:
             "residual_fractions": [gv / result.var_y for gv in result.g_values],
         },
         "regular_labels": regular_labels,
-    }
-    _emit(args, json.dumps(doc, indent=2) + "\n")
-    return EXIT_OK
+    }, eval_count=result.eval_count)
 
 
 def cmd_score(args) -> int:
@@ -261,10 +254,7 @@ def cmd_score(args) -> int:
             scores.append(centrality.intercentrality(G, args.attenuation))
     rep = centrality.ranking_report(scores)
     regular_labels = [g.labels[i] for i in g.regular]
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "meta": _meta(args, "score", t0),
-        "graph": _graph_summary(g),
+    return _write(args, "score", t0, g, {
         "moments_method": mom.method_tag,
         # var_reduction alone depends on the noise scale; ranks do not
         "scores": {s.measure: _rescaled(args, scale, s.scores)
@@ -279,9 +269,7 @@ def cmd_score(args) -> int:
         "notes": ["single-node variance reduction follows the quadratic-form "
                   "objective, i.e. sigma_k^2 * eta_k on accepted closed-form "
                   "instances (not sigma_k * eta_k)"],
-    }
-    _emit(args, json.dumps(doc, indent=2) + "\n")
-    return EXIT_OK
+    })
 
 
 def cmd_curve(args) -> int:
@@ -307,19 +295,13 @@ def cmd_curve(args) -> int:
             rows.append((k, method, 100.0 * frac))
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["k", "method", "residual_pct"])
-        writer.writerows(rows)
+        csv.writer(buf).writerows([("k", "method", "residual_pct"), *rows])
         _emit(args, buf.getvalue())
-    else:
-        doc = {"schema": SCHEMA_VERSION,
-               "meta": _meta(args, "curve", t0),
-               "graph": _graph_summary(g),
-               "moments_method": method_tag,
-               "curve": [{"k": k, "method": m, "residual_pct": p}
-                         for k, m, p in rows]}
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    return EXIT_OK
+        return EXIT_OK
+    return _write(args, "curve", t0, g, {
+        "moments_method": method_tag,
+        "curve": [{"k": k, "method": m, "residual_pct": p}
+                  for k, m, p in rows]})
 
 
 def cmd_validate(args) -> int:
@@ -328,10 +310,7 @@ def cmd_validate(args) -> int:
     if args.trials < 0:
         raise GraphError(f"--trials {args.trials}: must be at least 0")
     report = validation.SUITES[args.suite](args)
-    doc = {"schema": SCHEMA_VERSION,
-           "meta": _meta(args, "validate", t0),
-           "validation": report}
-    _emit(args, json.dumps(doc, indent=2) + "\n")
+    _write(args, "validate", t0, None, {"validation": report})
     return EXIT_OK if report["ok"] else EXIT_AUDIT_FAIL
 
 
@@ -346,8 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_graph_flags(p):
         p.add_argument("--graph", required=True, help="edge-list file")
-        p.add_argument("--stubborn", help="comma-separated stubborn ids")
-        p.add_argument("--stubborn-file", help="one stubborn id per line")
+        # not required: _load_graph_from_args refuses neither given (exit 2)
+        stub = p.add_mutually_exclusive_group()
+        stub.add_argument("--stubborn", help="comma-separated stubborn ids")
+        stub.add_argument("--stubborn-file", help="one stubborn id per line")
         p.add_argument("--sigma2", default="uniform:1.0",
                        help="'uniform:VALUE' or a 'node sigma2' file")
         p.add_argument("--out", help="output file (atomic write)")

@@ -201,9 +201,6 @@ def normalize(g: SocialGraph) -> NetworkOperators:
         overflowed = [i for i, wi in zip(R, w) if not np.isfinite(wi)]
         raise GraphError(f"strength of regular node(s) {overflowed} "
                          "overflows to infinity")
-    if np.any(w == 0):
-        isolated = [i for i, wi in zip(R, w) if wi == 0]
-        raise GraphError(f"isolated regular node(s): {isolated}")
     row, col, wgt = g.regular_arcs
     scale = 1.0 / np.sqrt(w)
     # D^-1/2 W_RR D^-1/2 entry by entry as (w_ij s_i) s_j, the products of

@@ -277,6 +277,55 @@ def test_stubborn_ids_read_like_the_other_inputs(tmp_path, capsys):
     assert json.loads(out.read_text())["graph"]["n_stubborn"] == 2
 
 
+def test_both_stubborn_flags_refused(ws_files, tmp_path, capsys):
+    # one source of stubborn nodes: the file is not silently dropped
+    edges, stub = ws_files
+    out = tmp_path / "never.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["select", "--graph", edges, "--stubborn", "0",
+                 "--stubborn-file", stub, "--k", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--stubborn-file" in err and "--stubborn " in err
+    assert not out.exists()
+
+
+def test_every_document_starts_with_the_shared_header(ws_files, tmp_path,
+                                                     capsys):
+    edges, stub = ws_files
+    graph = ["--graph", edges, "--stubborn-file", stub]
+    docs = {}
+    capsys.readouterr()
+    assert run_cli(["generate", "--model", "cycle", "--n", "6",
+                    "--n-stubborn", "1", "--seed", "3",
+                    "--out-prefix", str(tmp_path / "c")]) == 0
+    docs["generate"] = json.loads(capsys.readouterr().out)
+    for argv in (["select", *graph, "--k", "2"],
+                 ["score", *graph],
+                 ["curve", *graph, "--max-k", "2", "--format", "json"],
+                 ["validate", "--suite", "incremental", "--trials", "1"]):
+        out = tmp_path / f"{argv[0]}.json"
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        docs[argv[0]] = json.loads(out.read_text())
+    meta = ["tool", "version", "command", "seed", "timing_s"]
+    for command, doc in docs.items():
+        keys = list(doc)
+        assert doc["schema"] == 1
+        if command == "validate":
+            assert keys[:2] == ["schema", "meta"]
+        elif command == "generate":
+            assert keys[:3] == ["schema", "meta", "graph"]
+        else:
+            assert keys[:4] == ["schema", "meta", "graph", "moments_method"]
+        extra = ["eval_count"] if command == "select" else []
+        assert list(doc["meta"]) == meta + extra, command
+        assert doc["meta"]["command"] == command
+        assert doc["meta"]["tool"] == "opinionselect"
+    assert docs["generate"]["meta"]["seed"] == 3
+    assert docs["validate"]["meta"]["seed"] == 0
+    assert docs["select"]["meta"]["seed"] is None
+
+
 def test_exact_over_budget_refused_before_work(tmp_path, capsys,
                                                refuse_normalize):
     # 150 regular nodes: C(150,3) = 551,300 fits, C(150,4) = 20,260,275 not
