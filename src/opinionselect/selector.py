@@ -34,13 +34,8 @@ C(n, k) <= ``EXACT_BUDGET``.
 Greedy and exact share one tie rule: the lowest index (greedy) or the
 lexicographically first subset (exact) among the values v within
 ``TIE_RTOL`` |v| of the best, so that rounding, which the BLAS thread count
-changes, does not decide between mirror nodes.
-
-The submodularity audit reads the 2^n values of F from the same walk taken
-to every depth, then checks diminishing returns on every triple A <= B,
-k not in B in one vectorised pass over the 3^n pairs (A, B) of a dense C; it
-too runs only when its n 3^(n-1) triples are at most ``EXACT_BUDGET``. Every
-path reads G as var_y(C) - F.
+changes, does not decide between mirror nodes. Every path reads G as
+var_y(C) - F.
 """
 
 from __future__ import annotations
@@ -57,8 +52,6 @@ from .errors import BudgetExceededError, NumericalError
 from .objective import SCHUR_GUARD, _require_finite, f_score, var_y
 
 EXACT_BUDGET = 10 ** 7
-GREEDY_BOUND = 1.0 - 1.0 / math.e - 1e-9   # 1 - 1/e, less rounding slack
-AUDIT_TOL = 1e-9
 TIE_RTOL = 1e-9     # gains or F values this close, relative, count as a tie
 WALK_FLOATS = 6144  # floats of state per chunk of the exact walk's heads
 
@@ -215,17 +208,6 @@ def check_exact_budget(n: int, sizes: range) -> None:
                                       f"exceeds the budget of {EXACT_BUDGET}")
 
 
-def check_audit_budget(n: int) -> int:
-    """Raise ``BudgetExceededError`` unless the n 3^(n-1) triples of an
-    exhaustive audit of n nodes are at most ``EXACT_BUDGET``; return them."""
-    n_triples = n * 3 ** (n - 1) if n else 0
-    if n_triples > EXACT_BUDGET:
-        raise BudgetExceededError(
-            f"exhaustive audit of {n} nodes checks {n_triples} triples, "
-            f"over the budget of {EXACT_BUDGET}")
-    return n_triples
-
-
 def _walk(C: np.ndarray, sizes: range, pruned: list):
     """Depth first, in lexicographic order, over the nonempty subsets of at
     most ``sizes[-1]`` nodes whose pivots all clear the guard and that still
@@ -345,84 +327,3 @@ def exact_curve(C: np.ndarray, max_k: int) -> list[SelectionResult]:
     max_k = _cardinality(max_k, n)
     return _exact(C, range(max_k + 1))
 
-
-@dataclass(frozen=True)
-class AuditReport:
-    n_checks: int
-    min_slack_f: float
-    min_slack_g: float
-    violations_f: int
-    violations_g: int
-
-    @property
-    def ok(self) -> bool:
-        return self.violations_f == 0 and self.violations_g == 0
-
-
-def submodularity_audit(C: np.ndarray) -> AuditReport:
-    """Check diminishing returns of F (and increasing returns of G) exhaustively.
-
-    Every triple A <= B, k not in B is checked, n 3^(n-1) in all, over the
-    2^n values of F that one walk to every depth gives. Slack below
-    -AUDIT_TOL*(1 + |F|) counts as a violation, and likewise for
-    G = var_y(C) - F. Raises ``BudgetExceededError`` before any F is
-    evaluated when the triple count exceeds ``EXACT_BUDGET``: 13 nodes fit,
-    14 do not, and ``NumericalError`` on a subset with a degenerate pivot.
-    """
-    n = C.shape[0]
-    n_triples = check_audit_budget(n)
-    F = np.zeros(1 << n)    # indexed by bit mask
-    bits = 1 << np.arange(n)
-    pruned: list = []
-    for heads, V in _walk(C, range(n + 1), pruned):
-        if pruned:
-            raise NumericalError("principal submatrix not positive definite")
-        masks = (1 << heads).sum(axis=1)
-        scored = V > -np.inf
-        F[(masks[:, None] | bits)[scored]] = V[scored]
-    G = var_y(C) - F
-    # row r is one pair A <= B: base-3 digit i of r is 0 when node i is
-    # outside B, 1 when it is in B but not A, and 2 when it is in A
-    rest = np.arange(3 ** n)
-    maskA = np.zeros_like(rest)
-    maskB = np.zeros_like(rest)
-    for i in range(n):
-        rest, digit = np.divmod(rest, 3)
-        maskA |= (digit == 2) << i
-        maskB |= (digit > 0) << i
-    min_f = min_g = np.inf
-    viol_f = viol_g = 0
-    for k in range(n):
-        outside = (maskB >> k & 1) == 0
-        A, B = maskA[outside], maskB[outside]
-        Ak, Bk = A | 1 << k, B | 1 << k
-        dF = (F[Ak] - F[A]) - (F[Bk] - F[B])
-        dG = (G[Bk] - G[B]) - (G[Ak] - G[A])
-        viol_f += int(np.count_nonzero(dF < -AUDIT_TOL * (1.0 + np.abs(F[Bk]))))
-        viol_g += int(np.count_nonzero(dG < -AUDIT_TOL * (1.0 + np.abs(G[Bk]))))
-        min_f = min(min_f, float(dF.min()))
-        min_g = min(min_g, float(dG.min()))
-    return AuditReport(n_checks=n_triples, min_slack_f=min_f, min_slack_g=min_g,
-                       violations_f=viol_f, violations_g=viol_g)
-
-
-@dataclass(frozen=True)
-class GuaranteeReport:
-    greedy: SelectionResult
-    exact: SelectionResult
-
-    @property
-    def ratio(self) -> float:
-        """F(greedy) / F(exact), 1 when the optimum is 0."""
-        f_e = self.exact.f_values[-1]
-        return 1.0 if f_e == 0 else self.greedy.f_values[-1] / f_e
-
-    @property
-    def ok(self) -> bool:
-        return self.ratio >= GREEDY_BOUND
-
-
-def guarantee_check(C: np.ndarray, s: int) -> GuaranteeReport:
-    """Compare greedy against brute force and check the (1 - 1/e) bound."""
-    return GuaranteeReport(greedy=greedy_select(C, s),
-                           exact=exact_select(C, s))

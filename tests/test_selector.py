@@ -13,13 +13,12 @@ from opinionselect import (BudgetExceededError, NoiseModel, exact_curve,
                            greedy_select, moments, normalize, var_y)
 from opinionselect.equilibrium import EquilibriumMoments
 from opinionselect.objective import SCHUR_GUARD
-from opinionselect.selector import (EXACT_BUDGET, TIE_RTOL, AuditReport,
-                                    _walk, check_audit_budget,
-                                    check_exact_budget,
-                                    guarantee_check, marginal_gain,
-                                    submodularity_audit)
+from opinionselect.selector import (EXACT_BUDGET, TIE_RTOL, _walk,
+                                    check_exact_budget, marginal_gain)
 from opinionselect.errors import NumericalError
-from opinionselect.validation import blocks
+from opinionselect.validation import (GREEDY_BOUND, AuditReport, blocks,
+                                      check_audit_budget, greedy_ratio,
+                                      submodularity_audit)
 from conftest import (covariance_closed_form, g_score, gains_by_round,
                       naive_best_subset, naive_f, precision, random_instance,
                       scalar_greedy)
@@ -658,16 +657,15 @@ def test_exact_budget_guard():
 
 def test_guarantee_modular_ratio_one():
     C = np.diag(np.array([3.0, 1.0, 2.0, 0.7]))
-    rep = guarantee_check(C, 2)
-    assert rep.ratio == pytest.approx(1.0)
-    assert rep.ok
+    ratio = greedy_ratio(C, 2)
+    assert ratio == pytest.approx(1.0)
+    assert ratio >= GREEDY_BOUND
 
 
 def test_guarantee_s_equal_one_is_exact():
     for seed in range(5):
         _, _, C = random_instance(seed, n=10)
-        rep = guarantee_check(C, 1)
-        assert rep.ratio == pytest.approx(1.0, rel=1e-12)
+        assert greedy_ratio(C, 1) == 1.0
 
 
 def test_guarantee_random_instances():
@@ -675,8 +673,7 @@ def test_guarantee_random_instances():
     for seed in range(15):
         _, _, C = random_instance(seed, n=11, n_stubborn=2)
         s = 1 + seed % 4
-        rep = guarantee_check(C, s)
-        assert rep.ratio >= bound - 1e-9
+        assert greedy_ratio(C, s) >= bound - 1e-9
 
 
 def test_audit_exhaustive_budget(monkeypatch):
