@@ -16,20 +16,22 @@ over the combinations in lexicographic order (the all-subsets scheme of
 Furnival and Wilson's "Regressions by Leaps and Bounds", 1974, as F / Var(Y)
 is a regression R^2). It walks chunks of same-size subsets, the heads, and
 a chunk carries greedy's state for each of its heads, one row each: F, r,
-d and all the head's rows of L. One masked divide scores every one-node
+d and all the head's rows of L, or only its newest row at the last level,
+which is scored but never extended. One masked divide scores every one-node
 extension of every head, F(K) + r_j^2 / d_j. The scored extensions, in
 (head, j) order, which is lexicographic, become the next level's heads, cut
-into chunks of at most ``WALK_FLOATS`` floats of state, and one batched
-product forms each chunk's new rows of L. A branch whose pivot d_i is at or
-below ``SCHUR_GUARD`` c_ii is pruned, and its subsets are skipped with a
-warning, as greedy skips a degenerate candidate. A walk over the sizes
-lo..s goes to depth s, skips the extensions that leave no room for lo
-nodes, and folds each chunk's block of subsets into the tie rule of its
-size, so it serves ``exact_select`` (lo = s: only the at most s C(n, s)
-prefixes of size-s subsets) and ``exact_curve`` (lo = 0: every size up to
-s) alike. It holds one chunk per level, so its memory is s times the chunk
-budget plus O(s n^2), however many subsets it scores, and its numpy calls
-come a few dozen per chunk, not per subset. Each size k answered needs
+into chunks of at most ``WALK_FLOATS`` floats of state (32768 floats,
+256 KiB, about an L2 cache), and one batched product forms each chunk's new
+rows of L. A branch whose pivot d_i is at or below ``SCHUR_GUARD`` c_ii is
+pruned, and its subsets are skipped with a warning, as greedy skips a
+degenerate candidate. A walk over the sizes lo..s goes to depth s, skips
+the extensions that leave no room for lo nodes, and folds each chunk's
+block of subsets into the tie rule of its size, so it serves
+``exact_select`` (lo = s: only the at most s C(n, s) prefixes of size-s
+subsets) and ``exact_curve`` (lo = 0: every size up to s) alike. It holds
+one chunk per level, so its memory is s times the chunk budget plus
+O(s n^2), however many subsets it scores, and its numpy calls come a few
+dozen per chunk, not per subset. Each size k answered needs
 C(n, k) <= ``EXACT_BUDGET``.
 Greedy and exact share one tie rule: the lowest index (greedy) or the
 lexicographically first subset (exact) among the values v within
@@ -53,7 +55,7 @@ from .objective import SCHUR_GUARD, _require_finite, f_score, var_y
 
 EXACT_BUDGET = 10 ** 7
 TIE_RTOL = 1e-9     # gains or F values this close, relative, count as a tie
-WALK_FLOATS = 6144  # floats of state per chunk of the exact walk's heads
+WALK_FLOATS = 32768  # floats of state per chunk of the exact walk's heads
 
 
 @dataclass(frozen=True)
@@ -222,9 +224,13 @@ def _walk(C: np.ndarray, sizes: range, pruned: list):
     ``SCHUR_GUARD`` c_jj gets -inf too: it goes to ``pruned`` and is not
     extended further. Each chunk carries greedy's state for its heads, one
     row each: F, r = (C|K) 1, d = diag(C|K) and all t rows of L, C|K = C -
-    L'L. Its scored extensions become the next level's heads in (head, j)
-    order, cut into chunks of ``WALK_FLOATS`` // ((t + 3) n) heads of t
-    nodes, at least one: a head holds t rows of L, r, d and its row of V.
+    L'L, except that the heads of ``sizes[-1]`` - 1 nodes, which are scored
+    but never extended, keep only their newest row of L. Its scored
+    extensions become the next level's heads in (head, j) order, cut into
+    chunks of ``WALK_FLOATS`` // ((t + 3) n) heads of t nodes, or
+    ``WALK_FLOATS`` // (4 n) at that last level, at least one: a head holds
+    its rows of L, r, d and its row of V. The budget, 32768 floats or
+    256 KiB, is about an L2 cache; larger chunks measured no faster.
     """
     _require_finite(C)
     n = C.shape[0]
@@ -249,15 +255,18 @@ def _walk(C: np.ndarray, sizes: range, pruned: list):
             return
         # the scored extensions, but of the last node, which has none
         a, j = np.nonzero(V[:, :n - 1] > -np.inf)
-        per_chunk = max(WALK_FLOATS // ((t + 4) * n), 1)
+        # the last level is only scored, so its heads keep just the new row
+        rows = t + 1 if t + 2 < depth else 1
+        per_chunk = max(WALK_FLOATS // ((rows + 3) * n), 1)
         for c in range(0, a.size, per_chunk):
             ac, jc = a[c:c + per_chunk], j[c:c + per_chunk]
             roots = np.sqrt(D[ac, jc])
-            L_next = np.empty((ac.size, t + 1, n))
-            L_next[:, :t] = L[ac]
-            Lk = L_next[:, t]       # each extension's new row of L, in place
+            L_next = np.empty((ac.size, rows, n))
+            if rows > 1:
+                L_next[:, :t] = L[ac]
+            Lk = L_next[:, -1]      # each extension's new row of L, in place
             np.divide(C[jc] - np.einsum("mt,mtn->mn", L[ac, :, jc],
-                                        L_next[:, :t]),
+                                        L_next[:, :t] if rows > 1 else L[ac]),
                       roots[:, None], out=Lk)
             yield from visit(np.column_stack((heads[ac], jc)), V[ac, jc],
                              R[ac] - Lk * (R[ac, jc] / roots)[:, None],

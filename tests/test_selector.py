@@ -508,6 +508,50 @@ def test_exact_memory_does_not_grow_with_the_subset_count():
             assert peak < 8 * 5 * s * n * n, (search.__name__, s)
 
 
+@pytest.mark.parametrize("n", [20, 30])
+def test_exact_memory_is_the_chunk_budget_at_small_n(n):
+    # at small n the s chunk budgets, not the O(s n^2) term, set the peak:
+    # s WALK_FLOATS is 164k floats at s = 5, and 5 s n^2 is 10k at n = 20
+    # and 22.5k at n = 30; a walk that took each level in one chunk would
+    # hold its 3,876 (n = 20) or 23,751 (n = 30) last heads at once
+    import opinionselect.selector as selector
+    s = 5
+    X = np.random.default_rng(0).normal(size=(n, n))
+    C = X @ X.T / n + np.eye(n)
+    for search in (exact_select, exact_curve):
+        tracemalloc.start()
+        search(C, s)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 8 * (s * selector.WALK_FLOATS + 5 * s * n * n), \
+            search.__name__
+
+
+def test_exact_walk_takes_budget_sized_chunks():
+    # the heads of u nodes are cut into chunks of k_u = WALK_FLOATS //
+    # ((rows + 3) n) heads, where rows is u, or 1 at the last level, u =
+    # s - 1; each chunk of the level above cuts its own extensions, so level
+    # u takes at most N_u / k_u + (chunks of level u - 1) chunks.  On 20
+    # nodes with no pruned branch N_u = C(19, u), as the last node has no
+    # extension.  At 32768 floats k_u is 409, 327, 273 and 409 for u = 1..4,
+    # which allows 1 + 1 + 1 + 4 + 13 = 20 chunks; 6144 floats with every
+    # row of L kept took 124
+    import opinionselect.selector as selector
+    n, s = 20, 5
+    X = np.random.default_rng(0).normal(size=(n, n))
+    C = X @ X.T / n + np.eye(n)
+    heads, chunks = [0] * s, [0] * s
+    for group, _ in _walk(C, range(s + 1), []):
+        heads[group.shape[1]] += len(group)
+        chunks[group.shape[1]] += 1
+    assert heads == [1] + [math.comb(n - 1, u) for u in range(1, s)]
+    assert chunks[0] == 1
+    for u in range(1, s):
+        rows = u if u < s - 1 else 1
+        per_chunk = selector.WALK_FLOATS // ((rows + 3) * n)
+        assert chunks[u] <= heads[u] / per_chunk + chunks[u - 1], u
+
+
 @pytest.mark.parametrize("s", [28, 29, 30])
 def test_exact_walk_visits_only_prefixes_of_size_s_subsets(s, monkeypatch):
     # each size-s subset has s prefixes, so exact_select(C, s) walks at most
