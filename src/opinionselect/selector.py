@@ -15,23 +15,27 @@ Exact selection scores the subsets of a dense C in one depth-first walk
 over the combinations in lexicographic order (the all-subsets scheme of
 Furnival and Wilson's "Regressions by Leaps and Bounds", 1974, as F / Var(Y)
 is a regression R^2). It walks chunks of same-size subsets, the heads, and
-a chunk carries greedy's state for each of its heads, one row each: F, r,
-d and all the head's rows of L, or only its newest row at the last level,
-which is scored but never extended. One masked divide scores every one-node
-extension of every head, F(K) + r_j^2 / d_j. The scored extensions, in
-(head, j) order, which is lexicographic, become the next level's heads, cut
-into chunks of at most ``WALK_FLOATS`` floats of state (32768 floats,
-256 KiB, about an L2 cache), and one batched product forms each chunk's new
-rows of L. A branch whose pivot d_i is at or below ``SCHUR_GUARD`` c_ii is
-pruned, and its subsets are skipped with a warning, as greedy skips a
-degenerate candidate. A walk over the sizes lo..s goes to depth s, skips
-the extensions that leave no room for lo nodes, and folds each chunk's
-block of subsets into the tie rule of its size, so it serves
-``exact_select`` (lo = s: only the at most s C(n, s) prefixes of size-s
-subsets) and ``exact_curve`` (lo = 0: every size up to s) alike. It holds
-one chunk per level, so its memory is s times the chunk budget plus
-O(s n^2), however many subsets it scores, and its numpy calls come a few
-dozen per chunk, not per subset. Each size k answered needs
+a chunk carries greedy's state only on the columns its heads can still
+extend to: one entry per pair of a head and a column j after the head's
+last node, which holds r_j, d_j and the head's values of L at column j
+(none at the last level, which is scored but never extended), with F per
+head. One masked divide scores every entry, F(K) + r_j^2 / d_j, and entry k
+of a chunk scores heads[ehead[k]] + (ecol[k],), in (head, j) order, which
+is lexicographic. A scored entry j becomes a head of the next level whose
+entries are the next n - 1 - j entries of its parent, so one index array
+gathers each next chunk's state and t multiply-adds its new row of L. A
+chunk holds at most ``WALK_FLOATS`` floats (65536, 512 KiB, inside an L2
+cache) of state and temporaries, 2 rows + 12 words per entry, where rows is
+the number of rows of L its level keeps. A branch whose pivot d_i is at or
+below ``SCHUR_GUARD`` c_ii is pruned, and its subsets are skipped with a
+warning, as greedy skips a degenerate candidate. A walk over the sizes
+lo..s goes to depth s, skips the extensions that leave no room for lo
+nodes, and folds each chunk's block of subsets into the tie rule of its
+size, so it serves ``exact_select`` (lo = s: only the at most s C(n, s)
+prefixes of size-s subsets) and ``exact_curve`` (lo = 0: every size up to
+s) alike. It holds one chunk per level, so its memory is s times the chunk
+budget plus O(s n^2), however many subsets it scores, and its numpy calls
+come a few dozen per chunk, not per subset. Each size k answered needs
 C(n, k) <= ``EXACT_BUDGET``.
 Greedy and exact share one tie rule: the lowest index (greedy) or the
 lexicographically first subset (exact) among the values v within
@@ -55,7 +59,7 @@ from .objective import SCHUR_GUARD, _require_finite, f_score, var_y
 
 EXACT_BUDGET = 10 ** 7
 TIE_RTOL = 1e-9     # gains or F values this close, relative, count as a tie
-WALK_FLOATS = 32768  # floats of state per chunk of the exact walk's heads
+WALK_FLOATS = 65536  # floats per chunk of the exact walk's entries
 
 
 @dataclass(frozen=True)
@@ -214,68 +218,95 @@ def _walk(C: np.ndarray, sizes: range, pruned: list):
     """Depth first, in lexicographic order, over the nonempty subsets of at
     most ``sizes[-1]`` nodes whose pivots all clear the guard and that still
     leave room for ``sizes[0]`` nodes, so one walk serves every size in
-    ``sizes``. It yields (heads, V) for each chunk of same-size subsets of
-    fewer than ``sizes[-1]`` nodes: heads is a (B, t) int array whose rows
-    are the chunk's subsets in order, and V[a, j] is F(heads[a] + (j,)) for
-    each extension j on the walk (after the last node of heads[a] and not so
-    late that fewer than ``sizes[0]`` nodes fit), and -inf elsewhere; the
-    chunks of t-node heads cover the subsets of size t + 1 in ``sizes`` in
-    lexicographic order. An extension whose pivot is at or below
-    ``SCHUR_GUARD`` c_jj gets -inf too: it goes to ``pruned`` and is not
-    extended further. Each chunk carries greedy's state for its heads, one
-    row each: F, r = (C|K) 1, d = diag(C|K) and all t rows of L, C|K = C -
-    L'L, except that the heads of ``sizes[-1]`` - 1 nodes, which are scored
-    but never extended, keep only their newest row of L. Its scored
-    extensions become the next level's heads in (head, j) order, cut into
-    chunks of ``WALK_FLOATS`` // ((t + 3) n) heads of t nodes, or
-    ``WALK_FLOATS`` // (4 n) at that last level, at least one: a head holds
-    its rows of L, r, d and its row of V. The budget, 32768 floats or
-    256 KiB, is about an L2 cache; larger chunks measured no faster.
+    ``sizes``. It yields (heads, ehead, ecol, V) for each chunk of same-size
+    subsets of fewer than ``sizes[-1]`` nodes: heads is a (B, t) int array
+    whose rows are the chunk's subsets in order, and the flat arrays ehead,
+    ecol and V hold one entry per head and column after the head's last
+    node, in (head, column) order; entry k stands for the subset
+    heads[ehead[k]] + (ecol[k],), and V[k] is its F. V[k] is -inf when the
+    extension is off the walk (so late that fewer than ``sizes[0]`` nodes
+    fit) or when its pivot is at or below ``SCHUR_GUARD`` c_jj: such a
+    branch goes to ``pruned`` and is not extended further. The chunks of
+    t-node heads cover the subsets of size t + 1 in ``sizes`` in
+    lexicographic order.
+
+    A chunk carries greedy's state on the columns its heads can still
+    extend to: F per head and, per entry, r_j and d_j of r = (C|K) 1 and
+    d = diag(C|K) and the head's t values L_uj of C|K = C - L'L, a (t, E)
+    array; the heads of ``sizes[-1]`` - 1 nodes, which are scored but never
+    extended, keep no row of L. A scored entry j, but of the last node,
+    becomes a head of the next level, and its entries are the next
+    n - 1 - j entries of its parent's, so one index array gathers each next
+    chunk's state, and t multiply-adds give its new row of L,
+    (c_jj' - sum_u L_uj L_uj') / sqrt(d_j). A chunk of heads that keep
+    ``rows`` rows of L holds at most ``WALK_FLOATS`` // (2 rows + 12)
+    entries, or one head's entries when they alone are more: the words an
+    entry takes in the chunk's state and in the temporaries that build it.
+    The budget, 65536 floats or 512 KiB, fits in an L2 cache; at 20 to 40
+    nodes it measured 10-20% faster than half of it.
     """
     _require_finite(C)
     n = C.shape[0]
-    cols = np.arange(n)
+    c_flat = C.ravel()
     guard = SCHUR_GUARD * C.diagonal()
     lo, depth = sizes[0], sizes[-1]
 
-    def visit(heads, f, R, D, L):
+    def visit(heads, f, ehead, ecol, R, D, L):
         t = heads.shape[1]
-        last = heads[:, -1] if t else np.full(1, -1)
+        ok = D > guard.take(ecol)
         # after extension j, lo - t - 1 more nodes must still fit
-        ext = (cols > last[:, None]) & (cols < n - max(lo - t - 1, 0))
-        ok = D > guard
-        V = f[:, None] + np.divide(R * R, D, out=np.full(D.shape, -np.inf),
-                                   where=ext & ok)
-        bad = ext & ~ok
+        room = n - max(lo - t - 1, 0)
+        on_walk = ecol < room if room < n else True
+        V = np.divide(R * R, D, out=np.full(D.shape, -np.inf),
+                      where=ok & on_walk)
+        V += f.take(ehead)
+        bad = ~ok & on_walk
         if bad.any():
-            pruned.extend(tuple(heads[a].tolist()) + (j,)
-                          for a, j in np.argwhere(bad).tolist())
-        yield heads, V
+            pruned.extend(tuple(heads[ehead[k]].tolist()) + (int(ecol[k]),)
+                          for k in np.flatnonzero(bad).tolist())
+        yield heads, ehead, ecol, V
         if t + 1 == depth:
             return
         # the scored extensions, but of the last node, which has none
-        a, j = np.nonzero(V[:, :n - 1] > -np.inf)
-        # the last level is only scored, so its heads keep just the new row
-        rows = t + 1 if t + 2 < depth else 1
-        per_chunk = max(WALK_FLOATS // ((rows + 3) * n), 1)
-        for c in range(0, a.size, per_chunk):
-            ac, jc = a[c:c + per_chunk], j[c:c + per_chunk]
-            roots = np.sqrt(D[ac, jc])
-            L_next = np.empty((ac.size, rows, n))
-            if rows > 1:
-                L_next[:, :t] = L[ac]
-            Lk = L_next[:, -1]      # each extension's new row of L, in place
-            np.divide(C[jc] - np.einsum("mt,mtn->mn", L[ac, :, jc],
-                                        L_next[:, :t] if rows > 1 else L[ac]),
-                      roots[:, None], out=Lk)
-            yield from visit(np.column_stack((heads[ac], jc)), V[ac, jc],
-                             R[ac] - Lk * (R[ac, jc] / roots)[:, None],
-                             D[ac] - Lk * Lk, L_next)
+        kids = np.flatnonzero((V > -np.inf) & (ecol < n - 1))
+        size = n - 1 - ecol[kids]
+        ends = np.cumsum(size)
+        firsts = ends - size
+        # kid c's entries, at firsts[c]..ends[c] - 1 of the next level, are
+        # its parent's entries kids[c] + 1..kids[c] + size[c]
+        shift = kids + 1 - firsts
+        # the last level is only scored, so its heads keep no row of L
+        rows = t + 1 if t + 2 < depth else 0
+        per_chunk = WALK_FLOATS // (2 * rows + 12)
+        c0 = 0
+        while c0 < kids.size:
+            c1 = max(int(np.searchsorted(ends, firsts[c0] + per_chunk,
+                                         "right")), c0 + 1)
+            p, m = kids[c0:c1], size[c0:c1]
+            kid = np.repeat(np.arange(p.size), m)
+            q = np.arange(firsts[c0], ends[c1 - 1]) + shift[c0:c1].take(kid)
+            piv = p.take(kid)
+            jc, col = ecol.take(p), ecol.take(q)
+            roots = np.sqrt(D.take(p))
+            L_next = np.empty((rows, q.size))
+            dot = np.zeros(q.size)
+            for u in range(t):
+                Lq = L[u].take(q, out=L_next[u]) if rows else L[u].take(q)
+                dot += L[u].take(piv) * Lq
+            Lk = ((c_flat.take((n * jc).take(kid) + col) - dot)
+                  / roots.take(kid))
+            if rows:
+                L_next[t] = Lk
+            yield from visit(np.column_stack((heads[ehead.take(p)], jc)),
+                             V.take(p), kid, col,
+                             R.take(q) - Lk * (R.take(p) / roots).take(kid),
+                             D.take(q) - Lk * Lk, L_next)
+            c0 = c1
 
     if depth > 0:
         yield from visit(np.zeros((1, 0), dtype=np.intp), np.zeros(1),
-                         (C @ np.ones(n))[None], C.diagonal()[None],
-                         np.zeros((1, 0, n)))
+                         np.zeros(n, dtype=np.intp), np.arange(n),
+                         C @ np.ones(n), C.diagonal(), np.zeros((0, n)))
 
 
 def _exact(C: np.ndarray, sizes: range) -> list[SelectionResult]:
@@ -287,9 +318,9 @@ def _exact(C: np.ndarray, sizes: range) -> list[SelectionResult]:
     ties = [_NearBest() for _ in range(sizes[-1] + 1)]
     ties[0].fold(np.zeros(1), lambda j: ())
     pruned: list = []
-    for heads, V in _walk(C, sizes, pruned):
+    for heads, ehead, ecol, V in _walk(C, sizes, pruned):
         ties[heads.shape[1] + 1].fold(
-            V, lambda j: tuple(heads[j // n].tolist()) + (j % n,))
+            V, lambda k: tuple(heads[ehead[k]].tolist()) + (int(ecol[k]),))
     results = []
     for k in sizes:
         # every size-k subset through a pruned branch is skipped

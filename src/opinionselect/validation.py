@@ -246,12 +246,12 @@ def submodularity_audit(C: np.ndarray) -> AuditReport:
     F = np.zeros(1 << n)    # indexed by bit mask
     bits = 1 << np.arange(n)
     pruned: list = []
-    for heads, V in selector._walk(C, range(n + 1), pruned):
+    for heads, ehead, ecol, V in selector._walk(C, range(n + 1), pruned):
         if pruned:
             raise NumericalError("principal submatrix not positive definite")
         masks = (1 << heads).sum(axis=1)
         scored = V > -np.inf
-        F[(masks[:, None] | bits)[scored]] = V[scored]
+        F[(masks[ehead] | bits[ecol])[scored]] = V[scored]
     G = var_y(C) - F
     # row r is one pair A <= B: base-3 digit i of r is 0 when node i is
     # outside B, 1 when it is in B but not A, and 2 when it is in A

@@ -357,10 +357,11 @@ def walk_values(C, s):
     """F of every size-s subset the exact walk scores, by subset; the
     degenerate ones are left out."""
     out = {}
-    for heads, V in _walk(C, range(s, s + 1), []):
+    for heads, ehead, ecol, V in _walk(C, range(s, s + 1), []):
         if len(heads[0]) == s - 1:
-            for a, j in zip(*np.nonzero(V > -np.inf)):
-                out[tuple(heads[a].tolist()) + (int(j),)] = float(V[a, j])
+            for k in np.flatnonzero(V > -np.inf).tolist():
+                out[tuple(heads[ehead[k]].tolist()) + (int(ecol[k]),)] = \
+                    float(V[k])
     return out
 
 
@@ -394,6 +395,8 @@ def test_exact_eval_count_law():
                                      for t in range(s + 1))
         values = walk_values(C, s) if s else {(): 0.0}
         assert sorted(values) == list(itertools.combinations(range(n), s))
+        # the tie rule relies on meeting the subsets in lexicographic order
+        assert list(values) == sorted(values)
         top = max(values.values())
         assert res.chosen == min(K for K, v in values.items()
                                  if v >= top - TIE_RTOL * abs(top))
@@ -528,28 +531,39 @@ def test_exact_memory_is_the_chunk_budget_at_small_n(n):
 
 
 def test_exact_walk_takes_budget_sized_chunks():
-    # the heads of u nodes are cut into chunks of k_u = WALK_FLOATS //
-    # ((rows + 3) n) heads, where rows is u, or 1 at the last level, u =
-    # s - 1; each chunk of the level above cuts its own extensions, so level
-    # u takes at most N_u / k_u + (chunks of level u - 1) chunks.  On 20
-    # nodes with no pruned branch N_u = C(19, u), as the last node has no
-    # extension.  At 32768 floats k_u is 409, 327, 273 and 409 for u = 1..4,
-    # which allows 1 + 1 + 1 + 4 + 13 = 20 chunks; 6144 floats with every
-    # row of L kept took 124
+    # a chunk of heads of u nodes, which keep rows = u rows of L, or none at
+    # the last level u = s - 1, holds at most k_u = WALK_FLOATS //
+    # (2 rows + 12) entries, or one head's entries when they alone are more.
+    # Each chunk of the level above cuts its own extensions into chunks, and
+    # each of those but its last was short of room for the next head's at
+    # most n - 1 entries, so level u takes at most E_u / (k_u - n + 1) +
+    # (chunks of level u - 1) chunks. On 20 nodes with no pruned branch the
+    # heads of u nodes are the C(19, u) that end before the last node, as
+    # the last node has no extension, and their entries are the E_u =
+    # C(20, u + 1) subsets of u + 1 nodes. At 65536 floats k_u is 4681,
+    # 4096, 3640 and 5461 entries for u = 1..4
     import opinionselect.selector as selector
     n, s = 20, 5
     X = np.random.default_rng(0).normal(size=(n, n))
     C = X @ X.T / n + np.eye(n)
-    heads, chunks = [0] * s, [0] * s
-    for group, _ in _walk(C, range(s + 1), []):
-        heads[group.shape[1]] += len(group)
-        chunks[group.shape[1]] += 1
+    per_chunk = [selector.WALK_FLOATS // (2 * (u if u < s - 1 else 0) + 12)
+                 for u in range(s)]
+    heads, entries, chunks = [0] * s, [0] * s, [0] * s
+    for group, ehead, ecol, _ in _walk(C, range(s + 1), []):
+        u = group.shape[1]
+        assert len(ecol) <= per_chunk[u] or len(group) == 1, u
+        assert np.array_equal(ehead, np.repeat(np.arange(len(group)),
+                                               n - 1 - group[:, -1])
+                              if u else np.zeros(n)), u
+        heads[u] += len(group)
+        entries[u] += len(ecol)
+        chunks[u] += 1
     assert heads == [1] + [math.comb(n - 1, u) for u in range(1, s)]
+    assert entries == [math.comb(n, u + 1) for u in range(s)]
     assert chunks[0] == 1
     for u in range(1, s):
-        rows = u if u < s - 1 else 1
-        per_chunk = selector.WALK_FLOATS // ((rows + 3) * n)
-        assert chunks[u] <= heads[u] / per_chunk + chunks[u - 1], u
+        assert chunks[u] <= entries[u] / (per_chunk[u] - n + 1) \
+            + chunks[u - 1], u
 
 
 @pytest.mark.parametrize("s", [28, 29, 30])
