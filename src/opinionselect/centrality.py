@@ -6,8 +6,8 @@ eta is intercentrality of the 2-hop operator A^2 with attenuation 1.
 
 Both score matrices are G = D^-1/2 Q diag(lam) Q' D^1/2 with Q orthonormal:
 A (``--matrix normalized``) with the spectrum ``normalize`` stores, and a
-symmetric dense matrix (the 0/1 adjacency of ``--matrix adjacency``) with
-``eigh`` and D = I. For f(lam) = 1/(1 - a lam) (or 1/(1 - lam^2) for eta),
+symmetric matrix with ``eigh`` and D = I (``--matrix adjacency`` passes one
+0/1 adjacency spectrum). For f(lam) = 1/(1 - a lam) (or 1/(1 - lam^2), eta),
 f(G) 1 = D^-1/2 Q [f(lam) * Q' D^1/2 1] and diag f(G) = (Q*Q) f(lam), the D
 factors cancelling on the diagonal: O(n^2) once the spectrum is known. The
 walk series converges iff |a| rho < 1, exact because lam is real.

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import tempfile
-import time
+from time import perf_counter
 
 import numpy as np
 
@@ -30,8 +30,9 @@ from . import __version__
 from . import centrality, equilibrium, selector, validation
 from .equilibrium import NoiseModel
 from .errors import BudgetExceededError, GraphError, NumericalError
-from .graph import (SocialGraph, generate_cycle, generate_watts_strogatz,
-                    load_graph, normalize, read_records, save_graph)
+from .graph import (NetworkOperators, SocialGraph, generate_cycle,
+                    generate_watts_strogatz, load_graph, normalize,
+                    read_records, save_graph)
 
 SCHEMA_VERSION = 1
 
@@ -41,6 +42,7 @@ EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_NUMERICAL = 4
 
+DENSE_ROWS = 8   # greedy forms C once it takes more than n / DENSE_ROWS picks
 STUBBORN_FIELDS = (("node", int),)
 SIGMA2_FIELDS = (("node", int), ("sigma2", float))
 
@@ -108,14 +110,14 @@ def _sigma2_from_args(args, g: SocialGraph) -> NoiseModel:
     return NoiseModel(np.array([table[label] for label in labels]))
 
 
-def _write(args, command: str, t0: float, g: SocialGraph | None, body: dict,
+def _write(args, command: str, g: SocialGraph | None, body: dict,
            **meta) -> int:
     """Emit one JSON document: ``schema``, ``meta`` (tool, version, command,
-    seed, timing_s, extras), ``graph`` if ``g`` is given, then ``body``."""
+    seed, timing_s from ``args.t0``, extras), ``graph`` if any, ``body``."""
     doc = {"schema": SCHEMA_VERSION,
            "meta": {"tool": "opinionselect", "version": __version__,
                     "command": command, "seed": getattr(args, "seed", None),
-                    "timing_s": round(time.perf_counter() - t0, 6), **meta}}
+                    "timing_s": round(perf_counter() - args.t0, 6), **meta}}
     if g is not None:
         doc["graph"] = {"n": g.n_nodes, "n_stubborn": len(g.stubborn),
                         "n_regular": len(g.regular), "n_edges": g.n_edges}
@@ -141,12 +143,14 @@ def _names(spec: str, known, noun: str) -> list[str]:
     return names
 
 
-def _moments_for(args, g: SocialGraph):
-    """The operators, the covariance operator on Sigma / 4^e (max entry in
-    [1, 4)) and 4^e. Since sqrt(4^e) is exact, what is linear in Sigma, times
-    4^e, has the bits of any unscaled run that neither over- nor underflows."""
-    ops = normalize(g)
-    sigma2 = _sigma2_from_args(args, g).sigma2
+def _moments_for(args, ops: NetworkOperators, picks: int, exact=False):
+    """The regime tag, the covariance on Sigma / 4^e (max entry in [1, 4))
+    and 4^e. Since sqrt(4^e) is exact, what is linear in Sigma, times 4^e,
+    has the bits of any unscaled run that neither over- nor underflows. The
+    covariance is the dense C, P dropped, for an exact search or more than
+    n / ``DENSE_ROWS`` greedy ``picks``, else the ``moments`` operator: an
+    operator row costs O(n^2), and forming C is one n^3 product."""
+    sigma2 = _sigma2_from_args(args, ops.graph).sigma2
     e = (math.frexp(sigma2.max())[1] - 1) // 2
     canonical = np.ldexp(sigma2, -2 * e)
     smallest = canonical.min()
@@ -162,7 +166,8 @@ def _moments_for(args, g: SocialGraph):
                 f"a regular strength (the largest is {float(ops.w.max())!r}) "
                 "overflows float64 in the covariance; divide the edge weights "
                 "by a common factor") from None
-    return ops, mom, math.ldexp(1.0, 2 * e)
+    cov = mom.C if exact or DENSE_ROWS * picks > ops.n_regular else mom
+    return mom.method_tag, cov, math.ldexp(1.0, 2 * e)
 
 
 def _rescaled(args, scale: float, values) -> list[float]:
@@ -181,7 +186,6 @@ def _check_seed(args) -> None:
 
 
 def cmd_generate(args) -> int:
-    t0 = time.perf_counter()
     _check_seed(args)
     if args.n_stubborn < 1:
         raise GraphError(f"--n-stubborn {args.n_stubborn}: every other command "
@@ -193,27 +197,22 @@ def cmd_generate(args) -> int:
         g = generate_cycle(args.n, args.n_stubborn)
     prefix = args.out_prefix
     save_graph(g, f"{prefix}.edges", f"{prefix}.stubborn")
-    return _write(args, "generate", t0, g,
+    return _write(args, "generate", g,
                   {"files": {"edges": f"{prefix}.edges",
                              "stubborn": f"{prefix}.stubborn"}})
 
 
 def cmd_select(args) -> int:
-    t0 = time.perf_counter()
     g = _load_graph_from_args(args)
     _check_size("--k", args.k, g)
-    if args.method == "exact":
+    exact = args.method == "exact"
+    if exact:
         selector.check_exact_budget(len(g.regular), range(args.k, args.k + 1))
-    mom, scale = _moments_for(args, g)[1:]
-    method_tag = mom.method_tag
-    if args.method == "greedy":
-        # greedy reads C 1, diag C and one row per pick: never forms C
-        result = selector.greedy_select(mom, args.k)
-    else:
-        C, mom = mom.C, None    # the search holds C alone, not P and Q
-        result = selector.exact_select(C, args.k)
+    method_tag, C, scale = _moments_for(args, normalize(g), args.k, exact)
+    result = (selector.exact_select(C, args.k) if exact
+              else selector.greedy_select(C, args.k))
     regular_labels = [g.labels[i] for i in g.regular]
-    return _write(args, "select", t0, g, {
+    return _write(args, "select", g, {
         "moments_method": method_tag,
         "selection": {
             "method": result.method,
@@ -230,18 +229,21 @@ def cmd_select(args) -> int:
 
 
 def cmd_score(args) -> int:
-    t0 = time.perf_counter()
     g = _load_graph_from_args(args)
     measures = _names(args.measures, centrality.MEASURES, "measure")
     if math.isnan(args.attenuation):
         raise GraphError("--attenuation must be a number, not nan")
-    ops, mom, scale = _moments_for(args, g)
-    if args.matrix == "normalized":
-        G = ops
-    else:
+    ops = normalize(g)
+    method_tag, mom, scale = _moments_for(args, ops, 0)
+    G = ops
+    if (args.matrix == "adjacency"
+            and {"bonacich", "intercentrality"} & set(measures)):
         row, col, _ = g.regular_arcs
-        G = np.zeros((ops.n_regular, ops.n_regular))
-        G[row, col] = 1.0
+        adj = np.zeros((ops.n_regular, ops.n_regular))
+        adj[row, col] = 1.0
+        lam, Q = np.linalg.eigh(adj)
+        G = NetworkOperators(g, w=np.ones(len(lam)), eigvals=lam, eigvecs=Q,
+                             rho=float(np.abs(lam).max()))
     scores = []
     for m in measures:
         if m == "var_reduction":
@@ -254,8 +256,8 @@ def cmd_score(args) -> int:
             scores.append(centrality.intercentrality(G, args.attenuation))
     rep = centrality.ranking_report(scores)
     regular_labels = [g.labels[i] for i in g.regular]
-    return _write(args, "score", t0, g, {
-        "moments_method": mom.method_tag,
+    return _write(args, "score", g, {
+        "moments_method": method_tag,
         # var_reduction alone depends on the noise scale; ranks do not
         "scores": {s.measure: _rescaled(args, scale, s.scores)
                    if s.measure == "var_reduction" else list(s.scores)
@@ -273,16 +275,14 @@ def cmd_score(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    t0 = time.perf_counter()
     g = _load_graph_from_args(args)
     methods = _names(args.methods, ("greedy", "exact"), "method")
     _check_size("--max-k", args.max_k, g)
     if "exact" in methods:
         selector.check_exact_budget(len(g.regular), range(args.max_k + 1))
-    # the dense C alone: exact selection needs it, and on a long greedy curve
-    # its rows beat the operator's. The rows are ratios, free of the scale
-    mom = _moments_for(args, g)[1]
-    method_tag, C, mom = mom.method_tag, mom.C, None
+    # the rows are ratios, free of the scale
+    method_tag, C, _ = _moments_for(args, normalize(g), args.max_k,
+                                    "exact" in methods)
     rows = []
     for method in methods:
         if method == "greedy":
@@ -298,19 +298,18 @@ def cmd_curve(args) -> int:
         csv.writer(buf).writerows([("k", "method", "residual_pct"), *rows])
         _emit(args, buf.getvalue())
         return EXIT_OK
-    return _write(args, "curve", t0, g, {
+    return _write(args, "curve", g, {
         "moments_method": method_tag,
         "curve": [{"k": k, "method": m, "residual_pct": p}
                   for k, m, p in rows]})
 
 
 def cmd_validate(args) -> int:
-    t0 = time.perf_counter()
     _check_seed(args)
     if args.trials < 0:
         raise GraphError(f"--trials {args.trials}: must be at least 0")
     report = validation.SUITES[args.suite](args)
-    _write(args, "validate", t0, None, {"validation": report})
+    _write(args, "validate", None, {"validation": report})
     return EXIT_OK if report["ok"] else EXIT_AUDIT_FAIL
 
 
@@ -383,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.t0 = perf_counter()
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 
 import opinionselect
-from opinionselect import (NoiseModel, equilibrium, generate_random_reachable,
-                           generate_random_regular, generate_watts_strogatz,
-                           load_graph, moments, normalize, save_graph, selector,
+from opinionselect import (NoiseModel, bonacich, equilibrium,
+                           generate_random_reachable, generate_random_regular,
+                           generate_watts_strogatz, intercentrality, load_graph,
+                           moments, normalize, save_graph, selector,
                            var_reduction_scores)
-from opinionselect.cli import build_parser, main
+from opinionselect.cli import DENSE_ROWS, build_parser, main
 from opinionselect.validation import dense_weights
 from conftest import chorded_ring
 
@@ -490,6 +491,36 @@ def test_score_default_matrix_makes_no_dense_solve(ws_files, tmp_path,
     assert run_cli(score + ["--matrix", "adjacency", "--attenuation", "0.1"]) == 0
 
 
+@pytest.mark.parametrize("measures, calls", [("bonacich,intercentrality", 2),
+                                             ("var_reduction,eta", 1)])
+def test_score_adjacency_runs_one_eigh(measures, calls, ws_files, tmp_path,
+                                       monkeypatch):
+    # normalize's eigh, and one of the 0/1 adjacency only when a walk score
+    # reads it; its scores keep the bits of the public dense-matrix path
+    edges, stub = ws_files
+    g = load_graph(edges, [int(t) for t in Path(stub).read_text().split()])
+    R = list(g.regular)
+    adj = (dense_weights(g)[np.ix_(R, R)] > 0).astype(float)
+    want = {"bonacich": bonacich(adj, 0.1).scores,
+            "intercentrality": intercentrality(adj, 0.1).scores}
+    eigh = np.linalg.eigh
+    seen = []
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    out = tmp_path / "score.json"
+    assert run_cli(["score", "--graph", edges, "--stubborn-file", stub,
+                    "--matrix", "adjacency", "--attenuation", "0.1",
+                    "--measures", measures, "--out", str(out)]) == 0
+    assert len(seen) == calls
+    for m, scores in json.loads(out.read_text())["scores"].items():
+        if m in want:
+            assert scores == want[m].tolist()
+
+
 @pytest.mark.parametrize("model", ["regular", "ws"])
 def test_score_never_forms_the_covariance(model, tmp_path, monkeypatch):
     # var_reduction reads C 1 and diag C from the moments operator, so score
@@ -516,26 +547,45 @@ def test_score_never_forms_the_covariance(model, tmp_path, monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_greedy_select_never_forms_the_covariance(tmp_path, monkeypatch):
-    # greedy reads C 1, diag C and one row per pick from the moments
-    # operator, so select runs with the dense formation refused
+@pytest.mark.parametrize("command", ["select", "curve"])
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_greedy_forms_the_covariance_only_above_the_rule(command, side,
+                                                         tmp_path, monkeypatch):
+    # up to n / DENSE_ROWS picks greedy reads C 1, diag C and one row per pick
+    # from the moments operator, so it runs with the dense formation refused;
+    # one pick more and C is formed once. Either way it picks as on the
+    # operator
     g = generate_watts_strogatz(40, 4, 0.3, 5, 4)
     prefix = tmp_path / "ws"
     save_graph(g, f"{prefix}.edges", f"{prefix}.stubborn")
     ops = normalize(g)
+    k = ops.n_regular // DENSE_ROWS + (side == "above")
     want = selector.greedy_select(
-        moments(ops, NoiseModel.uniform(ops.n_regular, 1.0)).C, 5)
+        moments(ops, NoiseModel.uniform(ops.n_regular, 1.0)), k)
+    dense = equilibrium._dense_covariance
+    formed = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("greedy select formed the dense covariance")
+    def spy(*args):
+        if side == "below":
+            raise AssertionError(f"greedy {command} formed the dense covariance")
+        formed.append(args)
+        return dense(*args)
 
-    monkeypatch.setattr(equilibrium, "_dense_covariance", refuse)
-    out = tmp_path / "select.json"
-    assert run_cli(["select", "--graph", f"{prefix}.edges", "--stubborn-file",
-                    f"{prefix}.stubborn", "--k", "5", "--out", str(out)]) == 0
-    sel = json.loads(out.read_text())["selection"]
-    assert sel["chosen_regular_index"] == list(want.chosen)
-    assert sel["var_y"] == pytest.approx(want.var_y, rel=1e-12)
+    monkeypatch.setattr(equilibrium, "_dense_covariance", spy)
+    out = tmp_path / "out.json"
+    flags = {"select": ["--k", str(k)],
+             "curve": ["--max-k", str(k), "--format", "json"]}[command]
+    assert run_cli([command, "--graph", f"{prefix}.edges", "--stubborn-file",
+                    f"{prefix}.stubborn", *flags, "--out", str(out)]) == 0
+    assert len(formed) == (side == "above")
+    doc = json.loads(out.read_text())
+    if command == "select":
+        sel = doc["selection"]
+        assert sel["chosen_regular_index"] == list(want.chosen)
+        assert sel["var_y"] == pytest.approx(want.var_y, rel=1e-12)
+    else:
+        assert [row["residual_pct"] for row in doc["curve"]] == pytest.approx(
+            [100.0 * gv / want.var_y for gv in want.g_values], rel=1e-12)
 
 
 def test_commands_never_form_the_weight_matrix(tmp_path, monkeypatch):
