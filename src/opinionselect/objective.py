@@ -8,9 +8,8 @@ argmax. F and G always satisfy F(K) + G(K) = 1'C1, so G is read as
 Every F and estimator evaluation factors the small symmetric positive
 definite block C_KK with numpy's Cholesky, between a finiteness check that
 LAPACK does not make and a degenerate-pivot check, then solves against the
-factor. Selection does not call ``f_score`` per subset: exact selection
-scores subsets by its own walk and calls it for the winner's prefixes only,
-so no path needs scipy.
+factor. Selection does not call ``f_score``: exact selection scores
+subsets by its own walk, so no path needs scipy.
 """
 
 from __future__ import annotations

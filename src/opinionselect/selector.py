@@ -11,32 +11,31 @@ degenerate candidate. Greedy reads C only through C 1, diag C and one row per
 pick, so it runs on the ``moments`` operator as well as on a dense C, never
 forming C.
 
-Exact selection scores the subsets of a dense C in one depth-first walk
-over the combinations in lexicographic order (the all-subsets scheme of
-Furnival and Wilson's "Regressions by Leaps and Bounds", 1974, as F / Var(Y)
-is a regression R^2). It walks chunks of same-size subsets, the heads, and
-a chunk carries greedy's state only on the columns its heads can still
-extend to: one entry per pair of a head and a column j after the head's
-last node, which holds r_j, d_j and the head's values of L at column j
-(none at the last level, which is scored but never extended), with F per
-head. One masked divide scores every entry, F(K) + r_j^2 / d_j, and entry k
-of a chunk scores heads[ehead[k]] + (ecol[k],), in (head, j) order, which
-is lexicographic. A scored entry j becomes a head of the next level whose
-entries are the next n - 1 - j entries of its parent, so one index array
-gathers each next chunk's state and t multiply-adds its new row of L. A
-chunk holds at most ``WALK_FLOATS`` floats (65536, 512 KiB, inside an L2
-cache) of state and temporaries, 2 rows + 12 words per entry, where rows is
-the number of rows of L its level keeps. A branch whose pivot d_i is at or
-below ``SCHUR_GUARD`` c_ii is pruned, and its subsets are skipped with a
-warning, as greedy skips a degenerate candidate. A walk over the sizes
-lo..s goes to depth s, skips the extensions that leave no room for lo
-nodes, and folds each chunk's block of subsets into the tie rule of its
-size, so it serves ``exact_select`` (lo = s: only the at most s C(n, s)
-prefixes of size-s subsets) and ``exact_curve`` (lo = 0: every size up to
-s) alike. It holds one chunk per level, so its memory is s times the chunk
-budget plus O(s n^2), however many subsets it scores, and its numpy calls
-come a few dozen per chunk, not per subset. Each size k answered needs
-C(n, k) <= ``EXACT_BUDGET``.
+Exact selection scores the subsets of a dense C in one depth-first walk over
+the combinations in lexicographic order (the all-subsets scheme of Furnival
+and Wilson's "Regressions by Leaps and Bounds", 1974, as F / Var(Y) is a
+regression R^2). It walks chunks of same-size subsets, the heads, and a chunk
+carries greedy's state only on the columns its heads can still extend to: one
+entry per pair of a head and a column j after the head's last node, which
+holds r_j, d_j and the head's values of L at column j (none at the last level,
+which is scored but never extended), and F of each head's prefixes, which the
+results report. One masked divide scores every entry, F(K) + r_j^2 / d_j, and
+entry k of a chunk scores heads[ehead[k]] + (ecol[k],), in (head, j) order,
+which is lexicographic. A scored entry j becomes a head of the next level
+whose entries are the next n - 1 - j entries of its parent, so one index array
+gathers each next chunk's state and t multiply-adds its new row of L. A chunk
+holds at most ``WALK_FLOATS`` floats (65536, 512 KiB, inside an L2 cache) of
+state and temporaries, 2 rows + 12 words per entry, where rows is the number
+of rows of L its level keeps. A branch whose pivot d_i is at or below
+``SCHUR_GUARD`` c_ii is pruned, and its subsets are skipped with a warning, as
+greedy skips a degenerate candidate. A walk over the sizes lo..s goes to depth
+s, skips the extensions that leave no room for lo nodes, and folds each
+chunk's block of subsets into the tie rule of its size, so it serves
+``exact_select`` (lo = s: only the at most s C(n, s) prefixes of size-s
+subsets) and ``exact_curve`` (lo = 0: every size up to s) alike. It holds one
+chunk per level, so its memory is s times the chunk budget plus O(s n^2),
+however many subsets it scores, and its numpy calls come a few dozen per
+chunk, not per subset. Each size k answered needs C(n, k) <= ``EXACT_BUDGET``.
 Greedy and exact share one tie rule: the lowest index (greedy) or the
 lexicographically first subset (exact) among the values v within
 ``TIE_RTOL`` |v| of the best, so that rounding, which the BLAS thread count
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, NumericalError
-from .objective import SCHUR_GUARD, _require_finite, f_score, var_y
+from .objective import SCHUR_GUARD, _require_finite, var_y
 
 EXACT_BUDGET = 10 ** 7
 TIE_RTOL = 1e-9     # gains or F values this close, relative, count as a tie
@@ -217,21 +216,21 @@ def check_exact_budget(n: int, sizes: range) -> None:
 def _walk(C: np.ndarray, sizes: range, pruned: list):
     """Depth first, in lexicographic order, over the nonempty subsets of at
     most ``sizes[-1]`` nodes whose pivots all clear the guard and that still
-    leave room for ``sizes[0]`` nodes, so one walk serves every size in
-    ``sizes``. It yields (heads, ehead, ecol, V) for each chunk of same-size
-    subsets of fewer than ``sizes[-1]`` nodes: heads is a (B, t) int array
-    whose rows are the chunk's subsets in order, and the flat arrays ehead,
-    ecol and V hold one entry per head and column after the head's last
-    node, in (head, column) order; entry k stands for the subset
-    heads[ehead[k]] + (ecol[k],), and V[k] is its F. V[k] is -inf when the
-    extension is off the walk (so late that fewer than ``sizes[0]`` nodes
-    fit) or when its pivot is at or below ``SCHUR_GUARD`` c_jj: such a
-    branch goes to ``pruned`` and is not extended further. The chunks of
-    t-node heads cover the subsets of size t + 1 in ``sizes`` in
-    lexicographic order.
+    leave room for ``sizes[0]`` nodes, for every size in ``sizes`` at once. It
+    yields (heads, fs, ehead, ecol, V) for each chunk of same-size subsets of
+    fewer than ``sizes[-1]`` nodes: heads is a (B, t) int array whose rows are
+    the chunk's subsets in order, fs (B, t + 1) holds F of each head's
+    prefixes, F(empty) = 0 first, and the flat arrays ehead, ecol and V hold
+    one entry per head and column after the head's last node, in (head,
+    column) order; entry k stands for the subset heads[ehead[k]] + (ecol[k],),
+    and V[k] is its F. V[k] is -inf when the extension is off the walk (so
+    late that fewer than ``sizes[0]`` nodes fit) or when its pivot is at or
+    below ``SCHUR_GUARD`` c_jj: such a branch goes to ``pruned`` and is not
+    extended further. The chunks of t-node heads cover the subsets of size
+    t + 1 in ``sizes`` in lexicographic order.
 
     A chunk carries greedy's state on the columns its heads can still
-    extend to: F per head and, per entry, r_j and d_j of r = (C|K) 1 and
+    extend to: fs and, per entry, r_j and d_j of r = (C|K) 1 and
     d = diag(C|K) and the head's t values L_uj of C|K = C - L'L, a (t, E)
     array; the heads of ``sizes[-1]`` - 1 nodes, which are scored but never
     extended, keep no row of L. A scored entry j, but of the last node,
@@ -251,7 +250,7 @@ def _walk(C: np.ndarray, sizes: range, pruned: list):
     guard = SCHUR_GUARD * C.diagonal()
     lo, depth = sizes[0], sizes[-1]
 
-    def visit(heads, f, ehead, ecol, R, D, L):
+    def visit(heads, fs, ehead, ecol, R, D, L):
         t = heads.shape[1]
         ok = D > guard.take(ecol)
         # after extension j, lo - t - 1 more nodes must still fit
@@ -259,12 +258,12 @@ def _walk(C: np.ndarray, sizes: range, pruned: list):
         on_walk = ecol < room if room < n else True
         V = np.divide(R * R, D, out=np.full(D.shape, -np.inf),
                       where=ok & on_walk)
-        V += f.take(ehead)
+        V += fs[:, -1].take(ehead)
         bad = ~ok & on_walk
         if bad.any():
             pruned.extend(tuple(heads[ehead[k]].tolist()) + (int(ecol[k]),)
                           for k in np.flatnonzero(bad).tolist())
-        yield heads, ehead, ecol, V
+        yield heads, fs, ehead, ecol, V
         if t + 1 == depth:
             return
         # the scored extensions, but of the last node, which has none
@@ -283,6 +282,7 @@ def _walk(C: np.ndarray, sizes: range, pruned: list):
             c1 = max(int(np.searchsorted(ends, firsts[c0] + per_chunk,
                                          "right")), c0 + 1)
             p, m = kids[c0:c1], size[c0:c1]
+            hp = ehead.take(p)
             kid = np.repeat(np.arange(p.size), m)
             q = np.arange(firsts[c0], ends[c1 - 1]) + shift[c0:c1].take(kid)
             piv = p.take(kid)
@@ -297,30 +297,31 @@ def _walk(C: np.ndarray, sizes: range, pruned: list):
                   / roots.take(kid))
             if rows:
                 L_next[t] = Lk
-            yield from visit(np.column_stack((heads[ehead.take(p)], jc)),
-                             V.take(p), kid, col,
+            yield from visit(np.column_stack((heads.take(hp, 0), jc)),
+                             np.column_stack((fs.take(hp, 0), V.take(p))),
+                             kid, col,
                              R.take(q) - Lk * (R.take(p) / roots).take(kid),
                              D.take(q) - Lk * Lk, L_next)
             c0 = c1
 
     if depth > 0:
-        yield from visit(np.zeros((1, 0), dtype=np.intp), np.zeros(1),
+        yield from visit(np.zeros((1, 0), dtype=np.intp), np.zeros((1, 1)),
                          np.zeros(n, dtype=np.intp), np.arange(n),
                          C @ np.ones(n), C.diagonal(), np.zeros((0, n)))
 
 
 def _exact(C: np.ndarray, sizes: range) -> list[SelectionResult]:
-    """Refuse ``sizes`` over budget, fold one walk over them into each
-    size's tie rule, then build each size's result: warn once per skipped
-    subset, in lexicographic order, and score the winner's prefixes."""
+    """Refuse ``sizes`` over budget, fold one walk into each size's tie
+    rule, keyed by subset and prefix F row, and build each size's result."""
     n = C.shape[0]
     check_exact_budget(n, sizes)
     ties = [_NearBest() for _ in range(sizes[-1] + 1)]
-    ties[0].fold(np.zeros(1), lambda j: ())
+    ties[0].fold(np.zeros(1), lambda j: ((), []))
     pruned: list = []
-    for heads, ehead, ecol, V in _walk(C, sizes, pruned):
+    for heads, fs, ehead, ecol, V in _walk(C, sizes, pruned):
         ties[heads.shape[1] + 1].fold(
-            V, lambda k: tuple(heads[ehead[k]].tolist()) + (int(ecol[k]),))
+            V, lambda k: (tuple(heads[ehead[k]].tolist()) + (int(ecol[k]),),
+                          fs[ehead[k]].tolist()))
     results = []
     for k in sizes:
         # every size-k subset through a pruned branch is skipped
@@ -333,11 +334,11 @@ def _exact(C: np.ndarray, sizes: range) -> list[SelectionResult]:
         if ties[k].first is None:
             raise NumericalError(
                 f"all {math.comb(n, k)} subsets of size {k} degenerate")
-        best_K = ties[k].first[0]
-        f_values = [f_score(C, best_K[:t]) for t in range(k + 1)]
+        (best_K, prefixes), value = ties[k].first
+        f_values = (*prefixes, value)
         results.append(SelectionResult(
             chosen=best_K, gains=tuple(np.diff(f_values)),
-            f_values=tuple(f_values), var_y=var_y(C),
+            f_values=f_values, var_y=var_y(C),
             eval_count=math.comb(n, k), method="exact",
             skipped=tuple(skipped)))
     return results
@@ -349,10 +350,10 @@ def exact_select(C: np.ndarray, s: int) -> SelectionResult:
     by greedy's tie rule.
 
     Refuses a request over budget (see ``check_exact_budget``) before any work.
-    A subset with a degenerate pivot is skipped with a warning, one per
-    subset in lexicographic order, as greedy skips such a candidate; only
-    when every subset is degenerate does this raise ``NumericalError``. The
-    F values of the winner's s + 1 prefixes come from ``f_score``.
+    A subset with a degenerate pivot, by the walk's guard alone, is skipped
+    with a warning, one per subset in lexicographic order, as greedy skips
+    such a candidate; only when every subset is degenerate does this raise
+    ``NumericalError``. The winner's s + 1 prefix F values come from the walk.
     """
     n = C.shape[0]
     s = _cardinality(s, n)

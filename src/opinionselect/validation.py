@@ -246,7 +246,7 @@ def submodularity_audit(C: np.ndarray) -> AuditReport:
     F = np.zeros(1 << n)    # indexed by bit mask
     bits = 1 << np.arange(n)
     pruned: list = []
-    for heads, ehead, ecol, V in selector._walk(C, range(n + 1), pruned):
+    for heads, _, ehead, ecol, V in selector._walk(C, range(n + 1), pruned):
         if pruned:
             raise NumericalError("principal submatrix not positive definite")
         masks = (1 << heads).sum(axis=1)
@@ -322,7 +322,7 @@ def greedy_ratio(C: np.ndarray, s: int) -> float:
     optimum is 0. Nemhauser, Wolsey and Fisher (1978) bound it below by
     1 - 1/e when F is submodular."""
     greedy = selector.greedy_select(C, s)
-    f_exact = selector.exact_select(C, s).f_values[-1]
+    f_exact = f_score(C, selector.exact_select(C, s).chosen)
     return 1.0 if f_exact == 0 else f_score(C, sorted(greedy.chosen)) / f_exact
 
 

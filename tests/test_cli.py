@@ -20,8 +20,8 @@ import opinionselect
 from opinionselect import (NoiseModel, bonacich, equilibrium,
                            generate_random_reachable, generate_random_regular,
                            generate_watts_strogatz, intercentrality, load_graph,
-                           moments, normalize, save_graph, selector,
-                           var_reduction_scores)
+                           moments, normalize, objective, save_graph,
+                           selector, var_reduction_scores)
 from opinionselect.cli import DENSE_ROWS, build_parser, main
 from opinionselect.validation import dense_weights
 from conftest import chorded_ring
@@ -992,21 +992,32 @@ def test_curve_csv(ws_files, tmp_path):
 
 
 def test_curve_walks_the_subset_tree_once(ws_files, tmp_path, monkeypatch):
-    # every k of the exact curve comes from one walk to depth --max-k
+    # every k of the exact curve comes from one walk to depth --max-k, and
+    # every F it reports is the walk's: f_score is called nowhere, in any
+    # module that binds it
     edges, stub = ws_files
-    walks = []
-    walk = selector._walk
+    walks, scores = [], []
+    walk, f_score = selector._walk, objective.f_score
 
     def spy(C, sizes, *args):
         walks.append(sizes)
         return walk(C, sizes, *args)
 
+    def f_spy(C, K):
+        scores.append(tuple(K))
+        return f_score(C, K)
+
     monkeypatch.setattr(selector, "_walk", spy)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "opinionselect" and \
+                getattr(mod, "f_score", None) is f_score:
+            monkeypatch.setattr(mod, "f_score", f_spy)
     out = tmp_path / "curve.csv"
     assert run_cli(["curve", "--graph", edges, "--stubborn-file", stub,
                     "--max-k", "5", "--methods", "greedy,exact",
                     "--out", str(out)]) == 0
     assert walks == [range(6)]
+    assert scores == []
 
 
 def test_curve_rejects_out_of_range_max_k(ws_files, tmp_path):

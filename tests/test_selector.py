@@ -357,7 +357,7 @@ def walk_values(C, s):
     """F of every size-s subset the exact walk scores, by subset; the
     degenerate ones are left out."""
     out = {}
-    for heads, ehead, ecol, V in _walk(C, range(s, s + 1), []):
+    for heads, _, ehead, ecol, V in _walk(C, range(s, s + 1), []):
         if len(heads[0]) == s - 1:
             for k in np.flatnonzero(V > -np.inf).tolist():
                 out[tuple(heads[ehead[k]].tolist()) + (int(ecol[k]),)] = \
@@ -383,16 +383,20 @@ def pruned_early_instance():
 
 
 def test_exact_eval_count_law():
-    # eval_count is C(n, s); the F values are the winner's prefixes, and the
-    # winner is the best subset the walk scored
+    # eval_count is C(n, s); the F values are the walk's own values of the
+    # winner's prefixes, and the winner is the best subset the walk scored
     for seed, (n, s) in enumerate([(5, 0), (6, 1), (8, 3), (9, 4), (7, 7)]):
         _, _, C = random_instance(seed, n=n + 2, n_stubborn=2)
         assert C.shape[0] == n
         res = exact_select(C, s)
         assert res.eval_count == math.comb(n, s)
         assert res.skipped == ()
-        assert res.f_values == tuple(f_score(C, res.chosen[:t])
-                                     for t in range(s + 1))
+        assert res.f_values[0] == 0.0
+        for t in range(1, s + 1):
+            prefix = res.chosen[:t]
+            assert res.f_values[t] == walk_values(C, t)[prefix]
+            assert res.f_values[t] == pytest.approx(f_score(C, prefix),
+                                                    rel=1e-12, abs=0)
         values = walk_values(C, s) if s else {(): 0.0}
         assert sorted(values) == list(itertools.combinations(range(n), s))
         # the tie rule relies on meeting the subsets in lexicographic order
@@ -549,8 +553,9 @@ def test_exact_walk_takes_budget_sized_chunks():
     per_chunk = [selector.WALK_FLOATS // (2 * (u if u < s - 1 else 0) + 12)
                  for u in range(s)]
     heads, entries, chunks = [0] * s, [0] * s, [0] * s
-    for group, ehead, ecol, _ in _walk(C, range(s + 1), []):
+    for group, fs, ehead, ecol, _ in _walk(C, range(s + 1), []):
         u = group.shape[1]
+        assert fs.shape == (len(group), u + 1) and not fs[:, 0].any(), u
         assert len(ecol) <= per_chunk[u] or len(group) == 1, u
         assert np.array_equal(ehead, np.repeat(np.arange(len(group)),
                                                n - 1 - group[:, -1])
@@ -598,6 +603,23 @@ def test_exact_all_subsets_degenerate_raises():
     with pytest.warns(UserWarning):
         with pytest.raises(NumericalError, match="all 6 subsets"):
             exact_select(C, 2)
+
+
+def test_exact_reports_the_walks_f_on_a_rank_deficient_c():
+    # a rank-3 C on 10 nodes has no positive-definite 4 x 4 block, but one
+    # 4-subset clears the walk's guard by rounding; the walk's guard alone
+    # decides, so the result keeps it, with F = var_y, and no second test
+    # of its prefixes refuses it
+    X = np.random.default_rng(2).normal(size=(10, 3))
+    C = X @ X.T
+    with pytest.warns(UserWarning) as record:
+        res = exact_select(C, 4)
+    assert res.chosen == (5, 6, 7, 8)
+    assert res.f_values[-1] == pytest.approx(var_y(C), rel=1e-9)
+    assert len(record) == len(res.skipped) == 209
+    with pytest.warns(UserWarning):
+        curve = exact_curve(C, 4)
+    assert _bits(curve[4]) == _bits(res)
 
 
 @pytest.mark.parametrize("case", ["random0", "random1", "random2", "twin",
