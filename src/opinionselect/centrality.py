@@ -57,10 +57,11 @@ def var_reduction_scores(C) -> NodeScores:
     return NodeScores(scores=v * v / d, measure="var_reduction")
 
 
-def _resolvent(G, a: float, hops: int = 1):
+def _resolvent(G, a: float, hops: int = 1, diagonal: bool = True):
     """(M1, diag M) for M = (I - a G^hops)^{-1} in O(n^2) from a spectrum: the
     one stored on the ``NetworkOperators`` of A, or ``eigh`` of a symmetric
-    dense matrix with D = I (see the module docstring)."""
+    dense matrix with D = I (see the module docstring). diag M is None
+    unless ``diagonal``."""
     if isinstance(G, NetworkOperators):
         lam, Q, sqrt_d = G.eigvals, G.eigvecs, np.sqrt(G.w)
     else:
@@ -76,7 +77,8 @@ def _resolvent(G, a: float, hops: int = 1):
             f"attenuation {a} too large: rho(G) = {rho:.6g}, so |a| must be "
             f"below 1/rho(G) = {bound:.6g}")
     f = 1.0 / (1.0 - a * lam ** hops)
-    return Q @ (f * (sqrt_d @ Q)) / sqrt_d, (Q * Q) @ f
+    return (Q @ (f * (sqrt_d @ Q)) / sqrt_d,
+            (Q * Q) @ f if diagonal else None)
 
 
 def eta_scores(ops: NetworkOperators) -> NodeScores:
@@ -90,7 +92,7 @@ def bonacich(G, a: float) -> NodeScores:
 
     ``G`` is the ``NetworkOperators`` of A or a symmetric dense matrix.
     """
-    b, _ = _resolvent(G, a)
+    b, _ = _resolvent(G, a, diagonal=False)
     return NodeScores(scores=b, measure="bonacich")
 
 

@@ -5,11 +5,11 @@ row t of the preallocated (s, n) array L written at pick t, so each pick is
 one rank-1 downdate in O(|K| n). Each round scores every candidate at once:
 ``marginal_gain(r, d, c_diag, taken)`` returns the vector r_i^2 / d_i for
 r = (C|K)1 and d = diag(C|K), with -inf for the picked and the degenerate
-candidates, and the tie rule folds that vector once. The round function
-stays public, so a wrapper sees all n s - s(s-1)/2 gains and every
-degenerate candidate. Greedy reads C only through C 1, diag C and one row per
-pick, so it runs on the ``moments`` operator as well as on a dense C, never
-forming C.
+candidates, and the round picks the first position ``_near_best`` gives
+for that vector. The round function stays public, so a wrapper sees all
+n s - s(s-1)/2 gains and every degenerate candidate. Greedy reads C only
+through C 1, diag C and one row per pick, so it runs on the ``moments``
+operator as well as on a dense C, never forming C.
 
 Exact selection scores the subsets of a dense C in one depth-first walk over
 the combinations in lexicographic order (the all-subsets scheme of Furnival
@@ -29,18 +29,21 @@ state and temporaries, 2 rows + 12 words per entry, where rows is the number
 of rows of L its level keeps. A branch whose pivot d_i is at or below
 ``SCHUR_GUARD`` c_ii is pruned, and its subsets are skipped with a warning, as
 greedy skips a degenerate candidate. A walk over the sizes lo..s goes to depth
-s, skips the extensions that leave no room for lo nodes, and folds each
-chunk's block of subsets into the tie rule of its size, so it serves
+s, skips the extensions that leave no room for lo nodes, and keeps each
+chunk's near-best subsets in a list per size, so it serves
 ``exact_select`` (lo = s: only the at most s C(n, s) prefixes of size-s
 subsets) and ``exact_curve`` (lo = 0: every size up to s) alike. It holds one
 chunk per level, so its memory is s times the chunk budget plus O(s n^2),
 however many subsets it scores, and its numpy calls come a few dozen per
 chunk, not per subset. Each size k answered needs C(n, k) <= ``EXACT_BUDGET``.
-Greedy and exact share one tie rule: the lowest index (greedy) or the
-lexicographically first subset (exact) among the values v within
-``TIE_RTOL`` |v| of the best, so that rounding, which the BLAS thread count
-changes, does not decide between mirror nodes. Every path reads G as
-var_y(C) - F.
+Greedy and exact share one tie rule, ``_near_best``: the lowest index
+(greedy) or the lexicographically first subset (exact) among the values at
+or above v - ``TIE_RTOL`` |v|, v the best, so that rounding, which the BLAS
+thread count changes, does not decide between mirror nodes. Exact applies
+it to each chunk and then to the size's kept subsets: x - ``TIE_RTOL`` |x|
+rises with x, so no value below its own chunk's floor reaches the final
+one. A gain or F that overflows float64 is refused with ``NumericalError``,
+not read as a skip. Every path reads G as var_y(C) - F.
 """
 
 from __future__ import annotations
@@ -110,41 +113,19 @@ def marginal_gain(r: np.ndarray, d: np.ndarray, c_diag: np.ndarray,
                          where=~skip)
 
 
-class _NearBest:
-    """The tie rule, folded over values met in order: the first key whose
-    value is at least v - ``TIE_RTOL`` |v|, v the largest value met.
-
-    Of the values met at or above the running floor it keeps only those
-    larger than every value kept before them: an earlier value at least as
-    large wins whenever the later one would. So it holds a handful of keys,
-    however many values it meets. Values that straddle the tolerance edge
-    can still flip."""
-
-    def __init__(self):
-        self.best = self.floor = -math.inf
-        self.near: list = []     # (key, value), values rising, all >= floor
-
-    def fold(self, values: np.ndarray, key) -> None:
-        """Meet ``values``, a float array read in row-major order with -inf
-        for a skipped entry; ``key(j)`` names entry j of that order."""
-        values = values.ravel()
-        top = float(values.max())
-        if top == -math.inf or top < self.floor:
-            return
-        if top > self.best:
-            self.best, self.floor = top, top - TIE_RTOL * abs(top)
-            self.near = [(k, v) for k, v in self.near if v >= self.floor]
-        last = self.near[-1][1] if self.near else -math.inf
-        for j in np.flatnonzero(values >= self.floor).tolist():
-            v = float(values[j])
-            if v > last:
-                self.near.append((key(j), v))
-                last = v
-
-    @property
-    def first(self):
-        """The winning (key, value), or None when every value was skipped."""
-        return self.near[0] if self.near else None
+def _near_best(values: np.ndarray) -> np.ndarray:
+    """The tie rule: the row-major positions of the entries of ``values`` at
+    or above v - ``TIE_RTOL`` |v|, v the largest, so the first is the winner;
+    none when every entry is -inf, a skipped one. ``NumericalError`` when v
+    is +inf or NaN: a gain or F that overflowed float64."""
+    values = values.ravel()
+    top = values.max()
+    if not top < math.inf:
+        raise NumericalError(f"best gain or F is {top}: it overflowed "
+                             "float64; rescale C")
+    if top == -math.inf:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(values >= top - TIE_RTOL * abs(top))
 
 
 def greedy_select(C, s: int) -> SelectionResult:
@@ -155,7 +136,8 @@ def greedy_select(C, s: int) -> SelectionResult:
     mirror nodes whose gains differ only by rounding resolve the same way
     under any BLAS. A degenerate candidate is skipped with a warning, one
     per round in index order; ``NumericalError`` if all of a round's
-    candidates are degenerate. ``eval_count`` counts one gain per unpicked
+    candidates are degenerate, or, after the warnings, if its best gain
+    overflows float64. ``eval_count`` counts one gain per unpicked
     candidate and round, n s - s(s-1)/2.
 
     ``C`` is a dense covariance or the ``moments`` operator: only ``C @ 1``,
@@ -184,18 +166,17 @@ def greedy_select(C, s: int) -> SelectionResult:
             warnings.warn(f"skipping candidate {i}: degenerate Schur "
                           f"complement {d[i]:.3e} for candidate {i}")
             skipped.append(i)
-        tie = _NearBest()
-        tie.fold(round_gains, int)
-        if tie.first is None:
+        near = _near_best(round_gains)
+        if not near.size:
             raise NumericalError("all candidates degenerate in this round")
-        i, gain = tie.first
+        i = int(near[0])
         root = math.sqrt(d[i])
         L[t] = (C[i] - L[:t, i] @ L[:t]) / root
         r -= L[t] * (r[i] / root)
         d -= L[t] * L[t]
         taken[i] = True
         chosen.append(i)
-        gains.append(gain)
+        gains.append(float(round_gains[i]))
     return SelectionResult(chosen=tuple(chosen), gains=tuple(gains),
                            f_values=(0.0, *itertools.accumulate(gains)),
                            var_y=var_y(C),
@@ -227,7 +208,8 @@ def _walk(C: np.ndarray, sizes: range, pruned: list):
     late that fewer than ``sizes[0]`` nodes fit) or when its pivot is at or
     below ``SCHUR_GUARD`` c_jj: such a branch goes to ``pruned`` and is not
     extended further. The chunks of t-node heads cover the subsets of size
-    t + 1 in ``sizes`` in lexicographic order.
+    t + 1 in ``sizes`` in lexicographic order. ``NumericalError`` names the
+    size when a V is +inf or NaN, an F that overflows float64.
 
     A chunk carries greedy's state on the columns its heads can still
     extend to: fs and, per entry, r_j and d_j of r = (C|K) 1 and
@@ -256,9 +238,13 @@ def _walk(C: np.ndarray, sizes: range, pruned: list):
         # after extension j, lo - t - 1 more nodes must still fit
         room = n - max(lo - t - 1, 0)
         on_walk = ecol < room if room < n else True
-        V = np.divide(R * R, D, out=np.full(D.shape, -np.inf),
-                      where=ok & on_walk)
-        V += fs[:, -1].take(ehead)
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = np.divide(R * R, D, out=np.full(D.shape, -np.inf),
+                          where=ok & on_walk)
+            V += fs[:, -1].take(ehead)
+        if not V.max() < np.inf:
+            raise NumericalError(f"F of a subset of size {t + 1} overflowed "
+                                 "float64; rescale C")
         bad = ~ok & on_walk
         if bad.any():
             pruned.extend(tuple(heads[ehead[k]].tolist()) + (int(ecol[k]),)
@@ -311,17 +297,26 @@ def _walk(C: np.ndarray, sizes: range, pruned: list):
 
 
 def _exact(C: np.ndarray, sizes: range) -> list[SelectionResult]:
-    """Refuse ``sizes`` over budget, fold one walk into each size's tie
-    rule, keyed by subset and prefix F row, and build each size's result."""
+    """Refuse ``sizes`` over budget, keep each chunk's near-best subsets
+    with their prefix F values per size, in walk order, and build each
+    size's result from the first of them within ``TIE_RTOL`` of the best."""
     n = C.shape[0]
     check_exact_budget(n, sizes)
-    ties = [_NearBest() for _ in range(sizes[-1] + 1)]
-    ties[0].fold(np.zeros(1), lambda j: ((), []))
+    # per size, (subset, f_values) with f_values[-1] rising: a subset whose
+    # F is no larger than one met before it can never be the first near-best
+    near: list[list] = [[] for _ in range(sizes[-1] + 1)]
+    near[0].append(((), (0.0,)))
     pruned: list = []
     for heads, fs, ehead, ecol, V in _walk(C, sizes, pruned):
-        ties[heads.shape[1] + 1].fold(
-            V, lambda k: (tuple(heads[ehead[k]].tolist()) + (int(ecol[k]),),
-                          fs[ehead[k]].tolist()))
+        kept = near[heads.shape[1] + 1]
+        ks = _near_best(V)
+        w = V.take(ks)
+        last = kept[-1][1][-1] if kept else -math.inf
+        ks = ks[w > np.maximum.accumulate(np.append(last, w[:-1]))]
+        kept.extend(((*heads[ehead[k]].tolist(), int(ecol[k])),
+                     (*fs[ehead[k]].tolist(), float(V[k])))
+                    for k in ks.tolist())
+    vy = var_y(C)
     results = []
     for k in sizes:
         # every size-k subset through a pruned branch is skipped
@@ -331,14 +326,14 @@ def _exact(C: np.ndarray, sizes: range) -> list[SelectionResult]:
         for K in skipped:
             warnings.warn(f"skipping subset {K}: principal submatrix not "
                           "positive definite")
-        if ties[k].first is None:
+        if not near[k]:
             raise NumericalError(
                 f"all {math.comb(n, k)} subsets of size {k} degenerate")
-        (best_K, prefixes), value = ties[k].first
-        f_values = (*prefixes, value)
+        best_K, f_values = near[k][
+            _near_best(np.array([f[-1] for _, f in near[k]]))[0]]
         results.append(SelectionResult(
             chosen=best_K, gains=tuple(np.diff(f_values)),
-            f_values=f_values, var_y=var_y(C),
+            f_values=f_values, var_y=vy,
             eval_count=math.comb(n, k), method="exact",
             skipped=tuple(skipped)))
     return results
@@ -352,8 +347,9 @@ def exact_select(C: np.ndarray, s: int) -> SelectionResult:
     Refuses a request over budget (see ``check_exact_budget``) before any work.
     A subset with a degenerate pivot, by the walk's guard alone, is skipped
     with a warning, one per subset in lexicographic order, as greedy skips
-    such a candidate; only when every subset is degenerate does this raise
-    ``NumericalError``. The winner's s + 1 prefix F values come from the walk.
+    such a candidate; only when every subset is degenerate, or when an F
+    overflows float64, does this raise ``NumericalError``. The winner's
+    s + 1 prefix F values come from the walk.
     """
     n = C.shape[0]
     s = _cardinality(s, n)

@@ -262,8 +262,9 @@ def scalar_greedy(C, s):
     """Greedy with one Python call per unpicked candidate and round: the
     scalar loop ``greedy_select`` ran before its rounds became one numpy
     vector each, kept as an oracle for its picks, gains, F values, skips and
-    warnings, bit for bit."""
-    from opinionselect.selector import SelectionResult, _NearBest
+    warnings, bit for bit. It states the tie rule itself, in scalars: the
+    lowest index whose gain is at or above v - TIE_RTOL |v|, v the best."""
+    from opinionselect.selector import TIE_RTOL, SelectionResult
     from opinionselect.objective import SCHUR_GUARD, var_y
 
     def gain(r_i, d_i, c_ii):
@@ -291,11 +292,11 @@ def scalar_greedy(C, s):
                 warnings.warn(f"skipping candidate {i}: {exc} for candidate {i}")
                 skipped.append(i)
                 round_gains.append(-math.inf)
-        tie = _NearBest()
-        tie.fold(np.array(round_gains), cands.__getitem__)
-        if tie.first is None:
+        top = max(round_gains)
+        if top == -math.inf:
             raise NumericalError("all candidates degenerate in this round")
-        i, g = tie.first
+        i, g = next((i, g) for i, g in zip(cands, round_gains)
+                    if g >= top - TIE_RTOL * abs(top))
         root = math.sqrt(d_vals[i])
         L[t] = (C[i] - L[:t, i] @ L[:t]) / root
         r -= L[t] * (r_vals[i] / root)

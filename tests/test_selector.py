@@ -331,6 +331,83 @@ def test_near_ties_go_to_the_smallest_id():
     assert res.chosen == (2, 3) and res.eval_count == math.comb(4, 2)
 
 
+def _brute_near_best(values):
+    """The tie rule in scalars: the row-major positions at or above
+    v - TIE_RTOL |v|, v the largest entry, none when every entry is -inf."""
+    flat = [float(v) for v in np.ravel(values)]
+    top = max(flat)
+    if top == -math.inf:
+        return []
+    return [j for j, v in enumerate(flat) if v >= top - TIE_RTOL * abs(top)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_near_best_states_the_tie_rule(seed):
+    # seeded vectors and matrices, some all negative, with near-ties planted
+    # 0.5e-9 (inside TIE_RTOL) and 2e-9 (outside) below the best, and -inf
+    # entries for skipped ones
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 40)),) if seed % 2 else (3, 7)
+    values = rng.normal(size=shape) - (5.0 if seed % 3 == 0 else 0.0)
+    flat = values.reshape(-1)
+    top = float(flat.max())
+    slots = rng.permutation(flat.size)
+    flat[slots[1:3]] = top - 0.5e-9 * abs(top)
+    flat[slots[3:5]] = top - 2e-9 * abs(top)
+    flat[slots[5:8]] = -math.inf
+    flat[slots[0]] = top
+    from opinionselect.selector import _near_best
+    near = _near_best(values)
+    assert near.tolist() == _brute_near_best(values)
+    assert int(slots[0]) in near.tolist()
+    assert not set(slots[3:5].tolist()) & set(near.tolist())
+    assert _near_best(np.full(shape, -math.inf)).size == 0
+    for bad in (math.inf, math.nan):
+        flat[slots[-1]] = bad
+        with pytest.raises(NumericalError, match="overflowed float64"):
+            _near_best(values)
+
+
+@pytest.mark.parametrize("rel, winner", [(0.0, (0, 1)), (0.5e-9, (0, 1)),
+                                         (2e-9, (1, 2))])
+def test_exact_tie_spans_chunks(rel, winner, monkeypatch):
+    # nodes 0 and 2 mirror each other, so (0, 1) and (1, 2) tie, and with
+    # WALK_FLOATS = 1 they fall in the chunks of heads 0 and 1; raising
+    # F(1, 2) by rel relative keeps the first while rel is within TIE_RTOL,
+    # though the later chunk then holds the largest F
+    import opinionselect.selector as selector
+    C = np.diag([2.0, 3.0, 2.0 * (1 + 2.5 * rel), 1.0])
+    values = walk_values(C, 2)
+    assert values[(1, 2)] >= values[(0, 1)]
+    monkeypatch.setattr(selector, "WALK_FLOATS", 1)
+    chunks = [heads[:, 0].tolist() for heads, *_ in _walk(C, range(2, 3), [])
+              if heads.shape[1] == 1]
+    assert chunks == [[0], [1], [2]]
+    assert exact_select(C, 2).chosen == winner
+    assert exact_curve(C, 2)[2].chosen == winner
+
+
+def _overflow_case(name):
+    # finite and positive definite, but r * r overflows float64
+    n = 6 if name == "audit" else 8
+    X = np.random.default_rng(0).normal(size=(n, n))
+    C = (X @ X.T + n * np.eye(n)) * 1e155
+    return {"greedy": lambda: greedy_select(C, 2),
+            "exact": lambda: exact_select(C, 2),
+            "audit": lambda: submodularity_audit(C)}[name]
+
+
+@pytest.mark.parametrize("name", ["greedy", "exact", "audit"])
+def test_overflowing_gain_or_f_is_refused_by_name(name):
+    # once read as "all candidates degenerate" (greedy, exact) or as a pass
+    # with min_slack_f = inf (audit), behind a RuntimeWarning
+    run = _overflow_case(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="overflowed float64"):
+            run()
+
+
 def test_exact_diagonal_and_full_set():
     sigma2 = np.array([1.0, 4.0, 2.0])
     C = np.diag(sigma2)
@@ -496,23 +573,24 @@ def test_exact_mirror_ties_go_to_the_first_subset():
 
 
 def test_exact_memory_does_not_grow_with_the_subset_count():
-    # the walk folds each chunk of leaves into the tie rule as it comes, so
     # each level holds one chunk of at most WALK_FLOATS floats, or one head
     # when a head alone is larger, and the index arrays of its extensions:
     # s chunk budgets plus O(s n^2) in all, however many subsets it scores;
     # at s = 3 the bound below is under two thirds of a float per subset,
-    # and s = 2 to 3 multiplies the subsets by 53
+    # and s = 2 to 3 multiplies the subsets by 53. On the identity every
+    # subset of a size ties exactly, and a chunk keeps only the subsets that
+    # beat all those kept before them, so the ties add one per chunk
     n = 160
     X = np.random.default_rng(0).normal(size=(n, n))
-    C = X @ X.T / n + np.eye(n)
     assert 8 * 5 * 3 * n * n < 8 * math.comb(n, 3) / 1.5
-    for search in (exact_select, exact_curve):
-        for s in (2, 3):
-            tracemalloc.start()
-            search(C, s)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            assert peak < 8 * 5 * s * n * n, (search.__name__, s)
+    for C in (X @ X.T / n + np.eye(n), np.eye(n)):
+        for search in (exact_select, exact_curve):
+            for s in (2, 3):
+                tracemalloc.start()
+                search(C, s)
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                assert peak < 8 * 5 * s * n * n, (search.__name__, s)
 
 
 @pytest.mark.parametrize("n", [20, 30])
