@@ -51,10 +51,16 @@ def var_reduction_scores(C) -> NodeScores:
 
     ``C`` is read only through ``C @ 1`` and ``C.diagonal()``, so it may be
     the dense covariance or the ``EquilibriumMoments`` operator.
+    ``NumericalError`` when a score is not finite: (C1)_k^2 overflowed.
     """
     d = C.diagonal()
     v = C @ np.ones(len(d))
-    return NodeScores(scores=v * v / d, measure="var_reduction")
+    with np.errstate(over="ignore"):
+        scores = v * v / d
+    if not np.isfinite(scores).all():
+        raise NumericalError("a var_reduction score overflowed float64; "
+                             "rescale C")
+    return NodeScores(scores=scores, measure="var_reduction")
 
 
 def _resolvent(G, a: float, hops: int = 1, diagonal: bool = True):

@@ -3,12 +3,11 @@
 Commands: generate, select, score, curve, validate. ``_write`` emits every
 JSON document, so all share one header: schema, meta, then graph if any.
 Every command that takes --out writes atomically (temp file + rename) so no
-partial output survives a failure. Exit codes: 0 ok, 1 validation-suite
+partial output survives a failure. select, score and curve read and check
+every input before any O(n^3) step. Exit codes: 0 ok, 1 validation-suite
 failure, 2 bad input, 3 exact budget exceeded or out of memory, 4 numerical
-failure, among them an output that overflows float64 at the --sigma2 scale,
-a regular strength at which the covariance overflows, and a covariance that
-misses its own Lyapunov equation because the regular strengths span too wide
-a range.
+failure: an output or covariance that overflows float64, or a covariance
+that misses its own Lyapunov equation.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from . import centrality, equilibrium, selector, validation
 from .equilibrium import NoiseModel
 from .errors import BudgetExceededError, GraphError, NumericalError
 from .graph import (NetworkOperators, SocialGraph, generate_cycle,
-                    generate_watts_strogatz, load_graph, normalize,
-                    read_records, save_graph)
+                    generate_watts_strogatz, load_graph, load_sigma2,
+                    normalize, read_records, save_graph)
 
 SCHEMA_VERSION = 1
 
@@ -44,7 +43,6 @@ EXIT_NUMERICAL = 4
 
 DENSE_ROWS = 8   # greedy forms C once it takes more than n / DENSE_ROWS picks
 STUBBORN_FIELDS = (("node", int),)
-SIGMA2_FIELDS = (("node", int), ("sigma2", float))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -71,7 +69,11 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_graph_from_args(args) -> SocialGraph:
+def _read_inputs(args) -> tuple[SocialGraph, NoiseModel, float]:
+    """Read and check every input of a graph command before any O(n^3) step:
+    the graph, the noise variances on Sigma / 4^e (max entry in [1, 4)) and
+    4^e. Since sqrt(4^e) is exact, what is linear in Sigma, times 4^e, has
+    the bits of any unscaled run that neither over- nor underflows."""
     if args.stubborn is not None:
         ids = read_records(args.stubborn.split(","), STUBBORN_FIELDS,
                            "--stubborn item")
@@ -80,34 +82,25 @@ def _load_graph_from_args(args) -> SocialGraph:
                            "stubborn file line")
     else:
         raise GraphError("provide --stubborn or --stubborn-file")
-    return load_graph(args.graph, [node for _, (node,) in ids])
-
-
-def _sigma2_from_args(args, g: SocialGraph) -> NoiseModel:
+    g = load_graph(args.graph, [node for _, (node,) in ids])
     spec = args.sigma2
-    labels = [g.labels[i] for i in g.regular]
     if spec.startswith("uniform:"):
         try:
             value = float(spec.removeprefix("uniform:"))
-            return NoiseModel.uniform(len(labels), value)
+            sigma2 = NoiseModel.uniform(len(g.regular), value).sigma2
         except ValueError:
             raise GraphError(f"--sigma2 {spec!r}: expected 'uniform:VALUE' "
                              "with VALUE finite and positive") from None
-    regular = set(labels)
-    table: dict[int, float] = {}
-    for lineno, (node, value) in read_records(spec, SIGMA2_FIELDS,
-                                              "sigma2 file line"):
-        if node not in regular:
-            raise GraphError(f"sigma2 file line {lineno}: node {node} is not "
-                             "a regular node of the graph")
-        if node in table and table[node] != value:
-            raise GraphError(f"sigma2 file line {lineno}: conflicting duplicate "
-                             f"for node {node}: {table[node]} vs {value}")
-        table[node] = value
-    missing = [label for label in labels if label not in table]
-    if missing:
-        raise GraphError(f"sigma2 file misses regular node(s) {missing}")
-    return NoiseModel(np.array([table[label] for label in labels]))
+    else:
+        sigma2 = NoiseModel(load_sigma2(spec, g)).sigma2
+    e = (math.frexp(sigma2.max())[1] - 1) // 2
+    canonical = np.ldexp(sigma2, -2 * e)
+    smallest = canonical.min()
+    if smallest < np.finfo(float).tiny:     # 0 or a subnormal, rounded
+        raise GraphError(f"--sigma2 {spec}: the noise variances span "
+                         "too wide a range; the smallest underflows to "
+                         f"{'0' if smallest == 0.0 else 'a subnormal'}")
+    return g, NoiseModel(canonical), math.ldexp(1.0, 2 * e)
 
 
 def _write(args, command: str, g: SocialGraph | None, body: dict,
@@ -143,31 +136,22 @@ def _names(spec: str, known, noun: str) -> list[str]:
     return names
 
 
-def _moments_for(args, ops: NetworkOperators, picks: int, exact=False):
-    """The regime tag, the covariance on Sigma / 4^e (max entry in [1, 4))
-    and 4^e. Since sqrt(4^e) is exact, what is linear in Sigma, times 4^e,
-    has the bits of any unscaled run that neither over- nor underflows. The
-    covariance is the dense C, P dropped, for an exact search or more than
-    n / ``DENSE_ROWS`` greedy ``picks``, else the ``moments`` operator: an
-    operator row costs O(n^2), and forming C is one n^3 product."""
-    sigma2 = _sigma2_from_args(args, ops.graph).sigma2
-    e = (math.frexp(sigma2.max())[1] - 1) // 2
-    canonical = np.ldexp(sigma2, -2 * e)
-    smallest = canonical.min()
-    if smallest < np.finfo(float).tiny:     # 0 or a subnormal, rounded
-        raise GraphError(f"--sigma2 {args.sigma2}: the noise variances span "
-                         "too wide a range; the smallest underflows to "
-                         f"{'0' if smallest == 0.0 else 'a subnormal'}")
+def _moments_for(ops: NetworkOperators, noise: NoiseModel, picks: int,
+                 exact=False):
+    """The regime tag and the covariance: the dense C, P dropped, for an
+    exact search or more than n / ``DENSE_ROWS`` greedy ``picks``, else the
+    ``moments`` operator: an operator row costs O(n^2), and forming C is one
+    n^3 product."""
     with np.errstate(over="raise", invalid="raise"):
         try:
-            mom = equilibrium.moments(ops, NoiseModel(canonical))
+            mom = equilibrium.moments(ops, noise)
         except FloatingPointError:
             raise NumericalError(
                 f"a regular strength (the largest is {float(ops.w.max())!r}) "
                 "overflows float64 in the covariance; divide the edge weights "
                 "by a common factor") from None
     cov = mom.C if exact or DENSE_ROWS * picks > ops.n_regular else mom
-    return mom.method_tag, cov, math.ldexp(1.0, 2 * e)
+    return mom.method_tag, cov
 
 
 def _rescaled(args, scale: float, values) -> list[float]:
@@ -203,12 +187,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_select(args) -> int:
-    g = _load_graph_from_args(args)
+    g, noise, scale = _read_inputs(args)
     _check_size("--k", args.k, g)
     exact = args.method == "exact"
     if exact:
         selector.check_exact_budget(len(g.regular), range(args.k, args.k + 1))
-    method_tag, C, scale = _moments_for(args, normalize(g), args.k, exact)
+    method_tag, C = _moments_for(normalize(g), noise, args.k, exact)
     result = (selector.exact_select(C, args.k) if exact
               else selector.greedy_select(C, args.k))
     regular_labels = [g.labels[i] for i in g.regular]
@@ -229,12 +213,12 @@ def cmd_select(args) -> int:
 
 
 def cmd_score(args) -> int:
-    g = _load_graph_from_args(args)
+    g, noise, scale = _read_inputs(args)
     measures = _names(args.measures, centrality.MEASURES, "measure")
     if math.isnan(args.attenuation):
         raise GraphError("--attenuation must be a number, not nan")
     ops = normalize(g)
-    method_tag, mom, scale = _moments_for(args, ops, 0)
+    method_tag, mom = _moments_for(ops, noise, 0)
     G = ops
     if (args.matrix == "adjacency"
             and {"bonacich", "intercentrality"} & set(measures)):
@@ -244,16 +228,12 @@ def cmd_score(args) -> int:
         lam, Q = np.linalg.eigh(adj)
         G = NetworkOperators(g, w=np.ones(len(lam)), eigvals=lam, eigvecs=Q,
                              rho=float(np.abs(lam).max()))
-    scores = []
-    for m in measures:
-        if m == "var_reduction":
-            scores.append(centrality.var_reduction_scores(mom))
-        elif m == "eta":
-            scores.append(centrality.eta_scores(ops))
-        elif m == "bonacich":
-            scores.append(centrality.bonacich(G, args.attenuation))
-        else:
-            scores.append(centrality.intercentrality(G, args.attenuation))
+    score = {"var_reduction": lambda: centrality.var_reduction_scores(mom),
+             "eta": lambda: centrality.eta_scores(ops),
+             "bonacich": lambda: centrality.bonacich(G, args.attenuation),
+             "intercentrality":
+                 lambda: centrality.intercentrality(G, args.attenuation)}
+    scores = [score[m]() for m in measures]
     rep = centrality.ranking_report(scores)
     regular_labels = [g.labels[i] for i in g.regular]
     return _write(args, "score", g, {
@@ -275,14 +255,14 @@ def cmd_score(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    g = _load_graph_from_args(args)
+    g, noise, _ = _read_inputs(args)
     methods = _names(args.methods, ("greedy", "exact"), "method")
     _check_size("--max-k", args.max_k, g)
     if "exact" in methods:
         selector.check_exact_budget(len(g.regular), range(args.max_k + 1))
     # the rows are ratios, free of the scale
-    method_tag, C, _ = _moments_for(args, normalize(g), args.max_k,
-                                    "exact" in methods)
+    method_tag, C = _moments_for(normalize(g), noise, args.max_k,
+                                 "exact" in methods)
     rows = []
     for method in methods:
         if method == "greedy":
@@ -324,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_graph_flags(p):
         p.add_argument("--graph", required=True, help="edge-list file")
-        # not required: _load_graph_from_args refuses neither given (exit 2)
+        # not required: _read_inputs refuses neither given (exit 2)
         stub = p.add_mutually_exclusive_group()
         stub.add_argument("--stubborn", help="comma-separated stubborn ids")
         stub.add_argument("--stubborn-file", help="one stubborn id per line")

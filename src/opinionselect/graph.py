@@ -1,9 +1,8 @@
 """Weighted undirected social graphs with a stubborn/regular node partition.
 
-A graph is stored as its edge list: each undirected edge once, as i < j in
-row-major order, with its positive weight, plus the set of stubborn node
-indices. ``SocialGraph(n_nodes, i, j, weights, stubborn)`` is the one
-constructor: ``load_graph`` and the generators pass it edge arrays.
+A graph is stored as its edge list (see ``SocialGraph``, the one
+constructor). ``load_graph`` and ``load_sigma2`` read the edge list and the
+noise table and share one rule: a key given again must repeat its value.
 Normalization sums the strengths over the edges and stores one form of the
 DeGroot operator A = D^-1 W_RR: the eigendecomposition of the symmetric
 matrix similar to it, which it scatters from the regular-regular edges.
@@ -216,6 +215,7 @@ def normalize(g: SocialGraph) -> NetworkOperators:
 
 
 EDGE_FIELDS = (("i", int), ("j", int), ("weight", float))
+SIGMA2_FIELDS = (("node", int), ("sigma2", float))
 
 
 def read_records(source: str | Path | Iterable[str],
@@ -246,6 +246,13 @@ def read_records(source: str | Path | Iterable[str],
         yield lineno, values
 
 
+def _keep(table: dict, key, value, where: str, lineno: int, noun: str) -> None:
+    """Store ``value`` under ``key``; a repeated key must repeat its value."""
+    if table.setdefault(key, value) != value:
+        raise GraphError(f"{where} {lineno}: conflicting duplicate {noun} "
+                         f"{key}: {table[key]} vs {value}")
+
+
 def load_graph(source: str | Path | Iterable[str],
                stubborn: Iterable[int]) -> SocialGraph:
     """Read a whitespace/comma separated edge list and build a SocialGraph.
@@ -255,7 +262,6 @@ def load_graph(source: str | Path | Iterable[str],
     and at least one node must be left regular.
     """
     edges: dict[tuple[int, int], float] = {}
-    nodes: set[int] = set()
     for lineno, (i, j, wgt) in read_records(source, EDGE_FIELDS):
         if i < 0 or j < 0:
             raise GraphError(f"line {lineno}: node ids must be nonnegative")
@@ -264,15 +270,10 @@ def load_graph(source: str | Path | Iterable[str],
                              f"finite, got {wgt}")
         if i == j:
             raise GraphError(f"line {lineno}: self-loop on node {i}")
-        key = (min(i, j), max(i, j))
-        if key in edges and edges[key] != wgt:
-            raise GraphError(
-                f"line {lineno}: conflicting duplicate edge {key}: "
-                f"{edges[key]} vs {wgt}")
-        edges[key] = wgt
-        nodes.update(key)
+        _keep(edges, (min(i, j), max(i, j)), wgt, "line", lineno, "edge")
     if not edges:
         raise GraphError("edge list is empty")
+    nodes = {v for key in edges for v in key}
     stub_labels = sorted(set(int(s) for s in stubborn))
     if not stub_labels:
         raise GraphError("stubborn set empty")
@@ -290,6 +291,26 @@ def load_graph(source: str | Path | Iterable[str],
     if not report.ok:
         raise ReachabilityError(report.message)
     return g
+
+
+def load_sigma2(source: str | Path | Iterable[str],
+                g: SocialGraph) -> np.ndarray:
+    """A 'node sigma2' table's variances in ``g.regular`` order, unchecked;
+    a line for another node, a conflicting repeat or a regular node left out
+    (named by count and the first 10 labels) raises ``GraphError``."""
+    labels = [g.labels[i] for i in g.regular]
+    regular, table, where = set(labels), {}, "sigma2 file line"
+    for lineno, (node, value) in read_records(source, SIGMA2_FIELDS, where):
+        if node not in regular:
+            raise GraphError(f"{where} {lineno}: node {node} is not a regular "
+                             "node of the graph")
+        _keep(table, node, value, where, lineno, "for node")
+    missing = [label for label in labels if label not in table]
+    if missing:
+        some = ", the first 10 by label" if len(missing) > 10 else ""
+        raise GraphError(f"sigma2 file misses {len(missing)} regular "
+                         f"node(s){some}: {missing[:10]}")
+    return np.array([table[label] for label in labels])
 
 
 def save_graph(g: SocialGraph, edges_path: str | Path,

@@ -3,13 +3,14 @@
 All quantities are carried at the unnormalized scale F(K) = (C1)_K' (C_KK)^-1
 (C1)_K; dividing by |R|^2 recovers the probabilistic variances but changes no
 argmax. F and G always satisfy F(K) + G(K) = 1'C1, so G is read as
-``var_y(C)`` - F from C alone, and ``f_score`` is the one path to both.
+``var_y(C)`` - F from C alone. Greedy sums its rounds' gains and exact
+selection scores subsets by its own walk; ``f_score`` is the Cholesky oracle
+that ``validation``'s suites and the tests check selection against.
 
 Every F and estimator evaluation factors the small symmetric positive
 definite block C_KK with numpy's Cholesky, between a finiteness check that
 LAPACK does not make and a degenerate-pivot check, then solves against the
-factor. Selection does not call ``f_score``: exact selection scores
-subsets by its own walk, so no path needs scipy.
+factor, so no path needs scipy.
 """
 
 from __future__ import annotations

@@ -14,28 +14,19 @@ operator as well as on a dense C, never forming C.
 Exact selection scores the subsets of a dense C in one depth-first walk over
 the combinations in lexicographic order (the all-subsets scheme of Furnival
 and Wilson's "Regressions by Leaps and Bounds", 1974, as F / Var(Y) is a
-regression R^2). It walks chunks of same-size subsets, the heads, and a chunk
-carries greedy's state only on the columns its heads can still extend to: one
-entry per pair of a head and a column j after the head's last node, which
-holds r_j, d_j and the head's values of L at column j (none at the last level,
-which is scored but never extended), and F of each head's prefixes, which the
-results report. One masked divide scores every entry, F(K) + r_j^2 / d_j, and
-entry k of a chunk scores heads[ehead[k]] + (ecol[k],), in (head, j) order,
-which is lexicographic. A scored entry j becomes a head of the next level
-whose entries are the next n - 1 - j entries of its parent, so one index array
-gathers each next chunk's state and t multiply-adds its new row of L. A chunk
-holds at most ``WALK_FLOATS`` floats (65536, 512 KiB, inside an L2 cache) of
-state and temporaries, 2 rows + 12 words per entry, where rows is the number
-of rows of L its level keeps. A branch whose pivot d_i is at or below
-``SCHUR_GUARD`` c_ii is pruned, and its subsets are skipped with a warning, as
-greedy skips a degenerate candidate. A walk over the sizes lo..s goes to depth
-s, skips the extensions that leave no room for lo nodes, and keeps each
-chunk's near-best subsets in a list per size, so it serves
-``exact_select`` (lo = s: only the at most s C(n, s) prefixes of size-s
-subsets) and ``exact_curve`` (lo = 0: every size up to s) alike. It holds one
-chunk per level, so its memory is s times the chunk budget plus O(s n^2),
-however many subsets it scores, and its numpy calls come a few dozen per
-chunk, not per subset. Each size k answered needs C(n, k) <= ``EXACT_BUDGET``.
+regression R^2). It walks chunks of same-size subsets, the heads; a chunk
+carries greedy's state only on the columns its heads can still extend to, in
+at most ``WALK_FLOATS`` floats, as ``_walk`` lays out. A branch whose pivot
+d_i is at or below ``SCHUR_GUARD`` c_ii is pruned, and its subsets are
+skipped with a warning, as greedy skips a degenerate candidate. A walk over
+the sizes lo..s goes to depth s, skips the extensions that leave no room for
+lo nodes, and keeps each chunk's near-best subsets in a list per size, so it
+serves ``exact_select`` (lo = s: only the at most s C(n, s) prefixes of
+size-s subsets) and ``exact_curve`` (lo = 0: every size up to s) alike. It
+holds one chunk per level, so its memory is s times the chunk budget plus
+O(s n^2), however many subsets it scores, and its numpy calls come a few
+dozen per chunk, not per subset. Each size k answered needs
+C(n, k) <= ``EXACT_BUDGET``.
 Greedy and exact share one tie rule, ``_near_best``: the lowest index
 (greedy) or the lexicographically first subset (exact) among the values at
 or above v - ``TIE_RTOL`` |v|, v the best, so that rounding, which the BLAS

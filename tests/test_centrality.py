@@ -36,6 +36,20 @@ def test_var_reduction_equals_f_score_single():
         assert scores.scores[k] == pytest.approx(f_score(C, [k]), rel=1e-12)
 
 
+def test_var_reduction_overflow_is_refused_by_name():
+    # finite and positive definite, but (C1)_k^2 overflows float64: once a
+    # vector of inf scores behind a RuntimeWarning, every node ranked equal
+    X = np.random.default_rng(0).normal(size=(8, 8))
+    C = (X @ X.T + 8 * np.eye(8)) * 1e155
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="a var_reduction score "
+                           "overflowed float64; rescale C"):
+            var_reduction_scores(C)
+        # the same C at a representable scale scores as before
+        assert np.isfinite(var_reduction_scores(C * 1e-155).scores).all()
+
+
 def test_eta_identity_matrix():
     # three regular nodes tied only to a stubborn hub: A = 0
     W = np.zeros((4, 4))

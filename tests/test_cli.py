@@ -255,6 +255,81 @@ def test_sigma2_uniform_value_must_be_a_number(ws_files, tmp_path, capsys):
     assert not out.exists()
 
 
+GRAPH_COMMANDS = (["select", "--k", "2"], ["score"], ["curve", "--max-k", "2"])
+
+
+def _regular_and_stubborn(stub):
+    stubborn = sorted(int(t) for t in Path(stub).read_text().split())
+    return [i for i in range(15) if i not in stubborn], stubborn
+
+
+@pytest.mark.parametrize("case", [
+    "malformed", "field-count", "not-regular", "conflict", "missing",
+    "uniform-abc", "uniform-0", "nonfinite", "underflow"])
+@pytest.mark.parametrize("command", GRAPH_COMMANDS, ids=lambda c: c[0])
+def test_sigma2_refused_before_normalize(ws_files, tmp_path, capsys,
+                                         refuse_normalize, command, case):
+    # the noise table is read with the graph, so every refusal of it exits
+    # 2 with its one error line before the O(n^3) eigendecomposition
+    edges, stub = ws_files
+    regular, stubborn = _regular_and_stubborn(stub)
+    r0, n = regular[0], len(regular)
+    base = "".join(f"{i} {1.0 + i / 10}\n" for i in regular)
+    table = tmp_path / "table.sigma2"
+    spec, text, message = {
+        "malformed": (table, base + "x 1.0\n", f"sigma2 file line {n + 1}: "
+                      "expected 'node sigma2', got 'x 1.0'"),
+        "field-count": (table, f"{r0} 1.0 2.0\n" + base, "sigma2 file line "
+                        f"1: expected 'node sigma2', got '{r0} 1.0 2.0'"),
+        "not-regular": (table, base + f"{stubborn[0]} 9.0\n",
+                        f"sigma2 file line {n + 1}: node {stubborn[0]} is "
+                        "not a regular node of the graph"),
+        "conflict": (table, base + f"{r0} 5.0\n", f"sigma2 file line {n + 1}"
+                     f": conflicting duplicate for node {r0}: "
+                     f"{1.0 + r0 / 10} vs 5.0"),
+        "missing": (table, base.replace(f"{r0} {1.0 + r0 / 10}\n", ""),
+                    f"sigma2 file misses 1 regular node(s): [{r0}]"),
+        "uniform-abc": ("uniform:abc", None, "--sigma2 'uniform:abc': "
+                        "expected 'uniform:VALUE' with VALUE finite and "
+                        "positive"),
+        "uniform-0": ("uniform:0", None, "--sigma2 'uniform:0': expected "
+                      "'uniform:VALUE' with VALUE finite and positive"),
+        "nonfinite": (table, base.replace(f"{r0} {1.0 + r0 / 10}\n",
+                                          f"{r0} inf\n"),
+                      "all noise variances must be finite and positive"),
+        "underflow": (table, "".join(f"{i} {1e-300 if i == r0 else 1e300}\n"
+                                     for i in regular),
+                      f"--sigma2 {table}: the noise variances span too wide "
+                      "a range; the smallest underflows to 0"),
+    }[case]
+    if text is not None:
+        table.write_text(text)
+    out = tmp_path / "never.json"
+    assert run_cli([*command, "--graph", edges, "--stubborn-file", stub,
+                    "--sigma2", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_missing_sigma2_nodes_named_by_count_and_first_ten(
+        ws_files, tmp_path, capsys, refuse_normalize):
+    # a one-line table leaves 11 of the 12 regular nodes out: the message
+    # names how many and the first 10 by label, not all of them
+    edges, stub = ws_files
+    regular, _ = _regular_and_stubborn(stub)
+    table = tmp_path / "one.sigma2"
+    table.write_text(f"{regular[0]} 1.0\n")
+    out = tmp_path / "never.json"
+    assert run_cli(["select", "--graph", edges, "--stubborn-file", stub, "--k",
+                    "2", "--sigma2", str(table), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: sigma2 file misses {len(regular) - 1} regular node(s), the "
+        f"first 10 by label: {regular[1:11]}"]
+    assert len(re.search(r"\[(.*)\]", err).group(1).split(",")) == 10
+    assert not out.exists()
+
+
 def test_stubborn_ids_read_like_the_other_inputs(tmp_path, capsys):
     edges = tmp_path / "path.edges"
     edges.write_text("0 1 1\n1 2 1\n2 3 1\n")
