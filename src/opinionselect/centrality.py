@@ -6,11 +6,11 @@ eta is intercentrality of the 2-hop operator A^2 with attenuation 1.
 
 Both score matrices are G = D^-1/2 Q diag(lam) Q' D^1/2 with Q orthonormal:
 A (``--matrix normalized``) with the spectrum ``normalize`` stores, and a
-symmetric matrix with ``eigh`` and D = I (``--matrix adjacency`` passes one
-0/1 adjacency spectrum). For f(lam) = 1/(1 - a lam) (or 1/(1 - lam^2), eta),
-f(G) 1 = D^-1/2 Q [f(lam) * Q' D^1/2 1] and diag f(G) = (Q*Q) f(lam), the D
-factors cancelling on the diagonal: O(n^2) once the spectrum is known. The
-walk series converges iff |a| rho < 1, exact because lam is real.
+symmetric dense matrix (``--matrix adjacency``) with ``spectrum``'s, D = I.
+For f(lam) = 1/(1 - a lam) (or 1/(1 - lam^2), eta), f(G) 1 =
+D^-1/2 Q [f(lam) * Q' D^1/2 1] and diag f(G) = (Q*Q) f(lam), the D factors
+cancelling on the diagonal: O(n^2) once the spectrum is known. The walk
+series converges iff |a| rho < 1, exact because lam is real.
 
 Rankings are compared by Kendall's tau-b (Knight 1966), counted here with
 ``np.unique`` and the standard library's ``bisect``, so that scoring does not
@@ -63,20 +63,26 @@ def var_reduction_scores(C) -> NodeScores:
     return NodeScores(scores=scores, measure="var_reduction")
 
 
+def spectrum(G) -> NetworkOperators:
+    """The spectrum of a symmetric dense score matrix G, with D = I: unit
+    strengths and no ``graph``."""
+    G = np.asarray(G, float)
+    if not np.array_equal(G, G.T):
+        raise ValueError("a dense score matrix must be symmetric")
+    lam, Q = np.linalg.eigh(G)
+    return NetworkOperators(graph=None, w=np.ones(len(lam)),
+                            rho=float(np.max(np.abs(lam), initial=0.0)),
+                            eigvals=lam, eigvecs=Q)
+
+
 def _resolvent(G, a: float, hops: int = 1, diagonal: bool = True):
     """(M1, diag M) for M = (I - a G^hops)^{-1} in O(n^2) from a spectrum: the
-    one stored on the ``NetworkOperators`` of A, or ``eigh`` of a symmetric
-    dense matrix with D = I (see the module docstring). diag M is None
-    unless ``diagonal``."""
-    if isinstance(G, NetworkOperators):
-        lam, Q, sqrt_d = G.eigvals, G.eigvecs, np.sqrt(G.w)
-    else:
-        G = np.asarray(G, float)
-        if not np.array_equal(G, G.T):
-            raise ValueError("a dense score matrix must be symmetric")
-        lam, Q = np.linalg.eigh(G)
-        sqrt_d = np.ones(len(lam))
-    rho = float(np.max(np.abs(lam), initial=0.0)) ** hops
+    one a ``NetworkOperators`` stores, or ``spectrum`` of a symmetric dense
+    matrix (see the module docstring). diag M is None unless ``diagonal``."""
+    if not isinstance(G, NetworkOperators):
+        G = spectrum(G)
+    lam, Q, sqrt_d = G.eigvals, G.eigvecs, np.sqrt(G.w)
+    rho = G.rho ** hops
     if not abs(a) * rho < 1.0:     # the walk series of aG diverges
         bound = 1.0 / rho if rho > 0 else np.inf
         raise NumericalError(
@@ -96,7 +102,7 @@ def eta_scores(ops: NetworkOperators) -> NodeScores:
 def bonacich(G, a: float) -> NodeScores:
     """Walk-counting centrality b = (I - aG)^{-1} 1.
 
-    ``G`` is the ``NetworkOperators`` of A or a symmetric dense matrix.
+    ``G`` is a ``NetworkOperators`` or a symmetric dense matrix.
     """
     b, _ = _resolvent(G, a, diagonal=False)
     return NodeScores(scores=b, measure="bonacich")
@@ -105,7 +111,7 @@ def bonacich(G, a: float) -> NodeScores:
 def intercentrality(G, a: float) -> NodeScores:
     """Key-player score c_k = b_k^2 / M_kk with M = (I - aG)^{-1}.
 
-    ``G`` is the ``NetworkOperators`` of A or a symmetric dense matrix.
+    ``G`` is a ``NetworkOperators`` or a symmetric dense matrix.
     """
     b, m = _resolvent(G, a)
     return NodeScores(scores=b * b / m, measure="intercentrality")

@@ -212,22 +212,39 @@ def cmd_select(args) -> int:
     }, eval_count=result.eval_count)
 
 
+def _check_adjacency_attenuation(a: float, g: SocialGraph) -> None:
+    """Refuse |a| at or past 1/bound, for an O(m) lower bound on rho(G) of
+    the regular nodes' 0/1 adjacency G: its mean degree (the Rayleigh
+    quotient at 1) and sqrt of its largest degree (the star at that node).
+    The exact 1/rho(G) check follows the eigendecomposition."""
+    degree = np.bincount(g.regular_arcs[0], minlength=len(g.regular))
+    mean, star = float(degree.mean()), math.sqrt(degree.max())
+    bound = max(mean, star)
+    if abs(a) * bound >= 1.0:
+        raise GraphError(
+            f"--attenuation {a} too large for --matrix adjacency: rho(G) is "
+            f"at least max(mean degree {mean:.6g}, sqrt(max degree) "
+            f"{star:.6g}) = {bound:.6g}, so |a| must be below "
+            f"{1.0 / bound:.6g}")
+
+
 def cmd_score(args) -> int:
     g, noise, scale = _read_inputs(args)
     measures = _names(args.measures, centrality.MEASURES, "measure")
     if math.isnan(args.attenuation):
         raise GraphError("--attenuation must be a number, not nan")
+    adjacency = (args.matrix == "adjacency"
+                 and {"bonacich", "intercentrality"} & set(measures))
+    if adjacency:
+        _check_adjacency_attenuation(args.attenuation, g)
     ops = normalize(g)
     method_tag, mom = _moments_for(ops, noise, 0)
     G = ops
-    if (args.matrix == "adjacency"
-            and {"bonacich", "intercentrality"} & set(measures)):
+    if adjacency:
         row, col, _ = g.regular_arcs
         adj = np.zeros((ops.n_regular, ops.n_regular))
         adj[row, col] = 1.0
-        lam, Q = np.linalg.eigh(adj)
-        G = NetworkOperators(g, w=np.ones(len(lam)), eigvals=lam, eigvecs=Q,
-                             rho=float(np.abs(lam).max()))
+        G = centrality.spectrum(adj)
     score = {"var_reduction": lambda: centrality.var_reduction_scores(mom),
              "eta": lambda: centrality.eta_scores(ops),
              "bonacich": lambda: centrality.bonacich(G, args.attenuation),

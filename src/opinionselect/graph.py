@@ -114,10 +114,11 @@ class NetworkOperators:
     ``graph.regular`` order (edges to stubborn nodes included). A is similar
     to the symmetric matrix S = D^-1/2 W_RR D^-1/2 = Q diag(eigvals) Q'.
     ``eigvals`` (ascending) and the orthonormal ``eigvecs`` Q are that
-    decomposition, and ``rho`` is max |eigvals|.
+    decomposition, and ``rho`` is max |eigvals|. For a dense matrix's
+    spectrum (``centrality.spectrum``), D = I and ``graph`` is None.
     """
 
-    graph: SocialGraph
+    graph: SocialGraph | None
     w: np.ndarray
     rho: float
     eigvals: np.ndarray

@@ -7,10 +7,10 @@ argmax. F and G always satisfy F(K) + G(K) = 1'C1, so G is read as
 selection scores subsets by its own walk; ``f_score`` is the Cholesky oracle
 that ``validation``'s suites and the tests check selection against.
 
-Every F and estimator evaluation factors the small symmetric positive
-definite block C_KK with numpy's Cholesky, between a finiteness check that
-LAPACK does not make and a degenerate-pivot check, then solves against the
-factor, so no path needs scipy.
+``f_score`` and the estimator share ``_factor``: (C1)_K, checked finite, and
+numpy's Cholesky factor L of C_KK, between a finiteness check that LAPACK
+does not make and a degenerate-pivot check. F is |L^-1 (C1)_K|^2 and the
+estimator solves L'(L^-1 (C1)_K / n), so no path needs scipy.
 """
 
 from __future__ import annotations
@@ -61,20 +61,15 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
     raise NumericalError("principal submatrix not positive definite")
 
 
-def _spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with M x = rhs for a symmetric positive definite block M, by the
-    two triangular solves against ``_cholesky(M)``."""
-    L = _cholesky(M)
-    _require_finite(rhs)
-    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-
-
-def _gather(C: np.ndarray, K: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(C1)_K and C_KK."""
+def _factor(C: np.ndarray, K: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(C1)_K and the ``_cholesky`` factor L of C_KK, (C1)_K checked finite."""
     # (C1)_K is read from the full product, not summed from the rows C[K]:
     # BLAS sums a block of a few rows in another order, which would move F
     # in its last bits with |K| and the position of each node in K.
-    return (C @ np.ones(C.shape[0])).take(K), C.take(K, 0).take(K, 1)
+    v = (C @ np.ones(C.shape[0])).take(K)
+    L = _cholesky(C.take(K, 0).take(K, 1))
+    _require_finite(v)
+    return v, L
 
 
 def var_y(C: np.ndarray) -> float:
@@ -88,9 +83,7 @@ def f_score(C: np.ndarray, K: Sequence[int]) -> float:
     K = _check_set(K, C.shape[0])
     if not K:
         return 0.0
-    v, CKK = _gather(C, K)
-    L = _cholesky(CKK)
-    _require_finite(v)
+    v, L = _factor(C, K)
     w = np.linalg.solve(L, v)       # F = |L^-1 v|^2
     return float(w @ w)
 
@@ -112,7 +105,7 @@ def estimator_coefficients(C: np.ndarray, K: Sequence[int],
     ybar = float(np.sum(mu)) / n
     if not K:
         return np.zeros(0), ybar
-    c1, CKK = _gather(C, K)
-    alpha = _spd_solve(CKK, c1 / n)
+    c1, L = _factor(C, K)
+    alpha = np.linalg.solve(L.T, np.linalg.solve(L, c1 / n))
     intercept = ybar - float(alpha @ mu[K])
     return alpha, intercept

@@ -11,7 +11,7 @@ from opinionselect import (NoiseModel, SocialGraph, generate_random_reachable,
                            normalize)
 from opinionselect.equilibrium import SYMMETRY_TOL, covariance_lyapunov
 from opinionselect.errors import NumericalError
-from opinionselect.objective import _check_set, _spd_solve
+from opinionselect.objective import _check_set, _cholesky
 from opinionselect.validation import blocks
 
 
@@ -112,9 +112,9 @@ def g_score(H: np.ndarray, K: Sequence[int]) -> float:
     comp = [i for i in range(n) if i not in K]
     if not comp:
         return 0.0
-    Hcc = H[np.ix_(comp, comp)]
+    L = _cholesky(H[np.ix_(comp, comp)])
     ones = np.ones(len(comp))
-    return float(ones @ _spd_solve(Hcc, ones))
+    return float(ones @ np.linalg.solve(L.T, np.linalg.solve(L, ones)))
 
 
 def series_covariance(A, sigma2, n_terms=None):
@@ -140,16 +140,6 @@ def naive_f(C, K):
         return 0.0
     v = (C @ np.ones(C.shape[0]))[K]
     return float(v @ np.linalg.inv(C[np.ix_(K, K)]) @ v)
-
-
-def naive_g(C, K):
-    n = C.shape[0]
-    comp = [i for i in range(n) if i not in set(K)]
-    if not comp:
-        return 0.0
-    H = np.linalg.inv(C)
-    ones = np.ones(len(comp))
-    return float(ones @ np.linalg.inv(H[np.ix_(comp, comp)]) @ ones)
 
 
 def dense_resolvent(G, a):

@@ -524,7 +524,10 @@ def test_score_unknown_measure(ws_files):
 
 def test_score_adjacency_attenuation_bound(tmp_path, capsys):
     # rho(G) >= 1 for a 0/1 adjacency, so the default attenuation 1.0 only
-    # suits --matrix normalized; the error states the bound 1/rho(G)
+    # suits --matrix normalized. max(mean degree, sqrt(max degree)) is a
+    # lower bound on rho(G), so it refuses the default with exit 2 before any
+    # eigh; a = 0.26 lies between 1/rho(G) = 0.2485 and 1/bound = 0.2755, so
+    # the exact check after eigh refuses it, stating 1/rho(G)
     prefix = tmp_path / "ws30"
     assert run_cli(["generate", "--model", "ws", "--n", "30",
                     "--n-stubborn", "3", "--seed", "1",
@@ -533,19 +536,39 @@ def test_score_adjacency_attenuation_bound(tmp_path, capsys):
              f"{prefix}.stubborn", "--matrix", "adjacency",
              "--measures", "bonacich,intercentrality",
              "--out", str(tmp_path / "adj.json")]
-    capsys.readouterr()
-    assert run_cli(graph) == 4
-    err = capsys.readouterr().err
-    bound = float(re.search(r"1/rho\(G\) = ([0-9.e+-]+)", err).group(1))
     g = load_graph(f"{prefix}.edges",
                    [int(t) for t in Path(f"{prefix}.stubborn").read_text().split()])
     R = list(g.regular)
-    rho = np.max(np.abs(np.linalg.eigvalsh((dense_weights(g)[np.ix_(R, R)] > 0)
-                                           .astype(float))))
+    adj = (dense_weights(g)[np.ix_(R, R)] > 0).astype(float)
+    degree = adj.sum(axis=1)
+    low = max(degree.mean(), np.sqrt(degree.max()))
+    rho = np.max(np.abs(np.linalg.eigvalsh(adj)))
+    assert 1.0 / rho < 0.26 < 1.0 / low
+    capsys.readouterr()
+    assert run_cli(graph) == 2
+    err = capsys.readouterr().err
+    assert float(re.search(r"\) = ([0-9.e+-]+), so", err).group(1)) \
+        == pytest.approx(low, rel=1e-5)
+    assert run_cli(graph + ["--attenuation", "0.26"]) == 4
+    err = capsys.readouterr().err
+    bound = float(re.search(r"1/rho\(G\) = ([0-9.e+-]+)", err).group(1))
     assert bound == pytest.approx(1.0 / rho, rel=1e-5)
     assert run_cli(graph + ["--attenuation", repr(bound / 2)]) == 0
     doc = json.loads((tmp_path / "adj.json").read_text())
     assert set(doc["scores"]) == {"bonacich", "intercentrality"}
+
+
+def test_score_adjacency_default_attenuation_refused_before_normalize(
+        ws_files, tmp_path, capsys, refuse_normalize):
+    # the default a = 1.0 meets the O(m) degree bound on every adjacency
+    # with a regular edge, so it is refused from the edges alone
+    edges, stub = ws_files
+    out = tmp_path / "never.json"
+    assert run_cli(["score", "--graph", edges, "--stubborn-file", stub,
+                    "--matrix", "adjacency", "--measures", "intercentrality",
+                    "--out", str(out)]) == 2
+    assert "too large for --matrix adjacency" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_score_default_matrix_makes_no_dense_solve(ws_files, tmp_path,

@@ -6,7 +6,8 @@ import pytest
 
 from opinionselect import (NoiseModel, SocialGraph, generate_cycle,
                            generate_random_reachable, generate_random_regular,
-                           generate_watts_strogatz, moments, normalize, var_y)
+                           generate_watts_strogatz, greedy_select, moments,
+                           normalize, var_y)
 from opinionselect.equilibrium import SYMMETRY_TOL, covariance_lyapunov
 from opinionselect.errors import NumericalError
 from opinionselect.validation import blocks, dense_weights, mean
@@ -439,3 +440,64 @@ def test_moments_refuses_a_covariance_that_misses_its_equation(graph, W,
                     rf"the regular strengths span 2\.0 to {re.escape(repr(W))}, "
                     r"too wide a range for the spectral solve$")):
                 moments(ops, noise)
+
+
+def _longdouble_covariance(g: SocialGraph, sigma2: np.ndarray) -> np.ndarray:
+    """C = A C A' + Sigma by squaring-doubling in ``np.longdouble``, from the
+    edge weights, until a step adds at most longdouble eps of max |C|."""
+    W = dense_weights(g).astype(np.longdouble)
+    R = list(g.regular)
+    A = W[np.ix_(R, R)] / W.sum(axis=1)[R][:, None]
+    C = np.diag(sigma2.astype(np.longdouble))
+    tol = np.finfo(np.longdouble).eps
+    for _ in range(200):
+        inc = A @ C @ A.T
+        C = C + inc
+        if np.abs(inc).max() <= tol * np.abs(C).max():
+            return (C + C.T) / 2
+        A = A @ A
+    raise AssertionError("longdouble doubling did not converge")
+
+
+def _longdouble_f(C: np.ndarray, K: list[int]) -> np.longdouble:
+    """F(K) = (C1)_K' C_KK^-1 (C1)_K by pivot updates in C's own dtype: the
+    sum over pivots of the eliminated (C1)_j^2 / the eliminated C_jj."""
+    v = C.sum(axis=1)[K]
+    M = C[np.ix_(K, K)]
+    F = 0
+    for j in range(len(K)):
+        p = M[j, j]
+        F += v[j] * v[j] / p
+        v[j + 1:] -= M[j + 1:, j] * (v[j] / p)
+        M[j + 1:, j + 1:] -= np.outer(M[j + 1:, j], M[j, j + 1:] / p)
+    return F
+
+
+@pytest.mark.skipif(not np.finfo(np.longdouble).eps < 1e-18,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("eps_stubborn", [1e-6, 1e-7])
+def test_slow_mixing_against_longdouble_oracle(eps_stubborn):
+    # stubborn-incident weights scaled by eps_stubborn leave 1 - rho at
+    # about 6.9e-8 and 6.9e-9. C loses digits like eps / (1 - rho), and G
+    # like eps var_y / G from the cancellation in var_y - F; both are held
+    # to 100 times that scale, and greedy's picks to those on the oracle C
+    base = generate_watts_strogatz(64, 6, 0.2, 5, 4)
+    stubborn = set(base.stubborn)
+    touches = np.array([i in stubborn or j in stubborn
+                        for i, j in zip(base.edge_i, base.edge_j)])
+    g = SocialGraph(base.n_nodes, base.edge_i, base.edge_j,
+                    np.where(touches, base.edge_weights * eps_stubborn,
+                             base.edge_weights), base.stubborn)
+    sigma2 = np.random.default_rng(1).uniform(0.5, 2.0, len(g.regular))
+    ops = normalize(g)
+    gap = 1.0 - ops.rho
+    assert gap < 1e-7
+    eps = np.finfo(float).eps
+    C = moments(ops, NoiseModel(sigma2)).C
+    X = _longdouble_covariance(g, sigma2)
+    assert np.max(np.abs(C - X) / np.abs(X)) <= 100 * eps / gap
+    res = greedy_select(C, 10)
+    assert res.chosen == greedy_select(X.astype(float), 10).chosen
+    total = X.sum()
+    G = total - _longdouble_f(X, list(res.chosen))
+    assert abs(res.g_values[-1] - G) / G <= 100 * eps * total / G
