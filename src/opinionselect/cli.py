@@ -6,8 +6,10 @@ Every command that takes --out writes atomically (temp file + rename) so no
 partial output survives a failure. select, score and curve read and check
 every input before any O(n^3) step. Exit codes: 0 ok, 1 validation-suite
 failure, 2 bad input, 3 exact budget exceeded or out of memory, 4 numerical
-failure: an output or covariance that overflows float64, or a covariance
-that misses its own Lyapunov equation.
+failure: an output or covariance that overflows float64, a covariance that
+misses its own Lyapunov equation, an attenuation at or above 1/rho(G), found
+after the eigendecomposition, a selection whose candidates or subsets are
+all degenerate or whose value overflows float64, or a LAPACK failure.
 """
 
 from __future__ import annotations
@@ -391,7 +393,7 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (GraphError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:    # GraphError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

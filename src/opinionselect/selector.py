@@ -18,12 +18,13 @@ regression R^2). It walks chunks of same-size subsets, the heads; a chunk
 carries greedy's state only on the columns its heads can still extend to, in
 at most ``WALK_FLOATS`` floats, as ``_walk`` lays out. A branch whose pivot
 d_i is at or below ``SCHUR_GUARD`` c_ii is pruned, and its subsets are
-skipped with a warning, as greedy skips a degenerate candidate. A walk over
-the sizes lo..s goes to depth s, skips the extensions that leave no room for
-lo nodes, and keeps each chunk's near-best subsets in a list per size, so it
-serves ``exact_select`` (lo = s: only the at most s C(n, s) prefixes of
-size-s subsets) and ``exact_curve`` (lo = 0: every size up to s) alike. It
-holds one chunk per level, so its memory is s times the chunk budget plus
+skipped, as greedy skips a degenerate candidate, and counted: C(n, k) less
+the size-k subsets scored, with one warning per size. A walk over the sizes
+lo..s goes to depth s, skips the extensions that leave no room for lo nodes,
+and keeps each chunk's near-best subsets in a list per size, so it serves
+``exact_select`` (lo = s: only the at most s C(n, s) prefixes of size-s
+subsets) and ``exact_curve`` (lo = 0: every size up to s) alike. It holds
+one chunk per level, so its memory is s times the chunk budget plus
 O(s n^2), however many subsets it scores, and its numpy calls come a few
 dozen per chunk, not per subset. Each size k answered needs
 C(n, k) <= ``EXACT_BUDGET``.
@@ -63,9 +64,8 @@ class SelectionResult:
     var_y: float
     eval_count: int
     method: str
-    # one entry per skip warning, in order: the degenerate candidate's index
-    # (greedy, once per round it is skipped) or the degenerate subset (exact)
-    skipped: tuple = ()
+    # how many of the eval_count evaluations were skipped as degenerate
+    skipped: int = 0
 
     @property
     def g_values(self) -> tuple[float, ...]:
@@ -125,10 +125,10 @@ def greedy_select(C, s: int) -> SelectionResult:
     Each round scores every candidate in one ``marginal_gain`` call and picks
     the lowest index among the gains within ``TIE_RTOL`` of the best, so
     mirror nodes whose gains differ only by rounding resolve the same way
-    under any BLAS. A degenerate candidate is skipped with a warning, one
-    per round in index order; ``NumericalError`` if all of a round's
-    candidates are degenerate, or, after the warnings, if its best gain
-    overflows float64. ``eval_count`` counts one gain per unpicked
+    under any BLAS. A degenerate candidate is skipped and counted, with a
+    warning, once per round in index order; ``NumericalError`` if all of a
+    round's candidates are degenerate, or, after the warnings, if its best
+    gain overflows float64. ``eval_count`` counts one gain per unpicked
     candidate and round, n s - s(s-1)/2.
 
     ``C`` is a dense covariance or the ``moments`` operator: only ``C @ 1``,
@@ -148,15 +148,15 @@ def greedy_select(C, s: int) -> SelectionResult:
     taken = np.zeros(n, dtype=bool)
     chosen: list[int] = []
     gains: list[float] = []
-    skipped: list[int] = []
+    skipped = 0
     for t in range(s):
         round_gains = marginal_gain(r, d, c_diag, taken)
         # C_ii >= 0 keeps every divided gain above -inf, so -inf off K marks
         # exactly the degenerate candidates
         for i in np.flatnonzero((round_gains == -math.inf) & ~taken).tolist():
             warnings.warn(f"skipping candidate {i}: degenerate Schur "
-                          f"complement {d[i]:.3e} for candidate {i}")
-            skipped.append(i)
+                          f"complement {d[i]:.3e}")
+            skipped += 1
         near = _near_best(round_gains)
         if not near.size:
             raise NumericalError("all candidates degenerate in this round")
@@ -172,7 +172,7 @@ def greedy_select(C, s: int) -> SelectionResult:
                            f_values=(0.0, *itertools.accumulate(gains)),
                            var_y=var_y(C),
                            eval_count=n * s - s * (s - 1) // 2,
-                           method="greedy", skipped=tuple(skipped))
+                           method="greedy", skipped=skipped)
 
 
 def check_exact_budget(n: int, sizes: range) -> None:
@@ -185,7 +185,7 @@ def check_exact_budget(n: int, sizes: range) -> None:
                                       f"exceeds the budget of {EXACT_BUDGET}")
 
 
-def _walk(C: np.ndarray, sizes: range, pruned: list):
+def _walk(C: np.ndarray, sizes: range):
     """Depth first, in lexicographic order, over the nonempty subsets of at
     most ``sizes[-1]`` nodes whose pivots all clear the guard and that still
     leave room for ``sizes[0]`` nodes, for every size in ``sizes`` at once. It
@@ -197,8 +197,8 @@ def _walk(C: np.ndarray, sizes: range, pruned: list):
     column) order; entry k stands for the subset heads[ehead[k]] + (ecol[k],),
     and V[k] is its F. V[k] is -inf when the extension is off the walk (so
     late that fewer than ``sizes[0]`` nodes fit) or when its pivot is at or
-    below ``SCHUR_GUARD`` c_jj: such a branch goes to ``pruned`` and is not
-    extended further. The chunks of t-node heads cover the subsets of size
+    below ``SCHUR_GUARD`` c_jj: such a branch is pruned, not extended
+    further. The chunks of t-node heads cover the subsets of size
     t + 1 in ``sizes`` in lexicographic order. ``NumericalError`` names the
     size when a V is +inf or NaN, an F that overflows float64.
 
@@ -236,10 +236,6 @@ def _walk(C: np.ndarray, sizes: range, pruned: list):
         if not V.max() < np.inf:
             raise NumericalError(f"F of a subset of size {t + 1} overflowed "
                                  "float64; rescale C")
-        bad = ~ok & on_walk
-        if bad.any():
-            pruned.extend(tuple(heads[ehead[k]].tolist()) + (int(ecol[k]),)
-                          for k in np.flatnonzero(bad).tolist())
         yield heads, fs, ehead, ecol, V
         if t + 1 == depth:
             return
@@ -290,16 +286,19 @@ def _walk(C: np.ndarray, sizes: range, pruned: list):
 def _exact(C: np.ndarray, sizes: range) -> list[SelectionResult]:
     """Refuse ``sizes`` over budget, keep each chunk's near-best subsets
     with their prefix F values per size, in walk order, and build each
-    size's result from the first of them within ``TIE_RTOL`` of the best."""
+    size's result from the first of them within ``TIE_RTOL`` of the best.
+    Every size-k subset the walk does not score is under a pruned branch."""
     n = C.shape[0]
     check_exact_budget(n, sizes)
     # per size, (subset, f_values) with f_values[-1] rising: a subset whose
     # F is no larger than one met before it can never be the first near-best
     near: list[list] = [[] for _ in range(sizes[-1] + 1)]
     near[0].append(((), (0.0,)))
-    pruned: list = []
-    for heads, fs, ehead, ecol, V in _walk(C, sizes, pruned):
-        kept = near[heads.shape[1] + 1]
+    scored = [1] + [0] * sizes[-1]
+    for heads, fs, ehead, ecol, V in _walk(C, sizes):
+        size = heads.shape[1] + 1
+        scored[size] += int(np.count_nonzero(V > -np.inf))
+        kept = near[size]
         ks = _near_best(V)
         w = V.take(ks)
         last = kept[-1][1][-1] if kept else -math.inf
@@ -310,13 +309,10 @@ def _exact(C: np.ndarray, sizes: range) -> list[SelectionResult]:
     vy = var_y(C)
     results = []
     for k in sizes:
-        # every size-k subset through a pruned branch is skipped
-        skipped = sorted(K + rest for K in pruned if len(K) <= k
-                         for rest in itertools.combinations(
-                             range(K[-1] + 1, n), k - len(K)))
-        for K in skipped:
-            warnings.warn(f"skipping subset {K}: principal submatrix not "
-                          "positive definite")
+        skipped = math.comb(n, k) - scored[k]
+        if skipped:
+            warnings.warn(f"skipping {skipped} subset(s) of size {k}: "
+                          "principal submatrix not positive definite")
         if not near[k]:
             raise NumericalError(
                 f"all {math.comb(n, k)} subsets of size {k} degenerate")
@@ -326,7 +322,7 @@ def _exact(C: np.ndarray, sizes: range) -> list[SelectionResult]:
             chosen=best_K, gains=tuple(np.diff(f_values)),
             f_values=f_values, var_y=vy,
             eval_count=math.comb(n, k), method="exact",
-            skipped=tuple(skipped)))
+            skipped=skipped))
     return results
 
 
@@ -336,9 +332,9 @@ def exact_select(C: np.ndarray, s: int) -> SelectionResult:
     by greedy's tie rule.
 
     Refuses a request over budget (see ``check_exact_budget``) before any work.
-    A subset with a degenerate pivot, by the walk's guard alone, is skipped
-    with a warning, one per subset in lexicographic order, as greedy skips
-    such a candidate; only when every subset is degenerate, or when an F
+    A subset with a degenerate pivot, by the walk's guard alone, is skipped,
+    as greedy skips such a candidate, and counted, with one warning that
+    gives the count; only when every subset is degenerate, or when an F
     overflows float64, does this raise ``NumericalError``. The winner's
     s + 1 prefix F values come from the walk.
     """
@@ -349,8 +345,8 @@ def exact_select(C: np.ndarray, s: int) -> SelectionResult:
 
 def exact_curve(C: np.ndarray, max_k: int) -> list[SelectionResult]:
     """``exact_select(C, k)`` for k = 0..max_k from one walk, with the same
-    warnings in the same order and ``NumericalError`` at the same k as one
-    call per k; refuses before any work if a k is over budget."""
+    skip counts, warnings and ``NumericalError`` as one call per k, in
+    turn; refuses before any work if a k is over budget."""
     n = C.shape[0]
     max_k = _cardinality(max_k, n)
     return _exact(C, range(max_k + 1))

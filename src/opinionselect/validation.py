@@ -245,13 +245,12 @@ def submodularity_audit(C: np.ndarray) -> AuditReport:
     n_triples = check_audit_budget(n)
     F = np.zeros(1 << n)    # indexed by bit mask
     bits = 1 << np.arange(n)
-    pruned: list = []
-    for heads, _, ehead, ecol, V in selector._walk(C, range(n + 1), pruned):
-        if pruned:
+    for heads, _, ehead, ecol, V in selector._walk(C, range(n + 1)):
+        # a walk from size 0 keeps every extension, so -inf marks a pruned one
+        if not (V > -np.inf).all():
             raise NumericalError("principal submatrix not positive definite")
         masks = (1 << heads).sum(axis=1)
-        scored = V > -np.inf
-        F[(masks[ehead] | bits[ecol])[scored]] = V[scored]
+        F[masks[ehead] | bits[ecol]] = V
     G = var_y(C) - F
     # row r is one pair A <= B: base-3 digit i of r is 0 when node i is
     # outside B, 1 when it is in B but not A, and 2 when it is in A

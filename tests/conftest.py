@@ -251,9 +251,10 @@ def gains_by_round(calls, n, chosen):
 def scalar_greedy(C, s):
     """Greedy with one Python call per unpicked candidate and round: the
     scalar loop ``greedy_select`` ran before its rounds became one numpy
-    vector each, kept as an oracle for its picks, gains, F values, skips and
-    warnings, bit for bit. It states the tie rule itself, in scalars: the
-    lowest index whose gain is at or above v - TIE_RTOL |v|, v the best."""
+    vector each, kept as an oracle for its picks, gains, F values, skip
+    count and warnings, bit for bit. It states the tie rule itself, in
+    scalars: the lowest index whose gain is at or above v - TIE_RTOL |v|,
+    v the best."""
     from opinionselect.selector import TIE_RTOL, SelectionResult
     from opinionselect.objective import SCHUR_GUARD, var_y
 
@@ -268,7 +269,7 @@ def scalar_greedy(C, s):
     c_diag = d.tolist()
     L = np.empty((s, n))
     taken = [False] * n
-    chosen, gains, skipped = [], [], []
+    chosen, gains, skipped = [], [], 0
     eval_count = 0
     for t in range(s):
         r_vals, d_vals = r.tolist(), d.tolist()
@@ -279,8 +280,8 @@ def scalar_greedy(C, s):
             try:
                 round_gains.append(gain(r_vals[i], d_vals[i], c_diag[i]))
             except NumericalError as exc:
-                warnings.warn(f"skipping candidate {i}: {exc} for candidate {i}")
-                skipped.append(i)
+                warnings.warn(f"skipping candidate {i}: {exc}")
+                skipped += 1
                 round_gains.append(-math.inf)
         top = max(round_gains)
         if top == -math.inf:
@@ -297,4 +298,4 @@ def scalar_greedy(C, s):
     return SelectionResult(chosen=tuple(chosen), gains=tuple(gains),
                            f_values=(0.0, *itertools.accumulate(gains)),
                            var_y=var_y(C), eval_count=eval_count,
-                           method="greedy", skipped=tuple(skipped))
+                           method="greedy", skipped=skipped)

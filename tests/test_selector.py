@@ -103,7 +103,7 @@ def test_marginal_gain_degenerate_schur(gain_calls):
     C[2, 2] = base[0, 0]
     gain_calls.clear()
     with pytest.warns(UserWarning, match="skipping candidate 2: degenerate "
-                      "Schur complement .* for candidate 2") as record:
+                      r"Schur complement \S+$") as record:
         res = greedy_select(C, 2)
     assert len(record) == 1
     assert res.chosen == (0, 1)
@@ -155,7 +155,7 @@ def test_greedy_skips_degenerate_twin(gain_calls):
              if f"skipping candidate {n}: degenerate Schur" in str(w.message)]
     assert sorted(res.chosen) == list(range(n))   # the twin is never picked
     assert len(skips) == n - 1 - res.chosen.index(j) > 0
-    assert res.skipped == (n,) * len(skips)
+    assert res.skipped == len(skips)
     assert res.eval_count == (n + 1) * n - n * (n - 1) // 2
     # marginal_gain evaluates every candidate, the degenerate ones included
     rounds = gains_by_round(gain_calls, n + 1, res.chosen)
@@ -197,6 +197,7 @@ def _run_recording_warnings(select, C, s):
 def _bits(res):
     if isinstance(res, NumericalError):
         return str(res)
+    assert type(res.skipped) is int and 0 <= res.skipped <= res.eval_count
     return (res.chosen, [g.hex() for g in res.gains],
             [f.hex() for f in res.f_values], res.var_y.hex(), res.eval_count,
             res.skipped, res.method)
@@ -380,7 +381,7 @@ def test_exact_tie_spans_chunks(rel, winner, monkeypatch):
     values = walk_values(C, 2)
     assert values[(1, 2)] >= values[(0, 1)]
     monkeypatch.setattr(selector, "WALK_FLOATS", 1)
-    chunks = [heads[:, 0].tolist() for heads, *_ in _walk(C, range(2, 3), [])
+    chunks = [heads[:, 0].tolist() for heads, *_ in _walk(C, range(2, 3))
               if heads.shape[1] == 1]
     assert chunks == [[0], [1], [2]]
     assert exact_select(C, 2).chosen == winner
@@ -434,7 +435,7 @@ def walk_values(C, s):
     """F of every size-s subset the exact walk scores, by subset; the
     degenerate ones are left out."""
     out = {}
-    for heads, _, ehead, ecol, V in _walk(C, range(s, s + 1), []):
+    for heads, _, ehead, ecol, V in _walk(C, range(s, s + 1)):
         if len(heads[0]) == s - 1:
             for k in np.flatnonzero(V > -np.inf).tolist():
                 out[tuple(heads[ehead[k]].tolist()) + (int(ecol[k]),)] = \
@@ -467,7 +468,7 @@ def test_exact_eval_count_law():
         assert C.shape[0] == n
         res = exact_select(C, s)
         assert res.eval_count == math.comb(n, s)
-        assert res.skipped == ()
+        assert res.skipped == 0
         assert res.f_values[0] == 0.0
         for t in range(1, s + 1):
             prefix = res.chosen[:t]
@@ -507,7 +508,8 @@ def test_walk_scores_every_subset_as_f_score(seed):
 
 def test_exact_skips_degenerate_twin():
     # the twin instance of test_greedy_skips_degenerate_twin: node n copies
-    # node j, so every subset holding both is skipped with a warning
+    # node j, so every subset holding both is skipped, and counted in one
+    # warning: the C(n - 1, s - 2) subsets that hold both twins
     C, j, n = twin_instance(3, 12)
     s = 3
     with pytest.warns(UserWarning):
@@ -516,10 +518,10 @@ def test_exact_skips_degenerate_twin():
         res = exact_select(C, s)
     twins = [K for K in itertools.combinations(range(n + 1), s)
              if j in K and n in K]
+    assert res.skipped == len(twins) == math.comb(n - 1, s - 2)
     assert [str(w.message) for w in record] == [
-        f"skipping subset {K}: principal submatrix not positive definite"
-        for K in twins]
-    assert res.skipped == tuple(twins)
+        f"skipping {len(twins)} subset(s) of size {s}: principal submatrix "
+        "not positive definite"]
     assert res.eval_count == math.comb(n + 1, s)
     values = walk_values(C, s)
     assert sorted(values) == [K for K in itertools.combinations(range(n + 1), s)
@@ -537,20 +539,22 @@ def test_exact_skips_degenerate_twin():
     assert res.f_values[-1] >= greedy.f_values[-1]
 
 
-def test_exact_pruned_branches_warn_in_lexicographic_order():
+def test_exact_counts_the_subsets_under_a_branch_pruned_early():
     # node 0 copies node 3, so the walk prunes the branch (0, 3) two levels
-    # above the leaves, before it visits (0, 1) and (0, 2), whose own pruned
-    # subsets (0, 1, 3, x) and (0, 2, 3, x) come first in lexicographic order
+    # above the leaves and never visits its subsets (0, 3, x, y); the count
+    # includes them, as it does the subsets (0, 1, 3, x) and (0, 2, 3, x)
+    # pruned at the leaves
     C = pruned_early_instance()
     n, s = C.shape[0], 4
     with pytest.warns(UserWarning) as record:
         res = exact_select(C, s)
     twins = [K for K in itertools.combinations(range(n), s)
              if 0 in K and 3 in K]
-    assert res.skipped == tuple(twins)
+    assert res.skipped == len(twins) == math.comb(n - 2, s - 2)
+    assert res.skipped == math.comb(n, s) - len(walk_values(C, s))
     assert [str(w.message) for w in record] == [
-        f"skipping subset {K}: principal submatrix not positive definite"
-        for K in twins]
+        f"skipping {len(twins)} subset(s) of size {s}: principal submatrix "
+        "not positive definite"]
 
 
 def test_exact_mirror_ties_go_to_the_first_subset():
@@ -631,7 +635,7 @@ def test_exact_walk_takes_budget_sized_chunks():
     per_chunk = [selector.WALK_FLOATS // (2 * (u if u < s - 1 else 0) + 12)
                  for u in range(s)]
     heads, entries, chunks = [0] * s, [0] * s, [0] * s
-    for group, fs, ehead, ecol, _ in _walk(C, range(s + 1), []):
+    for group, fs, ehead, ecol, _ in _walk(C, range(s + 1)):
         u = group.shape[1]
         assert fs.shape == (len(group), u + 1) and not fs[:, 0].any(), u
         assert len(ecol) <= per_chunk[u] or len(group) == 1, u
@@ -671,7 +675,7 @@ def test_exact_walk_visits_only_prefixes_of_size_s_subsets(s, monkeypatch):
 
     monkeypatch.setattr(selector, "_walk", spy)
     res = exact_select(C, s)
-    assert len(res.chosen) == s and res.skipped == ()
+    assert len(res.chosen) == s and res.skipped == 0
     assert 0 < heads <= bound
 
 
@@ -694,10 +698,27 @@ def test_exact_reports_the_walks_f_on_a_rank_deficient_c():
         res = exact_select(C, 4)
     assert res.chosen == (5, 6, 7, 8)
     assert res.f_values[-1] == pytest.approx(var_y(C), rel=1e-9)
-    assert len(record) == len(res.skipped) == 209
+    assert len(record) == 1 and res.skipped == 209
     with pytest.warns(UserWarning):
         curve = exact_curve(C, 4)
     assert _bits(curve[4]) == _bits(res)
+
+
+def test_exact_counts_skips_on_a_rank_5_c_in_one_warning():
+    # a rank-5 C on 24 nodes: 134,034 of the C(24, 6) 6-subsets are
+    # degenerate, every one under a branch pruned at the leaves. One warning
+    # gives their count, C(n, s) less the subsets the walk scored
+    X = np.random.default_rng(0).normal(size=(24, 5))
+    C = X @ X.T
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        res = exact_select(C, 6)
+    assert [str(w.message) for w in record] == [
+        "skipping 134034 subset(s) of size 6: principal submatrix not "
+        "positive definite"]
+    assert res.skipped == 134034 == math.comb(24, 6) - len(walk_values(C, 6))
+    assert res.chosen == (0, 2, 4, 16, 20, 21)
+    assert res.eval_count == math.comb(24, 6)
 
 
 @pytest.mark.parametrize("case", ["random0", "random1", "random2", "twin",
@@ -734,7 +755,11 @@ def test_exact_curve_is_exact_select_per_size(case):
         assert [r.eval_count for r in curve] == [math.comb(len(C), k)
                                                  for k in range(s + 1)]
     if case in ("twin", "pruned-early"):
-        assert sum(len(r.skipped) > 0 for r in curve) >= 3
+        # the subsets of each size k that hold both copies
+        m = C.shape[0]
+        assert [r.skipped for r in curve] == [
+            math.comb(m - 2, k - 2) if k >= 2 else 0 for k in range(s + 1)]
+        assert sum(r.skipped > 0 for r in curve) >= 3
 
 
 def _walk_outcomes(C, s):
