@@ -14,7 +14,8 @@ series converges iff |a| rho < 1, exact because lam is real.
 
 Rankings are compared by Kendall's tau-b (Knight 1966), counted here with
 ``np.unique`` and the standard library's ``bisect``, so that scoring does not
-load ``scipy.stats``.
+load ``scipy.stats``: ``ranking_report`` returns the tau of each pair of
+measures, and each ``NodeScores`` gives its own ``argmax``.
 """
 
 from __future__ import annotations
@@ -161,20 +162,9 @@ def kendall_tau_b(x, y) -> float:
     return float(min(1.0, max(-1.0, tau)))
 
 
-@dataclass(frozen=True)
-class RankingReport:
-    argmax: dict[str, int]
-    kendall_tau: dict[tuple[str, str], float]
-
-
-def ranking_report(scores: list[NodeScores]) -> RankingReport:
-    """Per-measure argmax and pairwise Kendall tau-b (NaN for a pair where
-    either vector is constant)."""
-    sizes = {len(s.scores) for s in scores}
-    if len(sizes) != 1:
-        raise ValueError("score vectors cover different node sets")
-    taus = {}
-    for s1, s2 in combinations(scores, 2):
-        taus[(s1.measure, s2.measure)] = kendall_tau_b(s1.scores, s2.scores)
-    return RankingReport(argmax={s.measure: s.argmax for s in scores},
-                         kendall_tau=taus)
+def ranking_report(scores: list[NodeScores]) -> dict[tuple[str, str], float]:
+    """Kendall tau-b of each pair of score vectors, keyed by the pair's
+    measures in ``scores`` order (NaN for a pair where either vector is
+    constant); ``ValueError`` when two vectors differ in length."""
+    return {(s1.measure, s2.measure): kendall_tau_b(s1.scores, s2.scores)
+            for s1, s2 in combinations(scores, 2)}

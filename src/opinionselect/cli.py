@@ -253,7 +253,7 @@ def cmd_score(args) -> int:
              "intercentrality":
                  lambda: centrality.intercentrality(G, args.attenuation)}
     scores = [score[m]() for m in measures]
-    rep = centrality.ranking_report(scores)
+    taus = centrality.ranking_report(scores)
     regular_labels = [g.labels[i] for i in g.regular]
     return _write(args, "score", g, {
         "moments_method": method_tag,
@@ -262,10 +262,10 @@ def cmd_score(args) -> int:
                    if s.measure == "var_reduction" else list(s.scores)
                    for s in scores},
         "normalized_scores": {s.measure: list(s.normalized) for s in scores},
-        "argmax": {m: regular_labels[i] for m, i in rep.argmax.items()},
+        "argmax": {s.measure: regular_labels[s.argmax] for s in scores},
         # null, not NaN, where tau is undefined (a constant score vector)
         "kendall_tau": {f"{a}|{b}": None if math.isnan(v) else v
-                        for (a, b), v in rep.kendall_tau.items()},
+                        for (a, b), v in taus.items()},
         "regular_labels": regular_labels,
         "notes": ["single-node variance reduction follows the quadratic-form "
                   "objective, i.e. sigma_k^2 * eta_k on accepted closed-form "

@@ -6,7 +6,12 @@ class GraphError(ValueError):
 
 
 class ReachabilityError(GraphError):
-    """Some regular node cannot reach a stubborn node."""
+    """Some regular node cannot reach a stubborn node; ``orphan_components``
+    holds the components without one (none when A is not Schur stable)."""
+
+    def __init__(self, message: str, orphan_components=()):
+        super().__init__(message)
+        self.orphan_components = tuple(orphan_components)
 
 
 class NumericalError(RuntimeError):

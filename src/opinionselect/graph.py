@@ -8,6 +8,9 @@ DeGroot operator A = D^-1 W_RR: the eigendecomposition of the symmetric
 matrix similar to it, which it scatters from the regular-regular edges.
 
 Reachability is a breadth-first search over the edge list, O(m) per level.
+``load_graph`` and ``normalize`` both call ``validate_reachability``, which
+raises ``ReachabilityError``, the orphan components on the error, when a
+regular node cannot reach a stubborn one.
 networkx is imported only inside the two generators that draw from it
 (Watts-Strogatz and random regular), so loading, normalizing and validating a
 graph need numpy alone.
@@ -133,13 +136,6 @@ class NetworkOperators:
         return len(self.w)
 
 
-@dataclass(frozen=True)
-class ReachabilityReport:
-    ok: bool
-    orphan_components: tuple[tuple[int, ...], ...]
-    message: str
-
-
 def _reach(g: SocialGraph, start: np.ndarray, unseen: np.ndarray) -> np.ndarray:
     """Breadth-first search from ``start`` along the edges of ``g``; marks and
     returns the nodes reached."""
@@ -158,15 +154,14 @@ def _reach(g: SocialGraph, start: np.ndarray, unseen: np.ndarray) -> np.ndarray:
     return np.concatenate(found)
 
 
-def validate_reachability(g: SocialGraph) -> ReachabilityReport:
-    """Check that every component containing a regular node has a stubborn node.
+def validate_reachability(g: SocialGraph) -> None:
+    """Raise ``ReachabilityError`` unless every component containing a
+    regular node has a stubborn node.
 
     One search starts from all stubborn nodes at once; each regular node it
     leaves unseen then starts an orphan component of its own, so orphans come
     ordered by their smallest member. O(m) per level of each search.
     """
-    if not g.regular:
-        return ReachabilityReport(True, (), "no regular agents (vacuously reachable)")
     unseen = np.ones(g.n_nodes, dtype=bool)
     _reach(g, np.array(g.stubborn, dtype=np.intp), unseen)
     orphans = []
@@ -175,9 +170,8 @@ def validate_reachability(g: SocialGraph) -> ReachabilityReport:
             members = np.sort(_reach(g, np.array([i]), unseen))
             orphans.append(tuple(int(m) for m in members))
     if orphans:
-        msg = f"{len(orphans)} component(s) contain regular nodes but no stubborn node"
-        return ReachabilityReport(False, tuple(orphans), msg)
-    return ReachabilityReport(True, (), "every regular node can reach a stubborn node")
+        raise ReachabilityError(f"{len(orphans)} component(s) contain regular "
+                                "nodes but no stubborn node", orphans)
 
 
 def normalize(g: SocialGraph) -> NetworkOperators:
@@ -189,9 +183,7 @@ def normalize(g: SocialGraph) -> NetworkOperators:
     strength overflows to infinity, and ``ReachabilityError`` unless A is
     Schur stable.
     """
-    report = validate_reachability(g)
-    if not report.ok:
-        raise ReachabilityError(report.message)
+    validate_reachability(g)
     R = g.regular
     # one C pass sums each node's incident weights, so an overflowing
     # strength comes out as inf without a floating-point warning
@@ -288,9 +280,7 @@ def load_graph(source: str | Path | Iterable[str],
     ends = np.array([(index[i], index[j]) for i, j in edges], dtype=np.intp)
     g = SocialGraph(len(labels), ends[:, 0], ends[:, 1], list(edges.values()),
                     stubborn=[index[s] for s in stub_labels], labels=labels)
-    report = validate_reachability(g)
-    if not report.ok:
-        raise ReachabilityError(report.message)
+    validate_reachability(g)
     return g
 
 

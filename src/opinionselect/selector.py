@@ -319,7 +319,7 @@ def _exact(C: np.ndarray, sizes: range) -> list[SelectionResult]:
         best_K, f_values = near[k][
             _near_best(np.array([f[-1] for _, f in near[k]]))[0]]
         results.append(SelectionResult(
-            chosen=best_K, gains=tuple(np.diff(f_values)),
+            chosen=best_K, gains=tuple(np.diff(f_values).tolist()),
             f_values=f_values, var_y=vy,
             eval_count=math.comb(n, k), method="exact",
             skipped=skipped))

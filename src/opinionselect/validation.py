@@ -1,9 +1,10 @@
 """The ``validate`` suites and the oracles they and the tests use: Monte
 Carlo, the submodularity audit and the greedy guarantee.
 
-The Monte Carlo oracle starts its replicas at the equilibrium mean and
-steps them past a burn-in horizon set by the spectral radius, so the final
-states are draws from (numerically) the stationary distribution.
+The Monte Carlo oracle ``simulate(ops, noise, u, replicas=, seed=,
+family=)`` starts its replicas at the equilibrium mean and steps them past a
+burn-in horizon set by the spectral radius, so the final states are draws
+from (numerically) the stationary distribution.
 
 Its dense view lives here alone, read by no command but ``validate``:
 ``dense_weights`` forms W, ``blocks`` the A = D^-1 W_RR and B = D^-1 W_RS
@@ -45,21 +46,6 @@ HORIZON_CAP = 10 ** 6
 MOMENTS_FWER = 1e-3   # chance that the moments suite fails correct code
 GREEDY_BOUND = 1.0 - 1.0 / math.e - 1e-9   # 1 - 1/e, less rounding slack
 AUDIT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    replicas: int
-    seed: int
-    u: np.ndarray
-    noise_family: str = "gaussian"
-
-    def __post_init__(self):
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if self.noise_family not in NOISE_FAMILIES:
-            raise ValueError(f"unknown noise family {self.noise_family!r}")
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
 
 
 def dense_weights(g: SocialGraph) -> np.ndarray:
@@ -114,18 +100,22 @@ def _draw_noise(rng: np.random.Generator, family: str, sigma: np.ndarray,
     if family == "uniform":
         half = sigma * math.sqrt(3.0)
         return rng.uniform(-1.0, 1.0, shape) * half
-    if family == "rademacher":
-        return (2.0 * rng.integers(0, 2, shape) - 1.0) * sigma
-    raise ValueError(f"unknown noise family {family!r}")
+    return (2.0 * rng.integers(0, 2, shape) - 1.0) * sigma    # rademacher
 
 
 def simulate(ops: NetworkOperators, noise: NoiseModel | np.ndarray,
-             cfg: SimConfig) -> np.ndarray:
-    """Run independent replicas and return their final states (replicas x R).
+             u: np.ndarray, *, replicas: int, seed: int,
+             family: str = "gaussian") -> np.ndarray:
+    """Final states (replicas x R) of ``replicas`` independent replicas with
+    stubborn opinions ``u`` and ``family`` noise, seeded by ``seed``.
 
     Accepts a raw variance vector (zeros allowed) so the noiseless fixed point
     can be exercised; NoiseModel itself requires strictly positive variances.
     """
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
+    if family not in NOISE_FAMILIES:
+        raise ValueError(f"unknown noise family {family!r}")
     sigma2 = noise.sigma2 if isinstance(noise, NoiseModel) else \
         np.asarray(noise, dtype=float)
     if not np.all(np.isfinite(sigma2) & (sigma2 >= 0)):
@@ -134,13 +124,14 @@ def simulate(ops: NetworkOperators, noise: NoiseModel | np.ndarray,
         raise ValueError("variance vector must cover the regular nodes")
     sigma = np.sqrt(sigma2)
     A, B = blocks(ops)
-    mu = _solve_mean(A, B, cfg.u)
+    u = np.asarray(u, dtype=float)
+    mu = _solve_mean(A, B, u)
     T = horizon_for(ops.rho, 1e-8)
-    drift = B @ cfg.u
-    rng = np.random.default_rng(cfg.seed)
-    X = np.tile(mu, (cfg.replicas, 1))
+    drift = B @ u
+    rng = np.random.default_rng(seed)
+    X = np.tile(mu, (replicas, 1))
     for _ in range(T):
-        V = _draw_noise(rng, cfg.noise_family, sigma, X.shape)
+        V = _draw_noise(rng, family, sigma, X.shape)
         X = X @ A.T + drift + V
     return X
 
@@ -195,9 +186,8 @@ def _suite_moments(args) -> dict:
     bound = NormalDist().inv_cdf(1.0 - per_cmp / 2.0)
     worst = 0.0
     for family in NOISE_FAMILIES:
-        cfg = SimConfig(replicas=args.replicas, seed=args.seed,
-                        u=u, noise_family=family)
-        emp = empirical_moments(simulate(ops, noise, cfg))
+        emp = empirical_moments(simulate(ops, noise, u, replicas=args.replicas,
+                                         seed=args.seed, family=family))
         dev_mean = np.max(np.abs(emp.mean - mu) / emp.se_mean)
         dev_cov = np.max(np.abs(emp.cov - C) / emp.se_cov)
         worst = max(worst, float(dev_mean), float(dev_cov))

@@ -1,6 +1,7 @@
 import argparse
 import copy
 import importlib
+import itertools
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from opinionselect import (NoiseModel, bonacich, equilibrium,
                            generate_watts_strogatz, intercentrality, load_graph,
                            moments, normalize, objective, save_graph,
                            selector, var_reduction_scores)
+from opinionselect.centrality import kendall_tau_b
 from opinionselect.cli import DENSE_ROWS, build_parser, main
 from opinionselect.validation import dense_weights
 from conftest import chorded_ring
@@ -178,6 +180,23 @@ def test_graph_without_regular_node_refused(tmp_path, capsys):
         capsys.readouterr()
         assert run_cli(argv) == 2, argv[0]
         assert "no regular node" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_orphan_component_refused_on_load(tmp_path, capsys):
+    # nodes 2 and 3 reach no stubborn node: load_graph refuses the graph
+    edges = tmp_path / "split.edges"
+    edges.write_text("0 1 1\n2 3 1\n")
+    out = tmp_path / "never.json"
+    graph = ["--graph", str(edges), "--stubborn", "0", "--out", str(out)]
+    for argv in (["select", *graph, "--k", "1"],
+                 ["curve", *graph, "--max-k", "1"],
+                 ["score", *graph]):
+        capsys.readouterr()
+        assert run_cli(argv) == 2, argv[0]
+        assert capsys.readouterr().err == ("error: 1 component(s) contain "
+                                           "regular nodes but no stubborn "
+                                           "node\n")
     assert not out.exists()
 
 
@@ -504,6 +523,25 @@ def test_score_command(ws_files, tmp_path):
         assert max(vals) == pytest.approx(1.0)
         assert len(vals) == 12
     assert "argmax" in doc and "kendall_tau" in doc
+
+
+def test_score_argmax_and_tau_follow_the_documents_scores(ws_files, tmp_path):
+    # stubborn nodes 0..2: each regular node's label is its regular index
+    # plus 3, so a label read by the wrong index shows
+    edges, _ = ws_files
+    out = tmp_path / "score.json"
+    measures = ["var_reduction", "eta", "bonacich", "intercentrality"]
+    assert run_cli(["score", "--graph", edges, "--stubborn", "0,1,2",
+                    "--measures", ",".join(measures), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    scores, labels = doc["scores"], doc["regular_labels"]
+    assert list(scores) == list(doc["argmax"]) == measures
+    for m in measures:
+        assert doc["argmax"][m] == labels[scores[m].index(max(scores[m]))]
+    taus = {f"{a}|{b}": kendall_tau_b(scores[a], scores[b])
+            for a, b in itertools.combinations(measures, 2)}
+    assert doc["kendall_tau"] == {k: None if math.isnan(v) else v
+                                  for k, v in taus.items()}
 
 
 def test_score_single_measure(ws_files, tmp_path):

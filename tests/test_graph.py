@@ -78,7 +78,7 @@ def test_watts_strogatz_paper_instance():
     assert g.n_nodes == 15
     assert len(g.stubborn) == 3
     assert len(g.regular) == 12
-    assert validate_reachability(g).ok
+    validate_reachability(g)
 
 
 def test_watts_strogatz_beta_zero_is_ring_lattice():
@@ -177,7 +177,7 @@ def test_schur_stability_over_random_graphs():
     # rho(A) < 1 for every graph passing the reachability check
     for seed in range(100):
         g = generate_random_reachable(4 + seed % 20, 1 + seed % 3, seed)
-        assert validate_reachability(g).ok
+        validate_reachability(g)
         assert normalize(g).rho < 1.0
 
 
@@ -186,16 +186,17 @@ def test_validate_reachability_reports():
     W[0, 1] = W[1, 0] = 1.0
     W[2, 3] = W[3, 2] = 1.0
     g = graph_from_dense(W, (0,))
-    rep = validate_reachability(g)
-    assert not rep.ok
-    assert (2, 3) in rep.orphan_components
+    with pytest.raises(ReachabilityError, match="^2 component[(]s[)] contain "
+                       "regular nodes but no stubborn node$") as exc:
+        validate_reachability(g)
+    assert exc.value.orphan_components == ((2, 3), (4,))
 
     g_ok = graph_from_dense(W, (0, 2, 4))
-    assert validate_reachability(g_ok).ok
+    assert validate_reachability(g_ok) is None
 
+    # no regular agents: vacuously reachable
     only_stub = graph_from_dense(np.zeros((2, 2)), (0, 1))
-    rep2 = validate_reachability(only_stub)
-    assert rep2.ok and "no regular agents" in rep2.message
+    assert validate_reachability(only_stub) is None
 
 
 def _orphans_oracle(g):
@@ -232,16 +233,21 @@ def test_validate_reachability_matches_csgraph_oracle():
                graph_from_dense(W, (0, 39)),
                graph_from_dense(W, ())]
     n_failing = n_isolated = 0
+    def orphans(g):
+        try:
+            validate_reachability(g)
+        except ReachabilityError as exc:
+            assert exc.orphan_components
+            return exc.orphan_components
+        return ()
+
     for g in graphs:
-        rep = validate_reachability(g)
         want = _orphans_oracle(g)
-        assert rep.orphan_components == want
-        assert rep.ok == (not want)
-        n_failing += not rep.ok
+        assert orphans(g) == want
+        n_failing += bool(want)
         n_isolated += sum(len(c) == 1 for c in want)
     assert 0 < n_failing < len(graphs) and n_isolated > 0
-    assert validate_reachability(graphs[-3]).orphan_components == \
-        (tuple(range(20, 40)),)
+    assert orphans(graphs[-3]) == (tuple(range(20, 40)),)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -343,13 +349,15 @@ def test_edge_list_isolated_regular_node_and_no_regular_node():
     # node 2 has no edge: its own orphan component, never normalized
     g = SocialGraph(4, [0, 1], [1, 3], [1.0, 2.0], stubborn=(0,))
     assert g.regular == (1, 2, 3) and g.n_edges == 2
-    rep = validate_reachability(g)
-    assert not rep.ok and rep.orphan_components == ((2,),)
-    with pytest.raises(ReachabilityError):
+    with pytest.raises(ReachabilityError) as exc:
+        validate_reachability(g)
+    assert exc.value.orphan_components == ((2,),)
+    with pytest.raises(ReachabilityError) as exc:
         normalize(g)
+    assert exc.value.orphan_components == ((2,),)
     only_stub = SocialGraph(2, [0], [1], [1.0], stubborn=(1, 0))
     assert only_stub.regular == () and only_stub.stubborn == (0, 1)
-    assert validate_reachability(only_stub).ok
+    assert validate_reachability(only_stub) is None
     ops = normalize(only_stub)
     assert ops.n_regular == 0 and ops.rho == 0.0
     assert ops.eigvecs.shape == (0, 0)

@@ -198,6 +198,8 @@ def _bits(res):
     if isinstance(res, NumericalError):
         return str(res)
     assert type(res.skipped) is int and 0 <= res.skipped <= res.eval_count
+    assert all(type(x) is float
+               for x in (*res.gains, *res.f_values, res.var_y))
     return (res.chosen, [g.hex() for g in res.gains],
             [f.hex() for f in res.f_values], res.var_y.hex(), res.eval_count,
             res.skipped, res.method)

@@ -3,8 +3,8 @@ import pytest
 
 from opinionselect import NoiseModel, normalize
 from opinionselect.equilibrium import covariance_lyapunov
-from opinionselect.validation import (SimConfig, blocks, empirical_moments,
-                                      horizon_for, mean, simulate)
+from opinionselect.validation import (blocks, empirical_moments, horizon_for,
+                                      mean, simulate)
 from conftest import graph_from_dense, random_instance
 
 
@@ -19,27 +19,29 @@ def test_horizon_cap_warns():
         assert horizon_for(0.9999999, 1e-12) == 10 ** 6
 
 
-def test_sim_config_validation():
-    with pytest.raises(ValueError):
-        SimConfig(replicas=0, seed=0, u=np.zeros(1))
-    with pytest.raises(ValueError):
-        SimConfig(replicas=10, seed=0, u=np.zeros(1), noise_family="cauchy")
+def test_simulate_refuses_bad_replicas_and_family(chain_instance):
+    _, ops = chain_instance
+    with pytest.raises(ValueError, match="replicas must be >= 1"):
+        simulate(ops, np.zeros(2), np.zeros(1), replicas=0, seed=0)
+    with pytest.raises(ValueError, match="unknown noise family 'cauchy'"):
+        simulate(ops, np.zeros(2), np.zeros(1), replicas=10, seed=0,
+                 family="cauchy")
 
 
 def test_noiseless_fixed_point(chain_instance):
     _, ops = chain_instance
-    cfg = SimConfig(replicas=4, seed=1, u=np.array([0.8]))
-    samples = simulate(ops, np.zeros(2), cfg)
-    mu = mean(ops, cfg.u)
+    u = np.array([0.8])
+    samples = simulate(ops, np.zeros(2), u, replicas=4, seed=1)
+    mu = mean(ops, u)
     assert np.allclose(samples, mu)
 
 
 def test_simulate_refuses_non_finite_variances(chain_instance):
     _, ops = chain_instance
-    cfg = SimConfig(replicas=4, seed=1, u=np.array([0.8]))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            simulate(ops, np.array([1.0, bad]), cfg)
+            simulate(ops, np.array([1.0, bad]), np.array([0.8]), replicas=4,
+                     seed=1)
 
 
 def test_A_zero_sample_covariance_close_to_sigma():
@@ -49,10 +51,10 @@ def test_A_zero_sample_covariance_close_to_sigma():
     W[1, 2] = W[2, 1] = 1.0
     ops = normalize(graph_from_dense(W, (2,)))
     noise = NoiseModel(np.array([1.0, 2.0]))
-    cfg = SimConfig(replicas=60_000, seed=3, u=np.array([0.5]))
-    emp = empirical_moments(simulate(ops, noise, cfg))
+    u = np.array([0.5])
+    emp = empirical_moments(simulate(ops, noise, u, replicas=60_000, seed=3))
     assert np.all(np.abs(emp.cov - np.diag(noise.sigma2)) <= 3.5 * emp.se_cov)
-    assert np.all(np.abs(emp.mean - blocks(ops)[1] @ cfg.u)
+    assert np.all(np.abs(emp.mean - blocks(ops)[1] @ u)
                   <= 3.5 * emp.se_mean)
 
 
@@ -60,10 +62,8 @@ def test_seeded_reproducibility(chain_instance):
     _, ops = chain_instance
     noise = NoiseModel(np.ones(2))
     for family in ("gaussian", "uniform", "rademacher"):
-        cfg = SimConfig(replicas=50, seed=11, u=np.array([0.0]),
-                        noise_family=family)
-        s1 = simulate(ops, noise, cfg)
-        s2 = simulate(ops, noise, cfg)
+        s1, s2 = (simulate(ops, noise, np.array([0.0]), replicas=50, seed=11,
+                           family=family) for _ in range(2))
         assert np.array_equal(s1, s2)
 
 
@@ -97,8 +97,8 @@ def test_chain_covariance_within_standard_errors(chain_instance):
     C = covariance_lyapunov(blocks(ops)[0], noise)
     mu = mean(ops, np.array([1.0]))
     for family in ("gaussian", "uniform", "rademacher"):
-        cfg = SimConfig(replicas=40_000, seed=17, u=np.array([1.0]),
-                        noise_family=family)
-        emp = empirical_moments(simulate(ops, noise, cfg))
+        emp = empirical_moments(simulate(ops, noise, np.array([1.0]),
+                                         replicas=40_000, seed=17,
+                                         family=family))
         assert np.all(np.abs(emp.mean - mu) <= 3.5 * emp.se_mean)
         assert np.all(np.abs(emp.cov - C) <= 3.5 * emp.se_cov)
