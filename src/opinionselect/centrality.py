@@ -79,9 +79,13 @@ def spectrum(G) -> NetworkOperators:
 def _resolvent(G, a: float, hops: int = 1, diagonal: bool = True):
     """(M1, diag M) for M = (I - a G^hops)^{-1} in O(n^2) from a spectrum: the
     one a ``NetworkOperators`` stores, or ``spectrum`` of a symmetric dense
-    matrix (see the module docstring). diag M is None unless ``diagonal``."""
+    matrix (see the module docstring). diag M is None unless ``diagonal``.
+    ``ValueError`` for a NaN a, ``NumericalError`` for |a| at or above
+    1/rho(G)."""
     if not isinstance(G, NetworkOperators):
         G = spectrum(G)
+    if np.isnan(a):
+        raise ValueError("attenuation must be a number, not nan")
     lam, Q, sqrt_d = G.eigvals, G.eigvecs, np.sqrt(G.w)
     rho = G.rho ** hops
     if not abs(a) * rho < 1.0:     # the walk series of aG diverges

@@ -144,14 +144,7 @@ def _moments_for(ops: NetworkOperators, noise: NoiseModel, picks: int,
     exact search or more than n / ``DENSE_ROWS`` greedy ``picks``, else the
     ``moments`` operator: an operator row costs O(n^2), and forming C is one
     n^3 product."""
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            mom = equilibrium.moments(ops, noise)
-        except FloatingPointError:
-            raise NumericalError(
-                f"a regular strength (the largest is {float(ops.w.max())!r}) "
-                "overflows float64 in the covariance; divide the edge weights "
-                "by a common factor") from None
+    mom = equilibrium.moments(ops, noise)
     cov = mom.C if exact or DENSE_ROWS * picks > ops.n_regular else mom
     return mom.method_tag, cov
 

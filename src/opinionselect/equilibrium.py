@@ -20,14 +20,15 @@ formula's.
 
 When A Sigma is symmetric, for example with noise inversely proportional to
 degree, C also equals (I - A^2)^{-1} Sigma exactly; ``moments`` tags that
-regime "closed-form", and "lyapunov" otherwise. A constant t is always in
-that regime (A Sigma = t0 D^-1 W D^-1); otherwise the tag is read from the
-regular-regular edges alone. The tag names the regime, not a second
-solver: C comes from the spectrum either way.
+regime "closed-form", and "lyapunov" otherwise, on either path, from the
+regular-regular edges alone; a constant t is always in that regime
+(A Sigma = t0 D^-1 W D^-1). The tag names the regime, not a second solver:
+C comes from the spectrum either way.
 
-``moments`` also checks C 1 against its own equation, in O(n^2), and
-refuses a C whose relative residual exceeds ``RESIDUAL_TOL``: a wide range
-of regular strengths costs the spectral C its accuracy.
+The same pass over the edges checks C 1 against its own equation, in
+O(n^2), and ``moments`` refuses a C whose relative residual exceeds
+``RESIDUAL_TOL`` (a wide range of regular strengths costs the spectral C its
+accuracy), or one that overflows float64, naming the largest strength.
 
 ``covariance_lyapunov`` (squaring-doubling on the A of ``validation.blocks``,
 formed from the edge weights, not the spectrum) is an independent oracle for
@@ -37,7 +38,7 @@ the benchmark's reference set-up and the tests; no command calls it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -158,67 +159,66 @@ def _dense_covariance(P: np.ndarray, Q: np.ndarray,
     return X
 
 
-def _regime_tag(ops: NetworkOperators, sigma2: np.ndarray) -> str:
-    """"closed-form" when the relative Frobenius asymmetry of A Sigma, whose
-    entries (A Sigma)_ij = W_ij / w_i * sigma_j^2 sit on the regular-regular
-    edges, is at most ``SYMMETRY_TOL``; "lyapunov" otherwise. The ratio does
-    not depend on the scale of sigma^2, so it is taken on sigma^2 / max
-    sigma^2: the entries then lie in (0, 1], so the norms cannot overflow,
-    nor underflow just because every sigma^2 is tiny."""
-    i, j, wgt = ops.graph.regular_arcs
-    rel = sigma2 / sigma2.max() if sigma2.size else sigma2
-    a_sigma = wgt / ops.w[i] * rel[j]
-    asym = np.linalg.norm(a_sigma - wgt / ops.w[j] * rel[i])
-    return ("closed-form" if asym <= SYMMETRY_TOL * np.linalg.norm(a_sigma)
-            else "lyapunov")
-
-
 def moments(ops: NetworkOperators, noise: NoiseModel) -> EquilibriumMoments:
     """Equilibrium covariance operator from the spectrum of ``ops``, with its
-    regime tag."""
+    regime tag; ``NumericalError`` when C overflows float64 or misses its own
+    equation."""
+    if ops.graph is None:
+        raise ValueError("moments needs a graph's spectrum, as normalize "
+                         "gives, not a dense score matrix's")
     if len(noise.sigma2) != ops.n_regular:
         raise ValueError("noise model size must equal the number of regular nodes")
     lam, Q = ops.eigvals, ops.eigvecs
-    t = ops.w * noise.sigma2                        # diagonal of D Sigma
-    if t.size and np.all(t == t[0]):
-        # Q' (t0 I) Q = t0 I: M is diagonal, and A Sigma = t0 D^-1 W D^-1 is
-        # symmetric
-        P = Q * (t[0] / (1.0 - lam * lam))
-        method = "closed-form"
-    else:
-        # each step reuses or replaces X, so at most two n^2 arrays are alive
-        X = (Q.T * t) @ Q                           # Q' (D Sigma) Q
-        denom = np.multiply.outer(lam, -lam)
-        denom += 1.0                                # 1 - lam lam'
-        X /= denom
-        del denom
-        P = Q @ X
-        method = _regime_tag(ops, noise.sigma2)
-    mom = EquilibriumMoments(method_tag=method, P=P, Q=Q,
-                             scale=1.0 / np.sqrt(ops.w))
-    if ops.n_regular:
-        _check_residual(ops, noise.sigma2, mom)
-    return mom
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            t = ops.w * noise.sigma2                # diagonal of D Sigma
+            if t.size and np.all(t == t[0]):
+                P = Q * (t[0] / (1.0 - lam * lam))  # Q' (t0 I) Q = t0 I
+            else:
+                # each step reuses or replaces X: at most two n^2 arrays live
+                X = (Q.T * t) @ Q                   # Q' (D Sigma) Q
+                denom = np.multiply.outer(lam, -lam)
+                denom += 1.0                        # 1 - lam lam'
+                X /= denom
+                del denom
+                P = Q @ X
+            mom = EquilibriumMoments("", P, Q, 1.0 / np.sqrt(ops.w))
+            return replace(mom, method_tag=_checked_tag(ops, noise.sigma2, mom))
+        except FloatingPointError:
+            raise NumericalError(
+                f"a regular strength (the largest is {float(ops.w.max())!r}) "
+                "overflows float64 in the covariance; divide the edge weights "
+                "by a common factor") from None
 
 
-def _check_residual(ops: NetworkOperators, sigma2: np.ndarray,
-                    mom: EquilibriumMoments) -> None:
-    """``NumericalError`` unless ||C1 - A C A'1 - Sigma 1|| is at most
-    ``RESIDUAL_TOL`` ||C1||: the spectral C loses its accuracy when the
-    regular strengths span too wide a range. A and A' are applied from the
-    regular-regular edges in O(m), C through the operator in O(n^2)."""
+def _checked_tag(ops: NetworkOperators, sigma2: np.ndarray,
+                 mom: EquilibriumMoments) -> str:
+    """The regime tag, from one pass over the nonzeros of A (A_ij = W_ij / w_i
+    on the regular-regular arcs) that also checks C 1 against its equation.
+    The asymmetry of A Sigma, (A Sigma)_ij = A_ij sigma_j^2, is taken on
+    sigma^2 / max sigma^2: the ratio does not depend on the noise scale, and
+    entries in (0, 1] keep the norms from over- or underflowing.
+    ``NumericalError`` unless ||C1 - A C A'1 - Sigma 1|| <= ``RESIDUAL_TOL``
+    ||C1||: the spectral C loses its accuracy when the regular strengths span
+    too wide a range. A and A' cost O(m), C through the operator O(n^2)."""
     row, col, wgt = ops.graph.regular_arcs
     a = wgt / ops.w[row]                            # the nonzeros of A
+    rel = sigma2 / sigma2.max() if sigma2.size else sigma2
+    a_sigma = a * rel[col]
+    asym = np.linalg.norm(a_sigma - wgt / ops.w[col] * rel[row])
     n = ops.n_regular
-    c1 = mom @ np.ones(n)
-    at1 = np.bincount(col, a, minlength=n)          # A' 1
-    r = c1 - np.bincount(row, a * (mom @ at1)[col], minlength=n) - sigma2
-    # both norms of vectors divided by max |C1|: neither over- nor underflows
-    top = np.abs(c1).max()
-    res = float(np.linalg.norm(r / top) / np.linalg.norm(c1 / top))
-    if not res <= RESIDUAL_TOL:
-        raise NumericalError(
-            f"Lyapunov residual {res:.1e} of the covariance exceeds "
-            f"{RESIDUAL_TOL:g}: the regular strengths span "
-            f"{float(ops.w.min())!r} to {float(ops.w.max())!r}, too wide a "
-            "range for the spectral solve")
+    if n:
+        c1 = mom @ np.ones(n)
+        at1 = np.bincount(col, a, minlength=n)      # A' 1
+        r = c1 - np.bincount(row, a * (mom @ at1)[col], minlength=n) - sigma2
+        # both norms of vectors divided by max |C1|: neither over- nor underflows
+        top = np.abs(c1).max()
+        res = float(np.linalg.norm(r / top) / np.linalg.norm(c1 / top))
+        if not res <= RESIDUAL_TOL:
+            raise NumericalError(
+                f"Lyapunov residual {res:.1e} of the covariance exceeds "
+                f"{RESIDUAL_TOL:g}: the regular strengths span "
+                f"{float(ops.w.min())!r} to {float(ops.w.max())!r}, too wide a "
+                "range for the spectral solve")
+    return ("closed-form" if asym <= SYMMETRY_TOL * np.linalg.norm(a_sigma)
+            else "lyapunov")

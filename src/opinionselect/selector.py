@@ -125,11 +125,11 @@ def greedy_select(C, s: int) -> SelectionResult:
     Each round scores every candidate in one ``marginal_gain`` call and picks
     the lowest index among the gains within ``TIE_RTOL`` of the best, so
     mirror nodes whose gains differ only by rounding resolve the same way
-    under any BLAS. A degenerate candidate is skipped and counted, with a
-    warning, once per round in index order; ``NumericalError`` if all of a
-    round's candidates are degenerate, or, after the warnings, if its best
-    gain overflows float64. ``eval_count`` counts one gain per unpicked
-    candidate and round, n s - s(s-1)/2.
+    under any BLAS. Degenerate candidates are skipped and counted, with one
+    warning per round that has any, giving their count and the round, from
+    1; ``NumericalError`` if all of a round's candidates are degenerate, or,
+    after the warning, if its best gain overflows float64. ``eval_count``
+    counts one gain per unpicked candidate and round, n s - s(s-1)/2.
 
     ``C`` is a dense covariance or the ``moments`` operator: only ``C @ 1``,
     ``1 @ C``, ``C.diagonal()`` and one row ``C[i]`` per pick are read, and
@@ -151,12 +151,13 @@ def greedy_select(C, s: int) -> SelectionResult:
     skipped = 0
     for t in range(s):
         round_gains = marginal_gain(r, d, c_diag, taken)
-        # C_ii >= 0 keeps every divided gain above -inf, so -inf off K marks
-        # exactly the degenerate candidates
-        for i in np.flatnonzero((round_gains == -math.inf) & ~taken).tolist():
-            warnings.warn(f"skipping candidate {i}: degenerate Schur "
-                          f"complement {d[i]:.3e}")
-            skipped += 1
+        # C_ii >= 0 keeps every divided gain above -inf, so -inf marks
+        # exactly the t picked candidates and the degenerate ones
+        degenerate = int(np.count_nonzero(round_gains == -math.inf)) - t
+        if degenerate:
+            warnings.warn(f"skipping {degenerate} candidate(s) in round "
+                          f"{t + 1}: degenerate Schur complement")
+            skipped += degenerate
         near = _near_best(round_gains)
         if not near.size:
             raise NumericalError("all candidates degenerate in this round")

@@ -254,14 +254,14 @@ def scalar_greedy(C, s):
     vector each, kept as an oracle for its picks, gains, F values, skip
     count and warnings, bit for bit. It states the tie rule itself, in
     scalars: the lowest index whose gain is at or above v - TIE_RTOL |v|,
-    v the best."""
+    v the best; and the warning rule: one per round that skips any
+    candidate, giving their count and the round, from 1."""
     from opinionselect.selector import TIE_RTOL, SelectionResult
     from opinionselect.objective import SCHUR_GUARD, var_y
 
     def gain(r_i, d_i, c_ii):
-        if d_i <= SCHUR_GUARD * c_ii:
-            raise NumericalError(f"degenerate Schur complement {d_i:.3e}")
-        return r_i * r_i / d_i
+        # -inf marks a degenerate candidate, skipped
+        return -math.inf if d_i <= SCHUR_GUARD * c_ii else r_i * r_i / d_i
 
     n = C.shape[0]
     r = C @ np.ones(n)
@@ -275,14 +275,12 @@ def scalar_greedy(C, s):
         r_vals, d_vals = r.tolist(), d.tolist()
         eval_count += n - t
         cands = [i for i in range(n) if not taken[i]]
-        round_gains = []
-        for i in cands:
-            try:
-                round_gains.append(gain(r_vals[i], d_vals[i], c_diag[i]))
-            except NumericalError as exc:
-                warnings.warn(f"skipping candidate {i}: {exc}")
-                skipped += 1
-                round_gains.append(-math.inf)
+        round_gains = [gain(r_vals[i], d_vals[i], c_diag[i]) for i in cands]
+        degenerate = round_gains.count(-math.inf)
+        if degenerate:     # one warning per round that skips any
+            warnings.warn(f"skipping {degenerate} candidate(s) in round "
+                          f"{t + 1}: degenerate Schur complement")
+            skipped += degenerate
         top = max(round_gains)
         if top == -math.inf:
             raise NumericalError("all candidates degenerate in this round")

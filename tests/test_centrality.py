@@ -102,6 +102,15 @@ def test_bonacich_divergent_attenuation():
         intercentrality(G, 1.5)
 
 
+def test_nan_attenuation_refused_by_name():
+    # a NaN attenuation is not "too large": the walk series has no
+    # attenuation to test against 1/rho(G)
+    ops = normalize(generate_watts_strogatz(20, 4, 0.3, 1, 3))
+    for score in (bonacich, intercentrality):
+        with pytest.raises(ValueError, match="not nan"):
+            score(ops, np.nan)
+
+
 def test_intercentrality_trivial_and_symmetric():
     assert np.allclose(intercentrality(np.zeros((3, 3)), 1.0).scores, 1.0)
     ring = generate_cycle(7, 0)
@@ -176,7 +185,8 @@ def test_dense_score_matrix_must_be_symmetric():
 def test_spectral_attenuation_bound():
     for ops in (normalize(generate_cycle(12, 1)),
                 normalize(generate_random_reachable(40, 3, 0))):
-        for a in (1.0001 / ops.rho, -1.0001 / ops.rho, np.inf, np.nan):
+        # a NaN is refused as ValueError: test_nan_attenuation_refused_by_name
+        for a in (1.0001 / ops.rho, -1.0001 / ops.rho, np.inf):
             with pytest.raises(NumericalError):
                 bonacich(ops, a)
             with pytest.raises(NumericalError):

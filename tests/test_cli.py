@@ -121,6 +121,23 @@ def test_out_files_get_the_plain_create_mode(ws_files, tmp_path):
         os.umask(old)
 
 
+def test_out_onto_a_directory_leaves_no_temp_file(ws_files, tmp_path,
+                                                  capsys):
+    # the rename onto a directory fails after the temp file is written; the
+    # temp file is removed and the directory is left as it was
+    edges, stub = ws_files
+    where = tmp_path / "where"
+    (where / "out").mkdir(parents=True)
+    assert run_cli(["select", "--graph", edges, "--stubborn-file", stub,
+                    "--k", "2", "--out", str(where / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(
+        r"error: \[Errno \d+\] .+: '.+\.tmp' -> "
+        + re.escape(repr(str(where / "out"))), err[0]), err
+    assert [p.name for p in where.iterdir()] == ["out"]
+    assert list((where / "out").iterdir()) == []
+
+
 def test_select_k_zero(ws_files, tmp_path):
     edges, stub = ws_files
     out = tmp_path / "sel0.json"
@@ -261,6 +278,18 @@ def test_nonfinite_edge_weight_refused(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"line 2: weight must be positive and finite, got {value}" in err
     assert not out.exists()
+
+
+def test_empty_edge_list_and_negative_node_id_refused(tmp_path, capsys):
+    edges = tmp_path / "bad.edges"
+    for text, message in (("# no edges\n#\n", "edge list is empty"),
+                          ("-1 2 1.0\n2 3 1.0\n",
+                           "line 1: node ids must be nonnegative")):
+        edges.write_text(text)
+        capsys.readouterr()
+        assert run_cli(["select", "--graph", str(edges), "--stubborn", "2",
+                        "--k", "1"]) == 2, text
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_sigma2_uniform_value_must_be_a_number(ws_files, tmp_path, capsys):

@@ -1,13 +1,16 @@
+import io
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from opinionselect import (NoiseModel, SocialGraph, generate_cycle,
                            generate_random_reachable, generate_random_regular,
-                           generate_watts_strogatz, greedy_select, moments,
-                           normalize, var_y)
+                           generate_watts_strogatz, greedy_select, load_graph,
+                           moments, normalize, var_y)
+from opinionselect.centrality import spectrum
 from opinionselect.equilibrium import SYMMETRY_TOL, covariance_lyapunov
 from opinionselect.errors import NumericalError
 from opinionselect.validation import blocks, dense_weights, mean
@@ -440,6 +443,46 @@ def test_moments_refuses_a_covariance_that_misses_its_equation(graph, W,
                     rf"the regular strengths span 2\.0 to {re.escape(repr(W))}, "
                     r"too wide a range for the spectral solve$")):
                 moments(ops, noise)
+
+
+def test_moments_refuses_an_overflowing_strength():
+    # node 1's strength times sigma^2 = 3 overflows inside the solve: one
+    # NumericalError naming the strength, and no RuntimeWarning before it
+    ops = normalize(load_graph(io.StringIO(
+        "0 1 1e308\n1 2 1\n2 0 1\n2 3 1\n3 0 1\n"), [0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as info:
+            moments(ops, NoiseModel.uniform(3, 3.0))
+    assert str(info.value) == (
+        "a regular strength (the largest is 1e+308) overflows float64 in the "
+        "covariance; divide the edge weights by a common factor")
+
+
+def test_moments_refuses_a_spectrum_or_noise_it_cannot_use():
+    path = np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
+    with pytest.raises(ValueError, match="normalize"):
+        moments(spectrum(path), NoiseModel.uniform(4, 1.0))
+    ops = normalize(generate_cycle(8, 1))
+    with pytest.raises(ValueError, match="number of regular nodes"):
+        moments(ops, NoiseModel.uniform(ops.n_regular + 1))
+
+
+def test_moments_reads_the_arcs_once(monkeypatch):
+    # the regime tag and the residual check share one read of the arcs, on
+    # the constant-noise path and on the general one
+    reads = []
+    arcs = SocialGraph.regular_arcs
+    monkeypatch.setattr(SocialGraph, "regular_arcs",
+                        property(lambda g: reads.append(g) or arcs.fget(g)))
+    ops = normalize(generate_cycle(12, 1))
+    irregular = normalize(generate_watts_strogatz(30, 4, 0.3, 1, 3))
+    for ops, noise, tag in (
+            (ops, NoiseModel.uniform(ops.n_regular), "closed-form"),
+            (irregular, NoiseModel.uniform(irregular.n_regular), "lyapunov")):
+        reads.clear()
+        assert moments(ops, noise).method_tag == tag
+        assert len(reads) == 1
 
 
 def _longdouble_covariance(g: SocialGraph, sigma2: np.ndarray) -> np.ndarray:

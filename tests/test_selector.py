@@ -102,8 +102,8 @@ def test_marginal_gain_degenerate_schur(gain_calls):
     C[:2, 2] = base[0]
     C[2, 2] = base[0, 0]
     gain_calls.clear()
-    with pytest.warns(UserWarning, match="skipping candidate 2: degenerate "
-                      r"Schur complement \S+$") as record:
+    with pytest.warns(UserWarning, match=r"skipping 1 candidate\(s\) in round "
+                      "2: degenerate Schur complement$") as record:
         res = greedy_select(C, 2)
     assert len(record) == 1
     assert res.chosen == (0, 1)
@@ -151,10 +151,13 @@ def test_greedy_skips_degenerate_twin(gain_calls):
     gain_calls.clear()
     with pytest.warns(UserWarning) as record:
         res = greedy_select(C, n)
-    skips = [w for w in record
-             if f"skipping candidate {n}: degenerate Schur" in str(w.message)]
+    skips = [str(w.message) for w in record
+             if "degenerate Schur" in str(w.message)]
     assert sorted(res.chosen) == list(range(n))   # the twin is never picked
-    assert len(skips) == n - 1 - res.chosen.index(j) > 0
+    # one warning per round after j's pick, each skipping the twin alone
+    assert skips == [f"skipping 1 candidate(s) in round {t + 1}: degenerate "
+                     "Schur complement"
+                     for t in range(res.chosen.index(j) + 1, n)] != []
     assert res.skipped == len(skips)
     assert res.eval_count == (n + 1) * n - n * (n - 1) // 2
     # marginal_gain evaluates every candidate, the degenerate ones included
@@ -165,6 +168,18 @@ def test_greedy_skips_degenerate_twin(gain_calls):
     for t in range(n + 1):
         assert res.f_values[t] == pytest.approx(f_score(C, res.chosen[:t]),
                                                 rel=1e-8, abs=1e-12)
+
+
+def test_greedy_warns_once_per_round():
+    # each of 200 nodes has a twin; once t nodes are picked, their t twins
+    # are degenerate, so round t + 1 skips t candidates in one warning
+    X = np.random.default_rng(0).normal(size=(200, 200))
+    C = np.kron(np.ones((2, 2)), X @ X.T + 200 * np.eye(200))
+    res, texts = _run_recording_warnings(greedy_select, C, 150)
+    assert texts == [f"skipping {t} candidate(s) in round {t + 1}: "
+                     "degenerate Schur complement" for t in range(1, 150)]
+    assert res.skipped == 149 * 150 // 2 == 11175
+    assert len({i % 200 for i in res.chosen}) == 150     # no twin picked
 
 
 def test_greedy_eval_count_law(gain_calls):
@@ -242,6 +257,9 @@ def test_greedy_equals_scalar_oracle_bit_for_bit(form):
         want, want_warnings = _run_recording_warnings(scalar_greedy, C, s)
         assert _bits(got) == _bits(want)
         assert got_warnings == want_warnings
+        assert all(re.fullmatch(r"skipping \d+ candidate\(s\) in round \d+: "
+                                "degenerate Schur complement", w)
+                   for w in want_warnings)
         seen_skip |= bool(want_warnings)
         seen_raise |= isinstance(want, NumericalError)
     assert seen_skip and seen_raise
