@@ -2,14 +2,15 @@
 
 Commands: generate, select, score, curve, validate. ``_write`` emits every
 JSON document, so all share one header: schema, meta, then graph if any.
-Every command that takes --out writes atomically (temp file + rename) so no
-partial output survives a failure. select, score and curve read and check
-every input before any O(n^3) step. Exit codes: 0 ok, 1 validation-suite
-failure, 2 bad input, 3 exact budget exceeded or out of memory, 4 numerical
-failure: an output or covariance that overflows float64, a covariance that
-misses its own Lyapunov equation, an attenuation at or above 1/rho(G), found
-after the eigendecomposition, a selection whose candidates or subsets are
-all degenerate or whose value overflows float64, or a LAPACK failure.
+Every command that takes --out refuses a path no rename can reach before
+any work, and writes atomically (temp file + rename) so no partial output
+survives a failure. select, score and curve read and check every input
+before any O(n^3) step. Exit codes: 0 ok, 1 validation-suite failure, 2 bad
+input, 3 exact budget exceeded or out of memory, 4 numerical failure: an
+output or covariance that overflows float64, a covariance that misses its
+own Lyapunov equation, an attenuation at or above 1/rho(G), found after the
+eigendecomposition, a selection whose candidates or subsets are all
+degenerate or whose value overflows float64, or a LAPACK failure.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ DENSE_ROWS = 8   # greedy forms C once it takes more than n / DENSE_ROWS picks
 STUBBORN_FIELDS = (("node", int),)
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out that no rename can reach, before any work."""
+    if os.path.isdir(path):
+        raise GraphError(f"--out {path}: is a directory")
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise GraphError(f"--out {path}: no directory {directory}")
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -58,10 +68,12 @@ def _atomic_write(path: str, text: str) -> None:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        # the temp file's name means nothing to the caller
+        raise OSError(f"--out {path}: {exc.strerror or exc}") from None
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(args, text: str) -> None:
@@ -376,6 +388,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.t0 = perf_counter()
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,16 +1,14 @@
-"""Variance-reduction objective F, residual variance G and the linear estimator.
+"""Variance-reduction objective F and residual variance G.
 
 All quantities are carried at the unnormalized scale F(K) = (C1)_K' (C_KK)^-1
 (C1)_K; dividing by |R|^2 recovers the probabilistic variances but changes no
 argmax. F and G always satisfy F(K) + G(K) = 1'C1, so G is read as
-``var_y(C)`` - F from C alone. Greedy sums its rounds' gains and exact
-selection scores subsets by its own walk; ``f_score`` is the Cholesky oracle
-that ``validation``'s suites and the tests check selection against.
-
-``f_score`` and the estimator share ``_factor``: (C1)_K, checked finite, and
-numpy's Cholesky factor L of C_KK, between a finiteness check that LAPACK
-does not make and a degenerate-pivot check. F is |L^-1 (C1)_K|^2 and the
-estimator solves L'(L^-1 (C1)_K / n), so no path needs scipy.
+``var_y(C)`` - F from C alone; G(K) / |R|^2 is the mean squared error of the
+best linear estimate of the mean opinion from X_K. Greedy sums its rounds'
+gains and exact selection scores subsets by its own walk; ``f_score`` is the
+Cholesky oracle that ``validation``'s suites and the tests check selection
+against: F = |L^-1 (C1)_K|^2 for the guarded factor L of C_KK, so no path
+needs scipy.
 """
 
 from __future__ import annotations
@@ -61,17 +59,6 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
     raise NumericalError("principal submatrix not positive definite")
 
 
-def _factor(C: np.ndarray, K: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(C1)_K and the ``_cholesky`` factor L of C_KK, (C1)_K checked finite."""
-    # (C1)_K is read from the full product, not summed from the rows C[K]:
-    # BLAS sums a block of a few rows in another order, which would move F
-    # in its last bits with |K| and the position of each node in K.
-    v = (C @ np.ones(C.shape[0])).take(K)
-    L = _cholesky(C.take(K, 0).take(K, 1))
-    _require_finite(v)
-    return v, L
-
-
 def var_y(C: np.ndarray) -> float:
     """Total (unnormalized) variance of the mean opinion: 1'C1."""
     ones = np.ones(C.shape[0])
@@ -83,29 +70,11 @@ def f_score(C: np.ndarray, K: Sequence[int]) -> float:
     K = _check_set(K, C.shape[0])
     if not K:
         return 0.0
-    v, L = _factor(C, K)
+    # (C1)_K is read from the full product, not summed from the rows C[K]:
+    # BLAS sums a block of a few rows in another order, which would move F
+    # in its last bits with |K| and the position of each node in K.
+    v = (C @ np.ones(C.shape[0])).take(K)
+    L = _cholesky(C.take(K, 0).take(K, 1))
+    _require_finite(v)
     w = np.linalg.solve(L, v)       # F = |L^-1 v|^2
     return float(w @ w)
-
-
-def estimator_coefficients(C: np.ndarray, K: Sequence[int],
-                           mu: np.ndarray | None = None
-                           ) -> tuple[np.ndarray, float]:
-    """Optimal linear predictor of the mean opinion from the observations X_K.
-
-    Returns (alpha_K, intercept) with alpha solving C_KK a = (C1/n)_K and the
-    intercept chosen so the predictor is unbiased when the mean mu is nonzero.
-    """
-    n = C.shape[0]
-    K = _check_set(K, n)
-    mu = np.zeros(n) if mu is None else np.asarray(mu, dtype=float)
-    if mu.shape != (n,):
-        raise ValueError(f"mu has shape {mu.shape}; it needs one entry per "
-                         f"regular node, ({n},)")
-    ybar = float(np.sum(mu)) / n
-    if not K:
-        return np.zeros(0), ybar
-    c1, L = _factor(C, K)
-    alpha = np.linalg.solve(L.T, np.linalg.solve(L, c1 / n))
-    intercept = ybar - float(alpha @ mu[K])
-    return alpha, intercept

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import errno
 import importlib
 import itertools
 import json
@@ -122,20 +123,38 @@ def test_out_files_get_the_plain_create_mode(ws_files, tmp_path):
 
 
 def test_out_onto_a_directory_leaves_no_temp_file(ws_files, tmp_path,
-                                                  capsys):
-    # the rename onto a directory fails after the temp file is written; the
-    # temp file is removed and the directory is left as it was
+                                                  capsys, refuse_normalize):
+    # an --out that is a directory, or lies in a missing one, is refused
+    # before any work, and nothing is written
     edges, stub = ws_files
     where = tmp_path / "where"
     (where / "out").mkdir(parents=True)
-    assert run_cli(["select", "--graph", edges, "--stubborn-file", stub,
-                    "--k", "2", "--out", str(where / "out")]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and re.fullmatch(
-        r"error: \[Errno \d+\] .+: '.+\.tmp' -> "
-        + re.escape(repr(str(where / "out"))), err[0]), err
+    for out, why in ((where / "out", "is a directory"),
+                     (where / "nodir" / "x.json",
+                      f"no directory {where / 'nodir'}")):
+        assert run_cli(["select", "--graph", edges, "--stubborn-file", stub,
+                        "--k", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --out {out}: {why}"]
     assert [p.name for p in where.iterdir()] == ["out"]
     assert list((where / "out").iterdir()) == []
+
+
+def test_failed_rename_names_out_and_leaves_no_temp_file(ws_files, tmp_path,
+                                                         capsys, monkeypatch):
+    edges, stub = ws_files
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "sel.json"
+    assert run_cli(["select", "--graph", edges, "--stubborn-file", stub,
+                    "--k", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --out {out}: {os.strerror(errno.EACCES)}"]
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert not out.exists()
 
 
 def test_select_k_zero(ws_files, tmp_path):
@@ -510,7 +529,7 @@ def test_package_root_exports_the_pipeline():
         "ReachabilityError", "SocialGraph", "load_graph", "save_graph",
         "normalize", "generate_cycle", "generate_random_reachable",
         "generate_random_regular", "generate_watts_strogatz", "NoiseModel",
-        "moments", "f_score", "var_y", "estimator_coefficients",
+        "moments", "f_score", "var_y",
         "SelectionResult", "greedy_select", "exact_select", "exact_curve",
         "var_reduction_scores", "eta_scores", "bonacich", "intercentrality",
         "ranking_report"}

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from opinionselect import (GraphError, ReachabilityError, SocialGraph,
-                           generate_cycle, generate_random_reachable,
+from opinionselect import (GraphError, NoiseModel, NumericalError,
+                           ReachabilityError, SocialGraph, generate_cycle,
+                           generate_random_reachable, generate_random_regular,
                            generate_watts_strogatz, load_graph, normalize,
                            save_graph)
-from opinionselect.graph import validate_reachability
-from opinionselect.validation import blocks, dense_weights
+from opinionselect.equilibrium import covariance_lyapunov
+from opinionselect.graph import NetworkOperators, validate_reachability
+from opinionselect.validation import (blocks, dense_weights, horizon_for, mean,
+                                      simulate)
 from conftest import graph_from_dense
 
 
@@ -396,3 +399,55 @@ def test_load_and_normalize_hold_no_n_squared_array(tmp_path):
     ops, normalize_peak = _traced_peak(lambda: normalize(generate_cycle(n, 2000)))
     nr2 = ops.n_regular ** 2 * np.dtype(float).itemsize
     assert normalize_peak <= 2.5 * nr2, normalize_peak / nr2
+
+
+def _unreachable_operators():
+    # the regular pair 1-2 reaches no stubborn node, so I - A is singular;
+    # normalize would refuse the graph, and mean reads only graph and w
+    g = SocialGraph(3, [1], [2], [1.0], [0])
+    return NetworkOperators(g, np.ones(2), 1.0, np.array([-1.0, 1.0]),
+                            np.eye(2))
+
+
+def _ws_operators():
+    return normalize(generate_watts_strogatz(12, 4, 0.3, 1, 2))
+
+
+# each library refusal that no other test reaches: (call, type, message)
+REFUSALS = {
+    "label-table": (lambda: SocialGraph(3, [0], [1], [1.0], [0],
+                                        labels=(5, 6)),
+                    GraphError, "label table length"),
+    "reachable-one-node": (lambda: generate_random_reachable(1, 1, 0),
+                           GraphError, "need n >= 2 and 1 <= n_stubborn < n"),
+    "reachable-no-stubborn": (lambda: generate_random_reachable(5, 0, 0),
+                              GraphError,
+                              "need n >= 2 and 1 <= n_stubborn < n"),
+    "regular-all-stubborn": (lambda: generate_random_regular(4, 2, 0, 4),
+                             GraphError, "require n_stubborn < n"),
+    "regular-disconnected": (lambda: generate_random_regular(5, 0, 0, 1),
+                             GraphError,
+                             "failed to draw a connected regular graph"),
+    "mean-long-u": (lambda: mean(_ws_operators(), np.zeros(3)), ValueError,
+                    "u must have one entry per stubborn node"),
+    "horizon-rho-one": (lambda: horizon_for(1.0, 1e-8), ValueError,
+                        "need 0 <= rho < 1"),
+    "horizon-rho-negative": (lambda: horizon_for(-0.1, 1e-8), ValueError,
+                             "need 0 <= rho < 1"),
+    "simulate-long-noise": (
+        lambda: simulate(_ws_operators(), NoiseModel.uniform(11),
+                         np.zeros(2), replicas=2, seed=0),
+        ValueError, "variance vector must cover the regular nodes"),
+    "lyapunov-rho-one": (
+        lambda: covariance_lyapunov(np.eye(2), NoiseModel.uniform(2)),
+        NumericalError, "did not converge"),
+    "mean-unreachable": (lambda: mean(_unreachable_operators(), np.zeros(1)),
+                         NumericalError, r"singular \(I - A\)"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_library_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()

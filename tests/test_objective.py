@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opinionselect import (NoiseModel, eta_scores, estimator_coefficients,
-                           f_score, generate_random_regular, greedy_select,
-                           normalize, var_y)
+from opinionselect import (NoiseModel, eta_scores, f_score,
+                           generate_random_regular, greedy_select, normalize,
+                           var_y)
 from opinionselect.errors import NumericalError
 from opinionselect.validation import blocks
 from conftest import (covariance_closed_form, g_score, naive_f, precision,
@@ -109,45 +109,6 @@ def test_scale_equivariance(seed, t):
         g_score(H, K) / var_y(C), rel=1e-9)
 
 
-def test_estimator_single_node_and_diagonal():
-    _, _, C = random_instance(5, n=8)
-    n = C.shape[0]
-    k = 3
-    alpha, intercept = estimator_coefficients(C, [k])
-    expected = (C @ np.ones(n))[k] / (n * C[k, k])
-    assert alpha[0] == pytest.approx(expected, rel=1e-12)
-    assert intercept == 0.0
-
-    D = np.diag(np.array([1.0, 2.0, 3.0, 4.0]))
-    alpha_d, _ = estimator_coefficients(D, [0, 2])
-    assert np.allclose(alpha_d, 1.0 / 4.0)
-
-
-def test_estimator_intercept_unbiased():
-    rng = np.random.default_rng(9)
-    _, _, C = random_instance(6, n=8)
-    n = C.shape[0]
-    mu = rng.normal(size=n)
-    K = [1, 3, 5]
-    alpha, intercept = estimator_coefficients(C, K, mu=mu)
-    # predictor evaluated at the mean must return the mean of Y
-    assert intercept + alpha @ mu[K] == pytest.approx(float(mu.sum()) / n)
-
-
-def test_estimator_refuses_a_mean_of_the_wrong_length():
-    # a mean with one entry too few or too many would move the intercept
-    # silently
-    C = np.array([[2.0, 0.5, 0.1],
-                  [0.5, 1.0, 0.2],
-                  [0.1, 0.2, 1.5]])
-    for mu in (np.ones(2), np.arange(4.0), np.ones((3, 1))):
-        with pytest.raises(ValueError, match="mu"):
-            estimator_coefficients(C, [0, 1], mu=mu)
-    _, intercept = estimator_coefficients(C, [0, 1], mu=[1.0, 1.0, 1.0])
-    assert intercept == pytest.approx(1.0 - float(np.sum(
-        np.linalg.solve(C[:2, :2], C[:2].sum(axis=1) / 3))), rel=1e-12)
-
-
 def test_residual_curve_endpoints_and_monotonicity():
     ops, noise, C = random_instance(8, n=12, n_stubborn=3)
     n = C.shape[0]
@@ -186,7 +147,7 @@ def _spd(seed, n):
 
 @pytest.mark.parametrize("b", range(1, 9))
 def test_solve_helper_matches_explicit_inverse(b):
-    # F and the estimator on a b-node block B of C, G on the b-node block
+    # F on a b-node block B of C, G on the b-node block
     # B of H, each against an explicit inverse of that block
     n = 10
     C = _spd(b, n)
@@ -199,23 +160,18 @@ def test_solve_helper_matches_explicit_inverse(b):
         ones = np.ones(b)
         g_oracle = ones @ np.linalg.inv(H[np.ix_(B, B)]) @ ones
         assert g_score(H, rest) == pytest.approx(g_oracle, rel=1e-12)
-        alpha, _ = estimator_coefficients(C, B)
-        a_oracle = np.linalg.inv(C[np.ix_(B, B)]) @ (C @ np.ones(n))[B] / n
-        assert np.linalg.norm(alpha - a_oracle) <= 1e-12 * np.linalg.norm(a_oracle)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_entries_raise_value_error(bad):
     # K = [1, 3]: (3, 1) lies in the triangle the Cholesky factor never
-    # reads, and (1, 0) reaches F and the estimator only through (C1)_K
+    # reads, and (1, 0) reaches F only through (C1)_K
     K, rest = [1, 3], [0, 2, 4, 5]
     for pos in [(1, 1), (3, 1), (1, 0)]:
         M = _spd(0, 6)
         M[pos] = bad
         with pytest.raises(ValueError):
             f_score(M, K)
-        with pytest.raises(ValueError):
-            estimator_coefficients(M, K)
         if pos != (1, 0):
             with pytest.raises(ValueError):
                 g_score(M, rest)

@@ -1,7 +1,10 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
-from opinionselect import NoiseModel, normalize
+from opinionselect import (NoiseModel, exact_select, generate_watts_strogatz,
+                           greedy_select, moments, normalize)
 from opinionselect.equilibrium import covariance_lyapunov
 from opinionselect.validation import (blocks, empirical_moments, horizon_for,
                                       mean, simulate)
@@ -102,3 +105,30 @@ def test_chain_covariance_within_standard_errors(chain_instance):
                                          family=family))
         assert np.all(np.abs(emp.mean - mu) <= 3.5 * emp.se_mean)
         assert np.all(np.abs(emp.cov - C) <= 3.5 * emp.se_cov)
+
+
+def test_residual_is_the_mean_squared_error_of_the_best_estimate():
+    # G(K) / n^2, the residual that selection reports, is the MSE of the
+    # best linear estimate of Y = mean(X) from X_K, whose weights
+    # alpha_K = C_KK^-1 (C1)_K / n; the error is Gaussian, so the MSE's
+    # standard error is (G / n^2) sqrt(2 / R) and the mean error's
+    # sqrt(G / (n^2 R)). Four z-scores held to Sidak's bound at a
+    # family-wise level of 1e-3.
+    ops = normalize(generate_watts_strogatz(24, 4, 0.3, 2, 4))
+    n = ops.n_regular
+    noise = NoiseModel(np.random.default_rng(2).uniform(0.5, 2.0, n))
+    u = np.linspace(0.0, 1.0, 4)
+    C = moments(ops, noise).C
+    R = 10_000
+    X = simulate(ops, noise, u, replicas=R, seed=7) - mean(ops, u)
+    y = X.mean(axis=1)
+    bound = NormalDist().inv_cdf(1 - (1 - 0.999 ** (1 / 4)) / 2)
+    for result in (greedy_select(C, 4), exact_select(C, 4)):
+        K = list(result.chosen)
+        mse = result.g_values[-1] / n ** 2
+        alpha = np.linalg.solve(C[np.ix_(K, K)], C.sum(axis=1)[K] / n)
+        err = y - X[:, K] @ alpha
+        assert abs(np.mean(err ** 2) - mse) <= bound * mse * np.sqrt(2 / R)
+        assert abs(np.mean(err)) <= bound * np.sqrt(mse / R)
+        # equal weights on the same K are a worse estimate
+        assert np.mean((y - X[:, K].mean(axis=1)) ** 2) >= 1.5 * mse
